@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError, QuadratureError
-from .specfun import log_gamma
 from .states import _svs_coefficient_column
 
 __all__ = [
@@ -80,16 +79,16 @@ def _radial_nodes(epsilon: float, node_count: int, rule: str):
     if rule == "jacobi":
         x, w = roots_jacobi(node_count, epsilon - 2.0, 0.0)
         u = 0.5 * (x + 1.0)
-        return u, w * 2.0 ** (-(epsilon - 1.0)), True
+        return u, w * 2.0 ** (-(epsilon - 1.0))
     if rule == "legendre":
         x, w = roots_legendre(node_count)
         u = 0.5 * (x + 1.0)
-        return u, 0.5 * w * (1.0 - u) ** (epsilon - 2.0), False
+        return u, 0.5 * w * (1.0 - u) ** (epsilon - 2.0)
     raise DomainError(f"unknown quadrature rule {rule!r}")
 
 
 def _diagonal_quadrature(epsilon: float, n: int, node_count: int, rule: str) -> float:
-    u, w, _ = _radial_nodes(epsilon, node_count, rule)
+    u, w = _radial_nodes(epsilon, node_count, rule)
     return float(np.sum(w * u**n))
 
 
@@ -108,7 +107,7 @@ def diagonal_identity_residual(
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     n = int(n)
     prefactor = (epsilon - 1.0) * math.exp(
-        log_gamma(n + epsilon) - log_gamma(n + 1.0) - log_gamma(epsilon)
+        math.lgamma(n + epsilon) - math.lgamma(n + 1.0) - math.lgamma(epsilon)
     )
     full = _diagonal_quadrature(epsilon, n, node_count, rule)
     half = _diagonal_quadrature(epsilon, n, max(4, node_count // 2), rule)
@@ -138,7 +137,7 @@ def identity_block_residual(
     _require_completeness_domain(epsilon)
     if not 1 <= block <= 32:
         raise DomainError(f"block size must be in 1..32, got {block}")
-    u, w, _ = _radial_nodes(epsilon, node_count, "jacobi")
+    u, w = _radial_nodes(epsilon, node_count, "jacobi")
     diag = np.zeros(block)
     for uj, wj in zip(u, w):
         col = _svs_coefficient_column(math.sqrt(uj), epsilon, block)

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.special import ive
 
 from .errors import DomainError, QuadratureError
 from .fock import AlgebraParams
-from .specfun import _bessel_i_grid, log_gamma
 from .states import CsSpec, _log_i_sum
 from .states import _negligible_xi as _states_negligible_xi
 
@@ -82,7 +82,7 @@ def vacuum_wavefunction(ell: int, l: float, x) -> np.ndarray | float:
     if np.any(x_arr < 0):
         raise DomainError("coordinate representation lives on x >= 0")
     eps = 2 * ell + 0.5
-    norm = l ** (-eps) / math.sqrt(math.exp(log_gamma(eps)))
+    norm = l ** (-eps) / math.sqrt(math.gamma(eps))
     with np.errstate(invalid="ignore"):
         vals = norm * x_arr ** (2 * ell) * np.exp(-(x_arr ** 2) / (2.0 * l * l))
     if ell == 0:
@@ -103,7 +103,7 @@ def _cs_wavefunction_zero_xi(spec: CsSpec, params: AlgebraParams,
     one = 1.0 - abs(zeta) ** 2
     pref = (math.sqrt(one) / (1.0 - zeta)
             * (2.0 * one) ** (ell - 0.25)
-            / math.sqrt(math.exp(log_gamma(2 * ell + 0.5)))
+            / math.sqrt(math.gamma(2 * ell + 0.5))
             * np.exp(1j * spec.theta))
     base = (x / (math.sqrt(2.0) * (1.0 - zeta) * l)) ** (2 * ell - 0.5)
     gauss = np.exp(-(1.0 + zeta) / (1.0 - zeta) * x ** 2 / (2.0 * l * l))
@@ -147,23 +147,25 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
 
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
-    w = math.sqrt(2.0) * xi * x_arr / ((1.0 - zeta) * l)
-    const = (np.sqrt(one) / (1.0 - zeta)
-             * math.exp(-0.5 * _log_i_sum(eps, y))
-             * np.exp(-(1.0 - np.conj(zeta)) * xi * xi
-                      / (2.0 * (1.0 - zeta) * one)
-                      + 1j * spec.theta))
-    gauss = np.exp(-(1.0 + zeta) / (1.0 - zeta) * x_arr ** 2 / (2.0 * l * l))
+    pref = math.sqrt(one) / (1.0 - zeta)
+    log_const = (-0.5 * _log_i_sum(eps, y)
+                 - (1.0 - np.conj(zeta)) * xi * xi / (2.0 * (1.0 - zeta) * one)
+                 + 1j * spec.theta)
     pos = x_arr > 0
     even = np.zeros(len(x_arr), dtype=complex)
     odd = np.zeros(len(x_arr), dtype=complex)
     if np.any(pos):
-        root = np.sqrt(x_arr[pos]) / l * gauss[pos] * const
-        even[pos] = root * _bessel_i_grid(2 * ell - 0.5, w[pos])
-        odd[pos] = root * _bessel_i_grid(2 * ell + 0.5, w[pos])
+        xp = x_arr[pos]
+        w = math.sqrt(2.0) * xi * xp / ((1.0 - zeta) * l)
+        # ive(k, w) = exp(-|Re w|) I_k(w): the growth joins the Gaussian
+        root = pref * np.sqrt(xp) / l * np.exp(
+            log_const - (1.0 + zeta) / (1.0 - zeta) * xp ** 2 / (2.0 * l * l)
+            + np.abs(w.real))
+        even[pos] = root * ive(2 * ell - 0.5, w)
+        odd[pos] = root * ive(2 * ell + 0.5, w)
     if np.any(~pos) and ell == 0:
         # sqrt(x) I_{-1/2}(w) -> sqrt(sqrt(2)(1-zeta) l / (pi xi))
-        even[~pos] = const / l * np.sqrt(
+        even[~pos] = pref * np.exp(log_const) / l * np.sqrt(
             math.sqrt(2.0) * (1.0 - zeta) * l / (math.pi * xi))
     return even, odd
 
@@ -218,7 +220,7 @@ def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
     q = one / abs(1.0 - zeta) ** 2
     if _negligible_xi(xi):
         # limit of the Bessel ratio as both arguments vanish
-        gam = math.exp(log_gamma(2 * ell + 0.5))
+        gam = math.gamma(2 * ell + 0.5)
         scale = math.sqrt(2.0) * abs(1.0 - zeta) * l
         safe_x = np.where(x_arr > 0, x_arr, 1.0)
         rho = (q * x_arr / (l * l) * (safe_x / scale) ** (4 * ell - 1)
@@ -229,24 +231,24 @@ def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
         rho = np.where(x_arr == 0.0, at0, rho)
         return rho if np.ndim(x) else float(rho[0])
     y = abs(xi) ** 2 / one
-    w = math.sqrt(2.0) * xi * x_arr / ((1.0 - zeta) * l)
     pos = x_arr > 0
     rho = np.zeros(len(x_arr), dtype=float)
     log_denom = _log_i_sum(eps, y)
     shift = (((1.0 - np.conj(zeta)) / (1.0 - zeta)) * xi * xi).real / one
     if np.any(pos):
-        bsum = (_bessel_i_grid(2 * ell - 0.5, w[pos])
-                + _bessel_i_grid(2 * ell + 0.5, w[pos]))
-        rho[pos] = (q * x_arr[pos] / (l * l)
-                    * np.abs(bsum) ** 2 * math.exp(-log_denom)
-                    * np.exp(-q * x_arr[pos] ** 2 / (l * l) - shift))
+        xp = x_arr[pos]
+        w = math.sqrt(2.0) * xi * xp / ((1.0 - zeta) * l)
+        bsum = ive(2 * ell - 0.5, w) + ive(2 * ell + 0.5, w)
+        rho[pos] = (q * xp / (l * l) * np.abs(bsum) ** 2
+                    * np.exp(2.0 * np.abs(w.real) - log_denom
+                             - q * xp ** 2 / (l * l) - shift))
     if np.any(~pos):
         if ell >= 1:
             rho[~pos] = 0.0
         else:
             lim = (q / (l * l)
                    * math.sqrt(2.0) * abs(1.0 - zeta) * l / (math.pi * abs(xi))
-                   * math.exp(-log_denom) * math.exp(-shift))
+                   * math.exp(-log_denom - shift))
             rho[~pos] = lim
     return rho if np.ndim(x) else float(rho[0])
 

@@ -73,11 +73,6 @@ class MotionIntegral:
     mu: float            # mu at t = 0
     mu_drift: float      # max |mu(t) - mu(0)| / |mu(0)| over the run
 
-    @property
-    def u(self) -> np.ndarray:
-        """u(t) = g phi0* - f* phi0 (computed, no downstream consumer)."""
-        return self.g * np.conj(self.phi0) - np.conj(self.f) * self.phi0
-
     def zeta(self) -> np.ndarray:
         return self.g / self.f
 

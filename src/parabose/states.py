@@ -35,10 +35,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, ive
 
 from .errors import ConfigError, DomainError, TruncationError
 from .fock import FockVector
-from .specfun import bessel_i, log_gamma
 
 __all__ = [
     "SvsSpec",
@@ -121,11 +121,6 @@ def cs_spec_from_params(params, epsilon: float) -> CsSpec:
     return CsSpec(zeta=params.zeta, xi=params.xi, epsilon=epsilon, theta=theta)
 
 
-def _gamma_ratio_sqrt(n: int, epsilon: float) -> float:
-    """sqrt(n! / Gamma(n + eps))."""
-    return math.exp(0.5 * (log_gamma(n + 1.0) - log_gamma(n + epsilon)))
-
-
 def _arg_from_above(x: complex) -> float:
     """Principal argument; the negative real axis is approached from above."""
     if x.imag == 0.0 and x.real < 0.0:
@@ -139,29 +134,18 @@ def _negligible_xi(xi: complex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bessel helpers on the real axis (normalization and parity mean).
-# Beyond y ~ 600 the unscaled values overflow, so the large-argument series
-# for exp(-y) I_kappa(y) sqrt(2 pi y) takes over.
+# Bessel helpers on the real axis (normalization and parity mean), built on
+# the exponentially scaled ive(kappa, y) = exp(-y) I_kappa(y).  Only where
+# that underflows (tiny y, high order) does the leading small-y series take
+# over, in log space.
 
-_ASYMPTOTIC_Y = 600.0
-_SMALL_Y = 1e-6
-
-
-def _i_scaled_series(kappa: float, y: float, terms: int = 12) -> float:
-    """Asymptotic series S with I_kappa(y) ~ e^y / sqrt(2 pi y) * S."""
-    mu = 4.0 * kappa * kappa
-    s = 1.0
-    term = 1.0
-    for k in range(1, terms):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * y)
-        s += term
-    return s
+_TINY = np.finfo(float).tiny
 
 
 def _i_small_pair(epsilon: float, y: float) -> tuple[float, float]:
     """Leading small-argument factors (s_lo, t) with
     I_{eps-1}(y) = (y/2)^(eps-1)/Gamma(eps) * s_lo and I_eps = I_{eps-1} * t;
-    relative error O(y^4), and no underflow however small y is."""
+    relative error O(y^6 / eps^3), and no underflow however small y is."""
     q = 0.25 * y * y
     s_lo = 1.0 + q / epsilon + q * q / (2.0 * epsilon * (epsilon + 1.0))
     s_hi = 1.0 + q / (epsilon + 1.0) \
@@ -172,29 +156,21 @@ def _i_small_pair(epsilon: float, y: float) -> tuple[float, float]:
 
 def _log_i_sum(epsilon: float, y: float) -> float:
     """ln( I_{eps-1}(y) + I_eps(y) ) for real y > 0, under/overflow-safe."""
-    if y < _SMALL_Y:
+    lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)  # hi < lo for eps >= 1/2
+    if hi < _TINY:
         s_lo, t = _i_small_pair(epsilon, y)
-        return ((epsilon - 1.0) * math.log(0.5 * y) - log_gamma(epsilon)
+        return ((epsilon - 1.0) * math.log(0.5 * y) - math.lgamma(epsilon)
                 + math.log(s_lo) + math.log1p(t))
-    if y <= _ASYMPTOTIC_Y:
-        total = bessel_i(epsilon - 1.0, y).real + bessel_i(epsilon, y).real
-        return math.log(total)
-    s = _i_scaled_series(epsilon - 1.0, y) + _i_scaled_series(epsilon, y)
-    return y - 0.5 * math.log(2.0 * math.pi * y) + math.log(s)
+    return y + math.log(lo + hi)
 
 
 def _i_parity_ratio(epsilon: float, y: float) -> float:
     """( I_{eps-1}(y) - I_eps(y) ) / ( I_{eps-1}(y) + I_eps(y) ), y > 0."""
-    if y < _SMALL_Y:
+    lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)
+    if hi < _TINY:
         _, t = _i_small_pair(epsilon, y)
         return (1.0 - t) / (1.0 + t)
-    if y <= _ASYMPTOTIC_Y:
-        lo = bessel_i(epsilon - 1.0, y).real
-        hi = bessel_i(epsilon, y).real
-        return (lo - hi) / (lo + hi)
-    lo = _i_scaled_series(epsilon - 1.0, y)
-    hi = _i_scaled_series(epsilon, y)
-    return (lo - hi) / (lo + hi)
+    return float((lo - hi) / (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +214,36 @@ def _svs_pairs(zeta_abs: float, epsilon: float, tail: float = SVS_TAIL_BOUND) ->
     )
 
 
+def _cs_columns(n_pairs: int, zeta: complex, xi: complex,
+                epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma-weighted Laguerre columns (e_n, o_n), n < n_pairs, with
+    c_{2n} = pre e_n and c_{2n+1} = pre (xi/sqrt 2) o_n."""
+    x = 0.5 * xi * xi
+    n = np.arange(n_pairs)
+    log_fact = gammaln(n + 1.0)
+    even = (_scaled_laguerre_column(n_pairs, epsilon - 1.0, zeta, x)
+            * np.exp(0.5 * (log_fact - gammaln(n + epsilon))))
+    odd = (_scaled_laguerre_column(n_pairs, epsilon, zeta, x)
+           * np.exp(0.5 * (log_fact - gammaln(n + epsilon + 1.0))))
+    return even, odd
+
+
 def _pair_masses(n_pairs: int, zeta: complex, xi: complex,
                  epsilon: float) -> np.ndarray:
-    """Unnormalized per-pair masses |c_2n|^2 + |c_{2n+1}|^2 (prefactor off)."""
-    x = 0.5 * xi * xi
-    col_e = _scaled_laguerre_column(n_pairs, epsilon - 1.0, zeta, x)
-    col_o = _scaled_laguerre_column(n_pairs, epsilon, zeta, x)
-    w = np.empty(n_pairs)
-    for n in range(n_pairs):
-        w[n] = (abs(col_e[n]) * _gamma_ratio_sqrt(n, epsilon)) ** 2 \
-            + 0.5 * abs(xi) ** 2 * (abs(col_o[n])
-                                    * _gamma_ratio_sqrt(n, epsilon + 1.0)) ** 2
+    """Unnormalized per-pair masses |c_2n|^2 + |c_{2n+1}|^2 (prefactor off).
+
+    They peak near exp(y), y = |xi|^2/(1-|zeta|^2); past y ~ 700 they
+    overflow and no truncation can be chosen, which fails loudly here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        even, odd = _cs_columns(n_pairs, zeta, xi, epsilon)
+        w = np.abs(even) ** 2 + 0.5 * abs(xi) ** 2 * np.abs(odd) ** 2
+    if not np.all(np.isfinite(w)):
+        y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+        raise DomainError(
+            f"coherent-state columns overflow at y = |xi|^2/(1-|zeta|^2) "
+            f"= {y:.6g}; the state is not representable in double precision"
+        )
     return w
 
 
@@ -366,7 +361,8 @@ def svs_transition(zeta: complex, epsilon: float, n: int) -> float:
     base = (1.0 - sign * q) ** epsilon
     if q == 0.0:
         return float(base) if n == 0 else 0.0
-    log_term = (log_gamma(n + epsilon) - log_gamma(n + 1.0) - log_gamma(epsilon)
+    log_term = (math.lgamma(n + epsilon) - math.lgamma(n + 1.0)
+                - math.lgamma(epsilon)
                 + n * math.log(q))
     # probabilities may poke past 1 by an ulp of the log-gamma evaluation
     return min(float(base * math.exp(log_term)), 1.0)
@@ -426,16 +422,11 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
         return svs
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps),
                                       truncation)
-    x = 0.5 * xi * xi
-    m_even = _scaled_laguerre_column(n_pairs, eps - 1.0, zeta, x)
-    m_odd = _scaled_laguerre_column(n_pairs, eps, zeta, x)
+    even, odd = _cs_columns(n_pairs, zeta, xi, eps)
     pre = _cs_prefactor(spec)
     amps = np.zeros(n_total, dtype=complex)
-    odd_factor = xi / math.sqrt(2.0)
-    for n in range(n_pairs):
-        amps[2 * n] = pre * m_even[n] * _gamma_ratio_sqrt(n, eps)
-        amps[2 * n + 1] = (pre * odd_factor * m_odd[n]
-                           * _gamma_ratio_sqrt(n, eps + 1.0))
+    amps[0::2] = pre * even
+    amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
     return _finalize(amps, "cs_amplitudes")
 
 
@@ -460,10 +451,10 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     x = 0.5 * xi * xi
     if parity == 0:
         col = _scaled_laguerre_column(m + 1, epsilon - 1.0, zeta, x)
-        log_term = log_gamma(m + 1.0) - log_gamma(m + epsilon)
+        log_term = math.lgamma(m + 1.0) - math.lgamma(m + epsilon)
         return min(float(abs(col[m]) ** 2 * math.exp(log_k + log_term)), 1.0)
     col = _scaled_laguerre_column(m + 1, epsilon, zeta, x)
-    log_term = (log_gamma(m + 1.0) - log_gamma(m + epsilon + 1.0)
+    log_term = (math.lgamma(m + 1.0) - math.lgamma(m + epsilon + 1.0)
                 + math.log(0.5 * abs(xi) ** 2))
     return min(float(abs(col[m]) ** 2 * math.exp(log_k + log_term)), 1.0)
 
@@ -490,17 +481,9 @@ def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
         return v1.overlap(v2)
     n_pairs = max(_cs_pairs(z1, x1, eps),
                   _cs_pairs(z2, x2, eps))
-    m1e = _scaled_laguerre_column(n_pairs, eps - 1.0, z1, 0.5 * x1 * x1)
-    m1o = _scaled_laguerre_column(n_pairs, eps, z1, 0.5 * x1 * x1)
-    m2e = _scaled_laguerre_column(n_pairs, eps - 1.0, z2, 0.5 * x2 * x2)
-    m2o = _scaled_laguerre_column(n_pairs, eps, z2, 0.5 * x2 * x2)
-    odd_w = np.conj(x1) * x2 / 2.0
-    total = 0.0 + 0.0j
-    for n in range(n_pairs):
-        even = np.conj(m1e[n]) * m2e[n] * _gamma_ratio_sqrt(n, eps) ** 2
-        odd = (odd_w * np.conj(m1o[n]) * m2o[n]
-               * _gamma_ratio_sqrt(n, eps + 1.0) ** 2)
-        total += even + odd
+    e1, o1 = _cs_columns(n_pairs, z1, x1, eps)
+    e2, o2 = _cs_columns(n_pairs, z2, x2, eps)
+    total = np.vdot(e1, e2) + np.conj(x1) * x2 / 2.0 * np.vdot(o1, o2)
     return complex(np.conj(_cs_prefactor(spec1)) * _cs_prefactor(spec2) * total)
 
 

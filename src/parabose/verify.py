@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from . import completeness, coordrep, observables, oscillator, states
 from .dynamics import assemble_A, solve_fg, solve_zeta_xi
@@ -20,10 +21,10 @@ from .errors import DomainError
 from .fock import AlgebraParams, build_hamiltonian, build_ladder, \
     evolve_trajectory
 from .schedules import constant_schedule, sinusoidal_schedule
-from .specfun import log_gamma
 from .states import CsSpec, SvsSpec
 
-__all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
+__all__ = ["CheckResult", "run_all", "check_configured_level",
+           "ALL_CHECKS"]
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def check_f_reconstruction(rng):
                    "f = f0 exp(-i int(conj(alpha) zeta - beta))")
 
 
-def _eigen_residual(sched, note):
+def _eigen_residual(sched):
     cfg = oscillator.OscillatorConfig(omega0=1.0, ell=1, zeta0=0.3, xi0=1.0)
     params = cfg.algebra_params()
     n = 256
@@ -185,15 +186,13 @@ def _eigen_residual(sched, note):
 
 
 def check_integral_of_motion_constant(rng):
-    worst = _eigen_residual(constant_schedule(0.0, 1.0, 0.0),
-                            "constant schedule")
+    worst = _eigen_residual(constant_schedule(0.0, 1.0, 0.0))
     return _result("dynamics.integral_of_motion_constant", worst, 1e-6,
                    "N=256, one period")
 
 
 def check_integral_of_motion_sinusoidal(rng):
-    worst = _eigen_residual(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
-                            "sinusoidal schedule")
+    worst = _eigen_residual(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0))
     return _result("dynamics.integral_of_motion_sinusoidal", worst, 1e-6,
                    "N=256, one period")
 
@@ -232,8 +231,8 @@ def check_svs_canonical_reduction(rng):
     v = states.svs_amplitudes(SvsSpec(zeta=zeta, epsilon=0.5))
     worst = 0.0
     for n in range(v.truncation // 2):
-        expect = (math.exp(0.5 * log_gamma(2 * n + 1.0) - log_gamma(n + 1.0)
-                           - n * math.log(2.0))
+        expect = (math.exp(0.5 * math.lgamma(2 * n + 1.0)
+                           - math.lgamma(n + 1.0) - n * math.log(2.0))
                   * (-zeta) ** n / math.sqrt(math.cosh(r)))
         worst = max(worst, abs(v.amplitudes[2 * n] - expect))
     return _result("states.svs_canonical_reduction", worst, 1e-12)
@@ -245,7 +244,7 @@ def check_cs_canonical_reduction(rng):
     v = states.cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=0.5))
     canon = np.array([
         np.exp(-abs(xi) ** 2 / 2.0) * xi ** n
-        * math.exp(-0.5 * log_gamma(n + 1.0))
+        * math.exp(-0.5 * math.lgamma(n + 1.0))
         for n in range(v.truncation)
     ])
     phase = v.amplitudes[0] / canon[0]
@@ -643,7 +642,7 @@ def check_weight_divergence(rng):
     vals = []
     for r_max in (0.9, 0.99, 0.999):
         r = np.linspace(0.0, r_max, 4001)
-        vals.append(float(np.trapezoid(completeness.weight(2.0, r), r)))
+        vals.append(float(trapezoid(completeness.weight(2.0, r), r)))
     ok = vals[0] < vals[1] < vals[2]
     return _bool_result("completeness.weight_divergence", ok,
                         f"cumulative masses {np.round(vals, 3)}")
@@ -827,24 +826,28 @@ ALL_CHECKS = [
 ]
 
 
+def check_configured_level(epsilon: float) -> CheckResult:
+    """Configuration-scoped completeness row: levels at or below 1 are
+    reported as domain-excluded rather than failed."""
+    if epsilon <= 1.0:
+        return CheckResult("completeness.configured_level", 0.0, 1e-8,
+                           "excluded",
+                           f"eps = {epsilon} admits no positive weight")
+    worst = max(completeness.diagonal_identity_residual(epsilon, n)
+                for n in range(8))
+    return _result("completeness.configured_level", worst, 1e-8,
+                   f"eps = {epsilon}")
+
+
 def run_all(seed: int = 0, config_epsilon: float | None = None):
     """Run the whole suite; returns the list of CheckResult rows.
 
-    ``config_epsilon`` adds a configuration-scoped completeness row: levels
-    at or below 1 are reported as domain-excluded rather than failed.
+    ``config_epsilon`` appends the ``check_configured_level`` row.
     """
     results = []
     for check in ALL_CHECKS:
         rng = np.random.default_rng(seed)
         results.append(check(rng))
     if config_epsilon is not None:
-        if config_epsilon <= 1.0:
-            results.append(CheckResult(
-                "completeness.configured_level", 0.0, 1e-8, "excluded",
-                f"eps = {config_epsilon} admits no positive weight"))
-        else:
-            worst = max(completeness.diagonal_identity_residual(config_epsilon, n)
-                        for n in range(8))
-            results.append(_result("completeness.configured_level", worst, 1e-8,
-                                   f"eps = {config_epsilon}"))
+        results.append(check_configured_level(config_epsilon))
     return results

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from parabose.coordrep import vacuum_wavefunction
-from parabose.specfun import laguerre, log_gamma
 
 
 def fock_basis_wavefunction(n, ell, l, x):
@@ -17,14 +17,13 @@ def fock_basis_wavefunction(n, ell, l, x):
     x = np.asarray(x, dtype=float)
     psi0 = vacuum_wavefunction(ell, l, x)
     m, parity = divmod(n, 2)
-    lag = np.array([laguerre(m, 2 * ell - 0.5 + parity, xx**2 / l**2)
-                    for xx in x])
+    lag = eval_genlaguerre(m, 2 * ell - 0.5 + parity, x**2 / l**2)
     if parity == 0:
-        pref = (-1) ** m * math.exp(
-            0.5 * (log_gamma(m + 1.0) + log_gamma(eps) - log_gamma(m + eps)))
+        pref = (-1) ** m * math.exp(0.5 * (
+            math.lgamma(m + 1.0) + math.lgamma(eps) - math.lgamma(m + eps)))
         return pref * lag * psi0
-    pref = (-1) ** m * math.exp(
-        0.5 * (log_gamma(m + 1.0) + log_gamma(eps) - log_gamma(m + eps + 1.0)))
+    pref = (-1) ** m * math.exp(0.5 * (
+        math.lgamma(m + 1.0) + math.lgamma(eps) - math.lgamma(m + eps + 1.0)))
     return pref * (x / l) * lag * psi0
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -14,6 +15,27 @@ from parabose.states import CsSpec, cs_amplitudes
 
 FIG_SPEC = CsSpec(zeta=0.45, xi=1j, epsilon=2.5)
 FIG_PARAMS = AlgebraParams.from_ell(1)
+# (ell, zeta, xi) pairs that once failed their parity norm (1.259, 1.007)
+# while the ascending Bessel series lost accuracy off the real axis
+FORMERLY_FAILING = ((1, -0.4 + 0.3j, 6j), (0, 0.6j, 2 + 5j))
+
+
+def parity_parts_mpmath(spec, l, x):
+    """(even, odd) from the module docstring's formula, all in mpmath."""
+    ell = coordrep.ell_from_epsilon(spec.epsilon)
+    zeta, xi = mpmath.mpc(spec.zeta), mpmath.mpc(spec.xi)
+    one = 1 - abs(zeta) ** 2
+    y = abs(xi) ** 2 / one
+    lo, hi = 2 * ell - mpmath.mpf(1) / 2, 2 * ell + mpmath.mpf(1) / 2
+    w = mpmath.sqrt(2) * xi * x / ((1 - zeta) * l)
+    common = (mpmath.sqrt(one) / (1 - zeta) * mpmath.sqrt(x) / l
+              / mpmath.sqrt(mpmath.besseli(lo, y) + mpmath.besseli(hi, y))
+              * mpmath.exp(-(1 + zeta) / (1 - zeta) * x ** 2 / (2 * l ** 2)
+                           - (1 - mpmath.conj(zeta)) * xi ** 2
+                           / (2 * (1 - zeta) * one)
+                           + 1j * spec.theta))
+    return (complex(common * mpmath.besseli(lo, w)),
+            complex(common * mpmath.besseli(hi, w)))
 
 
 class TestVacuum:
@@ -97,6 +119,22 @@ class TestCsWavefunction:
         expect = np.exp(0.5j * (0.2 - math.pi / 2.0))
         assert np.max(np.abs(a / b - expect)) <= 1e-12
 
+    def test_parity_parts_against_mpmath(self):
+        # Bessel arguments reach |Im w| ~ 40 (beyond the old series' ~18),
+        # and ell = 0 exercises order -1/2
+        with mpmath.workdps(30):
+            for ell, zeta, xi in ((0, 0.3 + 0.2j, 8j), (1, -0.4 + 0.3j, 6j),
+                                  (0, 0.6j, 2 + 5j)):
+                spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5,
+                              theta=0.4)
+                x = np.array([0.3, 1.0, 2.0, 3.5, 5.0])
+                even, odd = coordrep.wavefunction_parity_parts(
+                    spec, AlgebraParams.from_ell(ell), x)
+                for j, xv in enumerate(x):
+                    e_ref, o_ref = parity_parts_mpmath(spec, 1.0, float(xv))
+                    assert abs(even[j] - e_ref) <= 1e-11 * abs(e_ref)
+                    assert abs(odd[j] - o_ref) <= 1e-11 * abs(o_ref)
+
     def test_parity_parts_masses(self):
         # factor-2 masses of the components equal the Fock parity masses
         x = np.linspace(1e-5, 14.0, 28001)
@@ -117,6 +155,31 @@ class TestDensity:
             spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
             wg = coordrep.probability_density(spec, AlgebraParams.from_ell(ell))
             assert wg.two_route_residual <= 1e-10
+
+    @pytest.mark.parametrize("ell, zeta, xi", [
+        *((ell, 0.45, 1j) for ell in range(4)),   # configs/fig_density.conf
+        *FORMERLY_FAILING,
+    ])
+    def test_fock_sum_route(self, ell, zeta, xi):
+        # rho = |sum_n c_n <x|n>|^2 shares no Bessel evaluation with either
+        # route inside probability_density: c_n are Laguerre columns, <x|n>
+        # the conftest Laguerre oracle.  The automatic truncation leaves 1e-16
+        # of mass, ~1e-8 of amplitude, so the sum runs to twice that length.
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
+        wg = coordrep.probability_density(spec, AlgebraParams.from_ell(ell))
+        c = cs_amplitudes(spec, truncation=2 * cs_amplitudes(spec).truncation)
+        psi = sum(c.amplitudes[n]
+                  * fock_basis_wavefunction(n, ell, 1.0, wg.x_values)
+                  for n in range(c.truncation))
+        peak = np.max(wg.rho_values)
+        assert np.max(np.abs(np.abs(psi) ** 2 - wg.rho_values)) <= 1e-10 * peak
+
+    @pytest.mark.parametrize("ell, zeta, xi", FORMERLY_FAILING)
+    def test_formerly_failing_states_normalized(self, ell, zeta, xi):
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
+        wg = coordrep.probability_density(spec, AlgebraParams.from_ell(ell))
+        assert abs(wg.parity_norm - 1.0) <= 1e-9
+        assert wg.two_route_residual <= 1e-10
 
     def test_half_line_normalization_figure_family(self):
         # real squeeze with imaginary or zero displacement: plain integral = 1

@@ -40,11 +40,6 @@ class TestSolveFG:
         with pytest.raises(DomainError):
             solve_fg(constant_schedule(), 0.5, 0.5, 0.0, t_final=1.0)
 
-    def test_u_is_computed(self):
-        mi = solve_fg(constant_schedule(), 1.0, 0.3, 0.2 + 0.1j, t_final=1.0)
-        expect = mi.g * np.conj(mi.phi0) - np.conj(mi.f) * mi.phi0
-        assert np.max(np.abs(mi.u - expect)) == 0.0
-
 
 class TestSolveZetaXi:
     def test_free_rotation_closed_form(self):

@@ -1,7 +1,11 @@
-"""Special-function substrate against independent high-precision oracles.
+"""Special functions behind the closed forms, against independent oracles.
 
-Expected values were frozen from mpmath (50 digits) and from the explicit
-binomial-coefficient Laguerre sum before the implementations were written.
+The package takes ln Gamma from ``math.lgamma`` (scalars) and
+``scipy.special.gammaln`` (state columns), the modified Bessel I from
+``scipy.special.ive`` (real-axis normalization in ``states``, complex grid in
+``coordrep``), and evaluates (-zeta)^n L_n^alpha(x/zeta) by its own scaled
+recurrence.  Expected values are frozen from mpmath (50 digits) and from the
+explicit binomial-coefficient Laguerre sum.
 """
 
 import math
@@ -10,9 +14,13 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, ive
 
+from parabose import coordrep
 from parabose.errors import DomainError
-from parabose.specfun import bessel_i, laguerre, log_gamma
+from parabose.fock import AlgebraParams
+from parabose.states import CsSpec, _i_parity_ratio, _log_i_sum, \
+    _scaled_laguerre_column, cs_transition, svs_transition
 
 mpmath.mp.dps = 40
 
@@ -23,7 +31,13 @@ def laguerre_coefficient_sum(n, alpha, x):
     xm = mpmath.mpc(x)
     for k in range(n + 1):
         total += mpmath.binomial(n + alpha, n - k) * (-xm) ** k / mpmath.factorial(k)
-    return complex(total)
+    return total
+
+
+def bessel_i(kappa, z):
+    """I_kappa(z) as ``coordrep`` forms it: ive(kappa, z) exp(|Re z|)."""
+    z = complex(z)
+    return complex(ive(kappa, z) * math.exp(abs(z.real)))
 
 
 class TestLogGamma:
@@ -36,36 +50,47 @@ class TestLogGamma:
         (200.0, 857.9336698258574),
     ])
     def test_reference_values(self, x, expected):
-        assert log_gamma(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert math.lgamma(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert gammaln(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_oracle_grid(self):
-        # relative accuracy over the promised window, mixed tolerance near the
-        # zeros of ln Gamma at x = 1, 2
-        for x in np.geomspace(0.5, 200.0, 97):
-            exact = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            assert abs(log_gamma(float(x)) - exact) <= 1e-13 * max(1.0, abs(exact))
+        # relative accuracy over the window the state columns use, mixed
+        # tolerance near the zeros of ln Gamma at x = 1, 2
+        x = np.geomspace(0.5, 200.0, 97)
+        for xv, col in zip(x, gammaln(x)):
+            exact = float(mpmath.loggamma(mpmath.mpf(float(xv))))
+            scale = 1e-13 * max(1.0, abs(exact))
+            assert abs(col - exact) <= scale
+            assert abs(math.lgamma(float(xv)) - exact) <= scale
 
     @given(st.floats(min_value=0.5, max_value=100.0, allow_nan=False))
     @settings(max_examples=80, deadline=None)
     def test_functional_equation(self, x):
-        assert log_gamma(x + 1.0) - log_gamma(x) == pytest.approx(
+        assert gammaln(x + 1.0) - gammaln(x) == pytest.approx(
             math.log(x), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, bad):
+        # levels where Gamma(eps) is undefined or infinite never reach it
         with pytest.raises(DomainError):
-            log_gamma(bad)
+            svs_transition(0.3, bad, 2)
+        with pytest.raises(DomainError):
+            CsSpec(zeta=0.3, xi=1.0, epsilon=bad)
 
 
 class TestLaguerre:
+    """M_n = (-zeta)^n L_n^alpha(x / zeta), the scaled recurrence column."""
+
     def test_degree_zero_and_one(self):
-        assert laguerre(0, 3.7, 2.0 + 5.0j) == 1.0
-        for alpha, x in ((0.5, 1.0 + 2.0j), (-0.5, -3.0), (4.0, 0.0)):
-            assert laguerre(1, alpha, x) == pytest.approx(1.0 + alpha - x)
+        for alpha, x, zeta in ((3.7, 2.0 + 5.0j, 0.4), (0.5, 1.0 + 2.0j, -0.3j),
+                               (-0.5, -3.0, 0.9), (4.0, 0.0, 0.2 + 0.1j)):
+            col = _scaled_laguerre_column(2, alpha, zeta, x)
+            assert col[0] == 1.0
+            assert col[1] == pytest.approx(x - zeta * (1.0 + alpha))
 
     def test_frozen_oracle_value(self):
-        # explicit-coefficient sum, computed beforehand
-        got = laguerre(5, -0.5, 2.0 + 1.0j)
+        # zeta = -1 turns M_5 into L_5^alpha(-x); explicit-coefficient sum
+        got = _scaled_laguerre_column(6, -0.5, -1.0, -(2.0 + 1.0j))[5]
         assert got == pytest.approx(1.5471354166666667 + 0.3848958333333333j,
                                     rel=1e-12)
 
@@ -74,21 +99,28 @@ class TestLaguerre:
         alpha=st.floats(min_value=-0.9, max_value=8.0),
         re=st.floats(min_value=-20.0, max_value=20.0),
         im=st.floats(min_value=-20.0, max_value=20.0),
+        zeta_abs=st.floats(min_value=1e-3, max_value=0.95),
+        zeta_arg=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     )
     @settings(max_examples=60, deadline=None)
-    def test_recurrence_matches_coefficient_sum(self, n, alpha, re, im):
+    def test_recurrence_matches_coefficient_sum(self, n, alpha, re, im,
+                                                zeta_abs, zeta_arg):
         x = complex(re, im)
-        exact = laguerre_coefficient_sum(n, alpha, x)
-        got = laguerre(n, alpha, x)
+        zeta = complex(zeta_abs * np.exp(1j * zeta_arg))
+        exact = complex((-mpmath.mpc(zeta)) ** n * laguerre_coefficient_sum(
+            n, alpha, mpmath.mpc(x) / mpmath.mpc(zeta)))
+        got = _scaled_laguerre_column(n + 1, alpha, zeta, x)[n]
         assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
     def test_domain(self):
+        # degree, order (alpha = eps - 1 > -1) and argument are all gated
+        # before the recurrence runs
         with pytest.raises(DomainError):
-            laguerre(-1, 0.5, 1.0)
+            cs_transition(0.3, 1.0, 2.5, -1)
         with pytest.raises(DomainError):
-            laguerre(3, -1.5, 1.0)
+            CsSpec(zeta=0.3, xi=1.0, epsilon=-0.5)
         with pytest.raises(DomainError):
-            laguerre(3, 0.5, complex(math.inf, 0.0))
+            CsSpec(zeta=0.3, xi=complex(math.inf, 0.0), epsilon=2.5)
 
 
 class TestBesselI:
@@ -104,13 +136,20 @@ class TestBesselI:
         assert bessel_i(2.0, 0.0) == 0.0
         assert bessel_i(0.3, 0.0) == 0.0
         assert bessel_i(0.0, 0.0) == 1.0
-        with pytest.raises(OverflowError):
-            bessel_i(-0.5, 0.0)
+        assert not math.isfinite(ive(-0.5, 0.0))
+        # so x = 0 takes the analytic limit, continuous with x -> 0+
+        for ell in (0, 1):
+            spec = CsSpec(zeta=0.3 + 0.2j, xi=0.7 - 0.4j, epsilon=2 * ell + 0.5)
+            params = AlgebraParams.from_ell(ell)
+            at0 = coordrep.cs_wavefunction(spec, params, 0.0)
+            near = coordrep.cs_wavefunction(spec, params, 1e-12)
+            assert abs(at0 - near) <= 1e-10
 
     @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5])
     def test_recurrence_consistency(self, kappa):
-        # I_{k-1}(z) - I_{k+1}(z) = (2 k / z) I_k(z)
-        for z in np.linspace(0.05, 30.0, 40):
+        # I_{k-1}(z) - I_{k+1}(z) = (2 k / z) I_k(z), on and off the real axis
+        for z in np.concatenate([np.linspace(0.05, 30.0, 40),
+                                 np.linspace(0.05, 30.0, 40) * np.exp(1.2j)]):
             lhs = bessel_i(kappa - 1.0, z) - bessel_i(kappa + 1.0, z)
             rhs = 2.0 * kappa / z * bessel_i(kappa, z)
             assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
@@ -129,25 +168,41 @@ class TestBesselI:
                 assert bessel_i(order, z).real == pytest.approx(hi, rel=1e-10)
 
     def test_complex_argument_against_mpmath(self):
-        for z in (1.0 + 1.0j, 5.0 - 3.0j, 0.2 + 10.0j, 12.0 + 6.0j):
-            for kappa in (-0.5, 0.5, 2.5, 4.5):
+        for z in (1.0 + 1.0j, 5.0 - 3.0j, 0.2 + 10.0j, 12.0 + 6.0j,
+                  3.0 + 30.0j, -5.0 + 25.0j, 30.0 + 30.0j):
+            for kappa in (-0.5, 0.5, 2.5, 4.5, 6.5):
                 exact = complex(mpmath.besseli(kappa, mpmath.mpc(z)))
                 got = bessel_i(kappa, z)
                 assert abs(got - exact) <= 1e-11 * max(abs(exact), 1e-30)
 
     def test_strongly_imaginary_cancellation_absorbed(self):
-        # the alternating series cancels like e^{|z| - |Re z|}; extended-
-        # precision accumulation holds 1e-11 to |Im z| ~ 18 and degrades
-        # gracefully beyond (documented limitation of the ascending series)
-        for z, tol in ((10.0j, 1e-11), (18.0j, 1e-11), (25.0j, 1e-8)):
-            exact = complex(mpmath.besseli(1.5, mpmath.mpc(z)))
-            got = bessel_i(1.5, z)
-            assert abs(got - exact) <= tol * abs(exact)
+        # on the imaginary axis I_k(iy) = i^k J_k(y): no cancellation to absorb,
+        # so the accuracy holds well beyond |Im z| ~ 18
+        for z in (10.0j, 18.0j, 25.0j, 40.0j):
+            for kappa in (-0.5, 1.5):
+                exact = complex(mpmath.besseli(kappa, mpmath.mpc(z)))
+                got = bessel_i(kappa, z)
+                assert abs(got - exact) <= 1e-11 * abs(exact)
 
     def test_domain_and_overflow(self):
-        with pytest.raises(DomainError):
-            bessel_i(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            bessel_i(0.5, complex(math.nan, 0.0))
-        with pytest.raises(OverflowError):
-            bessel_i(0.5, 800.0)
+        # the scaled function stays finite where I itself overflows, and the
+        # wavefunction folds exp(|Re w|) into its Gaussian exponent, so a
+        # large real displacement (|Re w| ~ 1e3) is evaluated, not refused
+        assert 0.0 < ive(0.5, 800.0) < 1.0
+        spec = CsSpec(zeta=0.0, xi=25.0, epsilon=2.5)
+        wg = coordrep.probability_density(spec, AlgebraParams.from_ell(1))
+        assert np.all(np.isfinite(wg.psi_values))
+        assert abs(wg.parity_norm - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [0.5, 2.5, 6.5])
+    def test_real_axis_normalization_against_mpmath(self, eps):
+        # ln(I_{eps-1} + I_eps) and the parity ratio, across the small-y
+        # series (where ive underflows) and the old asymptotic seam at 600
+        for y in (1e-300, 1e-8, 1.0, 50.0, 600.0, 601.0, 1e4):
+            lo = mpmath.besseli(eps - 1, y)
+            hi = mpmath.besseli(eps, y)
+            exact = float(mpmath.log(lo + hi))
+            assert abs(_log_i_sum(eps, y) - exact) <= 1e-14 * max(1.0, abs(exact))
+            ratio = float((lo - hi) / (lo + hi))
+            assert abs(_i_parity_ratio(eps, y) - ratio) \
+                <= 1e-15 + 1e-12 * abs(ratio)

@@ -1,7 +1,9 @@
 """State constructors: normalization, reductions, transitions, overlaps."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from parabose.dynamics import solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, TruncationError
 from parabose.fock import AlgebraParams, build_ladder
 from parabose.schedules import constant_schedule
-from parabose.specfun import bessel_i, log_gamma
 from parabose.states import CsSpec, SvsSpec, cs_amplitudes, cs_overlap, \
     cs_transition, mean_reflection, set_sabotage, svs_amplitudes, \
     svs_overlap, svs_transition
@@ -38,7 +39,8 @@ class TestSvsAmplitudes:
         zeta, eps = 0.3, 2.5
         q = zeta**2
         direct = sum(
-            math.exp(log_gamma(n + eps) - log_gamma(n + 1.0) - log_gamma(eps))
+            math.exp(math.lgamma(n + eps) - math.lgamma(n + 1.0)
+                     - math.lgamma(eps))
             * q**n for n in range(200))
         assert direct == pytest.approx((1.0 - q) ** (-eps), rel=1e-13)
         v = svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps))
@@ -51,8 +53,8 @@ class TestSvsAmplitudes:
         zeta = np.exp(1j * th) * np.tanh(r)
         v = svs_amplitudes(SvsSpec(zeta=zeta, epsilon=0.5))
         for n in range(v.truncation // 2):
-            expect = (math.exp(0.5 * log_gamma(2 * n + 1.0)
-                               - log_gamma(n + 1.0) - n * math.log(2.0))
+            expect = (math.exp(0.5 * math.lgamma(2 * n + 1.0)
+                               - math.lgamma(n + 1.0) - n * math.log(2.0))
                       * (-zeta) ** n / math.sqrt(math.cosh(r)))
             assert abs(v.amplitudes[2 * n] - expect) < 1e-12
 
@@ -155,12 +157,13 @@ def zero_squeeze_reference(xi, eps, theta, n_total):
     even terms (xi^2/2)^n / sqrt(n! Gamma(n+eps)), odd with xi/sqrt(2)."""
     y = abs(xi) ** 2
     pre = ((xi / math.sqrt(2.0)) ** (eps - 1.0)
-           / np.sqrt(bessel_i(eps - 1.0, y) + bessel_i(eps, y))
+           / math.sqrt(mpmath.besseli(eps - 1.0, y) + mpmath.besseli(eps, y))
            * np.exp(1j * theta))
     amps = np.zeros(n_total, dtype=complex)
     for n in range(n_total // 2):
-        log_even = -0.5 * (log_gamma(n + 1.0) + log_gamma(n + eps))
-        log_odd = -0.5 * (log_gamma(n + 1.0) + log_gamma(n + eps + 1.0))
+        log_even = -0.5 * (math.lgamma(n + 1.0) + math.lgamma(n + eps))
+        log_odd = -0.5 * (math.lgamma(n + 1.0)
+                          + math.lgamma(n + eps + 1.0))
         amps[2 * n] = pre * (xi * xi / 2.0) ** n * math.exp(log_even)
         amps[2 * n + 1] = pre * xi / math.sqrt(2.0) \
             * (xi * xi / 2.0) ** n * math.exp(log_odd)
@@ -192,7 +195,7 @@ class TestCsAmplitudes:
         v = cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=0.5))
         canon = np.array([
             np.exp(-abs(xi) ** 2 / 2.0) * xi ** n
-            * math.exp(-0.5 * log_gamma(n + 1.0))
+            * math.exp(-0.5 * math.lgamma(n + 1.0))
             for n in range(v.truncation)])
         phase = v.amplitudes[0] / canon[0]
         assert abs(abs(phase) - 1.0) < 1e-13
@@ -236,6 +239,17 @@ class TestCsAmplitudes:
         a, ad, _ = build_ladder(AlgebraParams(epsilon=2.5), v.truncation)
         op = a + 0.3 * ad + 1.0 * np.eye(v.truncation)
         assert np.linalg.norm(op @ v.amplitudes) <= 1e-8
+
+    def test_column_overflow_fails_loudly(self):
+        # the pair masses peak near exp(y), y = |xi|^2/(1-|zeta|^2); past
+        # double range the truncation search once settled on 2 pairs
+        assert cs_amplitudes(CsSpec(zeta=0.0, xi=26j, epsilon=2.5)) \
+            .truncation == 902
+        for xi, y in ((27j, "729"), (30j, "900")):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"y = .* = {y}"):
+                cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
+            assert time.perf_counter() - start < 1.0
 
     def test_schrodinger_property_constant_schedule(self):
         # analytic parameters propagated by the ODE solver keep the state on
@@ -353,7 +367,7 @@ class TestMeanReflection:
     def test_large_argument_branch_continuity(self):
         import mpmath
         mpmath.mp.dps = 40
-        # the asymptotic branch above y = 600 must agree with mpmath
+        # y = 600 was a branch seam; keep points on either side of it
         for y in (550.0, 650.0, 2000.0):
             eps = 4.5
             exact = float(

@@ -7,17 +7,15 @@ from parabose.states import set_sabotage
 
 
 def test_configured_level_exclusion():
-    results = verify.run_all(seed=0, config_epsilon=0.75)
-    row = [r for r in results if r.name == "completeness.configured_level"][0]
+    row = verify.check_configured_level(0.75)
+    assert row.name == "completeness.configured_level"
     assert row.status == "excluded" and not row.failed
 
 
 def test_configured_level_above_one_runs():
-    rng = np.random.default_rng(0)
-    results = verify.run_all(seed=0, config_epsilon=2.5)
-    row = [r for r in results if r.name == "completeness.configured_level"][0]
+    row = verify.check_configured_level(2.5)
+    assert row.name == "completeness.configured_level"
     assert row.status == "pass" and row.residual <= 1e-8
-    del rng
 
 
 def test_sabotage_trips_transition_and_oracle_checks():
