@@ -12,20 +12,21 @@ parameters obey the equivalent Riccati/linear system
     dzeta/dt = i conj(alpha) zeta^2 - 2 i beta zeta + i alpha,
     dxi/dt   = i (conj(alpha) zeta - beta) xi.
 
-Both solvers are fixed-step RK4 with a mandatory halved-step verification;
-the phase integrals accumulated alongside the state use the same RK4 stages,
-anchored to zero at t = 0.
+Both solvers run ``fock.integrate_verified``: fixed-step RK4 with a mandatory
+halved-step verification; the phase integrals accumulated alongside the
+state use the same RK4 stages, anchored to zero at t = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrationError
-from .fock import AlgebraParams, build_ladder
+from .fock import AlgebraParams, build_ladder, integrate_verified
 from .schedules import CoefficientSchedule
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 MU_DRIFT_TOL = 1e-9
-STEP_HALVING_TOL = 1e-8
 SQUEEZE_LIMIT = 1.0 - 1e-6
 DEFAULT_STEPS = 4096
 
@@ -62,6 +62,15 @@ class StateParams:
     xi_winding: int = 0
 
 
+def _grid_index(times: np.ndarray, t: float) -> int | None:
+    """Index of the grid point within 1e-12 of t, if there is one."""
+    idx = np.searchsorted(times, t)
+    for j in (idx - 1, idx, idx + 1):
+        if 0 <= j < len(times) and abs(times[j] - t) <= 1e-12:
+            return int(j)
+    return None
+
+
 @dataclass(frozen=True)
 class MotionIntegral:
     """Trajectories of the Bogoliubov coefficients on the integration grid."""
@@ -78,10 +87,9 @@ class MotionIntegral:
 
     def at(self, t: float) -> tuple[complex, complex]:
         """(f, g) at time t: exact on grid points, linear in between."""
-        idx = np.searchsorted(self.times, t)
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= 1e-12:
-                return complex(self.f[j]), complex(self.g[j])
+        j = _grid_index(self.times, t)
+        if j is not None:
+            return complex(self.f[j]), complex(self.g[j])
         fr = np.interp(t, self.times, self.f.real) + 1j * np.interp(t, self.times, self.f.imag)
         gr = np.interp(t, self.times, self.g.real) + 1j * np.interp(t, self.times, self.g.imag)
         return complex(fr), complex(gr)
@@ -117,22 +125,17 @@ class StateTrajectory:
         """f(t) = f0 exp(-i int (conj(alpha) zeta - beta) dt)."""
         return f0 * np.exp(-1j * self.phase_fg)
 
-    def _index(self, t: float) -> int | None:
-        idx = np.searchsorted(self.times, t)
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= 1e-12:
-                return int(j)
-        return None
-
+    @cached_property
     def xi_windings(self) -> np.ndarray:
-        """Integer turns of arg xi(t) relative to the principal value."""
+        """Integer turns of arg xi(t) relative to the principal value
+        (computed once per trajectory)."""
         angles = np.angle(self.xi)
         return np.round((np.unwrap(angles) - angles) / (2.0 * math.pi)).astype(int)
 
     def at(self, t: float, epsilon: float | None = None) -> StateParams:
         eps = self.epsilon if epsilon is None else epsilon
-        j = self._index(t)
-        windings = self.xi_windings()
+        j = _grid_index(self.times, t)
+        windings = self.xi_windings
         if j is not None:
             zeta, xi = complex(self.zeta[j]), complex(self.xi[j])
             jre, dint = complex(self.phase_fg[j]), float(self.delta_integral[j])
@@ -153,34 +156,6 @@ class StateTrajectory:
                            theta_cs=theta_cs, z_eigen=None, xi_winding=wind)
 
 
-def _rk4_complex(deriv, y0, t_final: float, n_steps: int, guard=None):
-    """Fixed-step RK4 over a tuple of complex scalars; records every step.
-
-    Scalar arithmetic on purpose: these systems have 2-4 components and a
-    numpy round-trip per stage would dominate the cost.
-    """
-    h = t_final / n_steps
-    y = tuple(complex(v) for v in y0)
-    dim = len(y)
-    out = np.empty((n_steps + 1, dim), dtype=complex)
-    out[0] = y
-    sixth = h / 6.0
-    for i in range(n_steps):
-        t = i * h
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, tuple(y[j] + 0.5 * h * k1[j] for j in range(dim)))
-        k3 = deriv(t + 0.5 * h, tuple(y[j] + 0.5 * h * k2[j] for j in range(dim)))
-        k4 = deriv(t + h, tuple(y[j] + h * k3[j] for j in range(dim)))
-        y = tuple(
-            y[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            for j in range(dim)
-        )
-        if guard is not None:
-            guard(t + h, y)
-        out[i + 1] = y
-    return out
-
-
 def _resolve_steps(t_final: float, dt: float | None) -> int:
     if t_final == 0:
         raise ConfigError("t_final must be nonzero")
@@ -198,7 +173,6 @@ def solve_fg(
     phi0: complex = 0.0,
     t_final: float = 2.0 * math.pi,
     dt: float | None = None,
-    verify_halving: bool = True,
 ) -> MotionIntegral:
     """Integrate the Bogoliubov coefficient ODEs and certify mu conservation."""
     f0, g0, phi0 = complex(f0), complex(g0), complex(phi0)
@@ -207,26 +181,17 @@ def solve_fg(
         raise DomainError("|f0| = |g0| makes the inverse Bogoliubov map singular")
     n_steps = _resolve_steps(t_final, dt)
 
-    def deriv(t, y):
-        alpha, beta, _ = schedule.coefficients(t)
+    def deriv(alpha, beta, delta, y):
         f, g = y
         return (1j * (beta * f - alpha.conjugate() * g),
                 1j * (alpha * f - beta * g))
 
     def guard(t, y):
-        schedule.check_positive_definite(t)
         f, g = y
         if abs(abs(f) - abs(g)) < 1e-14 * max(abs(f), 1.0):
             raise IntegrationError(f"|f| = |g| crossing at t={t}")
 
-    traj = _rk4_complex(deriv, [f0, g0], t_final, n_steps, guard)
-    if verify_halving:
-        traj_half = _rk4_complex(deriv, [f0, g0], t_final, 2 * n_steps)
-        disagreement = float(np.max(np.abs(traj[-1] - traj_half[-1])))
-        if disagreement > STEP_HALVING_TOL:
-            raise IntegrationError(
-                f"halved-step rerun disagrees by {disagreement:.3e}; dt too large"
-            )
+    traj = integrate_verified(deriv, (f0, g0), schedule, t_final, n_steps, guard)
     f, g = traj[:, 0], traj[:, 1]
     mu_t = np.abs(f) ** 2 - np.abs(g) ** 2
     drift = float(np.max(np.abs(mu_t - mu0))) / abs(mu0)
@@ -245,7 +210,6 @@ def solve_zeta_xi(
     t_final: float = 2.0 * math.pi,
     dt: float | None = None,
     epsilon: float | None = None,
-    verify_halving: bool = True,
 ) -> StateTrajectory:
     """Integrate the squeeze/displacement ODEs with phase accumulation.
 
@@ -258,8 +222,7 @@ def solve_zeta_xi(
         raise DomainError(f"|zeta0| must be < 1, got {abs(zeta0)}")
     n_steps = _resolve_steps(t_final, dt)
 
-    def deriv(t, y):
-        alpha, beta, delta = schedule.coefficients(t)
+    def deriv(alpha, beta, delta, y):
         zeta, xi = y[0], y[1]
         ac = alpha.conjugate()
         dzeta = 1j * ac * zeta * zeta - 2j * beta * zeta + 1j * alpha
@@ -267,19 +230,11 @@ def solve_zeta_xi(
         return (dzeta, dxi, ac * zeta - beta, complex(delta))
 
     def guard(t, y):
-        schedule.check_positive_definite(t)
         if abs(y[0]) >= SQUEEZE_LIMIT:
             raise IntegrationError(f"squeeze blow-up: |zeta| -> 1 at t={t}")
 
-    y0 = [zeta0, xi0, 0.0, 0.0]
-    traj = _rk4_complex(deriv, y0, t_final, n_steps, guard)
-    if verify_halving:
-        traj_half = _rk4_complex(deriv, y0, t_final, 2 * n_steps)
-        disagreement = float(np.max(np.abs(traj[-1] - traj_half[-1])))
-        if disagreement > STEP_HALVING_TOL:
-            raise IntegrationError(
-                f"halved-step rerun disagrees by {disagreement:.3e}; dt too large"
-            )
+    traj = integrate_verified(deriv, (zeta0, xi0, 0j, 0j), schedule, t_final,
+                              n_steps, guard)
     times = np.linspace(0.0, t_final, n_steps + 1)
     return StateTrajectory(
         times=times,

@@ -9,9 +9,10 @@ with reflection R = diag((-1)^n), so that [a, a'] = 1 + nu R with
 nu = 2 eps - 1.  On an N-dimensional truncation the algebra necessarily
 fails on the last rows; invariant checks exclude the truncation boundary.
 
-``evolve_schrodinger`` integrates i d/dt psi = (1/hbar) H(t) psi with fixed-step
-classical Runge-Kutta and verifies itself with a halved-step rerun.  It is the
-independent oracle against which every closed-form state is checked.
+``evolve_trajectory`` integrates i d/dt psi = (1/hbar) H(t) psi with
+``integrate_verified``: fixed-step classical Runge-Kutta certified by a
+halved-step rerun, the routine the parameter ODEs in ``dynamics`` share.  It
+is the independent oracle against which every closed-form state is checked.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = [
     "FockVector",
     "build_ladder",
     "build_hamiltonian",
-    "evolve_schrodinger",
     "evolve_trajectory",
+    "integrate_verified",
     "vacuum_state",
 ]
 
@@ -161,71 +162,71 @@ def build_hamiltonian(
     return h
 
 
-class _Propagator:
-    """RK4 stepper for i d/dt psi = (H(t)/hbar) psi (hbar cancels: H carries
-    an overall hbar).
+def integrate_verified(deriv, y0, schedule: CoefficientSchedule, t_final: float,
+                       n_steps: int, guard, stride: int = 1) -> np.ndarray:
+    """Fixed-step RK4 over the tuple ``y0``, certified by a halved-step rerun.
 
-    The three Hamiltonian pieces are a second super/subdiagonal and a
-    diagonal, so the default fast path applies them as shifted vector
-    products; ``dense=True`` keeps full matrix-vector products instead (the
-    two must agree bit for bit, which the suite asserts at N = 64).
+    The entries of ``y0`` are complex scalars (the parameter ODEs, where a
+    numpy round-trip per stage would dominate the cost) or one ndarray (the
+    Fock state).  ``deriv(alpha, beta, delta, y)`` returns the derivative
+    tuple; the schedule is sampled, and checked positive definite, once on
+    the quarter-step grid that holds every stage of both runs.
+    ``guard(t, y)`` runs after every step of both runs.  Raises
+    ``IntegrationError`` when the two final states differ by more than
+    ``STEP_HALVING_TOL``; otherwise returns the n-step states at every
+    ``stride``-th step, shape ``(n_steps // stride + 1,) + np.shape(y0)``.
     """
+    nodes = np.linspace(0.0, t_final, 4 * n_steps + 1)
+    alpha, beta, delta = schedule.sample(nodes)
+    out = np.empty((n_steps // stride + 1,) + np.shape(y0), dtype=complex)
+    out[0] = y0
+    finals = []
+    for n, q in ((n_steps, 4), (2 * n_steps, 2)):
+        h = t_final / n
+        half, sixth = 0.5 * h, h / 6.0
+        y = y0
+        # .item() hands the stages Python scalars: numpy scalar arithmetic
+        # would cost ten times more in the parameter ODEs
+        end = (alpha.item(0), beta.item(0), delta.item(0))
+        for i in range(n):
+            m, e = q * i + q // 2, q * i + q
+            start = end
+            mid = (alpha.item(m), beta.item(m), delta.item(m))
+            end = (alpha.item(e), beta.item(e), delta.item(e))
+            k1 = deriv(*start, y)
+            k2 = deriv(*mid, tuple(v + half * d for v, d in zip(y, k1)))
+            k3 = deriv(*mid, tuple(v + half * d for v, d in zip(y, k2)))
+            k4 = deriv(*end, tuple(v + h * d for v, d in zip(y, k3)))
+            y = tuple(v + sixth * (a + 2.0 * b + 2.0 * c + d)
+                      for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+            guard(nodes.item(e), y)
+            if q == 4 and (i + 1) % stride == 0:
+                out[(i + 1) // stride] = y
+        finals.append(y)
+    disagreement = float(np.max(np.abs(np.subtract(*finals))))
+    if disagreement > STEP_HALVING_TOL:
+        raise IntegrationError(
+            f"halved-step rerun disagrees by {disagreement:.3e} "
+            f"(> {STEP_HALVING_TOL}); dt too large"
+        )
+    return out
 
-    def __init__(self, params: AlgebraParams, schedule: CoefficientSchedule,
-                 truncation: int, dense: bool = False):
-        a, ad, _ = build_ladder(params, truncation)
-        self.a2 = a @ a
-        self.a2d = self.a2.conj().T.copy()
-        self.sym = ad @ a + a @ ad
-        self.schedule = schedule
-        self.dense = dense
-        self.n = truncation
-        self.band_up = np.diagonal(self.a2, 2).copy()
-        self.band_dn = np.diagonal(self.a2d, -2).copy()
-        self.diag = np.diagonal(self.sym).copy()
 
-    def deriv(self, t: float, psi: np.ndarray) -> np.ndarray:
-        alpha, beta, delta = self.schedule.coefficients(t)
-        if self.dense:
-            out = 0.5 * np.conj(alpha) * (self.a2 @ psi)
-            out += 0.5 * alpha * (self.a2d @ psi)
-            out += 0.5 * beta * (self.sym @ psi)
-            out += delta * psi
-            return -1j * out
-        up = np.zeros(self.n, dtype=complex)
-        dn = np.zeros(self.n, dtype=complex)
-        up[:-2] = self.band_up * psi[2:]
-        dn[2:] = self.band_dn * psi[:-2]
-        out = 0.5 * np.conj(alpha) * up
-        out += 0.5 * alpha * dn
-        out += 0.5 * beta * (self.diag * psi)
-        out += delta * psi
-        return -1j * out
+def _schrodinger_deriv(params: AlgebraParams, truncation: int):
+    """d/dt psi = -i H psi / hbar for ``integrate_verified``, applied from the
+    ladder bands: H couples n only to n and n +- 2, so no matrix is formed."""
+    s = _ladder_diagonal(params, truncation)
+    band = -0.5j * s[:-1] * s[1:]                   # -i <n|a^2|n+2> / 2
+    diag = -0.5j * (np.append(s * s, 0.0) + np.append(0.0, s * s))
 
-    def run(self, psi0: np.ndarray, t0: float, t_final: float, n_steps: int,
-            sample_steps=None):
-        h = (t_final - t0) / n_steps
-        psi = psi0.copy()
-        samples = {}
-        if sample_steps is not None and 0 in sample_steps:
-            samples[0] = psi.copy()
-        for i in range(n_steps):
-            t = t0 + i * h
-            self.schedule.check_positive_definite(t)
-            k1 = self.deriv(t, psi)
-            k2 = self.deriv(t + 0.5 * h, psi + 0.5 * h * k1)
-            k3 = self.deriv(t + 0.5 * h, psi + 0.5 * h * k2)
-            k4 = self.deriv(t + h, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            drift = abs(float(np.vdot(psi, psi).real) - 1.0)
-            if drift > NORM_TOL:
-                raise IntegrationError(
-                    f"norm drift {drift:.3e} exceeds {NORM_TOL} at step {i + 1}; "
-                    "reduce dt or enlarge the truncation"
-                )
-            if sample_steps is not None and (i + 1) in sample_steps:
-                samples[i + 1] = psi.copy()
-        return psi, samples
+    def deriv(alpha, beta, delta, y):
+        psi = y[0]
+        out = (beta * diag - 1j * delta) * psi
+        out[:-2] += alpha.conjugate() * (band * psi[2:])
+        out[2:] += alpha * (band * psi[:-2])
+        return (out,)
+
+    return deriv
 
 
 def _check_initial(psi0: FockVector):
@@ -248,40 +249,6 @@ def _check_final(psi: np.ndarray):
         )
 
 
-def evolve_schrodinger(
-    psi0: FockVector,
-    schedule: CoefficientSchedule,
-    t_final: float,
-    dt: float,
-    params: AlgebraParams,
-    verify_halving: bool = True,
-) -> FockVector:
-    """Integrate the Schrodinger equation from t=0 to t_final.
-
-    Fixed-step RK4; when ``verify_halving`` a second run at dt/2 must agree
-    with the first to 1e-8 in max amplitude difference, otherwise the result
-    is rejected.
-    """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    _check_initial(psi0)
-    if t_final == 0.0:
-        return FockVector(psi0.amplitudes.copy())
-    n_steps = max(1, int(math.ceil(abs(t_final) / dt)))
-    prop = _Propagator(params, schedule, psi0.truncation)
-    psi, _ = prop.run(psi0.amplitudes, 0.0, t_final, n_steps)
-    if verify_halving:
-        psi_half, _ = prop.run(psi0.amplitudes, 0.0, t_final, 2 * n_steps)
-        disagreement = float(np.max(np.abs(psi - psi_half)))
-        if disagreement > STEP_HALVING_TOL:
-            raise IntegrationError(
-                f"halved-step rerun disagrees by {disagreement:.3e} "
-                f"(> {STEP_HALVING_TOL}); dt too large"
-            )
-    _check_final(psi)
-    return FockVector(psi)
-
-
 def evolve_trajectory(
     psi0: FockVector,
     schedule: CoefficientSchedule,
@@ -289,11 +256,14 @@ def evolve_trajectory(
     dt: float,
     params: AlgebraParams,
     n_samples: int = 32,
-    verify_halving: bool = True,
 ):
-    """Evolve and record ``n_samples + 1`` equally spaced states (incl. both
-    endpoints).  Returns (times, states) with states of shape
-    (n_samples+1, truncation)."""
+    """Integrate the Schrodinger equation from t=0 to t_final and record
+    ``n_samples + 1`` equally spaced states (incl. both endpoints).
+
+    Fixed-step RK4 whose halved-step rerun must agree to ``STEP_HALVING_TOL``
+    in max amplitude difference.  Returns (times, states) with states of
+    shape (n_samples+1, truncation).
+    """
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if n_samples < 1:
@@ -303,20 +273,18 @@ def evolve_trajectory(
     n_steps = max(1, int(math.ceil(abs(t_final) / dt)))
     n_steps = int(math.ceil(n_steps / n_samples)) * n_samples
     stride = n_steps // n_samples
-    sample_steps = set(range(0, n_steps + 1, stride))
-    prop = _Propagator(params, schedule, psi0.truncation)
-    psi, samples = prop.run(psi0.amplitudes, 0.0, t_final, n_steps, sample_steps)
-    if verify_halving:
-        psi_half, _ = prop.run(psi0.amplitudes, 0.0, t_final, 2 * n_steps)
-        disagreement = float(np.max(np.abs(psi - psi_half)))
-        if disagreement > STEP_HALVING_TOL:
+    deriv = _schrodinger_deriv(params, psi0.truncation)
+
+    def guard(t, y):
+        drift = abs(float(np.vdot(y[0], y[0]).real) - 1.0)
+        if drift > NORM_TOL:
             raise IntegrationError(
-                f"halved-step rerun disagrees by {disagreement:.3e} "
-                f"(> {STEP_HALVING_TOL}); dt too large"
+                f"norm drift {drift:.3e} exceeds {NORM_TOL} at t={t}; "
+                "reduce dt or enlarge the truncation"
             )
-    _check_final(psi)
-    h = t_final / n_steps
-    steps = sorted(samples)
-    times = np.array([s * h for s in steps])
-    states = np.array([samples[s] for s in steps])
+
+    states = integrate_verified(deriv, (psi0.amplitudes,), schedule, t_final,
+                                n_steps, guard, stride)[:, 0]
+    _check_final(states[-1])
+    times = np.arange(0, n_steps + 1, stride) * (t_final / n_steps)
     return times, states

@@ -2,8 +2,9 @@
 
 A schedule supplies the three Hamiltonian coefficients as functions of time:
 alpha(t) complex, beta(t) and delta(t) real.  Positive definiteness of the
-Hamiltonian requires beta(t) > |alpha(t)|; the solvers check this at every
-sampled time and treat a violation as a hard error.
+Hamiltonian requires beta(t) > |alpha(t)|; the solvers check this on every
+node of their time grid and treat a violation as a hard error.  Every
+coefficient callable accepts a scalar time or an array of times.
 
 Three families are supported: constant, sinusoidal (mean plus a sine
 modulation at a common frequency) and tabulated (piecewise-linear between
@@ -50,6 +51,18 @@ class CoefficientSchedule:
     def coefficients(self, t: float) -> tuple[complex, float, float]:
         return complex(self.alpha(t)), float(self.beta(t)), float(self.delta(t))
 
+    def sample(self, times: np.ndarray):
+        """(alpha, beta, delta) as arrays on ``times``, after checking
+        beta > |alpha| on every node (raises at the first failing one)."""
+        times = np.asarray(times, dtype=float)
+        alpha = np.broadcast_to(np.asarray(self.alpha(times), dtype=complex), times.shape)
+        beta = np.broadcast_to(np.asarray(self.beta(times), dtype=float), times.shape)
+        delta = np.broadcast_to(np.asarray(self.delta(times), dtype=float), times.shape)
+        bad = ~(beta > np.abs(alpha))
+        if bad.any():
+            self.check_positive_definite(float(times[np.argmax(bad)]))
+        return alpha, beta, delta
+
 
 def constant_schedule(
     alpha: complex = 0.0, beta: float = 1.0, delta: float = 0.0
@@ -89,8 +102,7 @@ def sinusoidal_schedule(
         family="sinusoidal",
     )
     # worst-case spot check over one modulation period
-    for t in np.linspace(0.0, 2.0 * np.pi / omega if omega else 1.0, 64):
-        sched.check_positive_definite(float(t))
+    sched.sample(np.linspace(0.0, 2.0 * np.pi / omega if omega else 1.0, 64))
     return sched
 
 
@@ -115,11 +127,14 @@ def tabulated_schedule(
 
     def _interp(values):
         def f(t):
-            if t < t0 - 1e-12 or t > t1 + 1e-12:
+            ta = np.asarray(t, dtype=float)
+            outside = (ta < t0 - 1e-12) | (ta > t1 + 1e-12)
+            if outside.any():
                 raise DomainError(
-                    f"tabulated schedule queried at t={t} outside [{t0}, {t1}]"
+                    f"tabulated schedule queried at t={float(ta[outside][0])} "
+                    f"outside [{t0}, {t1}]"
                 )
-            tc = min(max(t, t0), t1)
+            tc = np.clip(t, t0, t1)
             re = np.interp(tc, times, values.real)
             im = np.interp(tc, times, values.imag)
             return re + 1j * im if np.iscomplexobj(values) else re
@@ -132,8 +147,7 @@ def tabulated_schedule(
         family="tabulated",
         domain=(t0, t1),
     )
-    for t in times:
-        sched.check_positive_definite(float(t))
+    sched.sample(times)
     return sched
 
 

@@ -255,13 +255,16 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float,
     until the trailing decay is safely geometric (asymptotic ratio
     |zeta|^2 < 1) and the geometric closure beyond the window is negligible;
     the window ratio is smoothed over eight pairs because the Laguerre
-    factors oscillate through near-zeros.
+    factors oscillate through near-zeros.  The ratio is floored at |zeta|^2,
+    so the acceptance threshold sits halfway between |zeta|^2 and 1 once
+    |zeta|^2 passes 0.9.
     """
     zeta, xi = complex(zeta), complex(xi)
     zeta_abs, xi_abs = abs(zeta), abs(xi)
     lam = 0.5 * xi_abs * xi_abs / max(1.0 - zeta_abs, 0.05)
     guess = 16 + _svs_pairs(zeta_abs, epsilon) \
         + int(lam + 12.0 * math.sqrt(lam + 4.0) + 24.0)
+    accept = max(0.95, 0.5 * (1.0 + zeta_abs**2))
     while True:
         guess = min(guess, MAX_PAIRS)
         w = _pair_masses(guess, zeta, xi, epsilon)
@@ -270,7 +273,7 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float,
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
         ratio = max(ratio, zeta_abs**2)
         beyond = tip * ratio / (1.0 - ratio)
-        if (ratio < 0.95 and beyond < tail * total) or guess >= MAX_PAIRS:
+        if (ratio < accept and beyond < tail * total) or guess >= MAX_PAIRS:
             break
         guess = int(guess * 1.5) + 16
     if guess >= MAX_PAIRS and beyond >= tail * total:

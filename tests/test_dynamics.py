@@ -40,6 +40,12 @@ class TestSolveFG:
         with pytest.raises(DomainError):
             solve_fg(constant_schedule(), 0.5, 0.5, 0.0, t_final=1.0)
 
+    def test_step_halving_guard(self):
+        # 64 steps per period leave a ~4e-6 gap to the halved-step rerun
+        with pytest.raises(IntegrationError, match="halved-step"):
+            solve_fg(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
+                     1.0, 0.3, 0.0, t_final=T, dt=T / 64)
+
 
 class TestSolveZetaXi:
     def test_free_rotation_closed_form(self):
@@ -73,6 +79,11 @@ class TestSolveZetaXi:
         traj = solve_zeta_xi(sched, 0.35, 0.4, t_final=T)
         rel = np.abs(mi.f - traj.f_reconstructed(1.0)) / np.abs(mi.f)
         assert np.max(rel) < 1e-7
+
+    def test_step_halving_guard(self):
+        with pytest.raises(IntegrationError, match="halved-step"):
+            solve_zeta_xi(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
+                          0.3, 0.5, t_final=T, dt=T / 64)
 
     def test_squeeze_blowup_guard(self):
         # resonant drive at twice the trap frequency squeezes without bound
@@ -188,6 +199,15 @@ def test_tabulated_schedule_tracks_its_smooth_source():
     a = solve_zeta_xi(smooth, 0.25, 0.6, t_final=T)
     b = solve_zeta_xi(tab, 0.25, 0.6, t_final=T)
     assert np.max(np.abs(a.zeta - b.zeta)) < 1e-6
+
+
+def test_run_past_tabulated_domain_fails():
+    ts = np.linspace(0.0, 1.0, 5)
+    tab = tabulated_schedule(ts, np.zeros(5), np.ones(5), np.zeros(5))
+    with pytest.raises(DomainError, match="outside"):
+        solve_zeta_xi(tab, 0.25, 0.6, t_final=1.5, dt=0.01)
+    with pytest.raises(DomainError, match="outside"):
+        solve_fg(tab, 1.0, 0.3, 0.0, t_final=1.5, dt=0.01)
 
 
 def test_mu_conservation_random_schedules(rng):

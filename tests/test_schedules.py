@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from parabose.errors import ConfigError, DomainError
-from parabose.schedules import constant_schedule, load_schedule_csv, \
-    sinusoidal_schedule, tabulated_schedule
+from parabose.schedules import CoefficientSchedule, constant_schedule, \
+    load_schedule_csv, sinusoidal_schedule, tabulated_schedule
 
 
 def test_constant_positivity_gate():
@@ -31,8 +31,28 @@ def test_tabulated_interpolation_and_domain():
     assert sched.alpha(1.5) == pytest.approx(0.1j)
     with pytest.raises(DomainError):
         sched.beta(3.0)
+    # array queries interpolate in one call and name the first stray time
+    assert np.allclose(sched.beta(np.array([0.5, 1.5])), [1.1, 1.1])
+    with pytest.raises(DomainError, match="t=2.5 "):
+        sched.alpha(np.array([1.0, 2.5, 3.0]))
     with pytest.raises(ConfigError):
         tabulated_schedule(t[::-1], np.zeros(3), np.ones(3), np.zeros(3))
+
+
+def test_sample_broadcasts_and_gates_positivity():
+    times = np.linspace(0.0, 2.0, 9)
+    alpha, beta, delta = constant_schedule(0.3j, 1.0, 0.2).sample(times)
+    assert alpha.shape == beta.shape == delta.shape == times.shape
+    assert np.all(alpha == 0.3j) and np.all(delta == 0.2)
+    tab = tabulated_schedule(np.array([0.0, 1.0]), np.zeros(2), np.ones(2),
+                             np.zeros(2))
+    with pytest.raises(DomainError, match="outside"):
+        tab.sample(times)
+    # a schedule that loses positivity mid-run is named at its first bad node
+    ramp = CoefficientSchedule(alpha=lambda t: 0.1 * np.asarray(t),
+                               beta=lambda t: 1.0, delta=lambda t: 0.0)
+    with pytest.raises(DomainError, match="at t=10.0:"):
+        ramp.sample(np.linspace(0.0, 20.0, 41))
 
 
 def test_csv_round_trip(tmp_path):

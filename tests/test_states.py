@@ -251,6 +251,17 @@ class TestCsAmplitudes:
                 cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("zeta_abs", [0.98, 0.99, 0.999])
+    def test_deep_squeeze_truncation_search(self, zeta_abs):
+        # the smoothed window ratio is floored at |zeta|^2, so past
+        # |zeta|^2 = 0.95 the search once scanned to MAX_PAIRS (~1 s a state)
+        spec = CsSpec(zeta=zeta_abs * np.exp(0.3j), xi=0.5, epsilon=2.5)
+        start = time.perf_counter()
+        n_pairs = cs_amplitudes(spec).truncation // 2
+        assert time.perf_counter() - start < 0.5
+        w = states._pair_masses(8 * n_pairs, spec.zeta, spec.xi, spec.epsilon)
+        assert np.sum(w[n_pairs:]) < states.CS_TAIL_BOUND * np.sum(w)
+
     def test_schrodinger_property_constant_schedule(self):
         # analytic parameters propagated by the ODE solver keep the state on
         # the closed form (fidelity against the frozen-time constructor)
