@@ -8,48 +8,28 @@ a 2 pi Kronecker delta and is always taken analytically, so only the radial
 integral is done numerically.
 
 After u = r^2 the radial integrand carries the endpoint factor
-(1 - u)^(eps - 2), singular for eps < 2; the default quadrature is a
+(1 - u)^(eps - 2), singular for eps < 2; the quadrature is a
 Gauss-Jacobi rule built for exactly that exponent, which integrates the
-remaining polynomial part to machine precision.  A raw Gauss-Legendre mode
-(``rule="legendre"``) is kept to document why the weighted rule is required:
-for eps close to 1 it visibly fails its own convergence cross-check.
+remaining polynomial part to machine precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureError
 from .states import _svs_coefficient_column
 
 __all__ = [
-    "WeightSpec",
     "weight",
     "diagonal_identity_residual",
     "identity_block_residual",
 ]
 
 CONVERGENCE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight-curve emission parameters: level, radial cutoff, node count."""
-
-    epsilon: float
-    r_max: float = 0.999
-    node_count: int = 256
-
-    def __post_init__(self):
-        _require_completeness_domain(self.epsilon)
-        if not 0.0 < self.r_max < 1.0:
-            raise DomainError(f"r_max must lie in (0, 1), got {self.r_max}")
-        if self.node_count < 2:
-            raise DomainError("node_count must be >= 2")
 
 
 def _require_completeness_domain(epsilon: float) -> None:
@@ -69,31 +49,21 @@ def weight(epsilon: float, r) -> np.ndarray | float:
     return vals if np.ndim(r) else float(vals)
 
 
-def _radial_nodes(epsilon: float, node_count: int, rule: str):
-    """Nodes/weights for int_0^1 (1-u)^(eps-2) g(u) du = sum w_j g(u_j).
-
-    For the Jacobi rule the endpoint factor is the quadrature weight; for the
-    raw Legendre rule it is folded into g, which is exactly the 'raw sampling'
-    the weighted rule exists to avoid.
-    """
-    if rule == "jacobi":
-        x, w = roots_jacobi(node_count, epsilon - 2.0, 0.0)
-        u = 0.5 * (x + 1.0)
-        return u, w * 2.0 ** (-(epsilon - 1.0))
-    if rule == "legendre":
-        x, w = roots_legendre(node_count)
-        u = 0.5 * (x + 1.0)
-        return u, 0.5 * w * (1.0 - u) ** (epsilon - 2.0)
-    raise DomainError(f"unknown quadrature rule {rule!r}")
+def _radial_nodes(epsilon: float, node_count: int):
+    """Gauss-Jacobi nodes/weights for int_0^1 (1-u)^(eps-2) g(u) du =
+    sum w_j g(u_j); the endpoint factor is the quadrature weight."""
+    x, w = roots_jacobi(node_count, epsilon - 2.0, 0.0)
+    u = 0.5 * (x + 1.0)
+    return u, w * 2.0 ** (-(epsilon - 1.0))
 
 
-def _diagonal_quadrature(epsilon: float, n: int, node_count: int, rule: str) -> float:
-    u, w = _radial_nodes(epsilon, node_count, rule)
+def _diagonal_quadrature(epsilon: float, n: int, node_count: int) -> float:
+    u, w = _radial_nodes(epsilon, node_count)
     return float(np.sum(w * u**n))
 
 
 def diagonal_identity_residual(
-    epsilon: float, n: int, node_count: int = 64, rule: str = "jacobi"
+    epsilon: float, n: int, node_count: int = 64
 ) -> float:
     """|quadrature of the n-th diagonal closure entry - 1|.
 
@@ -109,13 +79,12 @@ def diagonal_identity_residual(
     prefactor = (epsilon - 1.0) * math.exp(
         math.lgamma(n + epsilon) - math.lgamma(n + 1.0) - math.lgamma(epsilon)
     )
-    full = _diagonal_quadrature(epsilon, n, node_count, rule)
-    half = _diagonal_quadrature(epsilon, n, max(4, node_count // 2), rule)
+    full = _diagonal_quadrature(epsilon, n, node_count)
+    half = _diagonal_quadrature(epsilon, n, max(4, node_count // 2))
     if abs(full - half) > CONVERGENCE_TOL * max(abs(full), 1.0):
         raise QuadratureError(
-            f"radial quadrature not converged for eps={epsilon}, n={n}, "
-            f"rule={rule!r}, nodes={node_count}: endpoint exponent "
-            f"{epsilon - 2.0:+.3f} needs the weighted rule or more nodes"
+            f"radial quadrature not converged for eps={epsilon}, n={n} "
+            f"with {node_count} nodes"
         )
     return abs(prefactor * full - 1.0)
 
@@ -137,7 +106,7 @@ def identity_block_residual(
     _require_completeness_domain(epsilon)
     if not 1 <= block <= 32:
         raise DomainError(f"block size must be in 1..32, got {block}")
-    u, w = _radial_nodes(epsilon, node_count, "jacobi")
+    u, w = _radial_nodes(epsilon, node_count)
     diag = np.zeros(block)
     for uj, wj in zip(u, w):
         col = _svs_coefficient_column(math.sqrt(uj), epsilon, block)

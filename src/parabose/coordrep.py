@@ -34,7 +34,6 @@ from scipy.special import ive
 from .errors import DomainError, QuadratureError
 from .fock import AlgebraParams
 from .states import CsSpec, _log_i_sum
-from .states import _negligible_xi as _states_negligible_xi
 
 __all__ = [
     "WavefunctionGrid",
@@ -52,12 +51,6 @@ __all__ = [
 
 TWO_ROUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-8
-
-
-def _negligible_xi(xi: complex) -> bool:
-    # the coordinate prefactor exponentiates the Bessel normalization on its
-    # own, so displacements this small must take the analytic zero limit
-    return _states_negligible_xi(xi) or abs(xi) < 1e-20
 
 
 def ell_from_epsilon(epsilon: float) -> int:
@@ -85,8 +78,6 @@ def vacuum_wavefunction(ell: int, l: float, x) -> np.ndarray | float:
     norm = l ** (-eps) / math.sqrt(math.gamma(eps))
     with np.errstate(invalid="ignore"):
         vals = norm * x_arr ** (2 * ell) * np.exp(-(x_arr ** 2) / (2.0 * l * l))
-    if ell == 0:
-        vals = np.where(x_arr == 0.0, norm, vals)
     return vals if np.ndim(x) else float(vals)
 
 
@@ -94,20 +85,30 @@ def _spec_ell(spec: CsSpec) -> int:
     return ell_from_epsilon(spec.epsilon)
 
 
-def _cs_wavefunction_zero_xi(spec: CsSpec, params: AlgebraParams,
-                             x: np.ndarray) -> np.ndarray:
-    """xi -> 0 limit (along the positive real axis): a squeezed vacuum."""
-    ell = _spec_ell(spec)
-    zeta = complex(spec.zeta)
-    l = params.length_scale
-    one = 1.0 - abs(zeta) ** 2
-    pref = (math.sqrt(one) / (1.0 - zeta)
-            * (2.0 * one) ** (ell - 0.25)
-            / math.sqrt(math.gamma(2 * ell + 0.5))
-            * np.exp(1j * spec.theta))
-    base = (x / (math.sqrt(2.0) * (1.0 - zeta) * l)) ** (2 * ell - 0.5)
-    gauss = np.exp(-(1.0 + zeta) / (1.0 - zeta) * x ** 2 / (2.0 * l * l))
-    return pref * np.sqrt(x.astype(complex)) / l * base * gauss
+def _half_line(x) -> np.ndarray:
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x_arr < 0):
+        raise DomainError("coordinate representation lives on x >= 0")
+    return x_arr
+
+
+def _ive_over_power(nu: float, w: np.ndarray) -> np.ndarray:
+    """ive(nu, w) / (w/2)^nu = exp(-|Re w|) I_nu(w) / (w/2)^nu, entire in w
+    (DLMF 10.25.2).  Below |w| = 1e-8 it is the leading series term
+    exp(-|Re w|) / Gamma(nu+1); the next one is below 1e-16 relative."""
+    small = np.abs(w) < 1e-8
+    safe = np.where(small, 1.0, w)
+    return np.where(small, np.exp(-np.abs(w.real)) / math.gamma(nu + 1.0),
+                    ive(nu, safe) / (0.5 * safe) ** nu)
+
+
+def _direction(spec: CsSpec, params: AlgebraParams) -> complex:
+    """u with w = sqrt(2y) x u: (xi/|xi|) sqrt(1-|zeta|^2) / ((1-zeta) l),
+    xi -> 0 taken along the positive real axis."""
+    zeta, xi = complex(spec.zeta), complex(spec.xi)
+    unit = xi / abs(xi) if xi else 1.0
+    return (unit * math.sqrt(1.0 - abs(zeta) ** 2)
+            / ((1.0 - zeta) * params.length_scale))
 
 
 def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
@@ -118,64 +119,37 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     their separate factor-2 half-line masses reproduce the even/odd
     number-state populations (the components are the objects the half-line
     inner product treats as orthogonal).
+
+    With nu = 2 ell - 1/2 and w = sqrt(2y) x u, the power (w/2)^nu of each
+    Bessel term splits into u^nu x^nu (positive reals do not move the
+    principal argument) and (y/2)^(nu/2), which cancels in the regularized
+    normalization; x = 0 and xi = 0 need no limits of their own.
     """
     ell = _spec_ell(spec)
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
-        raise DomainError("coordinate representation lives on x >= 0")
-
-    if _negligible_xi(xi):
-        odd = np.zeros(len(x_arr), dtype=complex)
-        even = np.where(x_arr > 0,
-                        _cs_wavefunction_zero_xi(spec, params,
-                                                 np.where(x_arr > 0, x_arr, 1.0)),
-                        0.0j)
-        if np.any(x_arr == 0.0):
-            if ell == 0:
-                one = 1.0 - abs(zeta) ** 2
-                lim = (math.sqrt(one) / (1.0 - zeta)
-                       * (2.0 * one) ** (-0.25)
-                       * (math.sqrt(2.0) * (1.0 - zeta)) ** 0.5
-                       / (math.pi ** 0.25 * math.sqrt(l))
-                       * np.exp(1j * spec.theta))
-            else:
-                lim = 0.0j
-            even = np.where(x_arr == 0.0, lim, even)
-        return even, odd
-
+    x_arr = _half_line(x)
+    nu = eps - 1.0
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
-    pref = math.sqrt(one) / (1.0 - zeta)
+    u = _direction(spec, params)
+    w = math.sqrt(2.0 * y) * x_arr * u
     log_const = (-0.5 * _log_i_sum(eps, y)
                  - (1.0 - np.conj(zeta)) * xi * xi / (2.0 * (1.0 - zeta) * one)
                  + 1j * spec.theta)
-    pos = x_arr > 0
-    even = np.zeros(len(x_arr), dtype=complex)
-    odd = np.zeros(len(x_arr), dtype=complex)
-    if np.any(pos):
-        xp = x_arr[pos]
-        w = math.sqrt(2.0) * xi * xp / ((1.0 - zeta) * l)
-        # ive(k, w) = exp(-|Re w|) I_k(w): the growth joins the Gaussian
-        root = pref * np.sqrt(xp) / l * np.exp(
-            log_const - (1.0 + zeta) / (1.0 - zeta) * xp ** 2 / (2.0 * l * l)
-            + np.abs(w.real))
-        even[pos] = root * ive(2 * ell - 0.5, w)
-        odd[pos] = root * ive(2 * ell + 0.5, w)
-    if np.any(~pos) and ell == 0:
-        # sqrt(x) I_{-1/2}(w) -> sqrt(sqrt(2)(1-zeta) l / (pi xi))
-        even[~pos] = pref * np.exp(log_const) / l * np.sqrt(
-            math.sqrt(2.0) * (1.0 - zeta) * l / (math.pi * xi))
+    # ive(k, w) = exp(-|Re w|) I_k(w): the growth joins the Gaussian
+    root = (math.sqrt(one) / ((1.0 - zeta) * l) * u ** nu * x_arr ** (2 * ell)
+            * np.exp(log_const
+                     - (1.0 + zeta) / (1.0 - zeta) * x_arr ** 2 / (2.0 * l * l)
+                     + np.abs(w.real)))
+    even = root * _ive_over_power(nu, w)
+    odd = root * 0.5 * w * _ive_over_power(nu + 1.0, w)
     return even, odd
 
 
 def cs_wavefunction(spec: CsSpec, params: AlgebraParams, x):
-    """Coherent-state wavefunction at x >= 0 (scalar or grid).
-
-    x = 0 is included by continuous extension: zero for ell >= 1, the
-    small-argument Bessel limit for ell = 0.
-    """
+    """Coherent-state wavefunction at x >= 0 (scalar or grid); at x = 0 it
+    is zero for ell >= 1 and finite for ell = 0."""
     even, odd = wavefunction_parity_parts(spec, params, x)
     out = even + odd
     return out if np.ndim(x) else complex(out[0])
@@ -211,45 +185,27 @@ def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x,
 
 
 def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
-    """Probability density evaluated by its own closed form (not |psi|^2)."""
+    """Probability density evaluated by its own closed form (not |psi|^2):
+
+        rho = (q/l^2)^(2 ell + 1/2) x^(4 ell) |R_nu(w) + (w/2) R_{nu+1}(w)|^2
+              exp(2 |Re w| - L - q x^2/l^2 - shift),
+
+    q = (1-|zeta|^2)/|1-zeta|^2, R_k(w) = ive(k, w)/(w/2)^k and L the
+    regularized log normalization; |u|^(2 nu) = (q/l^2)^nu."""
     ell = _spec_ell(spec)
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _half_line(x)
+    nu = eps - 1.0
     one = 1.0 - abs(zeta) ** 2
     q = one / abs(1.0 - zeta) ** 2
-    if _negligible_xi(xi):
-        # limit of the Bessel ratio as both arguments vanish
-        gam = math.gamma(2 * ell + 0.5)
-        scale = math.sqrt(2.0) * abs(1.0 - zeta) * l
-        safe_x = np.where(x_arr > 0, x_arr, 1.0)
-        rho = (q * x_arr / (l * l) * (safe_x / scale) ** (4 * ell - 1)
-               * (2.0 * one) ** (2 * ell - 0.5) / gam
-               * np.exp(-q * x_arr ** 2 / (l * l)))
-        # x = 0 by continuity: zero for ell >= 1, x * x^{-1} -> scale for ell = 0
-        at0 = 0.0 if ell >= 1 else q * scale / (l * l) * (2.0 * one) ** (-0.5) / gam
-        rho = np.where(x_arr == 0.0, at0, rho)
-        return rho if np.ndim(x) else float(rho[0])
     y = abs(xi) ** 2 / one
-    pos = x_arr > 0
-    rho = np.zeros(len(x_arr), dtype=float)
-    log_denom = _log_i_sum(eps, y)
+    w = math.sqrt(2.0 * y) * x_arr * _direction(spec, params)
+    bsum = _ive_over_power(nu, w) + 0.5 * w * _ive_over_power(nu + 1.0, w)
     shift = (((1.0 - np.conj(zeta)) / (1.0 - zeta)) * xi * xi).real / one
-    if np.any(pos):
-        xp = x_arr[pos]
-        w = math.sqrt(2.0) * xi * xp / ((1.0 - zeta) * l)
-        bsum = ive(2 * ell - 0.5, w) + ive(2 * ell + 0.5, w)
-        rho[pos] = (q * xp / (l * l) * np.abs(bsum) ** 2
-                    * np.exp(2.0 * np.abs(w.real) - log_denom
-                             - q * xp ** 2 / (l * l) - shift))
-    if np.any(~pos):
-        if ell >= 1:
-            rho[~pos] = 0.0
-        else:
-            lim = (q / (l * l)
-                   * math.sqrt(2.0) * abs(1.0 - zeta) * l / (math.pi * abs(xi))
-                   * math.exp(-log_denom - shift))
-            rho[~pos] = lim
+    rho = ((q / (l * l)) ** (nu + 1.0) * x_arr ** (4 * ell) * np.abs(bsum) ** 2
+           * np.exp(2.0 * np.abs(w.real) - _log_i_sum(eps, y)
+                    - q * x_arr ** 2 / (l * l) - shift))
     return rho if np.ndim(x) else float(rho[0])
 
 

@@ -58,7 +58,6 @@ class StateParams:
     xi: complex
     theta_svs: float  # phase of the squeezed-vacuum family
     theta_cs: float   # phase of the coherent family
-    z_eigen: complex | None = None  # conserved eigenvalue z = xi * f, when known
     xi_winding: int = 0
 
 
@@ -153,7 +152,7 @@ class StateTrajectory:
         theta_cs = jre.real - dint
         theta_svs = (eps * jre.real - dint) if eps is not None else math.nan
         return StateParams(zeta=zeta, xi=xi, theta_svs=theta_svs,
-                           theta_cs=theta_cs, z_eigen=None, xi_winding=wind)
+                           theta_cs=theta_cs, xi_winding=wind)
 
 
 def _resolve_steps(t_final: float, dt: float | None) -> int:

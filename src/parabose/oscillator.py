@@ -99,7 +99,6 @@ def closed_form_parameters(cfg: OscillatorConfig, t: float) -> StateParams:
         xi=xi,
         theta_svs=-cfg.epsilon * w,
         theta_cs=-w,
-        z_eigen=complex(cfg.xi0),
         xi_winding=winding,
     )
 
@@ -143,10 +142,9 @@ class UncertaintySnapshot:
     minima_times: tuple[float, ...]
 
 
-def uncertainty_trajectory(cfg: OscillatorConfig, t: float,
-                           window: float | None = None) -> UncertaintySnapshot:
+def uncertainty_trajectory(cfg: OscillatorConfig, t: float) -> UncertaintySnapshot:
     """Uncertainty products at time t, plus every minimum instant inside
-    [0, window] (window defaults to t, or one period if t <= 0).
+    [0, t] (inside one period if t <= 0).
 
     heisenberg(t) = hbar sqrt(1 + 4 |z0|^2 sin^2(th_z - 2 w0 t)/(1-|z0|^2)^2)
                     (1 + 4 ell R) / 2, with constant R and constant
@@ -160,7 +158,7 @@ def uncertainty_trajectory(cfg: OscillatorConfig, t: float,
     )
     heis = cfg.hbar * osc * parity_weight / 2.0
     sr = (cfg.hbar * parity_weight / 2.0) ** 2
-    w = window if window is not None else (t if t > 0 else cfg.period)
+    w = t if t > 0 else cfg.period
     # t_k = (theta_zeta - k pi) / (2 omega0) inside [0, w]
     k_hi = math.floor(z_arg / math.pi)
     k_lo = math.ceil((z_arg - 2.0 * cfg.omega0 * w) / math.pi)

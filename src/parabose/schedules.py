@@ -14,7 +14,7 @@ CSV samples with header ``t,alpha_re,alpha_im,beta,delta``).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,6 @@ class CoefficientSchedule:
     beta: Callable[[float], float]
     delta: Callable[[float], float]
     family: str = "constant"
-    # closed interval on which the schedule is defined; None means all t
-    domain: tuple[float, float] | None = field(default=None, compare=False)
 
     def check_positive_definite(self, t: float) -> None:
         """Raise unless beta(t) > |alpha(t)| (oscillator-type Hamiltonian)."""
@@ -145,7 +143,6 @@ def tabulated_schedule(
         beta=_interp(beta),
         delta=_interp(delta),
         family="tabulated",
-        domain=(t0, t1),
     )
     sched.sample(times)
     return sched

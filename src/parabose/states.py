@@ -19,6 +19,10 @@ with prefactor
           exp( conj(zeta) xi^2 / (2 (1-|zeta|^2)) + i theta ),
     y = |xi|^2 / (1-|zeta|^2).
 
+The power (xi/sqrt 2)^(eps-1) cancels against (y/2)^(eps-1) divided out of
+the Bessel sum, whose quotient is entire (DLMF 10.25.2), so xi = 0 is an
+ordinary input: the odd amplitudes vanish and the even ones are the
+squeezed-vacuum series, with arg xi -> 0 taken from the positive real axis.
 The combination (-zeta)^n L_n^alpha(xi^2/(2 zeta)) is evaluated through a
 rescaled three-term recurrence that is exact for every |zeta| < 1 and reduces
 termwise to the zeta -> 0 limit (xi^2/2)^n / n!, so no argument ever diverges.
@@ -128,11 +132,6 @@ def _arg_from_above(x: complex) -> float:
     return math.atan2(x.imag, x.real)
 
 
-def _negligible_xi(xi: complex) -> bool:
-    """True when |xi|^2 underflows: the displacement acts as exactly zero."""
-    return xi == 0.0 or abs(xi) ** 2 == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Bessel helpers on the real axis (normalization and parity mean), built on
 # the exponentially scaled ive(kappa, y) = exp(-y) I_kappa(y).  Only where
@@ -155,17 +154,20 @@ def _i_small_pair(epsilon: float, y: float) -> tuple[float, float]:
 
 
 def _log_i_sum(epsilon: float, y: float) -> float:
-    """ln( I_{eps-1}(y) + I_eps(y) ) for real y > 0, under/overflow-safe."""
+    """ln[ (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) ] for real y >= 0.
+
+    The divided-out power makes it regular (DLMF 10.25.2): at y = 0 it is
+    -ln Gamma(eps), so zero displacement needs no limit of its own.
+    """
     lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)  # hi < lo for eps >= 1/2
     if hi < _TINY:
         s_lo, t = _i_small_pair(epsilon, y)
-        return ((epsilon - 1.0) * math.log(0.5 * y) - math.lgamma(epsilon)
-                + math.log(s_lo) + math.log1p(t))
-    return y + math.log(lo + hi)
+        return -math.lgamma(epsilon) + math.log(s_lo) + math.log1p(t)
+    return y + math.log(lo + hi) - (epsilon - 1.0) * math.log(0.5 * y)
 
 
 def _i_parity_ratio(epsilon: float, y: float) -> float:
-    """( I_{eps-1}(y) - I_eps(y) ) / ( I_{eps-1}(y) + I_eps(y) ), y > 0."""
+    """( I_{eps-1}(y) - I_eps(y) ) / ( I_{eps-1}(y) + I_eps(y) ), y >= 0."""
     lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)
     if hi < _TINY:
         _, t = _i_small_pair(epsilon, y)
@@ -398,15 +400,17 @@ def svs_overlap(spec1: SvsSpec, spec2: SvsSpec,
 # Coherent family.
 
 def _cs_prefactor(spec: CsSpec) -> complex:
-    """Common amplitude prefactor, assembled in log space (overflow-safe)."""
+    """Common amplitude prefactor, assembled in log space (overflow-safe).
+
+    Its power (xi/sqrt 2)^(eps-1) cancels against the one divided out of
+    ``_log_i_sum``, which leaves the modulus
+    (1-|zeta|^2)^(eps/2) exp(-L/2 + Re w), regular at xi = 0.
+    """
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
     w = np.conj(zeta) * xi * xi / (2.0 * one)
-    log_mag = ((eps - 1.0) * math.log(abs(xi) / math.sqrt(2.0))
-               + 0.5 * math.log(one)
-               - 0.5 * _log_i_sum(eps, y)
-               + w.real)
+    log_mag = 0.5 * eps * math.log(one) - 0.5 * _log_i_sum(eps, y) + w.real
     arg = (eps - 1.0) * _arg_from_above(xi) + w.imag + spec.theta
     return math.exp(log_mag) * complex(math.cos(arg), math.sin(arg))
 
@@ -415,14 +419,10 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     """Amplitude vector of the generalized coherent state.
 
     At xi = 0 the odd sector vanishes identically and the even amplitudes
-    reduce (with the coherent-family phase) to the squeezed-vacuum series;
-    the xi -> 0 limit is taken along the positive real axis.
+    are the squeezed-vacuum series (with the coherent-family phase); the
+    xi -> 0 limit is taken along the positive real axis.
     """
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    if _negligible_xi(xi):
-        svs = svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps, theta=spec.theta),
-                             truncation)
-        return svs
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps),
                                       truncation)
     even, odd = _cs_columns(n_pairs, zeta, xi, eps)
@@ -438,50 +438,29 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     _check_state_inputs(zeta, epsilon)
     if n < 0 or n != int(n):
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
     zeta, xi = complex(zeta), complex(xi)
-    if _negligible_xi(xi):
-        if n % 2 == 1:
-            return 0.0
-        return svs_transition(zeta, epsilon, n // 2)
-    m, parity = divmod(n, 2)
+    m, parity = divmod(int(n), 2)
+    alpha = epsilon - 1.0 + parity
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
-    log_k = ((epsilon - 1.0) * math.log(0.5 * abs(xi) ** 2)
-             + math.log(one)
+    col = _scaled_laguerre_column(m + 1, alpha, zeta, 0.5 * xi * xi)
+    log_p = (epsilon * math.log(one)
              + (np.conj(zeta) * xi * xi).real / one
-             - _log_i_sum(epsilon, y))
-    x = 0.5 * xi * xi
-    if parity == 0:
-        col = _scaled_laguerre_column(m + 1, epsilon - 1.0, zeta, x)
-        log_term = math.lgamma(m + 1.0) - math.lgamma(m + epsilon)
-        return min(float(abs(col[m]) ** 2 * math.exp(log_k + log_term)), 1.0)
-    col = _scaled_laguerre_column(m + 1, epsilon, zeta, x)
-    log_term = (math.lgamma(m + 1.0) - math.lgamma(m + epsilon + 1.0)
-                + math.log(0.5 * abs(xi) ** 2))
-    return min(float(abs(col[m]) ** 2 * math.exp(log_k + log_term)), 1.0)
+             - _log_i_sum(epsilon, y)
+             + math.lgamma(m + 1.0) - math.lgamma(m + alpha + 1.0))
+    # (|xi|^2/2)^parity rather than its log: xi = 0 closes the odd lines
+    odd_factor = (0.5 * abs(xi) ** 2) ** parity
+    return min(float(abs(col[m]) ** 2 * odd_factor * math.exp(log_p)), 1.0)
 
 
 def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
     """<spec1|spec2> via the bilinear Laguerre series, truncated at the
-    squeeze tail bound.  Zero-displacement cases are taken as limits."""
+    squeeze tail bound."""
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("cs_overlap requires equal epsilon")
     eps = float(spec1.epsilon)
     z1, x1 = complex(spec1.zeta), complex(spec1.xi)
     z2, x2 = complex(spec2.zeta), complex(spec2.xi)
-    if _negligible_xi(x1) and _negligible_xi(x2):
-        base = ((1.0 - abs(z1) ** 2) ** (eps / 2.0)
-                * (1.0 - abs(z2) ** 2) ** (eps / 2.0)
-                * (1.0 - np.conj(z1) * z2) ** (-eps))
-        return complex(base * np.exp(1j * (spec2.theta - spec1.theta)))
-    if _negligible_xi(x1) or _negligible_xi(x2):
-        # mixed limit: fall back to the amplitude series
-        n = max(2 * _cs_pairs(z1, x1, eps),
-                2 * _cs_pairs(z2, x2, eps))
-        v1 = cs_amplitudes(spec1, truncation=n)
-        v2 = cs_amplitudes(spec2, truncation=n)
-        return v1.overlap(v2)
     n_pairs = max(_cs_pairs(z1, x1, eps),
                   _cs_pairs(z2, x2, eps))
     e1, o1 = _cs_columns(n_pairs, z1, x1, eps)
@@ -497,7 +476,5 @@ def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:
 
     y = |xi|^2/(1-|zeta|^2); exactly 1 at xi = 0 (pure even state)."""
     _check_state_inputs(zeta, epsilon)
-    if _negligible_xi(complex(xi)):
-        return 1.0
     y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
     return float(_i_parity_ratio(float(epsilon), y))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from parabose.completeness import WeightSpec, diagonal_identity_residual, \
+from parabose.completeness import diagonal_identity_residual, \
     identity_block_residual, weight
 from parabose.errors import DomainError, QuadratureError
 
@@ -37,13 +37,6 @@ class TestWeight:
         assert masses[0] < masses[1] < masses[2]
         assert masses[2] > 50.0
 
-    def test_weight_spec_validation(self):
-        WeightSpec(epsilon=2.0, r_max=0.99, node_count=128)
-        with pytest.raises(DomainError):
-            WeightSpec(epsilon=1.0)
-        with pytest.raises(DomainError):
-            WeightSpec(epsilon=2.0, r_max=1.0)
-
 
 class TestDiagonalIdentity:
     def test_beta_identity_oracle(self):
@@ -63,18 +56,14 @@ class TestDiagonalIdentity:
 
     def test_near_unit_level_with_weighted_rule(self):
         # the Jacobi rule is built for the endpoint exponent and still nails
-        # eps = 1.05 at 64 nodes (raw sampling cannot; see below)
+        # eps = 1.05 at 64 nodes
         assert diagonal_identity_residual(1.05, 0, node_count=64) <= 1e-8
 
-    def test_raw_rule_fails_near_unit_level(self):
-        # the documented error path: raw Gauss-Legendre sampling of the
-        # (1-u)^(eps-2) endpoint never converges within the node budget
-        with pytest.raises(QuadratureError):
-            diagonal_identity_residual(1.05, 0, node_count=64, rule="legendre")
-
-    def test_raw_rule_acceptable_when_endpoint_is_mild(self):
-        # integer-exponent endpoint (eps = 3) keeps raw sampling exact
-        assert diagonal_identity_residual(3.0, 2, rule="legendre") <= 1e-10
+    def test_unconverged_rule_fails_loudly(self):
+        # 8 nodes integrate u^n exactly only to degree 15 and 4 nodes to 7:
+        # the full and half rules disagree, which raises
+        with pytest.raises(QuadratureError, match="not converged"):
+            diagonal_identity_residual(2.5, 12, node_count=8)
 
     def test_domain_gate(self):
         with pytest.raises(DomainError):

@@ -96,6 +96,16 @@ class TestCsWavefunction:
             assert np.max(np.abs(got - coordrep.vacuum_wavefunction(ell, 1.0, x))) \
                 <= 1e-12
 
+    def test_tiny_argument_equals_origin_value(self):
+        # complex ive(-1/2, w) is NaN below |w| ~ 2e-305; the regularized
+        # Bessel factor takes its leading series term there
+        spec = CsSpec(zeta=0.3, xi=1e-5, epsilon=0.5)
+        params = AlgebraParams.from_ell(0)
+        at0 = coordrep.cs_wavefunction(spec, params, 0.0)
+        tiny = coordrep.cs_wavefunction(spec, params, 1e-300)
+        assert np.isfinite(tiny)
+        assert abs(tiny - at0) <= 1e-12 * abs(at0)
+
     def test_gaussian_reduction_with_anchored_phase(self):
         # the two closed forms share a branch when theta tracks arg(xi)
         params = AlgebraParams.from_ell(0)
@@ -222,6 +232,17 @@ class TestDensity:
             assert coordrep.density_closed_form(FIG_SPEC, params, x_peak + dx) \
                 < rho_peak
 
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_continuous_through_zero_displacement(self, ell):
+        # displacements on both sides of 1e-20 and zero share one formula
+        params = AlgebraParams.from_ell(ell)
+        x = np.linspace(0.0, 6.0, 121)
+        rho = [coordrep.density_closed_form(
+            CsSpec(zeta=0.45 + 0.1j, xi=xi, epsilon=2 * ell + 0.5), params, x)
+            for xi in (1e-19, 1e-21, 0.0)]
+        for other in rho[:2]:
+            assert np.max(np.abs(other - rho[2])) <= 1e-12 * np.max(rho[2])
+
     def test_vacuum_config_density(self):
         # ell = 0, no squeeze, no displacement: half-Gaussian peaked at 0+
         spec = CsSpec(zeta=0.0, xi=0.0, epsilon=0.5)
@@ -230,6 +251,11 @@ class TestDensity:
         rho = coordrep.density_closed_form(spec, params, x)
         assert np.argmax(rho) == 0
         assert rho[0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-10)
+
+    def test_negative_coordinate_rejected(self):
+        for evaluate in (coordrep.cs_wavefunction, coordrep.density_closed_form):
+            with pytest.raises(DomainError):
+                evaluate(FIG_SPEC, FIG_PARAMS, -1.0)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(DomainError):

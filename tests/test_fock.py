@@ -170,6 +170,15 @@ class TestEvolution:
                          sinusoidal_schedule(alpha_amp=0.3, beta0=1.0),
                          6.0, 1.5, params)
 
+    def test_halved_step_disagreement_raises(self):
+        # free evolution of |4> at dt = 0.01: the norm drift stays inside its
+        # guard while the halved-step rerun differs by ~7e-8
+        amps = np.zeros(32, dtype=complex)
+        amps[4] = 1.0
+        with pytest.raises(IntegrationError, match="halved-step"):
+            evolve_final(FockVector(amps), constant_schedule(0, 1, 0), 0.5, 0.01,
+                         AlgebraParams(epsilon=0.5))
+
     def test_banded_derivative_matches_hamiltonian(self):
         params = AlgebraParams.from_ell(1)
         sched = sinusoidal_schedule(alpha_amp=0.2 + 0.1j, beta0=1.1, delta0=0.3)

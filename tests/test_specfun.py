@@ -137,7 +137,8 @@ class TestBesselI:
         assert bessel_i(0.3, 0.0) == 0.0
         assert bessel_i(0.0, 0.0) == 1.0
         assert not math.isfinite(ive(-0.5, 0.0))
-        # so x = 0 takes the analytic limit, continuous with x -> 0+
+        # x = 0 is an ordinary input of the regularized form, continuous
+        # with x -> 0+
         for ell in (0, 1):
             spec = CsSpec(zeta=0.3 + 0.2j, xi=0.7 - 0.4j, epsilon=2 * ell + 0.5)
             params = AlgebraParams.from_ell(ell)
@@ -194,15 +195,23 @@ class TestBesselI:
         assert np.all(np.isfinite(wg.psi_values))
         assert abs(wg.parity_norm - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.5, 6.5])
+    def test_regularized_normalization_at_zero(self, eps):
+        # (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) -> 1/Gamma(eps)
+        assert _log_i_sum(eps, 0.0) == -math.lgamma(eps)
+        assert _i_parity_ratio(eps, 0.0) == 1.0
+
     @pytest.mark.parametrize("eps", [0.5, 2.5, 6.5])
     def test_real_axis_normalization_against_mpmath(self, eps):
         # ln(I_{eps-1} + I_eps) and the parity ratio, across the small-y
-        # series (where ive underflows) and the old asymptotic seam at 600
+        # series (where ive underflows) and the old asymptotic seam at 600;
+        # _log_i_sum has (y/2)^(eps-1) divided out, here restored
         for y in (1e-300, 1e-8, 1.0, 50.0, 600.0, 601.0, 1e4):
             lo = mpmath.besseli(eps - 1, y)
             hi = mpmath.besseli(eps, y)
             exact = float(mpmath.log(lo + hi))
-            assert abs(_log_i_sum(eps, y) - exact) <= 1e-14 * max(1.0, abs(exact))
+            got = _log_i_sum(eps, y) + (eps - 1.0) * math.log(0.5 * y)
+            assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact))
             ratio = float((lo - hi) / (lo + hi))
             assert abs(_i_parity_ratio(eps, y) - ratio) \
                 <= 1e-15 + 1e-12 * abs(ratio)
