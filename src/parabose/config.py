@@ -8,7 +8,7 @@ Sections:
   algebra.*   level (epsilon or ell), length scale, hbar
   schedule.*  family plus constant/sinusoidal parameters or a CSV table path
   state.*     squeeze and displacement, rectangular or polar
-  run.*       horizon, step, truncation override, sample count
+  run.*       horizon, output spacing, truncation override, sample count
   output.*    directory and emitted precision
   figure.*    sweep lists and grid sizes for the figure-data commands
 """

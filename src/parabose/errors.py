@@ -20,8 +20,8 @@ class TruncationError(ParaBoseError, RuntimeError):
 class IntegrationError(ParaBoseError, RuntimeError):
     """Time integration failed a hard guarantee.
 
-    Raised on norm drift, conserved-quantity drift, step-halving disagreement,
-    squeeze blow-up (|zeta| -> 1) or a |f| = |g| crossing.
+    Raised on solver failure, certification disagreement, norm or
+    conserved-quantity drift, squeeze blow-up (|zeta| -> 1) or |f| = |g|.
     """
 
 

@@ -10,9 +10,10 @@ nu = 2 eps - 1.  On an N-dimensional truncation the algebra necessarily
 fails on the last rows; invariant checks exclude the truncation boundary.
 
 ``evolve_trajectory`` integrates i d/dt psi = (1/hbar) H(t) psi with
-``integrate_verified``: fixed-step classical Runge-Kutta certified by a
-halved-step rerun, the routine the parameter ODEs in ``dynamics`` share.  It
-is the independent oracle against which every closed-form state is checked.
+``integrate_verified``: scipy's adaptive Dormand-Prince 8(5,3) (DOP853)
+certified by a rerun at a 100x tighter tolerance, the routine the parameter
+ODEs in ``dynamics`` share.  It is the independent oracle against which every
+closed-form state is checked.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ __all__ = [
 NORM_TOL = 1e-8
 TAIL_WIDTH = 8
 TAIL_TOL = 1e-12
-STEP_HALVING_TOL = 1e-8
+STEP_HALVING_TOL = 1e-8  # bound on the certifying rerun's disagreement
+SOLVER_RTOL = 1e-11
+SOLVER_ATOL = 1e-13     # error floor for components far below 1, e.g. Fock tails
 
 
 @dataclass(frozen=True)
@@ -162,54 +165,51 @@ def build_hamiltonian(
     return h
 
 
-def integrate_verified(deriv, y0, schedule: CoefficientSchedule, t_final: float,
-                       n_steps: int, guard, stride: int = 1) -> np.ndarray:
-    """Fixed-step RK4 over the tuple ``y0``, certified by a halved-step rerun.
+def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
+                       times: np.ndarray, guard) -> np.ndarray:
+    """Integrate y' = deriv(alpha, beta, delta, y), y0 a complex 1-d array,
+    with DOP853 and a certifying rerun at 100x tighter tolerances.
 
-    The entries of ``y0`` are complex scalars (the parameter ODEs, where a
-    numpy round-trip per stage would dominate the cost) or one ndarray (the
-    Fock state).  ``deriv(alpha, beta, delta, y)`` returns the derivative
-    tuple; the schedule is sampled, and checked positive definite, once on
-    the quarter-step grid that holds every stage of both runs.
-    ``guard(t, y)`` runs after every step of both runs.  Raises
-    ``IntegrationError`` when the two final states differ by more than
-    ``STEP_HALVING_TOL``; otherwise returns the n-step states at every
-    ``stride``-th step, shape ``(n_steps // stride + 1,) + np.shape(y0)``.
+    Every time the solver evaluates passes ``check_positive_definite``; the
+    solver restarts at each schedule knot.  ``guard(times, states)`` runs on
+    both runs' states on the increasing grid ``times``.  Raises
+    ``IntegrationError`` when a run fails or the two differ by more than
+    ``STEP_HALVING_TOL``; returns the tighter run, shape (len(times), len(y0)).
     """
-    nodes = np.linspace(0.0, t_final, 4 * n_steps + 1)
-    alpha, beta, delta = schedule.sample(nodes)
-    out = np.empty((n_steps // stride + 1,) + np.shape(y0), dtype=complex)
-    out[0] = y0
-    finals = []
-    for n, q in ((n_steps, 4), (2 * n_steps, 2)):
-        h = t_final / n
-        half, sixth = 0.5 * h, h / 6.0
-        y = y0
-        # .item() hands the stages Python scalars: numpy scalar arithmetic
-        # would cost ten times more in the parameter ODEs
-        end = (alpha.item(0), beta.item(0), delta.item(0))
-        for i in range(n):
-            m, e = q * i + q // 2, q * i + q
-            start = end
-            mid = (alpha.item(m), beta.item(m), delta.item(m))
-            end = (alpha.item(e), beta.item(e), delta.item(e))
-            k1 = deriv(*start, y)
-            k2 = deriv(*mid, tuple(v + half * d for v, d in zip(y, k1)))
-            k3 = deriv(*mid, tuple(v + half * d for v, d in zip(y, k2)))
-            k4 = deriv(*end, tuple(v + h * d for v, d in zip(y, k3)))
-            y = tuple(v + sixth * (a + 2.0 * b + 2.0 * c + d)
-                      for v, a, b, c, d in zip(y, k1, k2, k3, k4))
-            guard(nodes.item(e), y)
-            if q == 4 and (i + 1) % stride == 0:
-                out[(i + 1) // stride] = y
-        finals.append(y)
-    disagreement = float(np.max(np.abs(np.subtract(*finals))))
+    # imported here so that importing the package does not load scipy.integrate
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        alpha, beta, delta = schedule.coefficients(t)
+        if not beta > abs(alpha):
+            schedule.check_positive_definite(t)
+        return deriv(alpha, beta, delta, y)
+
+    # smooth pieces between knots; an output time on a knot starts a piece
+    cuts = [k for k in schedule.knots if times[0] < k < times[-1]]
+    edges = [times[0], *cuts, times[-1]]
+    pieces = np.split(times, np.searchsorted(times, cuts))
+    runs = []
+    for tighten in (1, 100):
+        rtol = SOLVER_RTOL / tighten
+        y, states = np.asarray(y0, dtype=complex), []
+        for start, end, piece in zip(edges[:-1], edges[1:], pieces):
+            # the piece's end time carries the state into the next piece
+            t_eval = piece if piece.size and piece[-1] == end else np.append(piece, end)
+            sol = solve_ivp(rhs, (start, end), y, method="DOP853", t_eval=t_eval,
+                            rtol=rtol, atol=SOLVER_ATOL / tighten)
+            if not sol.success:
+                raise IntegrationError(f"DOP853 at rtol {rtol:g} failed: {sol.message}")
+            y = sol.y[:, -1]
+            states.append(sol.y[:, :piece.size])
+        states = np.concatenate(states, axis=1).T.copy()
+        guard(times, states)
+        runs.append(states)
+    disagreement = float(np.max(np.abs(runs[0] - runs[1])))
     if disagreement > STEP_HALVING_TOL:
-        raise IntegrationError(
-            f"halved-step rerun disagrees by {disagreement:.3e} "
-            f"(> {STEP_HALVING_TOL}); dt too large"
-        )
-    return out
+        raise IntegrationError(f"rerun at rtol {SOLVER_RTOL / 100:g} disagrees by "
+                               f"{disagreement:.3e} (> {STEP_HALVING_TOL})")
+    return runs[1]
 
 
 def _schrodinger_deriv(params: AlgebraParams, truncation: int):
@@ -219,12 +219,11 @@ def _schrodinger_deriv(params: AlgebraParams, truncation: int):
     band = -0.5j * s[:-1] * s[1:]                   # -i <n|a^2|n+2> / 2
     diag = -0.5j * (np.append(s * s, 0.0) + np.append(0.0, s * s))
 
-    def deriv(alpha, beta, delta, y):
-        psi = y[0]
+    def deriv(alpha, beta, delta, psi):
         out = (beta * diag - 1j * delta) * psi
         out[:-2] += alpha.conjugate() * (band * psi[2:])
         out[2:] += alpha * (band * psi[:-2])
-        return (out,)
+        return out
 
     return deriv
 
@@ -260,31 +259,27 @@ def evolve_trajectory(
     """Integrate the Schrodinger equation from t=0 to t_final and record
     ``n_samples + 1`` equally spaced states (incl. both endpoints).
 
-    Fixed-step RK4 whose halved-step rerun must agree to ``STEP_HALVING_TOL``
-    in max amplitude difference.  Returns (times, states) with states of
-    shape (n_samples+1, truncation).
+    Runs ``integrate_verified``, which chooses its own steps: ``dt`` is only
+    checked to be positive.  Returns (times, states) with states of shape
+    (n_samples+1, truncation).
     """
+    if t_final <= 0:
+        raise ConfigError("t_final must be positive")
     if dt <= 0:
         raise ConfigError("dt must be positive")
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     _check_initial(psi0)
-    # round the step count up to a multiple of n_samples so samples sit on steps
-    n_steps = max(1, int(math.ceil(abs(t_final) / dt)))
-    n_steps = int(math.ceil(n_steps / n_samples)) * n_samples
-    stride = n_steps // n_samples
+    times = np.linspace(0.0, t_final, n_samples + 1)
     deriv = _schrodinger_deriv(params, psi0.truncation)
 
-    def guard(t, y):
-        drift = abs(float(np.vdot(y[0], y[0]).real) - 1.0)
-        if drift > NORM_TOL:
+    def guard(times, states):
+        drift = np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)
+        j = int(np.argmax(drift))
+        if drift[j] > NORM_TOL:
             raise IntegrationError(
-                f"norm drift {drift:.3e} exceeds {NORM_TOL} at t={t}; "
-                "reduce dt or enlarge the truncation"
-            )
+                f"norm drift {drift[j]:.3e} exceeds {NORM_TOL} at t={times[j]}")
 
-    states = integrate_verified(deriv, (psi0.amplitudes,), schedule, t_final,
-                                n_steps, guard, stride)[:, 0]
+    states = integrate_verified(deriv, psi0.amplitudes, schedule, times, guard)
     _check_final(states[-1])
-    times = np.arange(0, n_steps + 1, stride) * (t_final / n_steps)
     return times, states

@@ -2,8 +2,8 @@
 
 A schedule supplies the three Hamiltonian coefficients as functions of time:
 alpha(t) complex, beta(t) and delta(t) real.  Positive definiteness of the
-Hamiltonian requires beta(t) > |alpha(t)|; the solvers check this on every
-node of their time grid and treat a violation as a hard error.  Every
+Hamiltonian requires beta(t) > |alpha(t)|; the solvers check this at every
+time they evaluate and treat a violation as a hard error.  Every
 coefficient callable accepts a scalar time or an array of times.
 
 Three families are supported: constant, sinusoidal (mean plus a sine
@@ -32,10 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientSchedule:
+    """Coefficient callables; ``knots`` are the times where their slopes jump
+    (a tabulated schedule's samples), at which the integrator restarts."""
+
     alpha: Callable[[float], complex]
     beta: Callable[[float], float]
     delta: Callable[[float], float]
     family: str = "constant"
+    knots: tuple[float, ...] = ()
 
     def check_positive_definite(self, t: float) -> None:
         """Raise unless beta(t) > |alpha(t)| (oscillator-type Hamiltonian)."""
@@ -132,10 +136,8 @@ def tabulated_schedule(
                     f"tabulated schedule queried at t={float(ta[outside][0])} "
                     f"outside [{t0}, {t1}]"
                 )
-            tc = np.clip(t, t0, t1)
-            re = np.interp(tc, times, values.real)
-            im = np.interp(tc, times, values.imag)
-            return re + 1j * im if np.iscomplexobj(values) else re
+            # np.interp holds the end values within the 1e-12 slack
+            return np.interp(ta, times, values)
         return f
 
     sched = CoefficientSchedule(
@@ -143,6 +145,7 @@ def tabulated_schedule(
         beta=_interp(beta),
         delta=_interp(delta),
         family="tabulated",
+        knots=tuple(times.tolist()),
     )
     sched.sample(times)
     return sched

@@ -134,11 +134,13 @@ def _arg_from_above(x: complex) -> float:
 
 # ---------------------------------------------------------------------------
 # Bessel helpers on the real axis (normalization and parity mean), built on
-# the exponentially scaled ive(kappa, y) = exp(-y) I_kappa(y).  Only where
-# that underflows (tiny y, high order) does the leading small-y series take
-# over, in log space.
+# the exponentially scaled ive(kappa, y) = exp(-y) I_kappa(y).  Below _SMALL_Y
+# (where its O(y^6 / eps^3) remainder is below round-off, and ive would lose
+# ~1e-13 to cancellation against (eps - 1) ln(y/2)) or where ive underflows,
+# the leading small-y series takes over in log space.
 
 _TINY = np.finfo(float).tiny
+_SMALL_Y = 1e-3
 
 
 def _i_small_pair(epsilon: float, y: float) -> tuple[float, float]:
@@ -160,7 +162,7 @@ def _log_i_sum(epsilon: float, y: float) -> float:
     -ln Gamma(eps), so zero displacement needs no limit of its own.
     """
     lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)  # hi < lo for eps >= 1/2
-    if hi < _TINY:
+    if y < _SMALL_Y or hi < _TINY:
         s_lo, t = _i_small_pair(epsilon, y)
         return -math.lgamma(epsilon) + math.log(s_lo) + math.log1p(t)
     return y + math.log(lo + hi) - (epsilon - 1.0) * math.log(0.5 * y)
@@ -169,7 +171,7 @@ def _log_i_sum(epsilon: float, y: float) -> float:
 def _i_parity_ratio(epsilon: float, y: float) -> float:
     """( I_{eps-1}(y) - I_eps(y) ) / ( I_{eps-1}(y) + I_eps(y) ), y >= 0."""
     lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)
-    if hi < _TINY:
+    if y < _SMALL_Y or hi < _TINY:
         _, t = _i_small_pair(epsilon, y)
         return (1.0 - t) / (1.0 + t)
     return float((lo - hi) / (lo + hi))

@@ -49,7 +49,7 @@ class TestDiagonalIdentity:
         rhs = 2.0 * trapezoid((1 - t**2) ** (eps - 2.0) * t ** (2 * n + 1), t)
         assert lhs == pytest.approx(rhs, rel=1e-4)  # raw rule converges slowly
 
-    @pytest.mark.parametrize("eps", [1.5, 2.5, 5.5])
+    @pytest.mark.parametrize("eps", [1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 1.5, 2.5, 5.5])
     def test_residuals_within_tolerance(self, eps):
         for n in range(16):
             assert diagonal_identity_residual(eps, n) <= 1e-8

@@ -1,13 +1,16 @@
 """Integrals of motion: coefficient ODEs, conserved quantities, operator assembly."""
 
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
 
 from parabose.dynamics import assemble_A, solve_fg, solve_zeta_xi
-from parabose.errors import DomainError, IntegrationError
-from parabose.fock import AlgebraParams, build_ladder, evolve_trajectory
+from parabose.errors import ConfigError, DomainError, IntegrationError
+from parabose.fock import AlgebraParams, build_ladder, evolve_trajectory, \
+    vacuum_state
 from parabose.oscillator import OscillatorConfig, cs_state
 from parabose.schedules import constant_schedule, sinusoidal_schedule, \
     tabulated_schedule
@@ -41,10 +44,11 @@ class TestSolveFG:
             solve_fg(constant_schedule(), 0.5, 0.5, 0.0, t_final=1.0)
 
     def test_step_halving_guard(self):
-        # 64 steps per period leave a ~4e-6 gap to the halved-step rerun
-        with pytest.raises(IntegrationError, match="halved-step"):
-            solve_fg(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
-                     1.0, 0.3, 0.0, t_final=T, dt=T / 64)
+        # parametric resonance (omega = 2 beta) grows |f| and |g| to ~1e6 in
+        # ten periods, so the runs' relative errors differ by ~7e-6 in absolute
+        with pytest.raises(IntegrationError, match="disagrees by"):
+            solve_fg(sinusoidal_schedule(alpha_amp=0.45, beta0=1.0, omega=2.0),
+                     1.0, 0.3, 0.0, t_final=10 * T, dt=T / 64)
 
 
 class TestSolveZetaXi:
@@ -81,14 +85,18 @@ class TestSolveZetaXi:
         assert np.max(rel) < 1e-7
 
     def test_step_halving_guard(self):
-        with pytest.raises(IntegrationError, match="halved-step"):
-            solve_zeta_xi(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
-                          0.3, 0.5, t_final=T, dt=T / 64)
+        # under the resonant drive |zeta| stays below the blow-up guard for
+        # four periods; a displacement of 1e5 turns the runs' relative
+        # difference into an absolute one above the certification bound
+        with pytest.raises(IntegrationError, match="disagrees by"):
+            solve_zeta_xi(sinusoidal_schedule(alpha_amp=0.45, beta0=1.0,
+                                              omega=2.0),
+                          0.3, 1e5, t_final=4 * T, dt=T / 64)
 
     def test_squeeze_blowup_guard(self):
         # resonant drive at twice the trap frequency squeezes without bound
-        sched = sinusoidal_schedule(alpha0=0.45, beta0=1.0, omega=2.0)
-        with pytest.raises(IntegrationError):
+        sched = sinusoidal_schedule(alpha_amp=0.45, beta0=1.0, omega=2.0)
+        with pytest.raises(IntegrationError, match="squeeze blow-up"):
             solve_zeta_xi(sched, 0.97, 0.0, t_final=40 * T, dt=T / 256)
 
 
@@ -201,6 +209,18 @@ def test_tabulated_schedule_tracks_its_smooth_source():
     assert np.max(np.abs(a.zeta - b.zeta)) < 1e-6
 
 
+def test_negative_horizon_rejected():
+    # the output grids must increase: trajectory lookups bisect them
+    sched = constant_schedule(0.0, 1.0, 0.0)
+    with pytest.raises(ConfigError, match="positive"):
+        solve_zeta_xi(sched, 0.3, 0.5, t_final=-1.0)
+    with pytest.raises(ConfigError, match="positive"):
+        solve_fg(sched, 1.0, 0.3, 0.0, t_final=-1.0)
+    with pytest.raises(ConfigError, match="positive"):
+        evolve_trajectory(vacuum_state(16), sched, -1.0, 0.01,
+                          AlgebraParams(epsilon=0.5))
+
+
 def test_run_past_tabulated_domain_fails():
     ts = np.linspace(0.0, 1.0, 5)
     tab = tabulated_schedule(ts, np.zeros(5), np.ones(5), np.zeros(5))
@@ -226,3 +246,16 @@ def test_mu_conservation_random_schedules(rng):
                       0.0, t_final=T)
         worst = max(worst, mi.mu_drift)
     assert worst <= 1e-9
+
+
+def test_drive_frequency_sweep_reports_saturation():
+    # the script's resonant run squeezes into the |zeta| -> 1 guard and is
+    # reported as saturated; the detuned runs finish with mu conserved
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "drive_frequency_sweep.py"
+    sweep = runpy.run_path(str(script), run_name="drive_frequency_sweep")["sweep"]
+    rows = list(sweep(amplitude=0.45, periods=6, points=3))
+    assert [status for *_, status in rows] == ["ok", "saturated", "ok"]
+    for w, max_zeta, drift, status in rows:
+        if status == "ok":
+            assert 0.0 < max_zeta < 1.0 and drift <= 1e-9

@@ -1,16 +1,23 @@
 """Truncated basis: algebra relations, Hamiltonian assembly, evolution oracle."""
 
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from parabose import fock, states
+from parabose.dynamics import solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError, \
     TruncationError
 from parabose.fock import AlgebraParams, FockVector, build_hamiltonian, \
-    build_ladder, evolve_trajectory, vacuum_state, _schrodinger_deriv
+    build_ladder, evolve_trajectory, integrate_verified, vacuum_state, \
+    _schrodinger_deriv
 from parabose.oscillator import OscillatorConfig, cs_state
-from parabose.schedules import constant_schedule, sinusoidal_schedule
+from parabose.schedules import CoefficientSchedule, constant_schedule, \
+    sinusoidal_schedule
 
 N = 96
 
@@ -160,24 +167,65 @@ class TestEvolution:
         with pytest.raises(DomainError):
             evolve_final(unnorm, constant_schedule(), 1.0, 0.01, params)
 
-    def test_step_halving_guard(self):
-        # a grossly large step must be rejected (its norm drift trips first)
+    def test_step_halving_guard(self, monkeypatch):
+        # a grossly loose solver tolerance must be rejected: its norm drift
+        # (~1e-4) trips first
+        monkeypatch.setattr(fock, "SOLVER_RTOL", 1e-4)
+        monkeypatch.setattr(fock, "SOLVER_ATOL", 1e-4)
         params = AlgebraParams.from_ell(0)
         amps = np.zeros(32, dtype=complex)
         amps[[0, 4]] = [0.8, 0.6]
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError, match="norm drift"):
             evolve_final(FockVector(amps),
                          sinusoidal_schedule(alpha_amp=0.3, beta0=1.0),
                          6.0, 1.5, params)
 
-    def test_halved_step_disagreement_raises(self):
-        # free evolution of |4> at dt = 0.01: the norm drift stays inside its
-        # guard while the halved-step rerun differs by ~7e-8
+    def test_halved_step_disagreement_raises(self, monkeypatch):
+        # the two runs always differ in their last digits, so a zero bound
+        # reaches the certification error through the oracle
+        monkeypatch.setattr(fock, "STEP_HALVING_TOL", 0.0)
         amps = np.zeros(32, dtype=complex)
         amps[4] = 1.0
-        with pytest.raises(IntegrationError, match="halved-step"):
+        with pytest.raises(IntegrationError, match="disagrees by"):
             evolve_final(FockVector(amps), constant_schedule(0, 1, 0), 0.5, 0.01,
                          AlgebraParams(epsilon=0.5))
+
+    def test_positivity_gated_between_output_samples(self):
+        # |alpha| exceeds beta only around t = 0.5, strictly between the two
+        # output samples t = 0 and t = 1, where the schedule is positive
+        dip = CoefficientSchedule(
+            alpha=lambda t: 1.5 * np.exp(-((np.asarray(t) - 0.5) / 0.1) ** 2),
+            beta=lambda t: 1.0, delta=lambda t: 0.0)
+        dip.sample(np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match="violates beta"):
+            evolve_final(vacuum_state(24), dip, 1.0, 1.0,
+                         AlgebraParams(epsilon=0.5))
+        with pytest.raises(DomainError, match="violates beta"):
+            solve_zeta_xi(dip, 0.0, 0.5, t_final=1.0, dt=1.0)
+
+    def test_solver_failure_raises(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1: DOP853 cannot step past it
+        with pytest.raises(IntegrationError, match="DOP853 at rtol .* failed"):
+            integrate_verified(lambda alpha, beta, delta, y: y * y, [1.0],
+                               constant_schedule(), np.array([0.0, 2.0]),
+                               lambda times, states: None)
+
+    def test_long_horizon_certified(self):
+        # ten periods of the time-dependent schedule: the certified oracle
+        # still lands on the analytic coherent state, phase included
+        eps, period = 2.5, 2.0 * math.pi
+        sched = sinusoidal_schedule(alpha_amp=0.2, beta0=1.0, delta0=0.3)
+        traj = solve_zeta_xi(sched, 0.25, 0.6, t_final=10 * period, dt=period,
+                             epsilon=eps)
+        psi0 = states.cs_amplitudes(
+            states.cs_spec_from_params(traj.at(0.0), eps), truncation=N)
+        times, psis = evolve_trajectory(psi0, sched, 10 * period, period,
+                                        AlgebraParams(epsilon=eps),
+                                        n_samples=10)
+        ana = states.cs_amplitudes(
+            states.cs_spec_from_params(traj.at(float(times[-1])), eps),
+            truncation=N)
+        assert abs(complex(np.vdot(ana.amplitudes, psis[-1])) - 1.0) <= 1e-7
 
     def test_banded_derivative_matches_hamiltonian(self):
         params = AlgebraParams.from_ell(1)
@@ -189,7 +237,7 @@ class TestEvolution:
         for t in (0.0, 0.31, 2.9):
             alpha, beta, delta = sched.coefficients(t)
             h_psi = build_hamiltonian(params, alpha, beta, delta, 64) @ psi
-            (banded,) = deriv(alpha, beta, delta, (psi,))
+            banded = deriv(alpha, beta, delta, psi)
             assert np.max(np.abs(banded + 1j * h_psi)) <= 1e-13 * np.max(np.abs(h_psi))
 
     def test_trajectory_sampling(self):
@@ -208,3 +256,14 @@ class TestEvolution:
         psi = evolve_final(psi0, sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
                            2 * math.pi, 2 * math.pi / 8192, params)
         assert abs(psi.norm_sq() - 1.0) <= 1e-8
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # integrate_verified imports solve_ivp when called, so commands that never
+    # integrate do not pay for scipy.integrate at start-up
+    src = str(pathlib.Path(fock.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import parabose; "
+             "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

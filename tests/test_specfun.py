@@ -201,10 +201,19 @@ class TestBesselI:
         assert _log_i_sum(eps, 0.0) == -math.lgamma(eps)
         assert _i_parity_ratio(eps, 0.0) == 1.0
 
+    def test_regularized_normalization_at_tiny_argument(self):
+        # ive(4.5, y) is still a normal double here, so the ive route would
+        # cancel ln(lo + hi) ~ -310 against 3.5 ln(y/2) and miss by 2.3e-14
+        eps, y = 4.5, 1.27e-38
+        lo = mpmath.besseli(eps - 1, y)
+        hi = mpmath.besseli(eps, y)
+        exact = float(mpmath.log((lo + hi) / mpmath.power(y / 2, eps - 1)))
+        assert abs(_log_i_sum(eps, y) - exact) <= 1e-15
+
     @pytest.mark.parametrize("eps", [0.5, 2.5, 6.5])
     def test_real_axis_normalization_against_mpmath(self, eps):
         # ln(I_{eps-1} + I_eps) and the parity ratio, across the small-y
-        # series (where ive underflows) and the old asymptotic seam at 600;
+        # series (y < 1e-3) and the old asymptotic seam at 600;
         # _log_i_sum has (y/2)^(eps-1) divided out, here restored
         for y in (1e-300, 1e-8, 1.0, 50.0, 600.0, 601.0, 1e4):
             lo = mpmath.besseli(eps - 1, y)
