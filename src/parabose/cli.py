@@ -17,6 +17,7 @@ output.  One command per published figure:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -27,9 +28,9 @@ from . import states, verify
 from .completeness import weight
 from .config import ScenarioConfig, parse_scenario
 from .coordrep import default_grid, probability_density
-from .dynamics import assemble_A, solve_fg, solve_zeta_xi
-from .errors import ParaBoseError
-from .fock import AlgebraParams, evolve_trajectory
+from .dynamics import DEFAULT_STEPS, assemble_A, solve_fg, solve_zeta_xi
+from .errors import ConfigError, ParaBoseError
+from .fock import TAIL_WIDTH, AlgebraParams, evolve_trajectory
 from .observables import cs_moments
 from .oscillator import OscillatorConfig, closed_form_parameters, \
     mean_trajectories, stationary_transition, uncertainty_trajectory
@@ -200,12 +201,19 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
     params = cfg.algebra_params()
     sched = cfg.schedule()
     zeta0, xi0 = cfg.zeta0(), cfg.xi0()
-    t_final, dt = cfg["run.t_final"], cfg.dt()
-    n_samples = cfg["run.samples"]
+    t_final, n_samples = cfg["run.t_final"], cfg["run.samples"]
+    if n_samples < 1:
+        raise ConfigError("run.samples must be >= 1")
+    # parameter grids at least DEFAULT_STEPS fine that hold every oracle sample
+    dt = t_final / (n_samples * math.ceil(DEFAULT_STEPS / n_samples))
     traj = solve_zeta_xi(sched, zeta0, xi0, t_final=t_final, dt=dt,
                          epsilon=params.epsilon)
     spec0 = CsSpec(zeta=zeta0, xi=xi0, epsilon=params.epsilon)
-    psi0 = cs_amplitudes(spec0, truncation=cfg["run.truncation"])
+    truncation = cfg["run.truncation"]
+    if truncation is None:
+        # room beyond the analytic tail for the oracle's boundary check
+        truncation = cs_amplitudes(spec0).truncation + 2 * TAIL_WIDTH
+    psi0 = cs_amplitudes(spec0, truncation=truncation)
     times, psis = evolve_trajectory(psi0, sched, t_final, dt, params,
                                     n_samples=n_samples)
     mi = solve_fg(sched, 1.0, zeta0, 0.0, t_final=t_final, dt=dt)

@@ -8,7 +8,7 @@ Sections:
   algebra.*   level (epsilon or ell), length scale, hbar
   schedule.*  family plus constant/sinusoidal parameters or a CSV table path
   state.*     squeeze and displacement, rectangular or polar
-  run.*       horizon, output spacing, truncation override, sample count
+  run.*       horizon, truncation override, sample count
   output.*    directory and emitted precision
   figure.*    sweep lists and grid sizes for the figure-data commands
 """
@@ -78,7 +78,6 @@ SCHEMA = {
     "state.xi_abs": _parse_float,
     "state.xi_arg": _parse_float,
     "run.t_final": _parse_float,
-    "run.dt": _parse_float,
     "run.truncation": _parse_int,
     "run.samples": _parse_int,
     "output.dir": _parse_str,
@@ -116,7 +115,6 @@ DEFAULTS = {
     "state.xi_abs": None,
     "state.xi_arg": 0.0,
     "run.t_final": 2.0 * math.pi,
-    "run.dt": None,
     "run.truncation": None,
     "run.samples": 32,
     "output.dir": "out",
@@ -221,11 +219,6 @@ class ScenarioConfig:
         if not self["schedule.table"]:
             raise ConfigError("schedule.family=tabulated needs schedule.table")
         return load_schedule_csv(self["schedule.table"])
-
-    def dt(self) -> float:
-        if self["run.dt"] is not None:
-            return float(self["run.dt"])
-        return self["run.t_final"] / 4096.0
 
 
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:

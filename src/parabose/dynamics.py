@@ -14,7 +14,8 @@ parameters obey the equivalent Riccati/linear system
 
 Both solvers run ``fock.integrate_verified`` (DOP853, certified by a tighter
 rerun) with the phase integrals as extra state components, zero at t = 0.
-``dt`` only sets the spacing of the returned grid.
+``dt`` only sets the spacing of the returned grid, the only times at which
+the trajectories can be read.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ class StateParams:
     xi_winding: int = 0
 
 
-def _grid_index(times: np.ndarray, t: float) -> int | None:
-    """Index of the grid point within 1e-12 of t, if there is one."""
-    idx = np.searchsorted(times, t)
-    for j in (idx - 1, idx, idx + 1):
-        if 0 <= j < len(times) and abs(times[j] - t) <= 1e-12:
-            return int(j)
-    return None
+def _grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the grid point within 1e-12 (relative beyond |t| = 1) of t;
+    ``DomainError`` when there is none: trajectories are read only where
+    they were solved."""
+    idx = int(np.searchsorted(times, t))
+    for j in (idx - 1, idx):
+        if 0 <= j < len(times) and abs(times[j] - t) <= 1e-12 * max(1.0, abs(t)):
+            return j
+    raise DomainError(f"t={t} is not on the trajectory's output grid")
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,9 @@ class MotionIntegral:
         return self.g / self.f
 
     def at(self, t: float) -> tuple[complex, complex]:
-        """(f, g) at time t: exact on grid points, linear in between."""
+        """(f, g) at the grid time t."""
         j = _grid_index(self.times, t)
-        if j is not None:
-            return complex(self.f[j]), complex(self.g[j])
-        fr = np.interp(t, self.times, self.f.real) + 1j * np.interp(t, self.times, self.f.imag)
-        gr = np.interp(t, self.times, self.g.real) + 1j * np.interp(t, self.times, self.g.imag)
-        return complex(fr), complex(gr)
+        return complex(self.f[j]), complex(self.g[j])
 
 
 @dataclass(frozen=True)
@@ -132,36 +131,26 @@ class StateTrajectory:
         return np.round((np.unwrap(angles) - angles) / (2.0 * math.pi)).astype(int)
 
     def at(self, t: float, epsilon: float | None = None) -> StateParams:
+        """State parameters at the grid time t."""
         eps = self.epsilon if epsilon is None else epsilon
         j = _grid_index(self.times, t)
-        windings = self.xi_windings
-        if j is not None:
-            zeta, xi = complex(self.zeta[j]), complex(self.xi[j])
-            jre, dint = complex(self.phase_fg[j]), float(self.delta_integral[j])
-            wind = int(windings[j])
-        else:
-            def _li(arr):
-                return (np.interp(t, self.times, arr.real)
-                        + 1j * np.interp(t, self.times, arr.imag))
-            zeta, xi = complex(_li(self.zeta)), complex(_li(self.xi))
-            jre = complex(_li(self.phase_fg))
-            dint = float(np.interp(t, self.times, self.delta_integral))
-            left = max(0, min(len(self.times) - 1,
-                              int(np.searchsorted(self.times, t)) - 1))
-            wind = int(windings[left])
-        theta_cs = jre.real - dint
-        theta_svs = (eps * jre.real - dint) if eps is not None else math.nan
-        return StateParams(zeta=zeta, xi=xi, theta_svs=theta_svs,
-                           theta_cs=theta_cs, xi_winding=wind)
+        phase, dint = float(self.phase_fg[j].real), float(self.delta_integral[j])
+        theta_svs = (eps * phase - dint) if eps is not None else math.nan
+        return StateParams(zeta=complex(self.zeta[j]), xi=complex(self.xi[j]),
+                           theta_svs=theta_svs, theta_cs=phase - dint,
+                           xi_winding=int(self.xi_windings[j]))
 
 
 def _output_grid(t_final: float, dt: float | None) -> np.ndarray:
-    """Equally spaced times from 0 to t_final, at most dt apart."""
+    """Equally spaced times from 0 to t_final, at most dt apart (up to
+    round-off in t_final / dt)."""
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
     if dt is not None and dt <= 0:
         raise ConfigError("dt must be positive")
-    n = DEFAULT_STEPS if dt is None else max(1, math.ceil(t_final / dt))
+    # a quotient within 1e-9 (relative) above an integer counts that integer
+    n = (DEFAULT_STEPS if dt is None
+         else max(1, math.ceil(t_final / dt * (1.0 - 1e-9))))
     return np.linspace(0.0, t_final, n + 1)
 
 

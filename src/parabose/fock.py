@@ -38,7 +38,8 @@ __all__ = [
 
 NORM_TOL = 1e-8
 TAIL_WIDTH = 8
-TAIL_TOL = 1e-12
+TAIL_TOL = 1e-12        # initial-state tail mass bound
+LEAK_TOL = 1e-10        # final-state tail mass bound
 STEP_HALVING_TOL = 1e-8  # bound on the certifying rerun's disagreement
 SOLVER_RTOL = 1e-11
 SOLVER_ATOL = 1e-13     # error floor for components far below 1, e.g. Fock tails
@@ -241,8 +242,8 @@ def _check_initial(psi0: FockVector):
 
 
 def _check_final(psi: np.ndarray):
-    tail = float(np.sum(np.abs(psi[-TAIL_WIDTH:]) ** 2))
-    if tail >= 1e-10:
+    tail = FockVector(psi).tail_mass()
+    if tail >= LEAK_TOL:
         raise TruncationError(
             f"evolution leaked {tail:.3e} probability into the truncation boundary"
         )

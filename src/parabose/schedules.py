@@ -1,10 +1,10 @@
 """Time-dependent coefficient schedules for the quadratic Hamiltonian.
 
-A schedule supplies the three Hamiltonian coefficients as functions of time:
-alpha(t) complex, beta(t) and delta(t) real.  Positive definiteness of the
-Hamiltonian requires beta(t) > |alpha(t)|; the solvers check this at every
-time they evaluate and treat a violation as a hard error.  Every
-coefficient callable accepts a scalar time or an array of times.
+A schedule is one function ``coefficients(t) -> (alpha, beta, delta)`` of a
+scalar time, alpha complex, beta and delta real.  Positive definiteness of
+the Hamiltonian requires beta(t) > |alpha(t)|; each constructor checks it,
+and the solvers check it at every time they evaluate and treat a violation
+as a hard error.
 
 Three families are supported: constant, sinusoidal (mean plus a sine
 modulation at a common frequency) and tabulated (piecewise-linear between
@@ -14,6 +14,8 @@ CSV samples with header ``t,alpha_re,alpha_im,beta,delta``).
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,52 +34,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientSchedule:
-    """Coefficient callables; ``knots`` are the times where their slopes jump
-    (a tabulated schedule's samples), at which the integrator restarts."""
+    """``coefficients(t)`` returns (complex alpha, float beta, float delta);
+    ``knots`` are the times where their slopes jump (a tabulated schedule's
+    samples), at which the integrator restarts."""
 
-    alpha: Callable[[float], complex]
-    beta: Callable[[float], float]
-    delta: Callable[[float], float]
-    family: str = "constant"
+    coefficients: Callable[[float], tuple[complex, float, float]]
     knots: tuple[float, ...] = ()
 
     def check_positive_definite(self, t: float) -> None:
         """Raise unless beta(t) > |alpha(t)| (oscillator-type Hamiltonian)."""
-        b = self.beta(t)
-        a = abs(self.alpha(t))
+        alpha, b, _ = self.coefficients(t)
+        a = abs(alpha)
         if not b > a:
             raise DomainError(
                 f"schedule violates beta > |alpha| at t={t}: beta={b}, |alpha|={a}"
             )
 
-    def coefficients(self, t: float) -> tuple[complex, float, float]:
-        return complex(self.alpha(t)), float(self.beta(t)), float(self.delta(t))
-
-    def sample(self, times: np.ndarray):
-        """(alpha, beta, delta) as arrays on ``times``, after checking
-        beta > |alpha| on every node (raises at the first failing one)."""
-        times = np.asarray(times, dtype=float)
-        alpha = np.broadcast_to(np.asarray(self.alpha(times), dtype=complex), times.shape)
-        beta = np.broadcast_to(np.asarray(self.beta(times), dtype=float), times.shape)
-        delta = np.broadcast_to(np.asarray(self.delta(times), dtype=float), times.shape)
-        bad = ~(beta > np.abs(alpha))
-        if bad.any():
-            self.check_positive_definite(float(times[np.argmax(bad)]))
-        return alpha, beta, delta
-
 
 def constant_schedule(
     alpha: complex = 0.0, beta: float = 1.0, delta: float = 0.0
 ) -> CoefficientSchedule:
-    alpha = complex(alpha)
-    beta = float(beta)
-    delta = float(delta)
-    sched = CoefficientSchedule(
-        alpha=lambda t: alpha,
-        beta=lambda t: beta,
-        delta=lambda t: delta,
-        family="constant",
-    )
+    values = (complex(alpha), float(beta), float(delta))
+    sched = CoefficientSchedule(lambda t: values)
     sched.check_positive_definite(0.0)
     return sched
 
@@ -97,14 +75,15 @@ def sinusoidal_schedule(
     beta_amp = float(beta_amp)
     delta0 = float(delta0)
     omega = float(omega)
-    sched = CoefficientSchedule(
-        alpha=lambda t: alpha0 + alpha_amp * np.sin(omega * t),
-        beta=lambda t: beta0 + beta_amp * np.sin(omega * t),
-        delta=lambda t: delta0,
-        family="sinusoidal",
-    )
+
+    def coefficients(t):
+        s = math.sin(omega * t)
+        return alpha0 + alpha_amp * s, beta0 + beta_amp * s, delta0
+
+    sched = CoefficientSchedule(coefficients)
     # worst-case spot check over one modulation period
-    sched.sample(np.linspace(0.0, 2.0 * np.pi / omega if omega else 1.0, 64))
+    for t in np.linspace(0.0, 2.0 * np.pi / omega if omega else 1.0, 64).tolist():
+        sched.check_positive_definite(t)
     return sched
 
 
@@ -114,7 +93,11 @@ def tabulated_schedule(
     beta: np.ndarray,
     delta: np.ndarray,
 ) -> CoefficientSchedule:
-    """Piecewise-linear schedule between strictly increasing sample times."""
+    """Piecewise-linear schedule between strictly increasing sample times.
+
+    Checking beta > |alpha| on the samples covers every time: beta - |alpha|
+    is concave on each linear segment, so it is smallest at a sample.
+    """
     times = np.asarray(times, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=float)
@@ -125,29 +108,28 @@ def tabulated_schedule(
         raise ConfigError("tabulated schedule times must be strictly increasing")
     if not (len(alpha) == len(beta) == len(delta) == len(times)):
         raise ConfigError("tabulated schedule columns must share the time length")
-    t0, t1 = float(times[0]), float(times[-1])
+    knots = tuple(times.tolist())
+    t0, t1 = knots[0], knots[-1]
+    columns = np.column_stack([alpha.real, alpha.imag, beta, delta])
+    # per-segment slopes; a zero row after the last sample holds its values
+    slopes = np.vstack([np.diff(columns, axis=0) / np.diff(times)[:, None],
+                        np.zeros(4)])
+    rows = list(zip(columns.tolist(), slopes.tolist()))
 
-    def _interp(values):
-        def f(t):
-            ta = np.asarray(t, dtype=float)
-            outside = (ta < t0 - 1e-12) | (ta > t1 + 1e-12)
-            if outside.any():
-                raise DomainError(
-                    f"tabulated schedule queried at t={float(ta[outside][0])} "
-                    f"outside [{t0}, {t1}]"
-                )
-            # np.interp holds the end values within the 1e-12 slack
-            return np.interp(ta, times, values)
-        return f
+    def coefficients(t):
+        if not t0 - 1e-12 <= t <= t1 + 1e-12:
+            raise DomainError(
+                f"tabulated schedule queried at t={t} outside [{t0}, {t1}]")
+        # the end values hold within the 1e-12 slack
+        t = min(max(t, t0), t1)
+        j = bisect_right(knots, t) - 1
+        (ar, ai, b, d), (sar, sai, sb, sd) = rows[j]
+        h = t - knots[j]
+        return complex(ar + sar * h, ai + sai * h), b + sb * h, d + sd * h
 
-    sched = CoefficientSchedule(
-        alpha=_interp(alpha),
-        beta=_interp(beta),
-        delta=_interp(delta),
-        family="tabulated",
-        knots=tuple(times.tolist()),
-    )
-    sched.sample(times)
+    sched = CoefficientSchedule(coefficients, knots=knots)
+    for t in knots:
+        sched.check_positive_definite(t)
     return sched
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from parabose.cli import main
+from parabose.cli import _COMMANDS, main
 from parabose.config import ScenarioConfig, parse_scenario
 from parabose.errors import ConfigError
 
@@ -16,7 +16,7 @@ class TestScenarioParsing:
         cfg = ScenarioConfig()
         assert cfg.epsilon() == 0.5
         assert cfg["output.digits"] == 12
-        assert cfg.schedule().family == "constant"
+        assert cfg.schedule().coefficients(0.0) == (0.0, 1.0, 0.0)
 
     def test_parse_round_trip(self):
         text = """
@@ -159,8 +159,7 @@ class TestCommands:
                      "--set", "state.zeta_re=0.2",
                      "--set", "state.xi_re=0.5",
                      "--set", "run.t_final=1.0",
-                     "--set", "run.samples=4",
-                     "--set", "run.dt=0.00025"]) == 0
+                     "--set", "run.samples=4"]) == 0
         rows = read(os.path.join(out, "evolve_oracle.csv")).splitlines()
         for row in rows[1:]:
             _, fid, eig, _ = (float(v) for v in row.split(","))
@@ -170,13 +169,32 @@ class TestCommands:
         out = str(tmp_path / "g")
         assert main(["evolve", "--out", out, "--set", "algebra.ell=1",
                      "--set", "state.zeta_re=0.2", "--set", "state.xi_re=0.5",
-                     "--set", "run.t_final=1.0", "--set", "run.samples=4",
-                     "--set", "run.dt=0.001"]) == 0
+                     "--set", "run.t_final=1.0", "--set", "run.samples=4"]) == 0
         rows = read(os.path.join(out, "evolve_oracle.csv")).splitlines()
         assert rows[0] == "t,fidelity,eigen_residual,norm_error"
         for row in rows[1:]:
             t, fid, eig, nerr = (float(v) for v in row.split(","))
             assert fid >= 1.0 - 1e-7 and eig <= 1e-6 and nerr <= 1e-8
+
+    def test_evolve_samples_lie_on_the_parameter_grid(self, tmp_path):
+        # 100 samples do not divide the default 4096 steps; the parameter
+        # grids are refined so that each sample is a grid point, where the
+        # integral of motion is read without interpolation
+        out = str(tmp_path / "g100")
+        assert main(["evolve", "--out", out, "--set", "algebra.ell=1",
+                     "--set", "state.zeta_re=0.3", "--set", "state.xi_re=1",
+                     "--set", "schedule.family=sinusoidal",
+                     "--set", "schedule.alpha_amp_re=0.2",
+                     "--set", "run.truncation=96",
+                     "--set", "run.samples=100"]) == 0
+        rows = read(os.path.join(out, "evolve_oracle.csv")).splitlines()[1:]
+        assert len(rows) == 101
+        assert max(float(row.split(",")[2]) for row in rows) <= 1e-9
+
+    # verify runs on the default config in test_criterion_11_determinism
+    @pytest.mark.parametrize("command", sorted(set(_COMMANDS) - {"verify"}))
+    def test_default_config(self, tmp_path, command):
+        assert main([command, "--out", str(tmp_path)]) == 0
 
     def test_plot_script_emission(self, tmp_path):
         out = str(tmp_path / "h")

@@ -7,7 +7,8 @@ import runpy
 import numpy as np
 import pytest
 
-from parabose.dynamics import assemble_A, solve_fg, solve_zeta_xi
+from parabose.dynamics import _grid_index, _output_grid, assemble_A, solve_fg, \
+    solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError
 from parabose.fock import AlgebraParams, build_ladder, evolve_trajectory, \
     vacuum_state
@@ -200,10 +201,8 @@ def test_tabulated_schedule_tracks_its_smooth_source():
     # the table's interpolation order
     smooth = sinusoidal_schedule(alpha_amp=0.2, beta0=1.0)
     ts = np.linspace(0.0, T, 2049)
-    tab = tabulated_schedule(
-        ts, np.array([smooth.alpha(t) for t in ts]),
-        np.array([smooth.beta(t) for t in ts]),
-        np.array([smooth.delta(t) for t in ts]))
+    alpha, beta, delta = zip(*(smooth.coefficients(t) for t in ts.tolist()))
+    tab = tabulated_schedule(ts, np.array(alpha), np.array(beta), np.array(delta))
     a = solve_zeta_xi(smooth, 0.25, 0.6, t_final=T)
     b = solve_zeta_xi(tab, 0.25, 0.6, t_final=T)
     assert np.max(np.abs(a.zeta - b.zeta)) < 1e-6
@@ -219,6 +218,36 @@ def test_negative_horizon_rejected():
     with pytest.raises(ConfigError, match="positive"):
         evolve_trajectory(vacuum_state(16), sched, -1.0, 0.01,
                           AlgebraParams(epsilon=0.5))
+
+
+def test_output_grid_counts_round_off_quotients_exactly():
+    # (2 pi / 1.3) / ((2 pi / 1.3) / 1000) is 1000 plus round-off
+    t_final = 2.0 * math.pi / 1.3
+    assert len(_output_grid(t_final, t_final / 1000)) == 1001
+    # a genuine remainder still rounds the interval count up
+    assert len(_output_grid(1.0, 0.3)) == 5
+
+
+def test_trajectories_read_only_on_their_grid():
+    sched = constant_schedule(0.0, 1.0, 0.0)
+    traj = solve_zeta_xi(sched, 0.3, 0.5, t_final=1.0, dt=0.25)
+    mi = solve_fg(sched, 1.0, 0.3, 0.0, t_final=1.0, dt=0.25)
+    assert traj.at(0.5).zeta == traj.zeta[2]
+    assert mi.at(0.5) == (mi.f[2], mi.g[2])
+    for read in (traj.at, mi.at):
+        with pytest.raises(DomainError, match="t=0.6 is not on"):
+            read(0.6)
+        with pytest.raises(DomainError, match="t=1.5 is not on"):
+            read(1.5)
+
+
+def test_grid_lookup_tolerates_round_off_at_long_horizons():
+    # 100 evolve samples on the 4,100-interval parameter grid miss their
+    # grid points by 3.6e-12 at t_final ~ 2.7e4, more than 1e-12 absolute
+    t_final = 1e4 * math.e
+    grid = _output_grid(t_final, t_final / 4100)
+    assert ([_grid_index(grid, t) for t in np.linspace(0.0, t_final, 101)]
+            == list(range(0, 4101, 41)))
 
 
 def test_run_past_tabulated_domain_fails():

@@ -194,14 +194,21 @@ class TestEvolution:
         # |alpha| exceeds beta only around t = 0.5, strictly between the two
         # output samples t = 0 and t = 1, where the schedule is positive
         dip = CoefficientSchedule(
-            alpha=lambda t: 1.5 * np.exp(-((np.asarray(t) - 0.5) / 0.1) ** 2),
-            beta=lambda t: 1.0, delta=lambda t: 0.0)
-        dip.sample(np.array([0.0, 1.0]))
+            lambda t: (complex(1.5 * math.exp(-((t - 0.5) / 0.1) ** 2)), 1.0, 0.0))
+        for t in (0.0, 1.0):
+            dip.check_positive_definite(t)
         with pytest.raises(DomainError, match="violates beta"):
             evolve_final(vacuum_state(24), dip, 1.0, 1.0,
                          AlgebraParams(epsilon=0.5))
         with pytest.raises(DomainError, match="violates beta"):
             solve_zeta_xi(dip, 0.0, 0.5, t_final=1.0, dt=1.0)
+
+    def test_leak_into_truncation_boundary_raises(self):
+        # squeezing the vacuum at N = 16 carries ~0.13 of the probability
+        # into the last TAIL_WIDTH levels by t = 3
+        with pytest.raises(TruncationError, match="leaked"):
+            evolve_final(vacuum_state(16), constant_schedule(0.9, 1.0, 0.0),
+                         3.0, 3.0, AlgebraParams(epsilon=0.5))
 
     def test_solver_failure_raises(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1: DOP853 cannot step past it
