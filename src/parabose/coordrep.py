@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import ive
 
 from .errors import DomainError, QuadratureError
@@ -51,6 +50,8 @@ __all__ = [
 
 TWO_ROUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-8
+NORM_SETTLE_TOL = 1e-13
+NORM_NODE_CAP = 65536
 
 
 def ell_from_epsilon(epsilon: float) -> int:
@@ -81,7 +82,9 @@ def vacuum_wavefunction(ell: int, l: float, x) -> np.ndarray | float:
     return vals if np.ndim(x) else float(vals)
 
 
-def _spec_ell(spec: CsSpec) -> int:
+def _spec_ell(spec: CsSpec, params: AlgebraParams) -> int:
+    if params.epsilon != spec.epsilon:
+        raise DomainError("spec and algebra parameters disagree on epsilon")
     return ell_from_epsilon(spec.epsilon)
 
 
@@ -125,7 +128,7 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     principal argument) and (y/2)^(nu/2), which cancels in the regularized
     normalization; x = 0 and xi = 0 need no limits of their own.
     """
-    ell = _spec_ell(spec)
+    ell = _spec_ell(spec, params)
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
     x_arr = _half_line(x)
@@ -167,7 +170,7 @@ def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x,
     a trajectory anchored at positive real displacement with delta = 0, and
     in particular at theta = arg(xi) = 0).
     """
-    if _spec_ell(spec) != 0:
+    if _spec_ell(spec, params) != 0:
         raise DomainError("the Gaussian closed form exists only for ell = 0")
     zeta, xi = complex(spec.zeta), complex(spec.xi)
     l = params.length_scale
@@ -192,7 +195,7 @@ def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
 
     q = (1-|zeta|^2)/|1-zeta|^2, R_k(w) = ive(k, w)/(w/2)^k and L the
     regularized log normalization; |u|^(2 nu) = (q/l^2)^nu."""
-    ell = _spec_ell(spec)
+    ell = _spec_ell(spec, params)
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
     x_arr = _half_line(x)
@@ -214,13 +217,12 @@ class WavefunctionGrid:
     """Density emission bundle, checked on construction.
 
     ``rho_values`` is the closed-form density (equal to |psi|^2 to the
-    two-route tolerance).  ``parity_norm`` is the factor-2 half-line integral
-    of |even|^2 + |odd|^2, which carries the state norm and must equal 1;
-    ``integral`` is the plain factor-2 integral of rho, which differs from 1
-    by twice the real even-odd interference on the half-line whenever the
-    parity components fail to be phase-orthogonal there (it coincides with
-    ``parity_norm`` for a real squeeze with purely imaginary or vanishing
-    displacement, the configuration family of the emitted figures)."""
+    two-route tolerance).  ``parity_norm``, the factor-2 half-line integral
+    of |even|^2 + |odd|^2, carries the state norm and must equal 1;
+    ``integral`` is the same grid-independent sum of |even + odd|^2.  It
+    adds twice the real even-odd interference on the half-line, which
+    vanishes pointwise for a real squeeze with purely imaginary or zero
+    displacement (the family of the emitted figures)."""
 
     x_values: np.ndarray = field(repr=False)
     psi_values: np.ndarray = field(repr=False)
@@ -232,48 +234,64 @@ class WavefunctionGrid:
     parity_norm: float
 
 
-def default_grid(params: AlgebraParams, spec: CsSpec | None = None,
-                 points: int = 2048) -> np.ndarray:
-    """Logarithmic-linear hybrid grid on [1e-3 l, x_max].
+def _extent(spec: CsSpec, ell: int) -> float:
+    """The state's length in units of l: envelope plus displacement shift."""
+    zeta, xi = complex(spec.zeta), complex(spec.xi)
+    q = (1.0 - abs(zeta) ** 2) / abs(1.0 - zeta) ** 2
+    return (math.sqrt((60.0 + 4.0 * ell) / q)
+            + math.sqrt(2.0) * abs(xi) / (q * abs(1.0 - zeta)))
 
-    x_max is 10 l for vacuum-scale states and stretches automatically when the
-    squeeze widens the Gaussian envelope or the displacement shifts the peak.
+
+def default_grid(params: AlgebraParams, spec: CsSpec,
+                 points: int = 2048) -> np.ndarray:
+    """Logarithmic-linear emission grid on [1e-3 l, x_max].
+
+    x_max is 10 l for vacuum-scale states and stretches to the state's
+    extent when the squeeze widens it or the displacement shifts the peak.
     """
-    l = params.length_scale
-    x_max = 10.0
-    if spec is not None:
-        zeta, xi = complex(spec.zeta), complex(spec.xi)
-        q = (1.0 - abs(zeta) ** 2) / abs(1.0 - zeta) ** 2
-        ell = ell_from_epsilon(spec.epsilon)
-        x_max = max(10.0,
-                    math.sqrt((60.0 + 4.0 * ell) / q)
-                    + math.sqrt(2.0) * abs(xi) / (q * abs(1.0 - zeta)))
+    x_max = max(10.0, _extent(spec, _spec_ell(spec, params)))
     n_log = points // 4
     log_part = np.geomspace(1e-3, 0.2, n_log, endpoint=False)
     lin_part = np.linspace(0.2, x_max, points - n_log)
-    return l * np.concatenate([log_part, lin_part])
+    return params.length_scale * np.concatenate([log_part, lin_part])
 
 
-def _corrected_half_line_integral(values: np.ndarray, grid: np.ndarray,
-                                  q: float, l: float) -> float:
-    """Factor-2 Simpson integral with the analytic Gaussian tail beyond the
-    last node and the short gap down to x = 0."""
-    total = 2.0 * float(simpson(values, x=grid))
-    total += 2.0 * values[-1] * l * l / (2.0 * q * grid[-1])
-    total += 2.0 * values[0] * grid[0]
-    return total
+def _half_line_sums(spec: CsSpec, params: AlgebraParams,
+                    ell: int) -> tuple[float, float]:
+    """(parity_norm, integral): h (2 sum_{k>=0} f(k h) - f(0)) on [0, extent]
+    for f = |even|^2 + |odd|^2 and |even + odd|^2.  The first f is even and
+    analytic in x, so the trapezoid sum converges geometrically (Trefethen &
+    Weideman, SIAM Rev. 56, 2014); h halves from a quarter of the envelope
+    width until two such sums agree.  The odd-in-x interference in the
+    second converges only as h^2, so it is not gated."""
+    width = abs(1.0 - spec.zeta) / math.sqrt(2.0 * (1.0 - abs(spec.zeta) ** 2))
+    extent = _extent(spec, ell)
+    intervals = math.ceil(4.0 * extent / width)
+    previous = math.inf
+    while intervals + 1 <= NORM_NODE_CAP:
+        step = params.length_scale * extent / intervals
+        even, odd = wavefunction_parity_parts(
+            spec, params, step * np.arange(intervals + 1))
+        f = np.array([np.abs(even) ** 2 + np.abs(odd) ** 2,
+                      np.abs(even + odd) ** 2])
+        parity_norm, integral = step * (2.0 * f.sum(axis=1) - f[:, 0])
+        if abs(parity_norm - previous) <= NORM_SETTLE_TOL:
+            return float(parity_norm), float(integral)
+        previous, intervals = parity_norm, 2 * intervals
+    raise QuadratureError(f"half-line norm did not settle to {NORM_SETTLE_TOL}"
+                          f" within {NORM_NODE_CAP} trapezoid nodes")
 
 
 def probability_density(spec: CsSpec, params: AlgebraParams,
                         grid: np.ndarray | None = None) -> WavefunctionGrid:
     """Density on a grid, verified two ways.
 
-    The closed form and |psi|^2 must agree to 1e-10 relative to the peak, and
-    the parity-resolved factor-2 half-line norm must equal 1 to 1e-8, else
-    the construction fails loudly.  The plain density integral is attached
-    as data; see WavefunctionGrid for when the two coincide.
+    On the grid the closed form and |psi|^2 must agree to 1e-10 relative to
+    the peak; the parity-resolved factor-2 half-line norm, summed on nodes
+    of its own, must equal 1 to 1e-8, else the construction fails loudly.
+    The plain density integral is attached as data; see WavefunctionGrid.
     """
-    ell = _spec_ell(spec)
+    ell = _spec_ell(spec, params)
     if grid is None:
         grid = default_grid(params, spec)
     grid = np.asarray(grid, dtype=float)
@@ -289,15 +307,11 @@ def probability_density(spec: CsSpec, params: AlgebraParams,
             f"closed-form density and |psi|^2 disagree by {residual:.3e} "
             f"(> {TWO_ROUTE_TOL}) relative to the peak"
         )
-    l = params.length_scale
-    q = (1.0 - abs(complex(spec.zeta)) ** 2) / abs(1.0 - complex(spec.zeta)) ** 2
-    integral = _corrected_half_line_integral(rho, grid, q, l)
-    parity_norm = _corrected_half_line_integral(
-        np.abs(even) ** 2 + np.abs(odd) ** 2, grid, q, l)
+    parity_norm, integral = _half_line_sums(spec, params, ell)
     if abs(parity_norm - 1.0) > NORMALIZATION_TOL:
         raise QuadratureError(
             f"parity-resolved half-line norm {parity_norm:.12f} misses 1 by "
-            f"more than {NORMALIZATION_TOL}; grid too short or too coarse"
+            f"more than {NORMALIZATION_TOL}"
         )
     return WavefunctionGrid(x_values=grid, psi_values=np.atleast_1d(psi),
                             rho_values=np.atleast_1d(rho), ell=ell,

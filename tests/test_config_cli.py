@@ -124,12 +124,18 @@ class TestCommands:
         assert rows[0] == "x,psi_re,psi_im,rho"
         assert len(rows) == 2049
 
-    def test_density_coarse_grid_flagged(self, tmp_path):
-        # a deliberately coarse grid must fail the normalization gate loudly
+    def test_density_coarse_grid_accepted(self, tmp_path):
+        # the norm is checked on nodes of its own, not on the emission grid
         out = str(tmp_path / "e2")
         assert main(["density", "--config", "configs/fig_density.conf",
                      "--out", out, "--set", "figure.ells=0",
-                     "--set", "figure.points=512"]) == 2
+                     "--set", "figure.points=512"]) == 0
+        assert len(read(os.path.join(out, "density_ell0.csv")).splitlines()) \
+            == 513
+
+    def test_density_narrow_squeezed_state(self, tmp_path):
+        assert main(["density", "--out", str(tmp_path),
+                     "--set", "state.zeta_abs=0.7"]) == 0
 
     def test_oscillator_zero_displacement_centers(self, tmp_path):
         out = str(tmp_path / "f")

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from conftest import fock_basis_wavefunction
 from parabose import coordrep
@@ -18,6 +18,9 @@ FIG_PARAMS = AlgebraParams.from_ell(1)
 # (ell, zeta, xi) pairs that once failed their parity norm (1.259, 1.007)
 # while the ascending Bessel series lost accuracy off the real axis
 FORMERLY_FAILING = ((1, -0.4 + 0.3j, 6j), (0, 0.6j, 2 + 5j))
+# (ell, zeta, xi) squeezed states that failed a norm taken on the emission grid
+NARROW_STATES = ((0, 0.7, 0.0), (2, 0.9, 0.0), (0, 0.95, 1j), (1, 0.95, 1j),
+                 (2, 0.97, 0.5))
 
 
 def parity_parts_mpmath(spec, l, x):
@@ -262,10 +265,53 @@ class TestDensity:
             coordrep.probability_density(FIG_SPEC, FIG_PARAMS,
                                          np.array([1.0, 0.5, 2.0]))
 
-    def test_short_grid_flagged(self):
-        grid = np.linspace(0.1, 1.0, 64)  # misses most of the mass
-        with pytest.raises(QuadratureError):
+    @pytest.mark.parametrize("ell, zeta, xi", NARROW_STATES)
+    def test_narrow_states_normalized(self, ell, zeta, xi):
+        # adaptive quadrature over the same parity parts, no shared rule
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
+        params = AlgebraParams.from_ell(ell)
+        wg = coordrep.probability_density(spec, params)
+
+        def mass(x):
+            even, odd = coordrep.wavefunction_parity_parts(spec, params, x)
+            return 2.0 * float(np.abs(even[0]) ** 2 + np.abs(odd[0]) ** 2)
+
+        reference, _ = quad(mass, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
+                            limit=200)
+        assert abs(wg.parity_norm - reference) <= 1e-12
+
+    def test_norm_independent_of_grid(self):
+        grids = (None, coordrep.default_grid(FIG_PARAMS, FIG_SPEC, points=512),
+                 np.linspace(0.1, 1.0, 64))
+        sums = {(wg.parity_norm, wg.integral) for wg in (
             coordrep.probability_density(FIG_SPEC, FIG_PARAMS, grid)
+            for grid in grids)}
+        assert len(sums) == 1
+
+    def test_norm_gate_fires(self, monkeypatch):
+        # a normalization off by 1e-7 moves both density routes together, so
+        # the two-route check (run first) passes and the norm gate must fire
+        log_i_sum = coordrep._log_i_sum
+        with monkeypatch.context() as m:
+            m.setattr(coordrep, "_log_i_sum",
+                      lambda eps, y: log_i_sum(eps, y) + 1e-7)
+            with pytest.raises(QuadratureError, match="misses 1"):
+                coordrep.probability_density(FIG_SPEC, FIG_PARAMS)
+        monkeypatch.setattr(coordrep, "NORM_NODE_CAP", 100)
+        with pytest.raises(QuadratureError, match="did not settle"):
+            coordrep.probability_density(FIG_SPEC, FIG_PARAMS)
+
+    @pytest.mark.parametrize("evaluate", [
+        coordrep.wavefunction_parity_parts, coordrep.cs_wavefunction,
+        coordrep.cs_wavefunction_gaussian, coordrep.density_closed_form,
+        lambda spec, params, x: coordrep.probability_density(spec, params),
+        lambda spec, params, x: coordrep.default_grid(params, spec),
+    ], ids=["parity_parts", "wavefunction", "gaussian", "closed_form",
+            "probability_density", "default_grid"])
+    def test_spec_params_epsilon_mismatch_rejected(self, evaluate):
+        with pytest.raises(DomainError, match="disagree on epsilon"):
+            evaluate(CsSpec(zeta=0.45, xi=1j, epsilon=4.5),
+                     AlgebraParams.from_ell(0), np.array([0.5, 1.0]))
 
 
 class TestHamiltonianMapping:

@@ -265,11 +265,12 @@ class TestEvolution:
         assert abs(psi.norm_sq() - 1.0) <= 1e-8
 
 
-def test_package_import_leaves_scipy_integrate_unloaded():
+@pytest.mark.parametrize("module", ["parabose", "parabose.coordrep"])
+def test_package_import_leaves_scipy_integrate_unloaded(module):
     # integrate_verified imports solve_ivp when called, so commands that never
     # integrate do not pay for scipy.integrate at start-up
     src = str(pathlib.Path(fock.__file__).resolve().parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import parabose; "
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
              "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
