@@ -1,9 +1,10 @@
 """Command-line front end: figure data, oracle dumps, verification.
 
-Every command writes CSV (comma separated, LF endings, header row, UTF-8)
-with values at a fixed significant-digit precision, atomically (temp file
-plus rename), so identical configuration and seed give byte-identical
-output.  One command per published figure:
+Every figure command writes CSV (comma separated, LF endings, header row,
+UTF-8) with values at a fixed significant-digit precision, so identical
+configuration and seed give byte-identical output.  Every emitted file (each
+CSV, each gnuplot script, verify_report.txt) is written atomically: a temp
+file beside it is renamed into place.  One command per published figure:
 
   svs-prob    number-state distribution of the squeezed vacuum per level
   cs-prob     number-state distribution of the coherent state per level
@@ -43,43 +44,39 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _write_rows(directory: str, name: str, header: list[str], rows,
-                digits: int, plot_script: bool = False) -> str:
+def _write(directory: str, name: str, text: str) -> None:
+    """directory/name holds text or is untouched: a temp file beside it is
+    renamed into place, and unlinked on any failure."""
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    v if isinstance(v, str) else _fmt(v, digits)
-                    for v in row) + "\n")
-        os.replace(tmp, path)
+            fh.write(text)
+        os.replace(tmp, os.path.join(directory, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    if plot_script:
-        _write_plot_script(directory, name, header)
-    return path
 
 
-def _write_plot_script(directory: str, csv_name: str, header: list[str]) -> None:
-    stem = csv_name.rsplit(".", 1)[0]
-    path = os.path.join(directory, stem + ".gp")
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"set title '{stem}'",
-        "plot " + ", ".join(
-            f"'{csv_name}' using 1:{i} with linespoints"
-            for i in range(2, len(header) + 1)),
-    ]
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{stem}.", text=True)
-    with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+def _emit(cfg: ScenarioConfig, args, stem: str, columns: dict) -> None:
+    """stem.csv in output.dir from header -> column, every value at
+    output.digits significant digits; with --plot-script, stem.gp beside it."""
+    directory = cfg["output.dir"]
+    line = ",".join([f"%.{cfg['output.digits']}g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist()
+                 for c in columns.values()))
+    _write(directory, f"{stem}.csv",
+           ",".join(columns) + "\n" + "".join(line % row for row in rows))
+    if args.plot_script:
+        _write(directory, f"{stem}.gp", "\n".join([
+            "set datafile separator ','",
+            "set key autotitle columnhead",
+            f"set title '{stem}'",
+            "plot " + ", ".join(
+                f"'{stem}.csv' using 1:{i} with linespoints"
+                for i in range(2, len(columns) + 1)),
+        ]) + "\n")
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -96,34 +93,26 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def cmd_svs_prob(cfg: ScenarioConfig, args) -> int:
-    digits = cfg["output.digits"]
     zeta = cfg.zeta0()
-    n_max = cfg["figure.n_max"]
+    ns = range(cfg["figure.n_max"] + 1)
+    if not zeta:
+        ns = ns[:1]  # zero squeeze: every later line vanishes identically
     for eps in cfg["figure.epsilons"]:
-        rows = []
-        for n in range(n_max + 1):
-            rows.append((float(n), svs_transition(zeta, eps, n)))
-            if abs(zeta) == 0.0:
-                break  # zero squeeze: every later line vanishes identically
-        _write_rows(cfg["output.dir"], f"svs_prob_eps{eps:g}.csv",
-                    ["n", "P2n"], rows, digits, args.plot_script)
+        _emit(cfg, args, f"svs_prob_eps{eps:g}",
+              {"n": ns, "P2n": [svs_transition(zeta, eps, n) for n in ns]})
     return 0
 
 
 def cmd_cs_prob(cfg: ScenarioConfig, args) -> int:
-    digits = cfg["output.digits"]
     zeta, xi = cfg.zeta0(), cfg.xi0()
-    n_max = cfg["figure.n_max"]
+    ns = range(cfg["figure.n_max"] + 1)
     for eps in cfg["figure.epsilons"]:
-        rows = [(float(n), cs_transition(zeta, xi, eps, n))
-                for n in range(n_max + 1)]
-        _write_rows(cfg["output.dir"], f"cs_prob_eps{eps:g}.csv",
-                    ["n", "Pn"], rows, digits, args.plot_script)
+        _emit(cfg, args, f"cs_prob_eps{eps:g}",
+              {"n": ns, "Pn": [cs_transition(zeta, xi, eps, n) for n in ns]})
     return 0
 
 
 def cmd_density(cfg: ScenarioConfig, args) -> int:
-    digits = cfg["output.digits"]
     zeta, xi = cfg.zeta0(), cfg.xi0()
     base = cfg.algebra_params()
     for ell in cfg["figure.ells"]:
@@ -132,18 +121,13 @@ def cmd_density(cfg: ScenarioConfig, args) -> int:
                                         hbar=base.hbar)
         grid = default_grid(params, spec, points=cfg["figure.points"])
         wg = probability_density(spec, params, grid)
-        rows = [
-            (x, psi.real, psi.imag, rho)
-            for x, psi, rho in zip(wg.x_values, wg.psi_values, wg.rho_values)
-        ]
-        _write_rows(cfg["output.dir"], f"density_ell{ell}.csv",
-                    ["x", "psi_re", "psi_im", "rho"], rows, digits,
-                    args.plot_script)
+        _emit(cfg, args, f"density_ell{ell}",
+              {"x": wg.x_values, "psi_re": wg.psi_values.real,
+               "psi_im": wg.psi_values.imag, "rho": wg.rho_values})
     return 0
 
 
 def cmd_weight(cfg: ScenarioConfig, args) -> int:
-    digits = cfg["output.digits"]
     levels = [e for e in cfg["figure.epsilons"] if e > 1.0]
     if not levels:
         eps = cfg.epsilon()
@@ -154,15 +138,11 @@ def cmd_weight(cfg: ScenarioConfig, args) -> int:
         levels = [eps]
     r = np.linspace(0.0, cfg["figure.r_max"], cfg["figure.nodes"])
     for eps in levels:
-        w = weight(eps, r)
-        rows = list(zip(r.tolist(), np.atleast_1d(w).tolist()))
-        _write_rows(cfg["output.dir"], f"weight_eps{eps:g}.csv",
-                    ["r", "w"], rows, digits, args.plot_script)
+        _emit(cfg, args, f"weight_eps{eps:g}", {"r": r, "w": weight(eps, r)})
     return 0
 
 
 def cmd_oscillator(cfg: ScenarioConfig, args) -> int:
-    digits = cfg["output.digits"]
     params = cfg.algebra_params()
     ell = params.ell
     if ell is None:
@@ -181,23 +161,20 @@ def cmd_oscillator(cfg: ScenarioConfig, args) -> int:
                        params)
         rows.append((float(t), x_m, p_m, m.sigma_x, m.sigma_p,
                      snap.heisenberg, snap.schrodinger_robertson))
-    _write_rows(cfg["output.dir"], "oscillator_trajectory.csv",
-                ["t", "x_mean", "p_mean", "sigma_x", "sigma_p", "heis", "sr"],
-                rows, digits, args.plot_script)
-    n_max = cfg["figure.n_max"]
+    _emit(cfg, args, "oscillator_trajectory", dict(zip(
+        ("t", "x_mean", "p_mean", "sigma_x", "sigma_p", "heis", "sr"),
+        zip(*rows))))
+    ns = range(cfg["figure.n_max"] + 1)
     for z0 in cfg["figure.zetas"]:
         sweep = OscillatorConfig(omega0=omega0, ell=ell, zeta0=z0,
                                  xi0=cfg.xi0(), l=params.length_scale,
                                  hbar=params.hbar)
-        rows = [(float(n), stationary_transition(sweep, n))
-                for n in range(n_max + 1)]
-        _write_rows(cfg["output.dir"], f"oscillator_prob_zeta{z0:g}.csv",
-                    ["n", "Pn"], rows, digits, args.plot_script)
+        _emit(cfg, args, f"oscillator_prob_zeta{z0:g}",
+              {"n": ns, "Pn": [stationary_transition(sweep, n) for n in ns]})
     return 0
 
 
 def cmd_evolve(cfg: ScenarioConfig, args) -> int:
-    digits = cfg["output.digits"]
     params = cfg.algebra_params()
     sched = cfg.schedule()
     zeta0, xi0 = cfg.zeta0(), cfg.xi0()
@@ -227,9 +204,8 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
         eig = float(np.linalg.norm(a_op @ psi - xi0 * psi))
         norm_err = abs(float(np.vdot(psi, psi).real) - 1.0)
         rows.append((float(t), fid, eig, norm_err))
-    _write_rows(cfg["output.dir"], "evolve_oracle.csv",
-                ["t", "fidelity", "eigen_residual", "norm_error"],
-                rows, digits, args.plot_script)
+    _emit(cfg, args, "evolve_oracle", dict(zip(
+        ("t", "fidelity", "eigen_residual", "norm_error"), zip(*rows))))
     return 0
 
 
@@ -254,8 +230,7 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
     lines.append(f"checks {len(results)} failed {n_fail} excluded {n_excl}")
     report = "\n".join(lines)
     print(report)
-    _write_rows(cfg["output.dir"], "verify_report.txt", ["report"],
-                [(line,) for line in lines], digits)
+    _write(cfg["output.dir"], "verify_report.txt", f"report\n{report}\n")
     return 1 if n_fail else 0
 
 

@@ -28,11 +28,7 @@ from .schedules import (
     sinusoidal_schedule,
 )
 
-__all__ = ["ScenarioConfig", "parse_scenario", "parse_value", "SCHEMA", "DEFAULTS"]
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
+__all__ = ["ScenarioConfig", "parse_scenario", "parse_value", "KEYS"]
 
 
 def _parse_int(text: str) -> int:
@@ -40,10 +36,6 @@ def _parse_int(text: str) -> int:
     if v != int(v):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(v)
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -54,88 +46,52 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(_parse_int(p) for p in text.split(",") if p.strip())
 
 
-SCHEMA = {
-    "algebra.epsilon": _parse_float,
-    "algebra.ell": _parse_int,
-    "algebra.l": _parse_float,
-    "algebra.hbar": _parse_float,
-    "schedule.family": _parse_str,
-    "schedule.alpha_re": _parse_float,
-    "schedule.alpha_im": _parse_float,
-    "schedule.beta": _parse_float,
-    "schedule.delta": _parse_float,
-    "schedule.alpha_amp_re": _parse_float,
-    "schedule.alpha_amp_im": _parse_float,
-    "schedule.beta_amp": _parse_float,
-    "schedule.omega": _parse_float,
-    "schedule.table": _parse_str,
-    "state.zeta_re": _parse_float,
-    "state.zeta_im": _parse_float,
-    "state.zeta_abs": _parse_float,
-    "state.zeta_arg": _parse_float,
-    "state.xi_re": _parse_float,
-    "state.xi_im": _parse_float,
-    "state.xi_abs": _parse_float,
-    "state.xi_arg": _parse_float,
-    "run.t_final": _parse_float,
-    "run.truncation": _parse_int,
-    "run.samples": _parse_int,
-    "output.dir": _parse_str,
-    "output.digits": _parse_int,
-    "figure.epsilons": _parse_floats,
-    "figure.ells": _parse_ints,
-    "figure.zetas": _parse_floats,
-    "figure.n_max": _parse_int,
-    "figure.r_max": _parse_float,
-    "figure.nodes": _parse_int,
-    "figure.points": _parse_int,
-}
-
-DEFAULTS = {
-    "algebra.epsilon": None,
-    "algebra.ell": None,
-    "algebra.l": 1.0,
-    "algebra.hbar": 1.0,
-    "schedule.family": "constant",
-    "schedule.alpha_re": 0.0,
-    "schedule.alpha_im": 0.0,
-    "schedule.beta": 1.0,
-    "schedule.delta": 0.0,
-    "schedule.alpha_amp_re": 0.0,
-    "schedule.alpha_amp_im": 0.0,
-    "schedule.beta_amp": 0.0,
-    "schedule.omega": 1.0,
-    "schedule.table": "",
-    "state.zeta_re": 0.0,
-    "state.zeta_im": 0.0,
-    "state.zeta_abs": None,
-    "state.zeta_arg": 0.0,
-    "state.xi_re": 0.0,
-    "state.xi_im": 0.0,
-    "state.xi_abs": None,
-    "state.xi_arg": 0.0,
-    "run.t_final": 2.0 * math.pi,
-    "run.truncation": None,
-    "run.samples": 32,
-    "output.dir": "out",
-    "output.digits": 12,
-    "figure.epsilons": (0.5, 2.5, 4.5, 6.5),
-    "figure.ells": (0, 1, 2, 3),
-    "figure.zetas": (0.0, 0.25, 0.5, 0.75),
-    "figure.n_max": 40,
-    "figure.r_max": 0.99,
-    "figure.nodes": 400,
-    "figure.points": 2048,
+# key -> (parser of its text, default); None means unset
+KEYS = {
+    "algebra.epsilon": (float, None),
+    "algebra.ell": (_parse_int, None),
+    "algebra.l": (float, 1.0),
+    "algebra.hbar": (float, 1.0),
+    "schedule.family": (str, "constant"),
+    "schedule.alpha_re": (float, 0.0),
+    "schedule.alpha_im": (float, 0.0),
+    "schedule.beta": (float, 1.0),
+    "schedule.delta": (float, 0.0),
+    "schedule.alpha_amp_re": (float, 0.0),
+    "schedule.alpha_amp_im": (float, 0.0),
+    "schedule.beta_amp": (float, 0.0),
+    "schedule.omega": (float, 1.0),
+    "schedule.table": (str, ""),
+    "state.zeta_re": (float, 0.0),
+    "state.zeta_im": (float, 0.0),
+    "state.zeta_abs": (float, None),
+    "state.zeta_arg": (float, 0.0),
+    "state.xi_re": (float, 0.0),
+    "state.xi_im": (float, 0.0),
+    "state.xi_abs": (float, None),
+    "state.xi_arg": (float, 0.0),
+    "run.t_final": (float, 2.0 * math.pi),
+    "run.truncation": (_parse_int, None),
+    "run.samples": (_parse_int, 32),
+    "output.dir": (str, "out"),
+    "output.digits": (_parse_int, 12),
+    "figure.epsilons": (_parse_floats, (0.5, 2.5, 4.5, 6.5)),
+    "figure.ells": (_parse_ints, (0, 1, 2, 3)),
+    "figure.zetas": (_parse_floats, (0.0, 0.25, 0.5, 0.75)),
+    "figure.n_max": (_parse_int, 40),
+    "figure.r_max": (float, 0.99),
+    "figure.nodes": (_parse_int, 400),
+    "figure.points": (_parse_int, 2048),
 }
 
 _FAMILIES = ("constant", "sinusoidal", "tabulated")
 
 
 def parse_value(key: str, text: str, where: str = "<override>"):
-    if key not in SCHEMA:
+    if key not in KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
-        return SCHEMA[key](text.strip())
+        return KEYS[key][0](text.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -145,7 +101,10 @@ class ScenarioConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = dict(DEFAULTS)
+        for key in self.values:
+            if key not in KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+        merged = {key: default for key, (_, default) in KEYS.items()}
         merged.update(self.values)
         object.__setattr__(self, "values", merged)
         family = merged["schedule.family"]

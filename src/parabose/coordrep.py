@@ -219,7 +219,7 @@ class WavefunctionGrid:
     ``rho_values`` is the closed-form density (equal to |psi|^2 to the
     two-route tolerance).  ``parity_norm``, the factor-2 half-line integral
     of |even|^2 + |odd|^2, carries the state norm and must equal 1;
-    ``integral`` is the same grid-independent sum of |even + odd|^2.  It
+    ``integral``, the same integral of |even + odd|^2 on the same nodes,
     adds twice the real even-odd interference on the half-line, which
     vanishes pointwise for a real squeeze with purely imaginary or zero
     displacement (the family of the emitted figures)."""
@@ -258,27 +258,33 @@ def default_grid(params: AlgebraParams, spec: CsSpec,
 
 def _half_line_sums(spec: CsSpec, params: AlgebraParams,
                     ell: int) -> tuple[float, float]:
-    """(parity_norm, integral): h (2 sum_{k>=0} f(k h) - f(0)) on [0, extent]
-    for f = |even|^2 + |odd|^2 and |even + odd|^2.  The first f is even and
-    analytic in x, so the trapezoid sum converges geometrically (Trefethen &
-    Weideman, SIAM Rev. 56, 2014); h halves from a quarter of the envelope
-    width until two such sums agree.  The odd-in-x interference in the
-    second converges only as h^2, so it is not gated."""
+    """(parity_norm, integral) from the sums h (2 sum_{k>=0} f(k h) - f(0))
+    on [0, extent] of f = |even|^2 + |odd|^2 and |even + odd|^2, with h
+    halving from a quarter of the envelope width.  The first f is even and
+    analytic in x, so its sums converge geometrically (Trefethen & Weideman,
+    SIAM Rev. 56, 2014) and settle when two agree.  The second adds the
+    odd-in-x interference, whose sums carry the h^2, h^4, ... end terms of
+    Euler-Maclaurin at x = 0; it settles on the Romberg diagonal of the
+    same halvings."""
     width = abs(1.0 - spec.zeta) / math.sqrt(2.0 * (1.0 - abs(spec.zeta) ** 2))
     extent = _extent(spec, ell)
     intervals = math.ceil(4.0 * extent / width)
-    previous = math.inf
+    previous, romberg = math.inf, []
     while intervals + 1 <= NORM_NODE_CAP:
         step = params.length_scale * extent / intervals
         even, odd = wavefunction_parity_parts(
             spec, params, step * np.arange(intervals + 1))
         f = np.array([np.abs(even) ** 2 + np.abs(odd) ** 2,
                       np.abs(even + odd) ** 2])
-        parity_norm, integral = step * (2.0 * f.sum(axis=1) - f[:, 0])
-        if abs(parity_norm - previous) <= NORM_SETTLE_TOL:
-            return float(parity_norm), float(integral)
-        previous, intervals = parity_norm, 2 * intervals
-    raise QuadratureError(f"half-line norm did not settle to {NORM_SETTLE_TOL}"
+        parity_norm, trapezoid = step * (2.0 * f.sum(axis=1) - f[:, 0])
+        row = [float(trapezoid)]
+        for j, coarser in enumerate(romberg, start=1):
+            row.append(row[-1] + (row[-1] - coarser) / (4 ** j - 1))
+        if (abs(parity_norm - previous) <= NORM_SETTLE_TOL
+                and abs(row[-1] - romberg[-1]) <= NORM_SETTLE_TOL):
+            return float(parity_norm), row[-1]
+        previous, romberg, intervals = parity_norm, row, 2 * intervals
+    raise QuadratureError(f"half-line sums did not settle to {NORM_SETTLE_TOL}"
                           f" within {NORM_NODE_CAP} trapezoid nodes")
 
 

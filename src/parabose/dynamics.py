@@ -113,11 +113,10 @@ class StateTrajectory:
     def theta_cs(self) -> np.ndarray:
         return self.phase_fg.real - self.delta_integral
 
-    def theta_svs(self, epsilon: float | None = None) -> np.ndarray:
-        eps = self.epsilon if epsilon is None else epsilon
-        if eps is None:
-            raise ConfigError("theta_svs needs epsilon (pass it or set it on solve)")
-        return eps * self.phase_fg.real - self.delta_integral
+    def theta_svs(self) -> np.ndarray:
+        if self.epsilon is None:
+            raise ConfigError("theta_svs needs epsilon (set it on solve)")
+        return self.epsilon * self.phase_fg.real - self.delta_integral
 
     def f_reconstructed(self, f0: complex = 1.0) -> np.ndarray:
         """f(t) = f0 exp(-i int (conj(alpha) zeta - beta) dt)."""
@@ -130,12 +129,12 @@ class StateTrajectory:
         angles = np.angle(self.xi)
         return np.round((np.unwrap(angles) - angles) / (2.0 * math.pi)).astype(int)
 
-    def at(self, t: float, epsilon: float | None = None) -> StateParams:
+    def at(self, t: float) -> StateParams:
         """State parameters at the grid time t."""
-        eps = self.epsilon if epsilon is None else epsilon
         j = _grid_index(self.times, t)
         phase, dint = float(self.phase_fg[j].real), float(self.delta_integral[j])
-        theta_svs = (eps * phase - dint) if eps is not None else math.nan
+        theta_svs = (math.nan if self.epsilon is None
+                     else self.epsilon * phase - dint)
         return StateParams(zeta=complex(self.zeta[j]), xi=complex(self.xi[j]),
                            theta_svs=theta_svs, theta_cs=phase - dint,
                            xi_winding=int(self.xi_windings[j]))

@@ -101,24 +101,17 @@ class FockVector:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
-    def tail_mass(self, width: int = TAIL_WIDTH) -> float:
-        return float(np.sum(np.abs(self.amplitudes[-width:]) ** 2))
+    def tail_mass(self) -> float:
+        return float(np.sum(np.abs(self.amplitudes[-TAIL_WIDTH:]) ** 2))
 
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>, zero-padded to the larger truncation."""
         n = min(self.truncation, other.truncation)
         val = complex(np.vdot(self.amplitudes[:n], other.amplitudes[:n]))
         return val
-
-    def padded(self, truncation: int) -> "FockVector":
-        if truncation < self.truncation:
-            raise TruncationError("cannot shrink a FockVector")
-        out = np.zeros(truncation, dtype=complex)
-        out[: self.truncation] = self.amplitudes
-        return FockVector(out)
 
 
 def vacuum_state(truncation: int) -> FockVector:

@@ -1,12 +1,13 @@
 """Scenario parsing, schema enforcement, CLI commands and emission format."""
 
+import argparse
 import math
 import os
 
 import numpy as np
 import pytest
 
-from parabose.cli import _COMMANDS, main
+from parabose.cli import _COMMANDS, _emit, main
 from parabose.config import ScenarioConfig, parse_scenario
 from parabose.errors import ConfigError
 
@@ -62,6 +63,10 @@ class TestScenarioParsing:
     def test_bad_family(self):
         with pytest.raises(ConfigError):
             parse_scenario("schedule.family = random\n")
+
+    def test_unknown_key_in_values_rejected(self):
+        with pytest.raises(ConfigError, match="'state.zeta'"):
+            ScenarioConfig(values={"state.zeta": 0.3})
 
     def test_tabulated_needs_table(self):
         cfg = parse_scenario("schedule.family = tabulated\n")
@@ -197,10 +202,36 @@ class TestCommands:
         assert len(rows) == 101
         assert max(float(row.split(",")[2]) for row in rows) <= 1e-9
 
-    # verify runs on the default config in test_criterion_11_determinism
-    @pytest.mark.parametrize("command", sorted(set(_COMMANDS) - {"verify"}))
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_default_config(self, tmp_path, command):
         assert main([command, "--out", str(tmp_path)]) == 0
+        assert not [n for n in os.listdir(tmp_path) if n.startswith(".")]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        replace = os.replace
+
+        def replace_all_but_scripts(src, dst):
+            if dst.endswith(".gp"):
+                raise OSError("injected rename failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_all_but_scripts)
+        with pytest.raises(OSError, match="injected"):
+            main(["weight", "--out", str(tmp_path), "--set",
+                  "figure.epsilons=2", "--plot-script"])
+        assert os.listdir(tmp_path) == ["weight_eps2.csv"]
+
+    def test_row_format_matches_per_value_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1e22, 1 / 3, 3.0]
+        cfg = ScenarioConfig().with_overrides([f"output.dir={tmp_path}"])
+        _emit(cfg, argparse.Namespace(plot_script=False), "pin",
+              {"v": values, "w": values[::-1]})
+        rows = read(tmp_path / "pin.csv").splitlines()
+        assert rows[0] == "v,w"
+        assert rows[1:] == [f"{v:.12g},{w:.12g}"
+                            for v, w in zip(values, values[::-1])]
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "-0", "4.94065645841e-324", "1e+22", "0.333333333333", "3"]
 
     def test_plot_script_emission(self, tmp_path):
         out = str(tmp_path / "h")

@@ -21,6 +21,21 @@ FORMERLY_FAILING = ((1, -0.4 + 0.3j, 6j), (0, 0.6j, 2 + 5j))
 # (ell, zeta, xi) squeezed states that failed a norm taken on the emission grid
 NARROW_STATES = ((0, 0.7, 0.0), (2, 0.9, 0.0), (0, 0.95, 1j), (1, 0.95, 1j),
                  (2, 0.97, 0.5))
+# (ell, zeta, xi) whose even-odd interference starts at x^(4 ell + 1): one
+# trapezoid sum of |even + odd|^2 missed quad by 2.2e-4, -5.2e-4 and 1.3e-7
+INTERFERING_STATES = ((0, 0.6j, 2 + 5j), (0, 0.3 + 0.2j, 1 + 1j),
+                      (1, 0.6j, 2 + 5j))
+
+
+def half_line_quad(spec, params, combine):
+    """Adaptive factor-2 integral over x >= 0 of combine(even, odd)."""
+    def integrand(x):
+        even, odd = coordrep.wavefunction_parity_parts(spec, params, x)
+        return 2.0 * float(combine(even[0], odd[0]))
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
+                    limit=200)
+    return value
 
 
 def parity_parts_mpmath(spec, l, x):
@@ -271,14 +286,29 @@ class TestDensity:
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
         params = AlgebraParams.from_ell(ell)
         wg = coordrep.probability_density(spec, params)
-
-        def mass(x):
-            even, odd = coordrep.wavefunction_parity_parts(spec, params, x)
-            return 2.0 * float(np.abs(even[0]) ** 2 + np.abs(odd[0]) ** 2)
-
-        reference, _ = quad(mass, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
-                            limit=200)
+        reference = half_line_quad(
+            spec, params, lambda even, odd: abs(even) ** 2 + abs(odd) ** 2)
         assert abs(wg.parity_norm - reference) <= 1e-12
+
+    @pytest.mark.parametrize("ell, zeta, xi", INTERFERING_STATES)
+    def test_interfering_integral_against_quad(self, ell, zeta, xi):
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
+        params = AlgebraParams.from_ell(ell)
+        wg = coordrep.probability_density(spec, params)
+        reference = half_line_quad(spec, params,
+                                   lambda even, odd: abs(even + odd) ** 2)
+        assert abs(wg.integral - reference) <= 1e-10
+
+    def test_figure_family_settles_after_two_sums(self, monkeypatch):
+        # no interference, so the Romberg gate on the integral adds no halving
+        parts = coordrep.wavefunction_parity_parts
+        calls = []
+        monkeypatch.setattr(coordrep, "wavefunction_parity_parts",
+                            lambda *a: calls.append(a) or parts(*a))
+        for ell in range(4):
+            spec = CsSpec(zeta=0.45, xi=1j, epsilon=2 * ell + 0.5)
+            coordrep._half_line_sums(spec, AlgebraParams.from_ell(ell), ell)
+        assert len(calls) == 8
 
     def test_norm_independent_of_grid(self):
         grids = (None, coordrep.default_grid(FIG_PARAMS, FIG_SPEC, points=512),

@@ -121,12 +121,6 @@ class TestFockVector:
         v = vacuum_state(8)
         assert v.is_normalized() and v.truncation == 8
 
-    def test_padded(self):
-        v = vacuum_state(4).padded(8)
-        assert v.truncation == 8 and v.amplitudes[0] == 1.0
-        with pytest.raises(TruncationError):
-            v.padded(4)
-
 
 class TestEvolution:
     def test_stationary_vacuum(self):
