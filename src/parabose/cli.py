@@ -32,9 +32,9 @@ from .coordrep import default_grid, probability_density
 from .dynamics import DEFAULT_STEPS, assemble_A, solve_fg, solve_zeta_xi
 from .errors import ConfigError, ParaBoseError
 from .fock import TAIL_WIDTH, AlgebraParams, evolve_trajectory
-from .observables import cs_moments
+from .observables import cs_moments, uncertainty_products
 from .oscillator import OscillatorConfig, closed_form_parameters, \
-    mean_trajectories, stationary_transition, uncertainty_trajectory
+    mean_trajectories, stationary_transition
 from .states import CsSpec, cs_amplitudes, cs_transition, svs_transition
 
 __all__ = ["main"]
@@ -116,9 +116,9 @@ def cmd_density(cfg: ScenarioConfig, args) -> int:
     zeta, xi = cfg.zeta0(), cfg.xi0()
     base = cfg.algebra_params()
     for ell in cfg["figure.ells"]:
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
         params = AlgebraParams.from_ell(ell, length_scale=base.length_scale,
                                         hbar=base.hbar)
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
         grid = default_grid(params, spec, points=cfg["figure.points"])
         wg = probability_density(spec, params, grid)
         _emit(cfg, args, f"density_ell{ell}",
@@ -143,24 +143,23 @@ def cmd_weight(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_oscillator(cfg: ScenarioConfig, args) -> int:
-    params = cfg.algebra_params()
-    ell = params.ell
+    ell = cfg.algebra_params().ell
     if ell is None:
         raise ParaBoseError("oscillator needs an integer level: set algebra.ell")
     omega0 = cfg["schedule.beta"]
     base = OscillatorConfig(omega0=omega0, ell=ell, zeta0=cfg.zeta0(),
-                            xi0=cfg.xi0(), l=params.length_scale,
-                            hbar=params.hbar)
+                            xi0=cfg.xi0(), l=cfg["algebra.l"],
+                            hbar=cfg["algebra.hbar"])
+    params = base.algebra_params()
     times = np.linspace(0.0, cfg["run.t_final"], cfg["run.samples"] + 1)
     rows = []
     for t in times:
         x_m, p_m = mean_trajectories(base, float(t))
-        snap = uncertainty_trajectory(base, float(t))
         p = closed_form_parameters(base, float(t))
-        m = cs_moments(CsSpec(zeta=p.zeta, xi=p.xi, epsilon=base.epsilon),
+        m = cs_moments(CsSpec(zeta=p.zeta, xi=p.xi, epsilon=params.epsilon),
                        params)
         rows.append((float(t), x_m, p_m, m.sigma_x, m.sigma_p,
-                     snap.heisenberg, snap.schrodinger_robertson))
+                     *uncertainty_products(p.zeta, m.mean_r, params)))
     _emit(cfg, args, "oscillator_trajectory", dict(zip(
         ("t", "x_mean", "p_mean", "sigma_x", "sigma_p", "heis", "sr"),
         zip(*rows))))

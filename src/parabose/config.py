@@ -131,24 +131,16 @@ class ScenarioConfig:
 
     def epsilon(self) -> float:
         eps, ell = self["algebra.epsilon"], self["algebra.ell"]
-        if eps is None and ell is None:
-            return 0.5
         if eps is None:
-            return 2 * ell + 0.5
-        if ell is not None and eps != 2 * ell + 0.5:
+            return 0.5 if ell is None else AlgebraParams.from_ell(ell).epsilon
+        if ell is not None and AlgebraParams(epsilon=eps).ell != ell:
             raise ConfigError(
                 f"algebra.epsilon={eps} conflicts with algebra.ell={ell}"
             )
         return float(eps)
 
     def algebra_params(self) -> AlgebraParams:
-        eps = self.epsilon()
-        ell = self["algebra.ell"]
-        if ell is None:
-            half_levels = (eps - 0.5) / 2.0
-            if abs(half_levels - round(half_levels)) < 1e-12:
-                ell = int(round(half_levels))
-        return AlgebraParams(epsilon=eps, ell=ell,
+        return AlgebraParams(epsilon=self.epsilon(),
                              length_scale=self["algebra.l"],
                              hbar=self["algebra.hbar"])
 

@@ -56,26 +56,22 @@ NORM_NODE_CAP = 65536
 
 def ell_from_epsilon(epsilon: float) -> int:
     """Integer ell with eps = 2 ell + 1/2, or a quantization error."""
-    ell = (epsilon - 0.5) / 2.0
-    if abs(ell - round(ell)) > 1e-12 or ell < 0:
+    ell = AlgebraParams(epsilon=epsilon).ell
+    if ell is None:
         raise DomainError(
             f"coordinate sector requires eps = 2 ell + 1/2 with integer ell, "
             f"got eps = {epsilon}"
         )
-    return int(round(ell))
+    return ell
 
 
 def vacuum_wavefunction(ell: int, l: float, x) -> np.ndarray | float:
     """Even-parity vacuum; x = 0 is included by continuity (x^0 = 1)."""
-    if ell != int(ell) or ell < 0:
-        raise DomainError(f"ell must be a nonnegative integer, got {ell!r}")
-    if l <= 0:
-        raise DomainError("length scale must be positive")
+    eps = AlgebraParams.from_ell(ell, length_scale=l).epsilon
     ell = int(ell)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise DomainError("coordinate representation lives on x >= 0")
-    eps = 2 * ell + 0.5
     norm = l ** (-eps) / math.sqrt(math.gamma(eps))
     with np.errstate(invalid="ignore"):
         vals = norm * x_arr ** (2 * ell) * np.exp(-(x_arr ** 2) / (2.0 * l * l))

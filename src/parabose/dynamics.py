@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, IntegrationError
 from .fock import AlgebraParams, build_ladder, integrate_verified
 from .schedules import CoefficientSchedule
+from .states import SQUEEZE_LIMIT, check_squeeze
 
 __all__ = [
     "MotionIntegral",
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 MU_DRIFT_TOL = 1e-9
-SQUEEZE_LIMIT = 1.0 - 1e-6
 DEFAULT_STEPS = 4096
 
 
@@ -205,8 +205,7 @@ def solve_zeta_xi(
     on the output grid (series convergence lost).
     """
     zeta0, xi0 = complex(zeta0), complex(xi0)
-    if abs(zeta0) >= 1.0:
-        raise DomainError(f"|zeta0| must be < 1, got {abs(zeta0)}")
+    check_squeeze(zeta0)
     times = _output_grid(t_final, dt)
 
     def deriv(alpha, beta, delta, y):

@@ -28,6 +28,7 @@ from .schedules import CoefficientSchedule
 
 __all__ = [
     "AlgebraParams",
+    "check_epsilon",
     "FockVector",
     "build_ladder",
     "build_hamiltonian",
@@ -43,43 +44,50 @@ LEAK_TOL = 1e-10        # final-state tail mass bound
 STEP_HALVING_TOL = 1e-8  # bound on the certifying rerun's disagreement
 SOLVER_RTOL = 1e-11
 SOLVER_ATOL = 1e-13     # error floor for components far below 1, e.g. Fock tails
+LEVEL_TOL = 1e-12       # |eps - (2 ell + 1/2)| below which eps is on level ell
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The ground level of every algebra and state: finite eps >= 1/2."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.5):
+        raise DomainError(f"epsilon must be >= 1/2, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """Deformation data: ground level eps >= 1/2, optional integer ell with
-    eps = 2 ell + 1/2, length scale l and hbar (both default 1)."""
+    """Deformation data: ground level eps >= 1/2, length scale l and hbar
+    (both default 1).  An even vacuum quantizes the level, eps = 2 ell + 1/2;
+    ``ell`` reads that integer back, or None off the lattice."""
 
     epsilon: float
-    ell: int | None = None
     length_scale: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.5:
-            raise DomainError(f"epsilon must be >= 1/2, got {self.epsilon!r}")
-        if self.ell is not None:
-            if self.ell != int(self.ell) or self.ell < 0:
-                raise DomainError(f"ell must be a nonnegative integer, got {self.ell!r}")
-            if self.epsilon != 2 * self.ell + 0.5:
-                raise DomainError(
-                    f"epsilon={self.epsilon} inconsistent with ell={self.ell} "
-                    "(requires epsilon = 2 ell + 1/2)"
-                )
-        if self.length_scale <= 0:
-            raise DomainError("length_scale must be positive")
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        check_epsilon(self.epsilon)
+        if not self.length_scale > 0:
+            raise DomainError(f"length_scale must be positive, got {self.length_scale!r}")
+        if not self.hbar > 0:
+            raise DomainError(f"hbar must be positive, got {self.hbar!r}")
 
     @property
     def nu(self) -> float:
         """Wigner deformation parameter nu = 2 eps - 1."""
         return 2.0 * self.epsilon - 1.0
 
+    @property
+    def ell(self) -> int | None:
+        """Integer ell with eps = 2 ell + 1/2 to within LEVEL_TOL, else None."""
+        half_levels = (self.epsilon - 0.5) / 2.0
+        ell = round(half_levels)
+        return ell if abs(half_levels - ell) <= LEVEL_TOL else None
+
     @classmethod
     def from_ell(cls, ell: int, length_scale: float = 1.0, hbar: float = 1.0):
-        return cls(epsilon=2 * int(ell) + 0.5, ell=int(ell),
-                   length_scale=length_scale, hbar=hbar)
+        if isinstance(ell, bool) or not (float(ell).is_integer() and ell >= 0):
+            raise DomainError(f"ell must be a nonnegative integer, got {ell!r}")
+        return cls(epsilon=2 * int(ell) + 0.5, length_scale=length_scale,
+                   hbar=hbar)
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,10 @@ def cs_moments(spec: CsSpec, params: AlgebraParams) -> Moments:
 
 
 def uncertainty_products(
-    m: Moments, params: AlgebraParams, zeta: complex
+    zeta: complex, mean_r: float, params: AlgebraParams
 ) -> tuple[float, float]:
-    """(Heisenberg product sigma_x sigma_P, Schrodinger-Robertson combination).
+    """(Heisenberg product sigma_x sigma_P, Schrodinger-Robertson combination)
+    of the coherent state with squeeze zeta and parity mean R_bar = mean_r.
 
     Closed forms:
       sigma_x sigma_P = hbar sqrt(1 + 4 Im^2 zeta / (1-|zeta|^2)^2)
@@ -78,7 +79,7 @@ def uncertainty_products(
     zeta = complex(zeta)
     hbar = params.hbar
     one = 1.0 - abs(zeta) ** 2
-    parity_weight = 1.0 + (2.0 * params.epsilon - 1.0) * m.mean_r
+    parity_weight = 1.0 + params.nu * mean_r
     heisenberg = (hbar * math.sqrt(1.0 + 4.0 * zeta.imag ** 2 / one ** 2)
                   * parity_weight / 2.0)
     schrodinger_robertson = (hbar * parity_weight / 2.0) ** 2

@@ -23,7 +23,8 @@ import numpy as np
 from .dynamics import StateParams
 from .errors import DomainError
 from .fock import AlgebraParams, FockVector
-from .states import CsSpec, cs_amplitudes, cs_spec_from_params, \
+from .observables import uncertainty_products
+from .states import check_squeeze, cs_amplitudes, cs_spec_from_params, \
     cs_transition, mean_reflection
 
 __all__ = [
@@ -50,18 +51,14 @@ class OscillatorConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise DomainError("omega0 must be positive")
-        if self.ell != int(self.ell) or self.ell < 0:
-            raise DomainError(f"ell must be a nonnegative integer, got {self.ell!r}")
-        if abs(self.zeta0) >= 1.0:
-            raise DomainError(f"|zeta0| must be < 1, got {abs(self.zeta0)}")
-        if self.l <= 0 or self.hbar <= 0:
-            raise DomainError("l and hbar must be positive")
+        if not self.omega0 > 0:
+            raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
+        self.algebra_params()
+        check_squeeze(self.zeta0)
 
     @property
     def epsilon(self) -> float:
-        return 2 * int(self.ell) + 0.5
+        return self.algebra_params().epsilon
 
     @property
     def mass(self) -> float:
@@ -73,7 +70,7 @@ class OscillatorConfig:
         return 2.0 * math.pi / self.omega0
 
     def algebra_params(self) -> AlgebraParams:
-        return AlgebraParams.from_ell(int(self.ell), length_scale=self.l,
+        return AlgebraParams.from_ell(self.ell, length_scale=self.l,
                                       hbar=self.hbar)
 
     def mean_r(self) -> float:
@@ -143,21 +140,14 @@ class UncertaintySnapshot:
 
 
 def uncertainty_trajectory(cfg: OscillatorConfig, t: float) -> UncertaintySnapshot:
-    """Uncertainty products at time t, plus every minimum instant inside
-    [0, t] (inside one period if t <= 0).
-
-    heisenberg(t) = hbar sqrt(1 + 4 |z0|^2 sin^2(th_z - 2 w0 t)/(1-|z0|^2)^2)
-                    (1 + 4 ell R) / 2, with constant R and constant
-    Schrodinger-Robertson value (hbar^2/4)(1 + 4 ell R)^2.
+    """Uncertainty products at time t (``observables.uncertainty_products``
+    at zeta(t) with the constant parity mean), plus every minimum instant
+    inside [0, t] (inside one period if t <= 0): the Heisenberg product is
+    minimal where Im zeta(t) = 0, i.e. sin(th_z - 2 w0 t) = 0.
     """
-    z_abs, z_arg = abs(cfg.zeta0), cmath.phase(complex(cfg.zeta0))
-    one = 1.0 - z_abs**2
-    parity_weight = 1.0 + 4.0 * cfg.ell * cfg.mean_r()
-    osc = math.sqrt(
-        1.0 + 4.0 * z_abs**2 * math.sin(z_arg - 2.0 * cfg.omega0 * t) ** 2 / one**2
-    )
-    heis = cfg.hbar * osc * parity_weight / 2.0
-    sr = (cfg.hbar * parity_weight / 2.0) ** 2
+    heis, sr = uncertainty_products(closed_form_parameters(cfg, t).zeta,
+                                    cfg.mean_r(), cfg.algebra_params())
+    z_arg = cmath.phase(complex(cfg.zeta0))
     w = t if t > 0 else cfg.period
     # t_k = (theta_zeta - k pi) / (2 omega0) inside [0, w]
     k_hi = math.floor(z_arg / math.pi)
@@ -177,20 +167,17 @@ def calibrate_l(sigma_x0: float, zeta0: float, xi0: complex, ell: int) -> float:
 
     valid for real squeeze zeta0 (the stated assumption of the closed form).
     """
-    if sigma_x0 <= 0:
+    if not sigma_x0 > 0:
         raise DomainError("sigma_x0 must be positive")
     z = complex(zeta0)
     if abs(z.imag) > 1e-12:
         raise DomainError("calibrate_l assumes a real squeeze parameter")
     z0 = z.real
-    if abs(z0) >= 1.0:
-        raise DomainError(f"|zeta0| must be < 1, got {abs(z0)}")
-    if ell != int(ell) or ell < 0:
-        raise DomainError(f"ell must be a nonnegative integer, got {ell!r}")
-    eps = 2 * int(ell) + 0.5
-    r_bar = mean_reflection(z0, xi0, eps)
+    check_squeeze(z0)
+    params = AlgebraParams.from_ell(ell)
+    r_bar = mean_reflection(z0, xi0, params.epsilon)
     return sigma_x0 * math.sqrt(
-        (1.0 + z0) / (1.0 - z0) * 2.0 / (1.0 + 4.0 * ell * r_bar)
+        (1.0 + z0) / (1.0 - z0) * 2.0 / (1.0 + params.nu * r_bar)
     )
 
 
@@ -227,18 +214,17 @@ def asymptotic_uncertainties(
     y = |xi0|^2/(1-|zeta0|^2) >= large_y_min) default to desk-scale values
     and may be overridden by the caller.
     """
-    z_abs, z_arg = abs(cfg.zeta0), cmath.phase(complex(cfg.zeta0))
-    one = 1.0 - z_abs**2
+    one = 1.0 - abs(cfg.zeta0) ** 2
     x_abs = abs(cfg.xi0)
-    if regime in ("small", "small-argument"):
-        if x_abs > small_xi_max or z_abs > small_zeta_max:
+    if regime == "small":
+        if x_abs > small_xi_max or abs(cfg.zeta0) > small_zeta_max:
             raise DomainError(
                 f"small-argument regime needs |xi0| <= {small_xi_max} and "
                 f"|zeta0| <= {small_zeta_max}"
             )
         d = (4 * cfg.ell + 1) * one
         r_bar = (d - x_abs**2) / (d + x_abs**2)
-    elif regime in ("large", "large-argument"):
+    elif regime == "large":
         y = x_abs**2 / one
         if y < large_y_min:
             raise DomainError(
@@ -248,12 +234,7 @@ def asymptotic_uncertainties(
         r_bar = cfg.ell * one / (x_abs**2 - 2.0 * cfg.ell**2 * one)
     else:
         raise DomainError(f"regime must be 'small' or 'large', got {regime!r}")
-    parity_weight = 1.0 + 4.0 * cfg.ell * r_bar
-    osc = math.sqrt(
-        1.0 + 4.0 * z_abs**2 * math.sin(z_arg - 2.0 * cfg.omega0 * t) ** 2 / one**2
-    )
-    return AsymptoticUncertainty(
-        heisenberg=cfg.hbar * osc * parity_weight / 2.0,
-        schrodinger_robertson=(cfg.hbar * parity_weight / 2.0) ** 2,
-        mean_r=r_bar,
-    )
+    heis, sr = uncertainty_products(closed_form_parameters(cfg, t).zeta,
+                                    r_bar, cfg.algebra_params())
+    return AsymptoticUncertainty(heisenberg=heis, schrodinger_robertson=sr,
+                                 mean_r=r_bar)

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln, ive
 
 from .errors import ConfigError, DomainError, TruncationError
-from .fock import FockVector
+from .fock import FockVector, check_epsilon
 
 __all__ = [
     "SvsSpec",
@@ -56,12 +56,14 @@ __all__ = [
     "cs_transition",
     "cs_overlap",
     "mean_reflection",
+    "check_squeeze",
 ]
 
 SVS_TAIL_BOUND = 1e-14
 CS_TAIL_BOUND = 1e-16
 MAX_PAIRS = 200_000
 RENORM_WARN_TOL = 1e-9
+SQUEEZE_LIMIT = 1.0 - 1e-6
 
 # Test hook for mutation detection: flips a sign inside the squeezed-vacuum
 # transition formula so the verification suite demonstrably fails.
@@ -73,11 +75,16 @@ def set_sabotage(enabled: bool) -> None:
     _SABOTAGE_TRANSITION = bool(enabled)
 
 
-def _check_state_inputs(zeta: complex, epsilon: float) -> None:
-    if not math.isfinite(epsilon) or epsilon < 0.5:
-        raise DomainError(f"epsilon must be >= 1/2, got {epsilon!r}")
-    if abs(zeta) > 1.0 - 1e-6:
+def check_squeeze(zeta: complex) -> None:
+    """The squeeze domain of every state and trajectory: |zeta| < SQUEEZE_LIMIT,
+    inside which the number-state series converge; NaN fails."""
+    if not abs(zeta) < SQUEEZE_LIMIT:
         raise DomainError(f"|zeta| must stay below 1 - 1e-6, got {abs(zeta)}")
+
+
+def _check_state_inputs(zeta: complex, epsilon: float) -> None:
+    check_epsilon(epsilon)
+    check_squeeze(zeta)
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,8 @@ def cs_spec_from_params(params, epsilon: float) -> CsSpec:
     principal-branch prefactor lands on the continuous Schrodinger solution
     even after arg xi(t) wraps.
     """
-    winding = getattr(params, "xi_winding", 0)
-    theta = params.theta_cs + 2.0 * math.pi * (epsilon - 1.0) * winding
+    theta = (params.theta_cs
+             + 2.0 * math.pi * (epsilon - 1.0) * params.xi_winding)
     return CsSpec(zeta=params.zeta, xi=params.xi, epsilon=epsilon, theta=theta)
 
 

@@ -463,7 +463,7 @@ def check_sr_saturation(rng):
     for zeta, xi, eps in _random_state_grid(rng, 40):
         params = AlgebraParams(epsilon=eps)
         m = observables.cs_moments(CsSpec(zeta=zeta, xi=xi, epsilon=eps), params)
-        _, sr = observables.uncertainty_products(m, params, zeta)
+        _, sr = observables.uncertainty_products(zeta, m.mean_r, params)
         direct = m.var_x * m.var_p - m.cov_xp**2
         worst = max(worst, abs(direct - sr))
     return _result("observables.sr_saturation", worst, 1e-10)
@@ -512,7 +512,7 @@ def check_coordinate_annihilation(rng):
     x = np.linspace(0.1, 6.0, 1201)
     for ell in (0, 1, 2):
         l = 1.0
-        eps = 2 * ell + 0.5
+        eps = AlgebraParams.from_ell(ell, length_scale=l).epsilon
 
         def psi(xx, _ell=ell):
             return coordrep.vacuum_wavefunction(_ell, l, xx)
@@ -528,8 +528,8 @@ def check_density_two_route(rng):
     worst = 0.0
     for ell, zeta, xi in ((0, 0.45, 1j), (1, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
                           (3, 0.45, 1j)):
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
         params = AlgebraParams.from_ell(ell)
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
         wg = coordrep.probability_density(spec, params)
         worst = max(worst, wg.two_route_residual)
     return _result("coordrep.density_two_route", worst, 1e-10)
@@ -541,12 +541,14 @@ def check_density_normalization(rng):
     worst = 0.0
     for ell, zeta, xi in ((0, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
                           (1, 0.3j, 0.5 - 0.5j), (3, -0.5, 0.0)):
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
-        wg = coordrep.probability_density(spec, AlgebraParams.from_ell(ell))
+        params = AlgebraParams.from_ell(ell)
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
+        wg = coordrep.probability_density(spec, params)
         worst = max(worst, abs(wg.parity_norm - 1.0))
     for ell, zeta, xi in ((0, 0.45, 1j), (2, -0.5, 1.2j), (1, 0.6, 0.0)):
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)
-        wg = coordrep.probability_density(spec, AlgebraParams.from_ell(ell))
+        params = AlgebraParams.from_ell(ell)
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
+        wg = coordrep.probability_density(spec, params)
         worst = max(worst, abs(wg.integral - 1.0))
     return _result("coordrep.density_normalization", worst, 1e-8,
                    "parity-resolved always; plain integral on figure family")
@@ -741,7 +743,7 @@ def check_calibrate_roundtrip(rng):
         l = rng.uniform(0.4, 2.5)
         params = AlgebraParams.from_ell(ell, length_scale=l)
         m = observables.cs_moments(
-            CsSpec(zeta=zeta0, xi=xi0, epsilon=2 * ell + 0.5), params)
+            CsSpec(zeta=zeta0, xi=xi0, epsilon=params.epsilon), params)
         back = oscillator.calibrate_l(m.sigma_x, zeta0, xi0, ell)
         worst = max(worst, abs(back - l) / l)
     return _result("oscillator.calibrate_roundtrip", worst, 1e-12)

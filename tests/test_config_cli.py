@@ -245,6 +245,28 @@ class TestCommands:
         bad.write_text("who = knows\n")
         assert main(["svs-prob", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command,overrides", [
+        ("svs-prob", ["state.zeta_re=nan"]),
+        ("oscillator", ["algebra.ell=1", "algebra.l=nan"]),
+        ("oscillator", ["algebra.ell=1", "schedule.beta=nan"]),
+        ("oscillator", ["algebra.ell=1", "state.zeta_re=nan"]),
+    ])
+    def test_nan_input_fails_loudly(self, tmp_path, capsys, command, overrides):
+        out = tmp_path / "nan"
+        argv = [command, "--out", str(out)]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") for line in err)
+        assert not list(out.glob("*.csv"))
+
+    def test_near_lattice_epsilon_reads_as_its_level(self, tmp_path):
+        # 1e-13 off eps = 2 ell + 1/2 is level ell = 1, as in coordrep
+        assert main(["evolve", "--out", str(tmp_path),
+                     "--set", "algebra.epsilon=2.5000000000001",
+                     "--set", "run.samples=1", "--set", "run.t_final=0.1"]) == 0
+
 
 class TestDeterminism:
     def test_figure_commands_byte_identical(self, tmp_path):

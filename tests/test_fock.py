@@ -37,12 +37,21 @@ class TestAlgebraParams:
     def test_ell_consistency(self):
         p = AlgebraParams.from_ell(3)
         assert p.epsilon == 6.5 and p.ell == 3
-        with pytest.raises(DomainError):
-            AlgebraParams(epsilon=2.0, ell=1)
+        for bad in (1.7, -1, True, math.nan):
+            with pytest.raises(DomainError):
+                AlgebraParams.from_ell(bad)
+        assert AlgebraParams(epsilon=2.0).ell is None
+        assert AlgebraParams(epsilon=4.5).ell == 2
+        assert AlgebraParams(epsilon=2.5 + 1e-13).ell == 1
         with pytest.raises(DomainError):
             AlgebraParams(epsilon=0.3)
         with pytest.raises(DomainError):
             AlgebraParams(epsilon=0.5, length_scale=-1.0)
+        for bad in ({"epsilon": math.nan},
+                    {"epsilon": 0.5, "length_scale": math.nan},
+                    {"epsilon": 0.5, "hbar": math.nan}):
+            with pytest.raises(DomainError):
+                AlgebraParams(**bad)
 
 
 class TestLadder:

@@ -90,7 +90,7 @@ class TestUncertainty:
         for zeta in (0.0, 0.3, -0.5):
             spec = CsSpec(zeta=zeta, xi=0.7, epsilon=2.5)
             m = cs_moments(spec, params)
-            heis, _ = uncertainty_products(m, params, zeta)
+            heis, _ = uncertainty_products(zeta, m.mean_r, params)
             expect = 0.5 * (1.0 + 4.0 * m.mean_r)  # hbar = 1, eps = 5/2
             assert heis == pytest.approx(expect, rel=1e-13)
 
@@ -101,7 +101,7 @@ class TestUncertainty:
         zeta = 0.3j
         spec = CsSpec(zeta=zeta, xi=4.0, epsilon=0.5)
         m = cs_moments(spec, params)
-        heis, _ = uncertainty_products(m, params, zeta)
+        heis, _ = uncertainty_products(zeta, m.mean_r, params)
         bare = 0.5 * math.sqrt(1.0 + 4.0 * 0.09 / (1.0 - 0.09) ** 2)
         assert heis == pytest.approx(bare * (1.0 + 0.0 * m.mean_r), rel=1e-10)
         assert heis == pytest.approx(m.sigma_x * m.sigma_p, rel=1e-12)
@@ -112,7 +112,7 @@ class TestUncertainty:
         for zeta in (0.3, 0.3j, 0.3 * np.exp(1j * np.pi / 4)):
             spec = CsSpec(zeta=zeta, xi=1.0, epsilon=2.5)
             m = cs_moments(spec, params)
-            vals.append(uncertainty_products(m, params, zeta)[1])
+            vals.append(uncertainty_products(zeta, m.mean_r, params)[1])
         assert max(vals) - min(vals) <= 1e-12
 
     @given(
@@ -126,7 +126,7 @@ class TestUncertainty:
         zeta = zeta_mag * np.exp(1j * zeta_arg)
         params = AlgebraParams(epsilon=eps)
         m = cs_moments(CsSpec(zeta=zeta, xi=xi_mag, epsilon=eps), params)
-        _, sr = uncertainty_products(m, params, zeta)
+        _, sr = uncertainty_products(zeta, m.mean_r, params)
         assert abs((m.var_x * m.var_p - m.cov_xp**2) - sr) <= 1e-10
 
     def test_squeezing_order_relations(self):
