@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from . import states, verify
+from . import states
 from .completeness import weight
 from .config import ScenarioConfig, parse_scenario
 from .coordrep import default_grid, probability_density
@@ -209,11 +209,13 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_verify(cfg: ScenarioConfig, args) -> int:
+    # imported here so that the figure commands do not load the suite
+    from . import verify
     digits = cfg["output.digits"]
     try:
         if args.sabotage:
             states.set_sabotage(True)
-        results = verify.run_all(seed=args.seed, config_epsilon=cfg.epsilon())
+        results = verify.run_all(args.seed, cfg.epsilon())
     finally:
         states.set_sabotage(False)
     width = max(len(r.name) for r in results)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureError
-from .states import _svs_coefficient_column
+from .states import _svs_coefficient_column, check_index
 
 __all__ = [
     "weight",
@@ -43,7 +43,7 @@ def weight(epsilon: float, r) -> np.ndarray | float:
     """w(r) = (eps - 1) / (pi (1 - r^2)^2) on 0 <= r < 1."""
     _require_completeness_domain(epsilon)
     r_arr = np.asarray(r, dtype=float)
-    if np.any((r_arr < 0.0) | (r_arr >= 1.0)):
+    if not np.all((r_arr >= 0.0) & (r_arr < 1.0)):  # NaN fails
         raise DomainError("weight is defined for 0 <= r < 1")
     vals = (epsilon - 1.0) / (math.pi * (1.0 - r_arr**2) ** 2)
     return vals if np.ndim(r) else float(vals)
@@ -73,9 +73,7 @@ def diagonal_identity_residual(
     being absorbed into the residual.
     """
     _require_completeness_domain(epsilon)
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = check_index(n)
     prefactor = (epsilon - 1.0) * math.exp(
         math.lgamma(n + epsilon) - math.lgamma(n + 1.0) - math.lgamma(epsilon)
     )

@@ -2,7 +2,8 @@
 
 A scenario file is ``key = value`` lines with ``#`` comments; the key set is
 a closed schema and unknown keys are hard errors carrying the line number.
-All numeric parsing is locale-independent (plain ``float``/``int``).
+All numeric parsing is locale-independent (plain ``float``/``int``), and
+every number must be finite: ``nan`` and ``inf`` are rejected by key.
 
 Sections:
   algebra.*   level (epsilon or ell), length scale, hbar
@@ -31,15 +32,22 @@ from .schedules import (
 __all__ = ["ScenarioConfig", "parse_scenario", "parse_value", "KEYS"]
 
 
-def _parse_int(text: str) -> int:
+def _parse_float(text: str) -> float:
     v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _parse_int(text: str) -> int:
+    v = _parse_float(text)
     if v != int(v):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(v)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in text.split(",") if p.strip())
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -48,29 +56,29 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 # key -> (parser of its text, default); None means unset
 KEYS = {
-    "algebra.epsilon": (float, None),
+    "algebra.epsilon": (_parse_float, None),
     "algebra.ell": (_parse_int, None),
-    "algebra.l": (float, 1.0),
-    "algebra.hbar": (float, 1.0),
+    "algebra.l": (_parse_float, 1.0),
+    "algebra.hbar": (_parse_float, 1.0),
     "schedule.family": (str, "constant"),
-    "schedule.alpha_re": (float, 0.0),
-    "schedule.alpha_im": (float, 0.0),
-    "schedule.beta": (float, 1.0),
-    "schedule.delta": (float, 0.0),
-    "schedule.alpha_amp_re": (float, 0.0),
-    "schedule.alpha_amp_im": (float, 0.0),
-    "schedule.beta_amp": (float, 0.0),
-    "schedule.omega": (float, 1.0),
+    "schedule.alpha_re": (_parse_float, 0.0),
+    "schedule.alpha_im": (_parse_float, 0.0),
+    "schedule.beta": (_parse_float, 1.0),
+    "schedule.delta": (_parse_float, 0.0),
+    "schedule.alpha_amp_re": (_parse_float, 0.0),
+    "schedule.alpha_amp_im": (_parse_float, 0.0),
+    "schedule.beta_amp": (_parse_float, 0.0),
+    "schedule.omega": (_parse_float, 1.0),
     "schedule.table": (str, ""),
-    "state.zeta_re": (float, 0.0),
-    "state.zeta_im": (float, 0.0),
-    "state.zeta_abs": (float, None),
-    "state.zeta_arg": (float, 0.0),
-    "state.xi_re": (float, 0.0),
-    "state.xi_im": (float, 0.0),
-    "state.xi_abs": (float, None),
-    "state.xi_arg": (float, 0.0),
-    "run.t_final": (float, 2.0 * math.pi),
+    "state.zeta_re": (_parse_float, 0.0),
+    "state.zeta_im": (_parse_float, 0.0),
+    "state.zeta_abs": (_parse_float, None),
+    "state.zeta_arg": (_parse_float, 0.0),
+    "state.xi_re": (_parse_float, 0.0),
+    "state.xi_im": (_parse_float, 0.0),
+    "state.xi_abs": (_parse_float, None),
+    "state.xi_arg": (_parse_float, 0.0),
+    "run.t_final": (_parse_float, 2.0 * math.pi),
     "run.truncation": (_parse_int, None),
     "run.samples": (_parse_int, 32),
     "output.dir": (str, "out"),
@@ -79,7 +87,7 @@ KEYS = {
     "figure.ells": (_parse_ints, (0, 1, 2, 3)),
     "figure.zetas": (_parse_floats, (0.0, 0.25, 0.5, 0.75)),
     "figure.n_max": (_parse_int, 40),
-    "figure.r_max": (float, 0.99),
+    "figure.r_max": (_parse_float, 0.99),
     "figure.nodes": (_parse_int, 400),
     "figure.points": (_parse_int, 2048),
 }

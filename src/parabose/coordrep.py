@@ -154,11 +154,11 @@ def cs_wavefunction(spec: CsSpec, params: AlgebraParams, x):
     return out if np.ndim(x) else complex(out[0])
 
 
-def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x,
-                             delta_integral: float = 0.0):
+def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x):
     """Closed squeezed-Gaussian form of the ell = 0 wavefunction.
 
-    Its phase is (theta - int delta dt)/2; the ambiguous grouping in the
+    Its phase is theta/2 (theta already holds -int delta dt along a
+    trajectory, see states.cs_spec_from_params); the ambiguous grouping in the
     published phase integrand is read as Re(alpha zeta*) - beta, which this
     combination realizes.  Relative to the Bessel form the two principal-
     branch evaluations differ by the constant exp(i (theta - arg xi)/2); they
@@ -172,7 +172,7 @@ def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x,
     l = params.length_scale
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     one = 1.0 - abs(zeta) ** 2
-    rho_phase = 0.5 * (spec.theta - delta_integral)
+    rho_phase = 0.5 * spec.theta
     pref = one ** 0.25 / np.sqrt(math.sqrt(math.pi) * l * (1.0 - zeta))
     shift = x_arr - math.sqrt(2.0) * l * xi / (1.0 + zeta)
     out = pref * np.exp(

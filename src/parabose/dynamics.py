@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrationError
-from .fock import AlgebraParams, build_ladder, integrate_verified
+from .fock import AlgebraParams, build_ladder, check_horizon, \
+    integrate_verified
 from .schedules import CoefficientSchedule
 from .states import SQUEEZE_LIMIT, check_squeeze
 
@@ -142,11 +143,8 @@ class StateTrajectory:
 
 def _output_grid(t_final: float, dt: float | None) -> np.ndarray:
     """Equally spaced times from 0 to t_final, at most dt apart (up to
-    round-off in t_final / dt)."""
-    if t_final <= 0:
-        raise ConfigError("t_final must be positive")
-    if dt is not None and dt <= 0:
-        raise ConfigError("dt must be positive")
+    round-off in t_final / dt), inside ``check_horizon``."""
+    check_horizon(t_final, dt)
     # a quotient within 1e-9 (relative) above an integer counts that integer
     n = (DEFAULT_STEPS if dt is None
          else max(1, math.ceil(t_final / dt * (1.0 - 1e-9))))

@@ -29,6 +29,7 @@ from .schedules import CoefficientSchedule
 __all__ = [
     "AlgebraParams",
     "check_epsilon",
+    "check_horizon",
     "FockVector",
     "build_ladder",
     "build_hamiltonian",
@@ -51,6 +52,14 @@ def check_epsilon(epsilon: float) -> None:
     """The ground level of every algebra and state: finite eps >= 1/2."""
     if not (math.isfinite(epsilon) and epsilon >= 0.5):
         raise DomainError(f"epsilon must be >= 1/2, got {epsilon!r}")
+
+
+def check_horizon(t_final: float, dt: float | None = None) -> None:
+    """Every trajectory's time domain: 0 < t_final < inf, dt > 0 if given."""
+    if not 0.0 < t_final < math.inf:
+        raise ConfigError(f"t_final must be positive and finite, got {t_final!r}")
+    if dt is not None and not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt!r}")
 
 
 @dataclass(frozen=True)
@@ -265,10 +274,7 @@ def evolve_trajectory(
     checked to be positive.  Returns (times, states) with states of shape
     (n_samples+1, truncation).
     """
-    if t_final <= 0:
-        raise ConfigError("t_final must be positive")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    check_horizon(t_final, dt)
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     _check_initial(psi0)

@@ -79,12 +79,14 @@ class OscillatorConfig:
 
 
 def closed_form_parameters(cfg: OscillatorConfig, t: float) -> StateParams:
-    """Exact parameter point at time t (f0 = 1 convention, so z = xi0).
+    """Exact parameter point at finite time t (f0 = 1 convention, so z = xi0).
 
     The winding field counts the turns of arg xi(t) = arg xi0 - w0 t past
     the principal sheet, which the coherent-state constructor needs to stay
     on the continuous solution (see states.cs_spec_from_params).
     """
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     w = cfg.omega0 * t
     xi = complex(cfg.xi0) * cmath.exp(-1j * w)
     winding = 0
@@ -202,7 +204,6 @@ def asymptotic_uncertainties(
     regime: str,
     t: float = 0.0,
     small_xi_max: float = 0.1,
-    small_zeta_max: float = 0.9,
     large_y_min: float = 20.0,
 ) -> AsymptoticUncertainty:
     """Small- or large-argument closed forms for the uncertainty products.
@@ -210,17 +211,17 @@ def asymptotic_uncertainties(
     small:  R ~ ((4l+1)(1-|z0|^2) - |xi0|^2) / ((4l+1)(1-|z0|^2) + |xi0|^2)
     large:  R ~ l (1-|z0|^2) / (|xi0|^2 - 2 l^2 (1-|z0|^2))
 
-    Regime gates (|xi0| <= small_xi_max with |zeta0| <= small_zeta_max, or
-    y = |xi0|^2/(1-|zeta0|^2) >= large_y_min) default to desk-scale values
-    and may be overridden by the caller.
+    Regime gates: |xi0| <= small_xi_max with |zeta0| <= 0.9, or
+    y = |xi0|^2/(1-|zeta0|^2) >= large_y_min; the two thresholds default to
+    desk-scale values and may be overridden by the caller.
     """
     one = 1.0 - abs(cfg.zeta0) ** 2
     x_abs = abs(cfg.xi0)
     if regime == "small":
-        if x_abs > small_xi_max or abs(cfg.zeta0) > small_zeta_max:
+        if x_abs > small_xi_max or abs(cfg.zeta0) > 0.9:
             raise DomainError(
                 f"small-argument regime needs |xi0| <= {small_xi_max} and "
-                f"|zeta0| <= {small_zeta_max}"
+                "|zeta0| <= 0.9"
             )
         d = (4 * cfg.ell + 1) * one
         r_bar = (d - x_abs**2) / (d + x_abs**2)

@@ -57,6 +57,7 @@ __all__ = [
     "cs_overlap",
     "mean_reflection",
     "check_squeeze",
+    "check_index",
 ]
 
 SVS_TAIL_BOUND = 1e-14
@@ -82,9 +83,18 @@ def check_squeeze(zeta: complex) -> None:
         raise DomainError(f"|zeta| must stay below 1 - 1e-6, got {abs(zeta)}")
 
 
-def _check_state_inputs(zeta: complex, epsilon: float) -> None:
+def check_index(n) -> int:
+    """A number-state index as int: a nonnegative integer (NaN, inf fail)."""
+    if not (float(n).is_integer() and n >= 0):
+        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
+def _check_state_inputs(zeta: complex, epsilon: float, xi: complex = 0.0):
     check_epsilon(epsilon)
     check_squeeze(zeta)
+    if not math.isfinite(abs(xi)):
+        raise DomainError(f"xi must be finite, got {xi!r}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +119,7 @@ class CsSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_state_inputs(self.zeta, self.epsilon)
-        if not (math.isfinite(abs(self.xi))):
-            raise DomainError(f"xi must be finite, got {self.xi!r}")
+        _check_state_inputs(self.zeta, self.epsilon, self.xi)
 
 
 def svs_spec_from_params(params, epsilon: float) -> SvsSpec:
@@ -207,8 +215,8 @@ def _scaled_laguerre_column(n_pairs: int, alpha: float, zeta: complex,
     return out
 
 
-def _svs_pairs(zeta_abs: float, epsilon: float, tail: float = SVS_TAIL_BOUND) -> int:
-    """Smallest pair count whose geometric tail bound drops below ``tail``."""
+def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
+    """Smallest pair count with geometric tail bound below SVS_TAIL_BOUND."""
     q = zeta_abs * zeta_abs
     if q == 0.0:
         return 1
@@ -218,7 +226,7 @@ def _svs_pairs(zeta_abs: float, epsilon: float, tail: float = SVS_TAIL_BOUND) ->
         ratio = q * (n + epsilon) / (n + 1.0)
         term *= ratio
         n += 1
-        if ratio < 1.0 and term / (1.0 - ratio) < tail:
+        if ratio < 1.0 and term / (1.0 - ratio) < SVS_TAIL_BOUND:
             return n + 1
     raise TruncationError(
         f"no admissible truncation below {2 * MAX_PAIRS} for |zeta|={zeta_abs}"
@@ -258,9 +266,8 @@ def _pair_masses(n_pairs: int, zeta: complex, xi: complex,
     return w
 
 
-def _cs_pairs(zeta: complex, xi: complex, epsilon: float,
-              tail: float = CS_TAIL_BOUND) -> int:
-    """Minimal pair count with relative tail mass below ``tail``.
+def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
+    """Minimal pair count with relative tail mass below CS_TAIL_BOUND.
 
     Scans the true per-pair masses over a working window that keeps growing
     until the trailing decay is safely geometric (asymptotic ratio
@@ -284,10 +291,11 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float,
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
         ratio = max(ratio, zeta_abs**2)
         beyond = tip * ratio / (1.0 - ratio)
-        if (ratio < accept and beyond < tail * total) or guess >= MAX_PAIRS:
+        if ((ratio < accept and beyond < CS_TAIL_BOUND * total)
+                or guess >= MAX_PAIRS):
             break
         guess = int(guess * 1.5) + 16
-    if guess >= MAX_PAIRS and beyond >= tail * total:
+    if guess >= MAX_PAIRS and beyond >= CS_TAIL_BOUND * total:
         raise TruncationError(
             f"no admissible truncation below {2 * MAX_PAIRS} pairs for "
             f"|zeta|={zeta_abs}, |xi|={xi_abs}"
@@ -296,7 +304,7 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float,
     n_pairs = guess
     for n in range(guess - 1, 0, -1):
         remaining += w[n]
-        if remaining / total >= tail:
+        if remaining / total >= CS_TAIL_BOUND:
             n_pairs = n + 2
             break
     else:
@@ -367,9 +375,7 @@ def svs_amplitudes(spec: SvsSpec, truncation: int | None = None) -> FockVector:
 def svs_transition(zeta: complex, epsilon: float, n: int) -> float:
     """P_{2n} = (1-|zeta|^2)^eps Gamma(n+eps) |zeta|^(2n) / (n! Gamma(eps))."""
     _check_state_inputs(zeta, epsilon)
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = check_index(n)
     q = abs(zeta) ** 2
     sign = +1.0 if not _SABOTAGE_TRANSITION else -1.0
     base = (1.0 - sign * q) ** epsilon
@@ -444,11 +450,9 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
 
 def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     """P_n = |c_n|^2 of the coherent state, parity split in closed form."""
-    _check_state_inputs(zeta, epsilon)
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    _check_state_inputs(zeta, epsilon, xi)
     zeta, xi = complex(zeta), complex(xi)
-    m, parity = divmod(int(n), 2)
+    m, parity = divmod(check_index(n), 2)
     alpha = epsilon - 1.0 + parity
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
@@ -484,6 +488,6 @@ def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:
         (I_{eps-1}(y) - I_eps(y)) / (I_{eps-1}(y) + I_eps(y)),
 
     y = |xi|^2/(1-|zeta|^2); exactly 1 at xi = 0 (pure even state)."""
-    _check_state_inputs(zeta, epsilon)
+    _check_state_inputs(zeta, epsilon, xi)
     y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
     return float(_i_parity_ratio(float(epsilon), y))

@@ -1,19 +1,25 @@
 """Programmatic invariant suite behind the ``verify`` CLI command.
 
-Every check returns a measured residual and the tolerance it is held to, so
+Every row reports a measured residual and the tolerance it is held to, so
 the emitted table is a quantitative record rather than a bare pass/fail.
 Boolean structure checks (orderings, gates) report residual 0 or 1 against
 tolerance 1/2.  Checks that are out of mathematical domain for the requested
 configuration (completeness below eps = 1) report status ``excluded``.
+
+To add a row, decorate one function of a seeded generator with
+``@check(name, tolerance, note)`` and return its residual (or ``(residual,
+note)`` when the note is measured).  The decorator appends it to
+``ALL_CHECKS`` in definition order, and ``_row`` alone decides the status:
+pass when residual <= tolerance, so a NaN residual fails.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import completeness, coordrep, observables, oscillator, states
 from .dynamics import assemble_A, solve_fg, solve_zeta_xi
@@ -23,8 +29,8 @@ from .fock import AlgebraParams, build_hamiltonian, build_ladder, \
 from .schedules import constant_schedule, sinusoidal_schedule
 from .states import CsSpec, SvsSpec
 
-__all__ = ["CheckResult", "run_all", "check_configured_level",
-           "ALL_CHECKS"]
+__all__ = ["CheckResult", "Check", "check", "run_all",
+           "check_configured_level", "ALL_CHECKS"]
 
 
 @dataclass(frozen=True)
@@ -40,21 +46,42 @@ class CheckResult:
         return self.status == "fail"
 
 
-def _result(name, residual, tolerance, note=""):
+def _row(name, residual, tolerance, note) -> CheckResult:
+    """The one status rule: pass when residual <= tolerance (NaN fails)."""
     status = "pass" if residual <= tolerance else "fail"
     return CheckResult(name, float(residual), float(tolerance), status, note)
 
 
-def _bool_result(name, ok, note=""):
-    return _result(name, 0.0 if ok else 1.0, 0.5, note)
+@dataclass(frozen=True)
+class Check:
+    """One report row: its name, tolerance and static note, and the
+    function of a seeded generator that measures its residual."""
+
+    name: str
+    tolerance: float
+    note: str
+    measure: Callable
+
+    def __call__(self, rng) -> CheckResult:
+        out = self.measure(rng)
+        residual, note = out if isinstance(out, tuple) else (out, self.note)
+        return _row(self.name, residual, self.tolerance, note)
 
 
-def _leading(m: np.ndarray, k: int) -> np.ndarray:
-    return m[:k, :k]
+ALL_CHECKS: list[Check] = []
+
+
+def check(name: str, tolerance: float, note: str = ""):
+    """Declare a row and append it to ``ALL_CHECKS``."""
+    def register(measure) -> Check:
+        ALL_CHECKS.append(Check(name, tolerance, note, measure))
+        return ALL_CHECKS[-1]
+    return register
 
 
 # -- algebra ----------------------------------------------------------------
 
+@check("algebra.wha_relations", 1e-12, "N=128, eps in {1/2,3/2,5/2}")
 def check_algebra_relations(rng):
     worst = 0.0
     n = 128
@@ -66,12 +93,13 @@ def check_algebra_relations(rng):
         anti_ad = r @ ad + ad @ r
         k = n - 4
         worst = max(worst,
-                    np.max(np.abs(_leading(comm, k))),
-                    np.max(np.abs(_leading(anti_a, k))),
-                    np.max(np.abs(_leading(anti_ad, k))))
-    return _result("algebra.wha_relations", worst, 1e-12, "N=128, eps in {1/2,3/2,5/2}")
+                    np.max(np.abs(comm[:k, :k])),
+                    np.max(np.abs(anti_a[:k, :k])),
+                    np.max(np.abs(anti_ad[:k, :k])))
+    return worst
 
 
+@check("algebra.trilinear", 1e-12)
 def check_trilinear(rng):
     worst = 0.0
     n = 128
@@ -81,11 +109,12 @@ def check_trilinear(rng):
         t1 = sym @ a - a @ sym + 2.0 * a
         t2 = sym @ ad - ad @ sym - 2.0 * ad
         k = n - 4
-        worst = max(worst, np.max(np.abs(_leading(t1, k))),
-                    np.max(np.abs(_leading(t2, k))))
-    return _result("algebra.trilinear", worst, 1e-12)
+        worst = max(worst, np.max(np.abs(t1[:k, :k])),
+                    np.max(np.abs(t2[:k, :k])))
+    return worst
 
 
+@check("algebra.number_operator", 1e-12)
 def check_number_operator(rng):
     worst = 0.0
     n = 128
@@ -94,19 +123,19 @@ def check_number_operator(rng):
         num = 0.5 * (a @ ad + ad @ a) - eps * np.eye(n)
         k = n - 2
         worst = max(worst, np.max(np.abs(
-            _leading(num, k) - np.diag(np.arange(k, dtype=float)))))
-    return _result("algebra.number_operator", worst, 1e-12)
+            num[:k, :k] - np.diag(np.arange(k, dtype=float)))))
+    return worst
 
 
+@check("algebra.hamiltonian_diagonal", 1e-12,
+       "alpha=0 spectrum hbar*beta*(n + 2l + 1/2)")
 def check_hamiltonian_diagonal(rng):
     params = AlgebraParams.from_ell(1)
     n = 64
     h = build_hamiltonian(params, 0.0, 2.0, 0.0, n)
     expect = 2.0 * (np.arange(n) + params.epsilon)
     worst = float(np.max(np.abs(np.diag(h).real[: n - 2] - expect[: n - 2])))
-    worst = max(worst, float(np.max(np.abs(h - np.diag(np.diag(h))))))
-    return _result("algebra.hamiltonian_diagonal", worst, 1e-12,
-                   "alpha=0 spectrum hbar*beta*(n + 2l + 1/2)")
+    return max(worst, float(np.max(np.abs(h - np.diag(np.diag(h))))))
 
 
 # -- dynamics ---------------------------------------------------------------
@@ -123,6 +152,7 @@ def _random_schedule(rng):
                                delta0=rng.uniform(-0.5, 0.5))
 
 
+@check("dynamics.mu_conservation", 1e-9, "20 random schedules")
 def check_mu_conservation(rng):
     worst = 0.0
     for _ in range(20):
@@ -131,9 +161,10 @@ def check_mu_conservation(rng):
         g0 = rng.uniform(0.0, 0.6) * np.exp(2j * np.pi * rng.uniform())
         mi = solve_fg(sched, f0, g0, 0.0, t_final=2 * np.pi)
         worst = max(worst, mi.mu_drift)
-    return _result("dynamics.mu_conservation", worst, 1e-9, "20 random schedules")
+    return worst
 
 
+@check("dynamics.bogoliubov_commutator", 1e-10)
 def check_bogoliubov_commutator(rng):
     sched = sinusoidal_schedule(alpha_amp=0.2, beta0=1.0)
     mi = solve_fg(sched, 1.0, 0.3, 0.0, t_final=2 * np.pi)
@@ -145,27 +176,27 @@ def check_bogoliubov_commutator(rng):
         a_op = assemble_A(mi, float(t), params, n)
         comm = a_op @ a_op.conj().T - a_op.conj().T @ a_op
         target = mi.mu * (np.eye(n) + params.nu * r)
-        worst = max(worst, np.max(np.abs(_leading(comm - target, n - 2))))
-    return _result("dynamics.bogoliubov_commutator", worst, 1e-10)
+        worst = max(worst, np.max(np.abs((comm - target)[:n - 2, :n - 2])))
+    return worst
 
 
+@check("dynamics.zeta_two_route", 1e-8,
+       "ratio g/f vs direct Riccati integration")
 def check_zeta_two_route(rng):
     sched = sinusoidal_schedule(alpha_amp=0.2, beta0=1.0)
     mi = solve_fg(sched, 1.0, 0.25, 0.0, t_final=2 * np.pi)
     traj = solve_zeta_xi(sched, 0.25, 0.5, t_final=2 * np.pi)
-    worst = float(np.max(np.abs(mi.zeta() - traj.zeta)))
-    return _result("dynamics.zeta_two_route", worst, 1e-8,
-                   "ratio g/f vs direct Riccati integration")
+    return float(np.max(np.abs(mi.zeta() - traj.zeta)))
 
 
+@check("dynamics.f_reconstruction", 1e-7,
+       "f = f0 exp(-i int(conj(alpha) zeta - beta))")
 def check_f_reconstruction(rng):
     sched = sinusoidal_schedule(alpha_amp=0.25, beta0=1.1, omega=1.3)
     mi = solve_fg(sched, 1.0, 0.35, 0.0, t_final=2 * np.pi)
     traj = solve_zeta_xi(sched, 0.35, 0.4, t_final=2 * np.pi)
-    worst = float(np.max(np.abs(mi.f - traj.f_reconstructed(1.0))
-                         / np.abs(mi.f)))
-    return _result("dynamics.f_reconstruction", worst, 1e-7,
-                   "f = f0 exp(-i int(conj(alpha) zeta - beta))")
+    return float(np.max(np.abs(mi.f - traj.f_reconstructed(1.0))
+                        / np.abs(mi.f)))
 
 
 def _eigen_residual(sched):
@@ -185,16 +216,14 @@ def _eigen_residual(sched):
     return worst
 
 
+@check("dynamics.integral_of_motion_constant", 1e-6, "N=256, one period")
 def check_integral_of_motion_constant(rng):
-    worst = _eigen_residual(constant_schedule(0.0, 1.0, 0.0))
-    return _result("dynamics.integral_of_motion_constant", worst, 1e-6,
-                   "N=256, one period")
+    return _eigen_residual(constant_schedule(0.0, 1.0, 0.0))
 
 
+@check("dynamics.integral_of_motion_sinusoidal", 1e-6, "N=256, one period")
 def check_integral_of_motion_sinusoidal(rng):
-    worst = _eigen_residual(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0))
-    return _result("dynamics.integral_of_motion_sinusoidal", worst, 1e-6,
-                   "N=256, one period")
+    return _eigen_residual(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0))
 
 
 # -- states -----------------------------------------------------------------
@@ -207,22 +236,25 @@ def _random_state_grid(rng, count):
         yield complex(zeta), complex(xi), float(eps)
 
 
+@check("states.svs_normalization", 1e-9, "100 random points")
 def check_svs_normalization(rng):
     worst = 0.0
     for zeta, _, eps in _random_state_grid(rng, 100):
         v = states.svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps))
         worst = max(worst, abs(v.norm_sq() - 1.0))
-    return _result("states.svs_normalization", worst, 1e-9, "100 random points")
+    return worst
 
 
+@check("states.cs_normalization", 1e-9, "100 random points")
 def check_cs_normalization(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 100):
         v = states.cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
         worst = max(worst, abs(v.norm_sq() - 1.0))
-    return _result("states.cs_normalization", worst, 1e-9, "100 random points")
+    return worst
 
 
+@check("states.svs_canonical_reduction", 1e-12)
 def check_svs_canonical_reduction(rng):
     # eps = 1/2 with zeta = e^{i th} tanh r: coefficients
     # sqrt((2n)!)/(2^n n!) (-e^{i th} tanh r)^n / sqrt(cosh r)
@@ -235,9 +267,10 @@ def check_svs_canonical_reduction(rng):
                            - math.lgamma(n + 1.0) - n * math.log(2.0))
                   * (-zeta) ** n / math.sqrt(math.cosh(r)))
         worst = max(worst, abs(v.amplitudes[2 * n] - expect))
-    return _result("states.svs_canonical_reduction", worst, 1e-12)
+    return worst
 
 
+@check("states.cs_canonical_reduction", 1e-12)
 def check_cs_canonical_reduction(rng):
     # eps = 1/2, zeta = 0: canonical coherent amplitudes up to a global phase
     xi = 0.8 + 0.3j
@@ -249,10 +282,10 @@ def check_cs_canonical_reduction(rng):
     ])
     phase = v.amplitudes[0] / canon[0]
     worst = float(np.max(np.abs(v.amplitudes - phase * canon)))
-    worst = max(worst, abs(abs(phase) - 1.0))
-    return _result("states.cs_canonical_reduction", worst, 1e-12)
+    return max(worst, abs(abs(phase) - 1.0))
 
 
+@check("states.transition_sums", 1e-9, "both families")
 def check_transition_sums(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 8):
@@ -263,9 +296,11 @@ def check_transition_sums(rng):
         total = sum(states.cs_transition(zeta, xi, eps, n)
                     for n in range(v.truncation))
         worst = max(worst, abs(total - 1.0))
-    return _result("states.transition_sums", worst, 1e-9, "both families")
+    return worst
 
 
+@check("states.transition_matches_amplitudes", 1e-10,
+       "both families against their amplitude vectors")
 def check_transition_matches_amplitudes(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 6):
@@ -277,10 +312,10 @@ def check_transition_matches_amplitudes(rng):
         for n in range(min(s.truncation // 2, 20)):
             p = states.svs_transition(zeta, eps, n)
             worst = max(worst, abs(p - abs(s.amplitudes[2 * n]) ** 2))
-    return _result("states.transition_matches_amplitudes", worst, 1e-10,
-                   "both families against their amplitude vectors")
+    return worst
 
 
+@check("states.odd_gating_and_dispersion", 0.5)
 def check_odd_gating_and_dispersion(rng):
     ok = True
     # displacement gates the odd sector
@@ -293,24 +328,23 @@ def check_odd_gating_and_dispersion(rng):
         probs = [states.svs_transition(0.3, eps, n) for n in range(60)]
         spread.append(max(n for n, p in enumerate(probs) if p > 1e-3))
     ok &= all(b > a for a, b in zip(spread, spread[1:]))
-    return _bool_result("states.odd_gating_and_dispersion", ok,
-                        f"dispersion indices {spread}")
+    return float(not ok), f"dispersion indices {spread}"
 
 
+@check("states.svs_annihilation", 1e-8, "|| (a + zeta a') svs ||")
 def check_svs_annihilation(rng):
     worst = 0.0
     for zeta, _, eps in _random_state_grid(rng, 5):
         spec = SvsSpec(zeta=zeta, epsilon=eps)
         n = 2 * (states._svs_pairs(abs(zeta), eps) + 64)
         v = states.svs_amplitudes(spec, truncation=n)
-        params = AlgebraParams(epsilon=eps)
-        a, ad, _ = build_ladder(params, n)
+        a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
         op = a + zeta * ad
         worst = max(worst, float(np.linalg.norm(op @ v.amplitudes)))
-    return _result("states.svs_annihilation", worst, 1e-8,
-                   "|| (a + zeta a') svs ||")
+    return worst
 
 
+@check("states.cs_eigenrelation", 1e-8, "|| (A/f - xi) cs ||")
 def check_cs_eigenrelation(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 5):
@@ -320,10 +354,10 @@ def check_cs_eigenrelation(rng):
         a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
         op = a + zeta * ad - xi * np.eye(n)
         worst = max(worst, float(np.linalg.norm(op @ v.amplitudes)))
-    return _result("states.cs_eigenrelation", worst, 1e-8,
-                   "|| (A/f - xi) cs ||")
+    return worst
 
 
+@check("states.svs_overlap_series", 1e-10)
 def check_svs_overlap_series(rng):
     worst = 0.0
     for _ in range(6):
@@ -337,9 +371,10 @@ def check_svs_overlap_series(rng):
         v1 = states.svs_amplitudes(s1, truncation=n)
         v2 = states.svs_amplitudes(s2, truncation=n)
         worst = max(worst, abs(states.svs_overlap(s1, s2) - v1.overlap(v2)))
-    return _result("states.svs_overlap_series", worst, 1e-10)
+    return worst
 
 
+@check("states.cs_overlap_series", 1e-9)
 def check_cs_overlap_series(rng):
     worst = 0.0
     for _ in range(5):
@@ -355,9 +390,10 @@ def check_cs_overlap_series(rng):
         v1 = states.cs_amplitudes(s1, truncation=n)
         v2 = states.cs_amplitudes(s2, truncation=n)
         worst = max(worst, abs(states.cs_overlap(s1, s2) - v1.overlap(v2)))
-    return _result("states.cs_overlap_series", worst, 1e-9)
+    return worst
 
 
+@check("states.mean_reflection_parity_sum", 1e-10)
 def check_mean_reflection_parity_sum(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 6):
@@ -365,9 +401,11 @@ def check_mean_reflection_parity_sum(rng):
         signs = (-1.0) ** np.arange(v.truncation)
         direct = float(np.sum(signs * np.abs(v.amplitudes) ** 2))
         worst = max(worst, abs(states.mean_reflection(zeta, xi, eps) - direct))
-    return _result("states.mean_reflection_parity_sum", worst, 1e-10)
+    return worst
 
 
+@check("states.schrodinger_property", 1e-7,
+       "phase-exact oracle match, both families")
 def check_schrodinger_property(rng):
     # both analytic families track the integration oracle with inner product
     # +1 (phase included) over a period of a time-dependent schedule
@@ -376,30 +414,21 @@ def check_schrodinger_property(rng):
     sched = sinusoidal_schedule(alpha_amp=0.2, beta0=1.0, delta0=0.3)
     t_final = 2 * np.pi
     worst = 0.0
-    traj = solve_zeta_xi(sched, 0.25, 0.6, t_final=t_final,
-                         dt=t_final / 8192, epsilon=eps)
-    psi0 = states.cs_amplitudes(
-        states.cs_spec_from_params(traj.at(0.0), eps), truncation=96)
-    times, psis = evolve_trajectory(psi0, sched, t_final, t_final / 8192,
-                                    params, n_samples=8)
-    for t, psi in zip(times, psis):
-        ana = states.cs_amplitudes(
-            states.cs_spec_from_params(traj.at(float(t)), eps), truncation=96)
-        worst = max(worst, abs(complex(np.vdot(ana.amplitudes, psi)) - 1.0))
-    traj = solve_zeta_xi(sched, 0.3, 0.0, t_final=t_final,
-                         dt=t_final / 8192, epsilon=eps)
-    psi0 = states.svs_amplitudes(
-        states.svs_spec_from_params(traj.at(0.0), eps), truncation=96)
-    times, psis = evolve_trajectory(psi0, sched, t_final, t_final / 8192,
-                                    params, n_samples=8)
-    for t, psi in zip(times, psis):
-        ana = states.svs_amplitudes(
-            states.svs_spec_from_params(traj.at(float(t)), eps), truncation=96)
-        worst = max(worst, abs(complex(np.vdot(ana.amplitudes, psi)) - 1.0))
-    return _result("states.schrodinger_property", worst, 1e-7,
-                   "phase-exact oracle match, both families")
+    for zeta0, xi0, amplitudes, spec in (
+            (0.25, 0.6, states.cs_amplitudes, states.cs_spec_from_params),
+            (0.3, 0.0, states.svs_amplitudes, states.svs_spec_from_params)):
+        traj = solve_zeta_xi(sched, zeta0, xi0, t_final=t_final,
+                             dt=t_final / 8192, epsilon=eps)
+        psi0 = amplitudes(spec(traj.at(0.0), eps), truncation=96)
+        times, psis = evolve_trajectory(psi0, sched, t_final, t_final / 8192,
+                                        params, n_samples=8)
+        for t, psi in zip(times, psis):
+            ana = amplitudes(spec(traj.at(float(t)), eps), truncation=96)
+            worst = max(worst, abs(complex(np.vdot(ana.amplitudes, psi)) - 1.0))
+    return worst
 
 
+@check("states.zero_squeeze_continuity", 1e-6, "gap scales linearly in |zeta|")
 def check_zero_squeeze_continuity(rng):
     # the uniform evaluation approaches the zero-squeeze series linearly in
     # |zeta|; measured at |zeta| = 1e-7 the gap sits well under 1e-7 * scale
@@ -412,22 +441,23 @@ def check_zero_squeeze_continuity(rng):
                                   truncation=v.truncation)
         gap = float(np.max(np.abs(v.amplitudes - v0.amplitudes)))
         worst = max(worst, gap / (mag / 1e-7))
-    return _result("states.zero_squeeze_continuity", worst, 1e-6,
-                   "gap scales linearly in |zeta|")
+    return worst
 
 
 # -- observables ------------------------------------------------------------
 
-def _matrix_moments(spec, params, extra=64):
-    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon) + extra)
-    v = states.cs_amplitudes(spec, truncation=n)
-    a, ad, refl = build_ladder(AlgebraParams(epsilon=spec.epsilon,
-                                             length_scale=params.length_scale,
-                                             hbar=params.hbar), n)
-    l, hbar = params.length_scale, params.hbar
-    x_op = (a + ad) * l / math.sqrt(2.0)
-    p_op = hbar * (a - ad) / (1j * math.sqrt(2.0) * l)
-    psi = v.amplitudes
+def _quadratures(params, n):
+    """Matrices of x, p and the reflection R at truncation n."""
+    a, ad, refl = build_ladder(params, n)
+    l = params.length_scale
+    return ((a + ad) * l / math.sqrt(2.0),
+            params.hbar * (a - ad) / (1j * math.sqrt(2.0) * l), refl)
+
+
+def _matrix_moments(spec, params):
+    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon) + 64)
+    psi = states.cs_amplitudes(spec, truncation=n).amplitudes
+    x_op, p_op, refl = _quadratures(params, n)
 
     def ev(op):
         return complex(np.vdot(psi, op @ psi))
@@ -441,6 +471,8 @@ def _matrix_moments(spec, params, extra=64):
     return observables.Moments(mean_x, mean_p, var_x, var_p, cov, mean_r)
 
 
+@check("observables.moments_vs_matrix", 1e-8,
+       "50 random points, all six fields")
 def check_moments_vs_matrix(rng):
     worst = 0.0
     for _ in range(50):
@@ -454,10 +486,10 @@ def check_moments_vs_matrix(rng):
         matrix = _matrix_moments(spec, params)
         for field in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp", "mean_r"):
             worst = max(worst, abs(getattr(closed, field) - getattr(matrix, field)))
-    return _result("observables.moments_vs_matrix", worst, 1e-8,
-                   "50 random points, all six fields")
+    return worst
 
 
+@check("observables.sr_saturation", 1e-10)
 def check_sr_saturation(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 40):
@@ -466,9 +498,11 @@ def check_sr_saturation(rng):
         _, sr = observables.uncertainty_products(zeta, m.mean_r, params)
         direct = m.var_x * m.var_p - m.cov_xp**2
         worst = max(worst, abs(direct - sr))
-    return _result("observables.sr_saturation", worst, 1e-10)
+    return worst
 
 
+@check("observables.squeezing_monotonicity", 0.5,
+       "sigma_x falls, sigma_p rises with real zeta")
 def check_squeezing_monotonicity(rng):
     params = AlgebraParams(epsilon=2.5)
     sx, sp = [], []
@@ -478,10 +512,10 @@ def check_squeezing_monotonicity(rng):
         sp.append(m.sigma_p)
     ok = all(b < a for a, b in zip(sx, sx[1:]))
     ok &= all(b > a for a, b in zip(sp, sp[1:]))
-    return _bool_result("observables.squeezing_monotonicity", ok,
-                        "sigma_x falls, sigma_p rises with real zeta")
+    return float(not ok)
 
 
+@check("observables.xi_roundtrip", 1e-12)
 def check_xi_roundtrip(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 20):
@@ -489,11 +523,13 @@ def check_xi_roundtrip(rng):
         m = observables.cs_moments(CsSpec(zeta=zeta, xi=xi, epsilon=eps), params)
         back = observables.xi_from_means(m.mean_x, m.mean_p, zeta, params)
         worst = max(worst, abs(back - xi))
-    return _result("observables.xi_roundtrip", worst, 1e-12)
+    return worst
 
 
 # -- coordinate sector ------------------------------------------------------
 
+@check("coordrep.vacuum_normalization", 1e-10,
+       "factor-2 half-line convention, l in 0..3")
 def check_vacuum_normalization(rng):
     worst = 0.0
     from scipy.integrate import simpson
@@ -501,10 +537,10 @@ def check_vacuum_normalization(rng):
     for ell in range(4):
         psi = coordrep.vacuum_wavefunction(ell, 1.0, x)
         worst = max(worst, abs(2.0 * simpson(psi**2, x=x) - 1.0))
-    return _result("coordrep.vacuum_normalization", worst, 1e-10,
-                   "factor-2 half-line convention, l in 0..3")
+    return worst
 
 
+@check("coordrep.annihilation_stencil", 1e-6)
 def check_coordinate_annihilation(rng):
     # 5-point stencil derivative of the first-order vacuum condition
     worst = 0.0
@@ -521,39 +557,37 @@ def check_coordinate_annihilation(rng):
              + psi(x - 2 * h)) / (12 * h)
         resid = d + (x / l**2 - (2 * eps - 1) / (2 * x)) * psi(x)
         worst = max(worst, float(np.max(np.abs(resid))))
-    return _result("coordrep.annihilation_stencil", worst, 1e-6)
+    return worst
 
 
+def _density(ell, zeta, xi):
+    params = AlgebraParams.from_ell(ell)
+    return coordrep.probability_density(
+        CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon), params)
+
+
+@check("coordrep.density_two_route", 1e-10)
 def check_density_two_route(rng):
-    worst = 0.0
-    for ell, zeta, xi in ((0, 0.45, 1j), (1, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
-                          (3, 0.45, 1j)):
-        params = AlgebraParams.from_ell(ell)
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
-        wg = coordrep.probability_density(spec, params)
-        worst = max(worst, wg.two_route_residual)
-    return _result("coordrep.density_two_route", worst, 1e-10)
+    return max(_density(*s).two_route_residual
+               for s in ((0, 0.45, 1j), (1, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
+                         (3, 0.45, 1j)))
 
 
+@check("coordrep.density_normalization", 1e-8,
+       "parity-resolved always; plain integral on figure family")
 def check_density_normalization(rng):
     # parity-resolved norm is 1 for every state; the plain density integral
     # joins it on the figure family (real squeeze, imaginary displacement)
-    worst = 0.0
-    for ell, zeta, xi in ((0, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
-                          (1, 0.3j, 0.5 - 0.5j), (3, -0.5, 0.0)):
-        params = AlgebraParams.from_ell(ell)
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
-        wg = coordrep.probability_density(spec, params)
-        worst = max(worst, abs(wg.parity_norm - 1.0))
-    for ell, zeta, xi in ((0, 0.45, 1j), (2, -0.5, 1.2j), (1, 0.6, 0.0)):
-        params = AlgebraParams.from_ell(ell)
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=params.epsilon)
-        wg = coordrep.probability_density(spec, params)
-        worst = max(worst, abs(wg.integral - 1.0))
-    return _result("coordrep.density_normalization", worst, 1e-8,
-                   "parity-resolved always; plain integral on figure family")
+    parity = [abs(_density(*s).parity_norm - 1.0)
+              for s in ((0, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
+                        (1, 0.3j, 0.5 - 0.5j), (3, -0.5, 0.0))]
+    plain = [abs(_density(*s).integral - 1.0)
+             for s in ((0, 0.45, 1j), (2, -0.5, 1.2j), (1, 0.6, 0.0))]
+    return max(parity + plain)
 
 
+@check("coordrep.gaussian_reduction_l0", 1e-10,
+       "phase-anchored displacement (shared branch)")
 def check_gaussian_reduction(rng):
     # dynamically anchored phases: theta equals the displacement argument
     # (delta = 0), which is where the two printed closed forms share a branch
@@ -565,10 +599,10 @@ def check_gaussian_reduction(rng):
         a = coordrep.cs_wavefunction(spec, params, x)
         b = coordrep.cs_wavefunction_gaussian(spec, params, x)
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return _result("coordrep.gaussian_reduction_l0", worst, 1e-10,
-                   "phase-anchored displacement (shared branch)")
+    return worst
 
 
+@check("coordrep.quantization_gate", 0.5)
 def check_quantization_gate(rng):
     try:
         coordrep.ell_from_epsilon(1.7)
@@ -576,53 +610,53 @@ def check_quantization_gate(rng):
     except DomainError:
         ok = True
     ok &= coordrep.ell_from_epsilon(4.5) == 2
-    return _bool_result("coordrep.quantization_gate", ok)
+    return float(not ok)
 
 
+@check("coordrep.hamiltonian_mapping", 1e-10,
+       "mechanical vs ladder assembly, all entries")
 def check_hamiltonian_mapping(rng):
     params = AlgebraParams.from_ell(1)
     alpha, beta, delta = 0.3 + 0.2j, 1.0, 0.5
     hm = coordrep.hamiltonian_mapping(alpha, beta, delta, params)
     n = 64
-    a, ad, _ = build_ladder(params, n)
-    l, hbar = params.length_scale, params.hbar
-    x_op = (a + ad) * l / math.sqrt(2.0)
-    p_op = hbar * (a - ad) / (1j * math.sqrt(2.0) * l)
+    x_op, p_op, _ = _quadratures(params, n)
     h_mech = (p_op @ p_op / (2.0 * hm.mass)
               + 0.5 * hm.mass * hm.omega**2 * (x_op @ x_op)
               + 0.5 * hm.cross * (p_op @ x_op + x_op @ p_op)
               + hm.offset * np.eye(n))
     h_ladder = build_hamiltonian(params, alpha, beta, delta, n)
     worst = float(np.max(np.abs(h_mech - h_ladder)))
-    worst = max(worst, abs(hm.omega**2 - (beta**2 - alpha.real**2)))
-    return _result("coordrep.hamiltonian_mapping", worst, 1e-10,
-                   "mechanical vs ladder assembly, all entries")
+    return max(worst, abs(hm.omega**2 - (beta**2 - alpha.real**2)))
 
 
 # -- completeness -----------------------------------------------------------
 
+@check("completeness.weight_values", 1e-12)
 def check_weight_values(rng):
     worst = abs(completeness.weight(2.0, 0.0) - 1.0 / math.pi)
-    worst = max(worst, abs(completeness.weight(3.0, 0.5)
-                           - 2.0 / (math.pi * 0.5625)))
-    return _result("completeness.weight_values", worst, 1e-12)
+    return max(worst, abs(completeness.weight(3.0, 0.5)
+                          - 2.0 / (math.pi * 0.5625)))
 
 
+@check("completeness.diagonal_identity", 1e-8,
+       "eps in {1.5, 2.5, 5.5}, n <= 15")
 def check_diagonal_identity(rng):
     worst = 0.0
     for eps in (1.5, 2.5, 5.5):
         for n in range(16):
             worst = max(worst,
                         completeness.diagonal_identity_residual(eps, n))
-    return _result("completeness.diagonal_identity", worst, 1e-8,
-                   "eps in {1.5, 2.5, 5.5}, n <= 15")
+    return worst
 
 
+@check("completeness.block_identity", 1e-6, "K=8, eps=2.5")
 def check_block_identity(rng):
-    worst = completeness.identity_block_residual(2.5, block=8)
-    return _result("completeness.block_identity", worst, 1e-6, "K=8, eps=2.5")
+    return completeness.identity_block_residual(2.5, block=8)
 
 
+@check("completeness.domain_gate", 0.5,
+       "eps <= 1 rejected before any quadrature")
 def check_completeness_domain(rng):
     ok = True
     for eps in (0.5, 1.0):
@@ -636,22 +670,24 @@ def check_completeness_domain(rng):
             ok = False
         except DomainError:
             pass
-    return _bool_result("completeness.domain_gate", ok,
-                        "eps <= 1 rejected before any quadrature")
+    return float(not ok)
 
 
+@check("completeness.weight_divergence", 0.5)
 def check_weight_divergence(rng):
     vals = []
     for r_max in (0.9, 0.99, 0.999):
         r = np.linspace(0.0, r_max, 4001)
-        vals.append(float(trapezoid(completeness.weight(2.0, r), r)))
+        w = completeness.weight(2.0, r)
+        vals.append(float(np.sum(w[1:] + w[:-1]) * 0.5 * (r[1] - r[0])))
     ok = vals[0] < vals[1] < vals[2]
-    return _bool_result("completeness.weight_divergence", ok,
-                        f"cumulative masses {np.round(vals, 3)}")
+    return float(not ok), f"cumulative masses {np.round(vals, 3)}"
 
 
 # -- oscillator -------------------------------------------------------------
 
+@check("oscillator.oracle_fidelity", 1e-7,
+       "N=256, l=2, |zeta0|=0.6, |xi0|=2, one period")
 def check_oscillator_fidelity(rng):
     cfg = oscillator.OscillatorConfig(omega0=1.0, ell=2, zeta0=0.6,
                                       xi0=2.0 * np.exp(0.4j))
@@ -666,10 +702,10 @@ def check_oscillator_fidelity(rng):
         ana = oscillator.cs_state(cfg, float(t), truncation=256)
         fid = abs(complex(np.vdot(ana.amplitudes, psi)))
         worst = max(worst, 1.0 - fid)
-    return _result("oscillator.oracle_fidelity", worst, 1e-7,
-                   "N=256, l=2, |zeta0|=0.6, |xi0|=2, one period")
+    return worst
 
 
+@check("oscillator.closed_form_vs_ode", 1e-9)
 def check_parameter_closed_form(rng):
     cfg = oscillator.OscillatorConfig(omega0=1.3, ell=1, zeta0=0.4 * np.exp(0.5j),
                                       xi0=0.9j)
@@ -684,9 +720,10 @@ def check_parameter_closed_form(rng):
                     abs(traj.xi[idx] - p.xi),
                     abs(traj.theta_svs()[idx] - p.theta_svs),
                     abs(traj.theta_cs()[idx] - p.theta_cs))
-    return _result("oscillator.closed_form_vs_ode", worst, 1e-9)
+    return worst
 
 
+@check("oscillator.uncertainty_minima", 0.5)
 def check_uncertainty_minima(rng):
     cfg = oscillator.OscillatorConfig(omega0=1.0, ell=1,
                                       zeta0=0.5 * np.exp(0.8j), xi0=1.0)
@@ -703,10 +740,10 @@ def check_uncertainty_minima(rng):
     srs = [oscillator.uncertainty_trajectory(cfg, float(t)).schrodinger_robertson
            for t in ts[::200]]
     ok &= max(srs) - min(srs) == 0.0
-    return _bool_result("oscillator.uncertainty_minima", ok,
-                        f"{len(snap.minima_times)} minima in one period")
+    return float(not ok), f"{len(snap.minima_times)} minima in one period"
 
 
+@check("oscillator.asymptotic_convergence", 0.5)
 def check_asymptotic_convergence(rng):
     ok = True
     # small displacement: relative error falls as |xi0| -> 0
@@ -730,10 +767,10 @@ def check_asymptotic_convergence(rng):
             cfg, "large", large_y_min=20.0).heisenberg
         errs.append(abs(exact - approx) / exact)
     ok &= errs[0] > errs[1] > errs[2]
-    return _bool_result("oscillator.asymptotic_convergence", ok,
-                        f"small-regime errors {small}")
+    return float(not ok), f"small-regime errors {small}"
 
 
+@check("oscillator.calibrate_roundtrip", 1e-12)
 def check_calibrate_roundtrip(rng):
     worst = 0.0
     for _ in range(10):
@@ -746,9 +783,11 @@ def check_calibrate_roundtrip(rng):
             CsSpec(zeta=zeta0, xi=xi0, epsilon=params.epsilon), params)
         back = oscillator.calibrate_l(m.sigma_x, zeta0, xi0, ell)
         worst = max(worst, abs(back - l) / l)
-    return _result("oscillator.calibrate_roundtrip", worst, 1e-12)
+    return worst
 
 
+@check("oscillator.stationary_transition", 1e-10,
+       "time-independence at t in {0, 0.7, 2.1}")
 def check_stationary_transition(rng):
     cfg = oscillator.OscillatorConfig(omega0=1.0, ell=2, zeta0=0.5, xi0=1j)
     worst = 0.0
@@ -758,10 +797,10 @@ def check_stationary_transition(rng):
             worst = max(worst, abs(
                 oscillator.stationary_transition(cfg, n)
                 - states.cs_transition(p.zeta, p.xi, cfg.epsilon, n)))
-    return _result("oscillator.stationary_transition", worst, 1e-10,
-                   "time-independence at t in {0, 0.7, 2.1}")
+    return worst
 
 
+@check("oscillator.mean_trajectory_energy", 1e-12)
 def check_mean_trajectory_energy(rng):
     cfg = oscillator.OscillatorConfig(omega0=1.4, ell=1,
                                       zeta0=0.4 * np.exp(1.1j), xi0=1.2j)
@@ -773,83 +812,23 @@ def check_mean_trajectory_energy(rng):
     params = cfg.algebra_params()
     m = observables.cs_moments(
         CsSpec(zeta=cfg.zeta0, xi=cfg.xi0, epsilon=cfg.epsilon), params)
-    worst = max(worst, abs(x[0] - m.mean_x), abs(p[0] - m.mean_p))
-    return _result("oscillator.mean_trajectory_energy", worst, 1e-12)
-
-
-ALL_CHECKS = [
-    check_algebra_relations,
-    check_trilinear,
-    check_number_operator,
-    check_hamiltonian_diagonal,
-    check_mu_conservation,
-    check_bogoliubov_commutator,
-    check_zeta_two_route,
-    check_f_reconstruction,
-    check_integral_of_motion_constant,
-    check_integral_of_motion_sinusoidal,
-    check_svs_normalization,
-    check_cs_normalization,
-    check_svs_canonical_reduction,
-    check_cs_canonical_reduction,
-    check_transition_sums,
-    check_transition_matches_amplitudes,
-    check_odd_gating_and_dispersion,
-    check_svs_annihilation,
-    check_cs_eigenrelation,
-    check_svs_overlap_series,
-    check_cs_overlap_series,
-    check_mean_reflection_parity_sum,
-    check_schrodinger_property,
-    check_zero_squeeze_continuity,
-    check_moments_vs_matrix,
-    check_sr_saturation,
-    check_squeezing_monotonicity,
-    check_xi_roundtrip,
-    check_vacuum_normalization,
-    check_coordinate_annihilation,
-    check_density_two_route,
-    check_density_normalization,
-    check_gaussian_reduction,
-    check_quantization_gate,
-    check_hamiltonian_mapping,
-    check_weight_values,
-    check_diagonal_identity,
-    check_block_identity,
-    check_completeness_domain,
-    check_weight_divergence,
-    check_oscillator_fidelity,
-    check_parameter_closed_form,
-    check_uncertainty_minima,
-    check_asymptotic_convergence,
-    check_calibrate_roundtrip,
-    check_stationary_transition,
-    check_mean_trajectory_energy,
-]
+    return max(worst, abs(x[0] - m.mean_x), abs(p[0] - m.mean_p))
 
 
 def check_configured_level(epsilon: float) -> CheckResult:
     """Configuration-scoped completeness row: levels at or below 1 are
     reported as domain-excluded rather than failed."""
+    name, tolerance = "completeness.configured_level", 1e-8
     if epsilon <= 1.0:
-        return CheckResult("completeness.configured_level", 0.0, 1e-8,
-                           "excluded",
+        return CheckResult(name, 0.0, tolerance, "excluded",
                            f"eps = {epsilon} admits no positive weight")
     worst = max(completeness.diagonal_identity_residual(epsilon, n)
                 for n in range(8))
-    return _result("completeness.configured_level", worst, 1e-8,
-                   f"eps = {epsilon}")
+    return _row(name, worst, tolerance, f"eps = {epsilon}")
 
 
-def run_all(seed: int = 0, config_epsilon: float | None = None):
-    """Run the whole suite; returns the list of CheckResult rows.
-
-    ``config_epsilon`` appends the ``check_configured_level`` row.
-    """
-    results = []
-    for check in ALL_CHECKS:
-        rng = np.random.default_rng(seed)
-        results.append(check(rng))
-    if config_epsilon is not None:
-        results.append(check_configured_level(config_epsilon))
-    return results
+def run_all(seed: int, epsilon: float) -> list[CheckResult]:
+    """Every row of ``ALL_CHECKS``, each with a fresh generator from
+    ``seed``, then the ``check_configured_level`` row for ``epsilon``."""
+    return ([run(np.random.default_rng(seed)) for run in ALL_CHECKS]
+            + [check_configured_level(epsilon)])

@@ -29,6 +29,12 @@ class TestWeight:
         with pytest.raises(DomainError):
             weight(2.0, 1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, [0.1, math.nan], -0.1, 1.0])
+    def test_radius_outside_unit_interval_rejected(self, r):
+        # (r < 0) | (r >= 1) let NaN through as a NaN weight
+        with pytest.raises(DomainError, match="0 <= r < 1"):
+            weight(2.0, r)
+
     def test_mass_diverges_toward_unit_radius(self):
         masses = []
         for r_max in (0.9, 0.99, 0.999):

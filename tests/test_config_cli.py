@@ -250,6 +250,12 @@ class TestCommands:
         ("oscillator", ["algebra.ell=1", "algebra.l=nan"]),
         ("oscillator", ["algebra.ell=1", "schedule.beta=nan"]),
         ("oscillator", ["algebra.ell=1", "state.zeta_re=nan"]),
+        ("cs-prob", ["state.xi_re=nan"]),
+        ("weight", ["figure.r_max=nan"]),
+        ("oscillator", ["algebra.ell=1", "state.xi_re=nan"]),
+        ("oscillator", ["algebra.ell=1", "run.t_final=nan"]),
+        ("evolve", ["run.t_final=nan", "run.samples=1"]),
+        ("evolve", ["run.t_final=inf"]),
     ])
     def test_nan_input_fails_loudly(self, tmp_path, capsys, command, overrides):
         out = tmp_path / "nan"

@@ -220,6 +220,17 @@ def test_negative_horizon_rejected():
                           AlgebraParams(epsilon=0.5))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: solve_fg(constant_schedule(), 1, 0.1, t_final=math.inf),
+    lambda: solve_zeta_xi(constant_schedule(), 0.1, 0.2, t_final=math.nan),
+    lambda: solve_fg(constant_schedule(), 1, 0.1, dt=math.nan),
+])
+def test_non_finite_horizon_rejected_at_once(solve):
+    # an inf or NaN horizon built a grid the solver never finished
+    with pytest.raises(ConfigError):
+        solve()
+
+
 def test_output_grid_counts_round_off_quotients_exactly():
     # (2 pi / 1.3) / ((2 pi / 1.3) / 1000) is 1000 plus round-off
     t_final = 2.0 * math.pi / 1.3

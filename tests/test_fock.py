@@ -170,6 +170,12 @@ class TestEvolution:
         with pytest.raises(DomainError):
             evolve_final(unnorm, constant_schedule(), 1.0, 0.01, params)
 
+    def test_nan_horizon_rejected_at_once(self):
+        # a NaN horizon used to start an integration that never returned
+        with pytest.raises(ConfigError, match="finite"):
+            evolve_trajectory(vacuum_state(16), constant_schedule(), math.nan,
+                              0.1, AlgebraParams(epsilon=0.5))
+
     def test_step_halving_guard(self, monkeypatch):
         # a grossly loose solver tolerance must be rejected: its norm drift
         # (~1e-4) trips first
@@ -268,13 +274,15 @@ class TestEvolution:
         assert abs(psi.norm_sq() - 1.0) <= 1e-8
 
 
-@pytest.mark.parametrize("module", ["parabose", "parabose.coordrep"])
+@pytest.mark.parametrize("module",
+                         ["parabose", "parabose.coordrep", "parabose.cli"])
 def test_package_import_leaves_scipy_integrate_unloaded(module):
-    # integrate_verified imports solve_ivp when called, so commands that never
-    # integrate do not pay for scipy.integrate at start-up
+    # integrate_verified imports solve_ivp when called, and cmd_verify imports
+    # the suite, so commands that never integrate do not pay for either
     src = str(pathlib.Path(fock.__file__).resolve().parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
-             "print('scipy.integrate' in sys.modules)")
+             "print('scipy.integrate' in sys.modules, "
+             "'parabose.verify' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

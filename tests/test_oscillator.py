@@ -21,6 +21,11 @@ CFG = OscillatorConfig(omega0=1.0, ell=1, zeta0=0.3, xi0=1.0)
 
 
 class TestClosedFormParameters:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            closed_form_parameters(CFG, t)
+
     def test_initial_point(self):
         p = closed_form_parameters(CFG, 0.0)
         assert p.zeta == CFG.zeta0 and p.xi == CFG.xi0

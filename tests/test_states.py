@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parabose.states as states
+from parabose.completeness import diagonal_identity_residual
 from parabose.dynamics import solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, TruncationError
 from parabose.fock import AlgebraParams, build_ladder
@@ -392,3 +393,27 @@ class TestMeanReflection:
         for xi in (0.1, 1.0, 3.0, 10.0):
             r = mean_reflection(0.2, xi, 3.5)
             assert -1.0 < r <= 1.0
+
+
+@pytest.mark.parametrize("xi", [math.nan, complex(0.3, math.nan), math.inf])
+@pytest.mark.parametrize("call", [
+    lambda xi: CsSpec(zeta=0.3, xi=xi, epsilon=2.5),
+    lambda xi: cs_transition(0.3, xi, 2.5, 1),
+    lambda xi: mean_reflection(0.3, xi, 2.5),
+])
+def test_non_finite_displacement_rejected(call, xi):
+    # cs_transition and mean_reflection returned nan for a NaN xi
+    with pytest.raises(DomainError, match="xi must be finite"):
+        call(xi)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -1, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda n: svs_transition(0.3, 2.5, n),
+    lambda n: cs_transition(0.3, 1.0, 2.5, n),
+    lambda n: diagonal_identity_residual(2.5, n),
+])
+def test_index_must_be_a_nonnegative_integer(call, n):
+    # n = nan raised a bare ValueError from int(n)
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        call(n)
