@@ -29,11 +29,28 @@ termwise to the zeta -> 0 limit (xi^2/2)^n / n!, so no argument ever diverges.
 The transition distribution P_n = |c_n|^2 has the closed parity-split form
 implemented in ``cs_transition``; as printed it is algebraically identical to
 |c_n|^2 (the exponential in it is exactly |exp(conj(zeta) xi^2 / ...)|^2, and
-its inner index labels the parity pair n = 2m or n = 2m+1).
+its inner index labels the parity pair n = 2m or n = 2m+1).  A bounded cache
+keeps, per recent state, its n-independent log part and one Laguerre column
+per parity, so sweeping n costs one recurrence pass, not one per n.
+
+The overlap of two coherent states at one level sums both parity series by
+the Hille-Hardy formula (DLMF §18.18),
+
+    sum_n n!/Gamma(n+alpha+1) conj(M1_n) M2_n
+        = (1-t)^(-alpha-1) exp(-(a zeta2 + b conj(zeta1))/(1-t)) R_alpha(z),
+
+where M_n = (-zeta)^n L_n^alpha(xi^2/(2 zeta)) of each state,
+t = conj(zeta1) zeta2, a = conj(xi1)^2/2, b = xi2^2/2,
+z = conj(xi1) xi2/(1-t) and R_alpha(z) = I_alpha(z)/(z/2)^alpha is entire.  The
+even and odd sums then add up to the normalization's Bessel pair
+(I_{eps-1}(z) + I_eps(z))/(z/2)^(eps-1) at complex z, which is y at
+spec1 = spec2.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -65,6 +82,7 @@ CS_TAIL_BOUND = 1e-16
 MAX_PAIRS = 200_000
 RENORM_WARN_TOL = 1e-9
 SQUEEZE_LIMIT = 1.0 - 1e-6
+DISTRIBUTION_CACHE = 8
 
 # Test hook for mutation detection: flips a sign inside the squeezed-vacuum
 # transition formula so the verification suite demonstrably fails.
@@ -148,20 +166,21 @@ def _arg_from_above(x: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel helpers on the real axis (normalization and parity mean), built on
-# the exponentially scaled ive(kappa, y) = exp(-y) I_kappa(y).  Below _SMALL_Y
-# (where its O(y^6 / eps^3) remainder is below round-off, and ive would lose
-# ~1e-13 to cancellation against (eps - 1) ln(y/2)) or where ive underflows,
-# the leading small-y series takes over in log space.
+# Bessel helpers (normalization, overlap and parity mean), built on the
+# exponentially scaled ive(kappa, z) = exp(-|Re z|) I_kappa(z).  Below
+# _SMALL_Y (where its O(|z|^6 / eps^3) remainder is below round-off, and ive
+# would lose ~1e-13 to cancellation against (eps - 1) ln(z/2)) or where ive
+# underflows, the leading small-argument series takes over in log space.
 
 _TINY = np.finfo(float).tiny
 _SMALL_Y = 1e-3
 
 
-def _i_small_pair(epsilon: float, y: float) -> tuple[float, float]:
+def _i_small_pair(epsilon: float, y):
     """Leading small-argument factors (s_lo, t) with
-    I_{eps-1}(y) = (y/2)^(eps-1)/Gamma(eps) * s_lo and I_eps = I_{eps-1} * t;
-    relative error O(y^6 / eps^3), and no underflow however small y is."""
+    I_{eps-1}(y) = (y/2)^(eps-1)/Gamma(eps) * s_lo and I_eps = I_{eps-1} * t,
+    for real or complex y; relative error O(|y|^6 / eps^3), and no underflow
+    however small y is."""
     q = 0.25 * y * y
     s_lo = 1.0 + q / epsilon + q * q / (2.0 * epsilon * (epsilon + 1.0))
     s_hi = 1.0 + q / (epsilon + 1.0) \
@@ -170,17 +189,31 @@ def _i_small_pair(epsilon: float, y: float) -> tuple[float, float]:
     return s_lo, t
 
 
-def _log_i_sum(epsilon: float, y: float) -> float:
-    """ln[ (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) ] for real y >= 0.
+def _log_i_sum(epsilon: float, y):
+    """ln[ (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) ] for real y >= 0 (a
+    float) or complex y (a complex logarithm of the same entire function).
 
     The divided-out power makes it regular (DLMF 10.25.2): at y = 0 it is
-    -ln Gamma(eps), so zero displacement needs no limit of its own.
+    -ln Gamma(eps), so zero displacement needs no limit of its own.  Each
+    I_nu(y)/(y/2)^nu is even in y, so Re y < 0 is evaluated at -y, where the
+    second term (one factor y/2 more) changes sign and no branch cut is
+    near.  There the two terms cancel; a sum that cancels to zero is below
+    round-off on the scale exp(|Re y|) and gives -inf.
     """
-    lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)  # hi < lo for eps >= 1/2
-    if y < _SMALL_Y or hi < _TINY:
-        s_lo, t = _i_small_pair(epsilon, y)
-        return -math.lgamma(epsilon) + math.log(s_lo) + math.log1p(t)
-    return y + math.log(lo + hi) - (epsilon - 1.0) * math.log(0.5 * y)
+    real = not isinstance(y, complex)
+    log = math.log if real else cmath.log
+    if abs(y) >= _SMALL_Y:
+        sign = -1.0 if y.real < 0.0 else 1.0
+        w = sign * y
+        lo, hi = ive(epsilon - 1.0, w), ive(epsilon, w)
+        if abs(hi) >= _TINY:
+            pair = lo + sign * hi
+            if pair == 0.0:
+                return -math.inf
+            return w.real + log(pair) - (epsilon - 1.0) * log(0.5 * w)
+    s_lo, t = _i_small_pair(epsilon, y)
+    return (-math.lgamma(epsilon) + log(s_lo)
+            + (math.log1p(t) if real else log(1.0 + t)))
 
 
 def _i_parity_ratio(epsilon: float, y: float) -> float:
@@ -414,8 +447,8 @@ def svs_overlap(spec1: SvsSpec, spec2: SvsSpec,
 # ---------------------------------------------------------------------------
 # Coherent family.
 
-def _cs_prefactor(spec: CsSpec) -> complex:
-    """Common amplitude prefactor, assembled in log space (overflow-safe).
+def _cs_log_prefactor(spec: CsSpec) -> complex:
+    """Logarithm of the common amplitude prefactor (overflow-safe).
 
     Its power (xi/sqrt 2)^(eps-1) cancels against the one divided out of
     ``_log_i_sum``, which leaves the modulus
@@ -427,7 +460,7 @@ def _cs_prefactor(spec: CsSpec) -> complex:
     w = np.conj(zeta) * xi * xi / (2.0 * one)
     log_mag = 0.5 * eps * math.log(one) - 0.5 * _log_i_sum(eps, y) + w.real
     arg = (eps - 1.0) * _arg_from_above(xi) + w.imag + spec.theta
-    return math.exp(log_mag) * complex(math.cos(arg), math.sin(arg))
+    return complex(log_mag, arg)
 
 
 def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
@@ -441,45 +474,91 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps),
                                       truncation)
     even, odd = _cs_columns(n_pairs, zeta, xi, eps)
-    pre = _cs_prefactor(spec)
+    pre = cmath.exp(_cs_log_prefactor(spec))
     amps = np.zeros(n_total, dtype=complex)
     amps[0::2] = pre * even
     amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
     return _finalize(amps, "cs_amplitudes")
 
 
+class _CsDistribution:
+    """The n-independent part of ln P_n of one coherent state, and one scaled
+    Laguerre column per parity that grows geometrically on demand."""
+
+    def __init__(self, zeta: complex, xi: complex, epsilon: float):
+        self.zeta, self.x, self.epsilon = zeta, 0.5 * xi * xi, epsilon
+        one = 1.0 - abs(zeta) ** 2
+        y = abs(xi) ** 2 / one
+        self.log_base = (epsilon * math.log(one)
+                         + (np.conj(zeta) * xi * xi).real / one
+                         - _log_i_sum(epsilon, y))
+        self.columns = [np.empty(0, dtype=complex)] * 2
+
+    def laguerre(self, parity: int, m: int) -> complex:
+        """M_m = (-zeta)^m L_m^alpha(xi^2/(2 zeta)), alpha = eps - 1 + parity."""
+        column = self.columns[parity]
+        if m >= len(column):
+            column = _scaled_laguerre_column(
+                max(m + 1, 2 * len(column)), self.epsilon - 1.0 + parity,
+                self.zeta, self.x)
+            self.columns[parity] = column
+        return column[m]
+
+
+@functools.lru_cache(maxsize=DISTRIBUTION_CACHE)
+def _cs_distribution(zeta: complex, xi: complex,
+                     epsilon: float) -> _CsDistribution:
+    return _CsDistribution(zeta, xi, epsilon)
+
+
 def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
-    """P_n = |c_n|^2 of the coherent state, parity split in closed form."""
+    """P_n = |c_n|^2 of the coherent state, parity split in closed form.
+
+    The Laguerre columns of the last DISTRIBUTION_CACHE states are kept, so
+    a whole distribution P_0 .. P_N costs O(N); each P_n is the same number
+    whatever the order of the calls.
+    """
     _check_state_inputs(zeta, epsilon, xi)
     zeta, xi = complex(zeta), complex(xi)
     m, parity = divmod(check_index(n), 2)
+    dist = _cs_distribution(zeta, xi, float(epsilon))
     alpha = epsilon - 1.0 + parity
-    one = 1.0 - abs(zeta) ** 2
-    y = abs(xi) ** 2 / one
-    col = _scaled_laguerre_column(m + 1, alpha, zeta, 0.5 * xi * xi)
-    log_p = (epsilon * math.log(one)
-             + (np.conj(zeta) * xi * xi).real / one
-             - _log_i_sum(epsilon, y)
+    log_p = (dist.log_base
              + math.lgamma(m + 1.0) - math.lgamma(m + alpha + 1.0))
     # (|xi|^2/2)^parity rather than its log: xi = 0 closes the odd lines
     odd_factor = (0.5 * abs(xi) ** 2) ** parity
-    return min(float(abs(col[m]) ** 2 * odd_factor * math.exp(log_p)), 1.0)
+    return min(float(abs(dist.laguerre(parity, m)) ** 2 * odd_factor
+                     * math.exp(log_p)), 1.0)
 
 
 def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
-    """<spec1|spec2> via the bilinear Laguerre series, truncated at the
-    squeeze tail bound."""
+    """<spec1|spec2> in closed form.
+
+    The even and odd bilinear Laguerre series are Hille-Hardy sums (DLMF
+    §18.18).  With t = conj(zeta1) zeta2, a = conj(xi1)^2/2, b = xi2^2/2 and
+    z = conj(xi1) xi2 / (1-t), the odd weight conj(xi1) xi2 / 2 is (1-t) z/2,
+    and the two sums add up to
+
+        conj(pre1) pre2 (1-t)^(-eps) exp(-(a zeta2 + b conj(zeta1))/(1-t))
+            (I_{eps-1}(z) + I_eps(z)) / (z/2)^(eps-1),
+
+    the normalization's own Bessel pair at complex z (at spec1 = spec2,
+    z = y).  The product is assembled in log space and exponentiated once,
+    so no truncation is chosen and displacements past the amplitudes' double
+    range (y ~ 700) still give finite overlaps.
+    """
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("cs_overlap requires equal epsilon")
     eps = float(spec1.epsilon)
-    z1, x1 = complex(spec1.zeta), complex(spec1.xi)
+    z1, x1 = complex(spec1.zeta).conjugate(), complex(spec1.xi).conjugate()
     z2, x2 = complex(spec2.zeta), complex(spec2.xi)
-    n_pairs = max(_cs_pairs(z1, x1, eps),
-                  _cs_pairs(z2, x2, eps))
-    e1, o1 = _cs_columns(n_pairs, z1, x1, eps)
-    e2, o2 = _cs_columns(n_pairs, z2, x2, eps)
-    total = np.vdot(e1, e2) + np.conj(x1) * x2 / 2.0 * np.vdot(o1, o2)
-    return complex(np.conj(_cs_prefactor(spec1)) * _cs_prefactor(spec2) * total)
+    one_t = 1.0 - z1 * z2
+    log_overlap = (_cs_log_prefactor(spec1).conjugate()
+                   + _cs_log_prefactor(spec2)
+                   - eps * cmath.log(one_t)
+                   - 0.5 * (x1 * x1 * z2 + x2 * x2 * z1) / one_t
+                   + _log_i_sum(eps, x1 * x2 / one_t))
+    return cmath.exp(log_overlap)
 
 
 def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:

@@ -8,6 +8,7 @@ recurrence.  Expected values are frozen from mpmath (50 digits) and from the
 explicit binomial-coefficient Laguerre sum.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -209,6 +210,21 @@ class TestBesselI:
         hi = mpmath.besseli(eps, y)
         exact = float(mpmath.log((lo + hi) / mpmath.power(y / 2, eps - 1)))
         assert abs(_log_i_sum(eps, y) - exact) <= 1e-15
+
+    @pytest.mark.parametrize("eps", [0.5, 1.7, 2.5, 6.5])
+    @pytest.mark.parametrize("z", [1e-5 + 2e-5j, 0.3 - 0.4j, 3.0 + 4.0j,
+                                   10.0j, -2.0 + 1.0j, -20.0 - 5.0j,
+                                   -7.0 + 0.0j, 40.0 - 30.0j])
+    def test_complex_normalization_against_mpmath(self, eps, z):
+        # the overlap's Bessel pair at complex z; for Re z < 0 the two terms
+        # cancel, so the error is measured on the scale of the terms
+        with mpmath.workdps(40):
+            half = mpmath.mpc(z) / 2
+            lo = mpmath.besseli(eps - 1, z) / mpmath.power(half, eps - 1)
+            hi = mpmath.besseli(eps, z) / mpmath.power(half, eps - 1)
+        got = cmath.exp(_log_i_sum(eps, z))
+        assert abs(got - complex(lo + hi)) \
+            <= 1e-13 * float(abs(lo) + abs(hi))
 
     @pytest.mark.parametrize("eps", [0.5, 2.5, 6.5])
     def test_real_axis_normalization_against_mpmath(self, eps):

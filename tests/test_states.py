@@ -315,26 +315,75 @@ class TestCsTransition:
                 assert cs_transition(zeta, xi, eps, n) == pytest.approx(
                     cs_transition(zeta0, xi0, eps, n), abs=1e-12)
 
+    @staticmethod
+    def _per_n(zeta, xi, eps, n):
+        # the O(n) per-call evaluation the cached columns must reproduce
+        m, parity = divmod(n, 2)
+        alpha = eps - 1.0 + parity
+        one = 1.0 - abs(zeta) ** 2
+        col = states._scaled_laguerre_column(m + 1, alpha, zeta, 0.5 * xi * xi)
+        log_p = (eps * math.log(one)
+                 + (np.conj(zeta) * xi * xi).real / one
+                 - states._log_i_sum(eps, abs(xi) ** 2 / one)
+                 + math.lgamma(m + 1.0) - math.lgamma(m + alpha + 1.0))
+        return min(float(abs(col[m]) ** 2 * (0.5 * abs(xi) ** 2) ** parity
+                         * math.exp(log_p)), 1.0)
+
+    def test_cached_columns_independent_of_call_order(self):
+        a, b = (0.6 * np.exp(0.4j), 2.5 - 1.5j, 2.5), (0.3j, -4.0 + 1.0j, 6.5)
+        ns = range(300)
+
+        def fresh(state):
+            states._cs_distribution.cache_clear()
+            return [cs_transition(*state, n) for n in ns]
+
+        want_a, want_b = fresh(a), fresh(b)
+        assert want_a == [self._per_n(*map(complex, a[:2]), a[2], n)
+                          for n in ns]
+        states._cs_distribution.cache_clear()
+        assert [cs_transition(*a, n) for n in reversed(ns)] == want_a[::-1]
+        states._cs_distribution.cache_clear()
+        mixed = [(cs_transition(*a, n), cs_transition(*b, n)) for n in ns]
+        assert [p for p, _ in mixed] == want_a
+        assert [q for _, q in mixed] == want_b
+
+    def test_cache_is_bounded(self):
+        for k in range(20):
+            cs_transition(0.01 * k, 1.0, 2.5, 40)
+        assert states._cs_distribution.cache_info().currsize \
+            <= states.DISTRIBUTION_CACHE < 20
+
+    def test_nan_displacement_rejected_after_cached_call(self):
+        cs_transition(0.3, 1.0, 2.5, 3)
+        size = states._cs_distribution.cache_info().currsize
+        with pytest.raises(DomainError, match="xi must be finite"):
+            cs_transition(0.3, math.nan, 2.5, 3)
+        assert states._cs_distribution.cache_info().currsize == size
+
 
 class TestCsOverlap:
     def test_identical_specs(self):
         s = CsSpec(zeta=0.3 + 0.2j, xi=0.9 - 0.4j, epsilon=2.5, theta=0.7)
         assert cs_overlap(s, s) == pytest.approx(1.0, abs=1e-11)
 
+    @staticmethod
+    def _fock_overlap(s1, s2):
+        eps = s1.epsilon
+        n = 2 * max(states._cs_pairs(s1.zeta, s1.xi, eps),
+                    states._cs_pairs(s2.zeta, s2.xi, eps))
+        return cs_amplitudes(s1, n).overlap(cs_amplitudes(s2, n))
+
     def test_matches_amplitude_series(self, rng):
-        for _ in range(6):
-            eps = rng.uniform(0.5, 4.0)
+        for _ in range(40):
+            eps = rng.uniform(0.5, 6.0)
             def draw():
                 return CsSpec(
-                    zeta=rng.uniform(0, 0.7) * np.exp(2j * np.pi * rng.uniform()),
-                    xi=rng.uniform(0.1, 1.8) * np.exp(2j * np.pi * rng.uniform()),
+                    zeta=rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform()),
+                    xi=rng.uniform(0, 5.0) * np.exp(2j * np.pi * rng.uniform()),
                     epsilon=eps, theta=rng.uniform(0, 6))
             s1, s2 = draw(), draw()
-            n = 2 * max(states._cs_pairs(s1.zeta, s1.xi, eps),
-                        states._cs_pairs(s2.zeta, s2.xi, eps))
-            v1, v2 = cs_amplitudes(s1, n), cs_amplitudes(s2, n)
             got = cs_overlap(s1, s2)
-            assert abs(got - v1.overlap(v2)) <= 1e-9
+            assert abs(got - self._fock_overlap(s1, s2)) <= 1e-10
             assert abs(got) <= 1.0 + 1e-12
 
     def test_zero_displacement_reduces_to_svs_overlap(self):
@@ -352,6 +401,43 @@ class TestCsOverlap:
         n = 2 * (states._cs_pairs(s2.zeta, s2.xi, eps) + 16)
         v1, v2 = cs_amplitudes(s1, n), cs_amplitudes(s2, n)
         assert abs(cs_overlap(s1, s2) - v1.overlap(v2)) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.5, 1.5, 4.5])
+    @pytest.mark.parametrize("zeta1, xi1, zeta2, xi2", [
+        # anti-aligned displacements: Re z < 0, where the Bessel pair cancels
+        (0.5j, 3.0 + 2.0j, 0.45j, -3.0 - 2.1j),
+        (0.0, 5.0, 0.0, -5.0),
+        (0.8, -1.0j, 0.7 + 0.1j, 1.1j),
+        # zero displacement on one side and on both
+        (0.3 + 0.1j, 0.0, -0.4, 1.3 - 0.4j),
+        (0.6j, 2.0, 0.2, 0.0),
+        (0.3 + 0.1j, 0.0, -0.4, 0.0),
+        # zero squeeze
+        (0.0, 1.0 + 1.0j, 0.0, 2.0 - 0.5j),
+        (0.0, 0.0, 0.5, 1.0),
+    ])
+    def test_closed_form_edge_cases(self, eps, zeta1, xi1, zeta2, xi2):
+        s1 = CsSpec(zeta=zeta1, xi=xi1, epsilon=eps, theta=0.4)
+        s2 = CsSpec(zeta=zeta2, xi=xi2, epsilon=eps)
+        assert abs(cs_overlap(s1, s2) - self._fock_overlap(s1, s2)) <= 1e-10
+
+    @pytest.mark.parametrize("y", [800.0, 1200.0])
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.3 + 0.6j])
+    def test_unit_norm_past_amplitude_range(self, y, zeta):
+        # the columns overflow past y ~ 700, the log-space closed form not
+        xi = math.sqrt(y * (1.0 - abs(zeta) ** 2)) * np.exp(2.0j)
+        s = CsSpec(zeta=zeta, xi=xi, epsilon=2.5, theta=0.3)
+        with pytest.raises(DomainError):
+            cs_amplitudes(s)
+        assert abs(cs_overlap(s, s) - 1.0) <= 1e-12
+
+    def test_no_truncation_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cs_overlap chose a truncation")
+        monkeypatch.setattr(states, "_cs_pairs", refuse)
+        s1 = CsSpec(zeta=0.3, xi=1.0 + 0.5j, epsilon=2.5)
+        s2 = CsSpec(zeta=0.2j, xi=0.8, epsilon=2.5)
+        assert 0.0 < abs(cs_overlap(s1, s2)) < 1.0
 
 
 class TestMeanReflection:
