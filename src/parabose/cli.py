@@ -29,9 +29,9 @@ from . import states
 from .completeness import weight
 from .config import ScenarioConfig, parse_scenario
 from .coordrep import default_grid, probability_density
-from .dynamics import DEFAULT_STEPS, assemble_A, solve_fg, solve_zeta_xi
+from .dynamics import DEFAULT_STEPS, apply_A, solve_fg, solve_zeta_xi
 from .errors import ConfigError, ParaBoseError
-from .fock import TAIL_WIDTH, AlgebraParams, evolve_trajectory
+from .fock import TAIL_WIDTH, AlgebraParams, build_ladder, evolve_trajectory
 from .observables import cs_moments, uncertainty_products
 from .oscillator import OscillatorConfig, closed_form_parameters, \
     mean_trajectories, stationary_transition
@@ -193,14 +193,14 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
     times, psis = evolve_trajectory(psi0, sched, t_final, dt, params,
                                     n_samples=n_samples)
     mi = solve_fg(sched, 1.0, zeta0, 0.0, t_final=t_final, dt=dt)
+    a, ad, _ = build_ladder(params, psi0.truncation)
     rows = []
     for t, psi in zip(times, psis):
         p = traj.at(float(t))
         ana = cs_amplitudes(states.cs_spec_from_params(p, params.epsilon),
                             truncation=psi0.truncation)
         fid = abs(complex(np.vdot(ana.amplitudes, psi)))
-        a_op = assemble_A(mi, float(t), params, psi0.truncation)
-        eig = float(np.linalg.norm(a_op @ psi - xi0 * psi))
+        eig = float(np.linalg.norm(apply_A(mi, float(t), a, ad, psi) - xi0 * psi))
         norm_err = abs(float(np.vdot(psi, psi).real) - 1.0)
         rows.append((float(t), fid, eig, norm_err))
     _emit(cfg, args, "evolve_oracle", dict(zip(

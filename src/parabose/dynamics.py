@@ -38,6 +38,7 @@ __all__ = [
     "StateTrajectory",
     "solve_fg",
     "solve_zeta_xi",
+    "apply_A",
     "assemble_A",
 ]
 
@@ -176,6 +177,7 @@ def solve_fg(
         crossed = np.abs(af - ag) < 1e-14 * np.maximum(af, 1.0)
         if crossed.any():
             raise IntegrationError(f"|f| = |g| crossing at t={times[crossed][0]}")
+        return y
 
     traj = integrate_verified(deriv, [f0, g0], schedule, times, guard)
     f, g = traj[:, 0], traj[:, 1]
@@ -217,6 +219,7 @@ def solve_zeta_xi(
         blown = np.abs(y[:, 0]) >= SQUEEZE_LIMIT
         if blown.any():
             raise IntegrationError(f"squeeze blow-up: |zeta| -> 1 at t={times[blown][0]}")
+        return y
 
     traj = integrate_verified(deriv, [zeta0, xi0, 0, 0], schedule, times, guard)
     return StateTrajectory(
@@ -236,6 +239,13 @@ def assemble_A(
     truncation: int,
 ) -> np.ndarray:
     """Integral-of-motion matrix A(t) = f(t) a + g(t) a' + phi0."""
-    f, g = mi.at(t)
     a, ad, _ = build_ladder(params, truncation)
-    return f * a + g * ad + mi.phi0 * np.eye(truncation)
+    return apply_A(mi, t, a, ad, np.eye(truncation))
+
+
+def apply_A(mi: MotionIntegral, t: float, a: np.ndarray, ad: np.ndarray,
+            psi: np.ndarray) -> np.ndarray:
+    """A(t) psi = f(t) a psi + g(t) a' psi + phi0 psi for the ladder
+    matrices a, a' of ``build_ladder``; psi a state or a matrix."""
+    f, g = mi.at(t)
+    return f * (a @ psi) + g * (ad @ psi) + mi.phi0 * psi

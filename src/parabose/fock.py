@@ -14,6 +14,18 @@ fails on the last rows; invariant checks exclude the truncation boundary.
 certified by a rerun at a 100x tighter tolerance, the routine the parameter
 ODEs in ``dynamics`` share.  It is the independent oracle against which every
 closed-form state is checked.
+
+The oracle works in the interaction picture of the diagonal of H: with
+d = diag(a'a + a a')/2, B = int beta dt and Delta = int delta dt it
+integrates phi_n = exp(i (B d_n + Delta)) psi_n, carrying B and Delta as
+more components of the solver state.  The diagonal and delta are exact in
+this frame, so the solver resolves only the alpha couplings (an alpha = 0
+run leaves phi constant), and every schedule takes the one path.  B is
+carried as beta(0) t, whose constant derivative every step integrates
+exactly, plus int (beta - beta(0)) dt, which stays small for a periodic
+beta: the solver's relative tolerance on a growing B would let the phase
+B d_n drift far more than on psi itself.  Both runs are certified on the
+lab-frame psi.
 """
 
 from __future__ import annotations
@@ -46,6 +58,10 @@ STEP_HALVING_TOL = 1e-8  # bound on the certifying rerun's disagreement
 SOLVER_RTOL = 1e-11
 SOLVER_ATOL = 1e-13     # error floor for components far below 1, e.g. Fock tails
 LEVEL_TOL = 1e-12       # |eps - (2 ell + 1/2)| below which eps is on level ell
+# derivative calls of one certified integration, both runs: about 4x the
+# longest runs that still certify (~1e7 calls), so only a horizon that
+# would step for a quarter of an hour or more is refused
+DERIV_CALL_BUDGET = 50_000_000
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -182,15 +198,25 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
     with DOP853 and a certifying rerun at 100x tighter tolerances.
 
     Every time the solver evaluates passes ``check_positive_definite``; the
-    solver restarts at each schedule knot.  ``guard(times, states)`` runs on
-    both runs' states on the increasing grid ``times``.  Raises
-    ``IntegrationError`` when a run fails or the two differ by more than
-    ``STEP_HALVING_TOL``; returns the tighter run, shape (len(times), len(y0)).
+    solver restarts at each schedule knot.  ``guard(times, states)`` checks
+    each run's states on the increasing grid ``times`` and returns the array
+    the run is certified on: the states, or the caller's output variables
+    computed from them.  Raises ``IntegrationError`` when a run fails or the
+    two outputs differ by more than ``STEP_HALVING_TOL``; returns the tighter
+    run's output.
     """
     # imported here so that importing the package does not load scipy.integrate
     from scipy.integrate import solve_ivp
 
+    calls = 0
+
     def rhs(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > DERIV_CALL_BUDGET:
+            raise IntegrationError(
+                f"derivative-call budget {DERIV_CALL_BUDGET} spent by t={t:.6g}; "
+                f"shorten the horizon")
         alpha, beta, delta = schedule.coefficients(t)
         if not beta > abs(alpha):
             schedule.check_positive_definite(t)
@@ -213,9 +239,7 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
                 raise IntegrationError(f"DOP853 at rtol {rtol:g} failed: {sol.message}")
             y = sol.y[:, -1]
             states.append(sol.y[:, :piece.size])
-        states = np.concatenate(states, axis=1).T.copy()
-        guard(times, states)
-        runs.append(states)
+        runs.append(guard(times, np.concatenate(states, axis=1).T.copy()))
     disagreement = float(np.max(np.abs(runs[0] - runs[1])))
     if disagreement > STEP_HALVING_TOL:
         raise IntegrationError(f"rerun at rtol {SOLVER_RTOL / 100:g} disagrees by "
@@ -223,17 +247,35 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
     return runs[1]
 
 
-def _schrodinger_deriv(params: AlgebraParams, truncation: int):
-    """d/dt psi = -i H psi / hbar for ``integrate_verified``, applied from the
-    ladder bands: H couples n only to n and n +- 2, so no matrix is formed."""
-    s = _ladder_diagonal(params, truncation)
-    band = -0.5j * s[:-1] * s[1:]                   # -i <n|a^2|n+2> / 2
-    diag = -0.5j * (np.append(s * s, 0.0) + np.append(0.0, s * s))
+def _number_diagonal(params: AlgebraParams, truncation: int) -> np.ndarray:
+    """d_n = <n|(a'a + a a')|n> / 2, the last entry without its a a' term as
+    in the truncated ``build_hamiltonian``."""
+    s2 = _ladder_diagonal(params, truncation) ** 2
+    return 0.5 * (np.append(s2, 0.0) + np.append(0.0, s2))
 
-    def deriv(alpha, beta, delta, psi):
-        out = (beta * diag - 1j * delta) * psi
-        out[:-2] += alpha.conjugate() * (band * psi[2:])
-        out[2:] += alpha * (band * psi[:-2])
+
+def _schrodinger_deriv(params: AlgebraParams, truncation: int, beta0: float):
+    """Derivative of y = (phi, C, b, Delta) for ``integrate_verified``, where
+    psi_n = exp(-i (B d_n + Delta)) phi_n with B = C + b, C' = beta0,
+    b' = beta - beta0 and Delta' = delta.
+
+    In this frame the diagonal of H and delta are exact and only the two
+    alpha bands of -i H / hbar remain (H couples n to n +- 2), each turned by
+    exp(-+i B (d_{n+2} - d_n)); no matrix is formed.
+    """
+    n = truncation
+    s = _ladder_diagonal(params, n)
+    band = 0.5 * s[:-1] * s[1:]                     # <n|a^2|n+2> / 2
+    d = _number_diagonal(params, n)
+    gap = d[2:] - d[:-2]
+
+    def deriv(alpha, beta, delta, y):
+        phi = y[:n]
+        turned = band * np.exp(-1j * (y[n] + y[n + 1]).real * gap)
+        out = np.zeros_like(y)
+        out[:n - 2] = -1j * alpha.conjugate() * (turned * phi[2:])
+        out[2:n] += -1j * alpha * (turned.conjugate() * phi[:-2])
+        out[n:] = beta0, beta - beta0, delta
         return out
 
     return deriv
@@ -270,24 +312,33 @@ def evolve_trajectory(
     """Integrate the Schrodinger equation from t=0 to t_final and record
     ``n_samples + 1`` equally spaced states (incl. both endpoints).
 
-    Runs ``integrate_verified``, which chooses its own steps: ``dt`` is only
-    checked to be positive.  Returns (times, states) with states of shape
-    (n_samples+1, truncation).
+    Runs ``integrate_verified`` in the frame of ``_schrodinger_deriv`` and
+    certifies and returns lab-frame states; the solver chooses its own steps,
+    so ``dt`` is only checked to be positive.  Returns (times, states) with
+    states of shape (n_samples+1, truncation).
     """
     check_horizon(t_final, dt)
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     _check_initial(psi0)
     times = np.linspace(0.0, t_final, n_samples + 1)
-    deriv = _schrodinger_deriv(params, psi0.truncation)
+    n = psi0.truncation
+    deriv = _schrodinger_deriv(params, n, schedule.coefficients(0.0)[1])
+    d = _number_diagonal(params, n)
 
-    def guard(times, states):
+    def guard(times, frame):
+        # both runs are certified on lab-frame psi: an error in B moves
+        # psi_n by d_n times as much
+        c, b, delta = frame[:, n:].real.T
+        states = frame[:, :n] * np.exp(-1j * (np.outer(c + b, d) + delta[:, None]))
         drift = np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)
         j = int(np.argmax(drift))
         if drift[j] > NORM_TOL:
             raise IntegrationError(
                 f"norm drift {drift[j]:.3e} exceeds {NORM_TOL} at t={times[j]}")
+        return states
 
-    states = integrate_verified(deriv, psi0.amplitudes, schedule, times, guard)
+    states = integrate_verified(deriv, np.append(psi0.amplitudes, [0.0, 0.0, 0.0]),
+                                schedule, times, guard)
     _check_final(states[-1])
     return times, states

@@ -280,9 +280,10 @@ def _cs_columns(n_pairs: int, zeta: complex, xi: complex,
     return even, odd
 
 
-def _pair_masses(n_pairs: int, zeta: complex, xi: complex,
-                 epsilon: float) -> np.ndarray:
-    """Unnormalized per-pair masses |c_2n|^2 + |c_{2n+1}|^2 (prefactor off).
+def _pair_masses(n_pairs: int, zeta: complex, xi: complex, epsilon: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized per-pair masses |c_2n|^2 + |c_{2n+1}|^2 (prefactor off),
+    with the ``_cs_columns`` they were computed from.
 
     They peak near exp(y), y = |xi|^2/(1-|zeta|^2); past y ~ 700 they
     overflow and no truncation can be chosen, which fails loudly here.
@@ -296,11 +297,15 @@ def _pair_masses(n_pairs: int, zeta: complex, xi: complex,
             f"coherent-state columns overflow at y = |xi|^2/(1-|zeta|^2) "
             f"= {y:.6g}; the state is not representable in double precision"
         )
-    return w
+    return w, even, odd
 
 
-def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
-    """Minimal pair count with relative tail mass below CS_TAIL_BOUND.
+def _cs_pairs(zeta: complex, xi: complex, epsilon: float
+              ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Minimal pair count with relative tail mass below CS_TAIL_BOUND, and
+    the ``_cs_columns`` of the last search window.  The columns are at least
+    that long unless the count is the window plus one, when the tail already
+    reaches the bound at the window's last pair.
 
     Scans the true per-pair masses over a working window that keeps growing
     until the trailing decay is safely geometric (asymptotic ratio
@@ -318,7 +323,7 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
     accept = max(0.95, 0.5 * (1.0 + zeta_abs**2))
     while True:
         guess = min(guess, MAX_PAIRS)
-        w = _pair_masses(guess, zeta, xi, epsilon)
+        w, even, odd = _pair_masses(guess, zeta, xi, epsilon)
         total = float(np.sum(w))
         tip = max(float(np.max(w[-8:])), 1e-320)
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
@@ -342,7 +347,7 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
             break
     else:
         n_pairs = 2
-    return min(max(n_pairs, 2), MAX_PAIRS)
+    return min(max(n_pairs, 2), MAX_PAIRS), even, odd
 
 
 def _resolve_pairs(auto_pairs: int, truncation: int | None) -> tuple[int, int]:
@@ -471,13 +476,16 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     xi -> 0 limit is taken along the positive real axis.
     """
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps),
-                                      truncation)
-    even, odd = _cs_columns(n_pairs, zeta, xi, eps)
+    auto_pairs, even, odd = _cs_pairs(zeta, xi, eps)
+    n_pairs, n_total = _resolve_pairs(auto_pairs, truncation)
+    # the recurrence is prefix-stable: the search window's columns serve
+    # unless the count (explicit, or one past the window) reaches past them
+    if n_pairs > len(even):
+        even, odd = _cs_columns(n_pairs, zeta, xi, eps)
     pre = cmath.exp(_cs_log_prefactor(spec))
     amps = np.zeros(n_total, dtype=complex)
-    amps[0::2] = pre * even
-    amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
+    amps[0::2] = pre * even[:n_pairs]
+    amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd[:n_pairs]
     return _finalize(amps, "cs_amplitudes")
 
 

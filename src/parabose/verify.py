@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import completeness, coordrep, observables, oscillator, states
-from .dynamics import assemble_A, solve_fg, solve_zeta_xi
+from .dynamics import apply_A, assemble_A, solve_fg, solve_zeta_xi
 from .errors import DomainError
 from .fock import AlgebraParams, build_hamiltonian, build_ladder, \
     evolve_trajectory
@@ -209,10 +209,11 @@ def _eigen_residual(sched):
                                     params, n_samples=64)
     mi = solve_fg(sched, 1.0, 0.3, 0.0, t_final=t_final, dt=t_final / 8192)
     z = complex(cfg.xi0)  # z = xi0 with f0 = 1
+    a, ad, _ = build_ladder(params, n)
     worst = 0.0
     for t, psi in zip(times, psis):
-        a_op = assemble_A(mi, float(t), params, n)
-        worst = max(worst, float(np.linalg.norm(a_op @ psi - z * psi)))
+        a_psi = apply_A(mi, float(t), a, ad, psi)
+        worst = max(worst, float(np.linalg.norm(a_psi - z * psi)))
     return worst
 
 
@@ -349,7 +350,7 @@ def check_cs_eigenrelation(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 5):
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
-        n = 2 * (states._cs_pairs(zeta, xi, eps) + 64)
+        n = 2 * (states._cs_pairs(zeta, xi, eps)[0] + 64)
         v = states.cs_amplitudes(spec, truncation=n)
         a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
         op = a + zeta * ad - xi * np.eye(n)
@@ -385,8 +386,8 @@ def check_cs_overlap_series(rng):
         x2 = rng.uniform(0.1, 1.8) * np.exp(2j * np.pi * rng.uniform())
         s1 = CsSpec(zeta=z1, xi=x1, epsilon=eps, theta=rng.uniform(0, 6.0))
         s2 = CsSpec(zeta=z2, xi=x2, epsilon=eps, theta=rng.uniform(0, 6.0))
-        n = 2 * max(states._cs_pairs(z1, x1, eps),
-                    states._cs_pairs(z2, x2, eps))
+        n = 2 * max(states._cs_pairs(z1, x1, eps)[0],
+                    states._cs_pairs(z2, x2, eps)[0])
         v1 = states.cs_amplitudes(s1, truncation=n)
         v2 = states.cs_amplitudes(s2, truncation=n)
         worst = max(worst, abs(states.cs_overlap(s1, s2) - v1.overlap(v2)))
@@ -455,19 +456,21 @@ def _quadratures(params, n):
 
 
 def _matrix_moments(spec, params):
-    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon) + 64)
+    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon)[0] + 64)
     psi = states.cs_amplitudes(spec, truncation=n).amplitudes
     x_op, p_op, refl = _quadratures(params, n)
+    x_psi, p_psi = x_op @ psi, p_op @ psi
 
-    def ev(op):
-        return complex(np.vdot(psi, op @ psi))
+    def ev(bra, ket):
+        return complex(np.vdot(bra, ket)).real
 
-    mean_x = ev(x_op).real
-    mean_p = ev(p_op).real
-    var_x = ev(x_op @ x_op).real - mean_x**2
-    var_p = ev(p_op @ p_op).real - mean_p**2
-    cov = 0.5 * (ev(x_op @ p_op) + ev(p_op @ x_op)).real - mean_x * mean_p
-    mean_r = ev(refl).real
+    # x and p are Hermitian: <x^2> = |x psi|^2, Re <xp> = (<xp> + <px>) / 2
+    mean_x = ev(psi, x_psi)
+    mean_p = ev(psi, p_psi)
+    var_x = ev(x_psi, x_psi) - mean_x**2
+    var_p = ev(p_psi, p_psi) - mean_p**2
+    cov = ev(x_psi, p_psi) - mean_x * mean_p
+    mean_r = ev(psi, refl @ psi)
     return observables.Moments(mean_x, mean_p, var_x, var_p, cov, mean_r)
 
 

@@ -7,8 +7,8 @@ import runpy
 import numpy as np
 import pytest
 
-from parabose.dynamics import _grid_index, _output_grid, assemble_A, solve_fg, \
-    solve_zeta_xi
+from parabose.dynamics import _grid_index, _output_grid, apply_A, assemble_A, \
+    solve_fg, solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError
 from parabose.fock import AlgebraParams, build_ladder, evolve_trajectory, \
     vacuum_state
@@ -108,6 +108,17 @@ class TestAssembleA:
         a, _, _ = build_ladder(params, 16)
         # at t = 0 with f = 1, g = 0 the map is the bare lowering operator
         assert np.max(np.abs(assemble_A(mi, 0.0, params, 16) - a)) == 0.0
+
+    def test_apply_matches_matrix(self, rng):
+        params = AlgebraParams(epsilon=2.5)
+        mi = solve_fg(sinusoidal_schedule(alpha_amp=0.2, beta0=1.0),
+                      1.2, 0.5j, 0.0, t_final=T)
+        a, ad, _ = build_ladder(params, 32)
+        psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+        for idx in (0, 1024, 4096):
+            t = float(mi.times[idx])
+            assert np.max(np.abs(apply_A(mi, t, a, ad, psi)
+                                 - assemble_A(mi, t, params, 32) @ psi)) <= 1e-13
 
     def test_commutator_on_vacuum(self):
         params = AlgebraParams.from_ell(1)

@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from parabose import fock, states
-from parabose.dynamics import solve_zeta_xi
+from parabose.dynamics import solve_fg, solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError, \
     TruncationError
 from parabose.fock import AlgebraParams, FockVector, build_hamiltonian, \
@@ -17,7 +18,7 @@ from parabose.fock import AlgebraParams, FockVector, build_hamiltonian, \
     _schrodinger_deriv
 from parabose.oscillator import OscillatorConfig, cs_state
 from parabose.schedules import CoefficientSchedule, constant_schedule, \
-    sinusoidal_schedule
+    sinusoidal_schedule, tabulated_schedule
 
 N = 96
 
@@ -190,14 +191,24 @@ class TestEvolution:
                          6.0, 1.5, params)
 
     def test_halved_step_disagreement_raises(self, monkeypatch):
-        # the two runs always differ in their last digits, so a zero bound
-        # reaches the certification error through the oracle
+        # with alpha != 0 the two runs differ in their last digits, so a zero
+        # bound reaches the certification error through the oracle (at
+        # alpha = 0 the frame derivative vanishes and the runs agree exactly)
         monkeypatch.setattr(fock, "STEP_HALVING_TOL", 0.0)
         amps = np.zeros(32, dtype=complex)
         amps[4] = 1.0
         with pytest.raises(IntegrationError, match="disagrees by"):
-            evolve_final(FockVector(amps), constant_schedule(0, 1, 0), 0.5, 0.01,
-                         AlgebraParams(epsilon=0.5))
+            evolve_final(FockVector(amps), constant_schedule(0.3, 1, 0), 0.5,
+                         0.01, AlgebraParams(epsilon=0.5))
+
+    def test_derivative_call_budget(self, monkeypatch):
+        # a finite but huge horizon used to step DOP853 without bound
+        monkeypatch.setattr(fock, "DERIV_CALL_BUDGET", 5000)
+        with pytest.raises(IntegrationError, match="derivative-call budget"):
+            solve_fg(constant_schedule(), 1.0, 0.1, t_final=1e9)
+        with pytest.raises(IntegrationError, match="derivative-call budget"):
+            evolve_final(vacuum_state(16), constant_schedule(0.3, 1.0, 0.0),
+                         1e9, 1e9, AlgebraParams(epsilon=0.5))
 
     def test_positivity_gated_between_output_samples(self):
         # |alpha| exceeds beta only around t = 0.5, strictly between the two
@@ -224,7 +235,7 @@ class TestEvolution:
         with pytest.raises(IntegrationError, match="DOP853 at rtol .* failed"):
             integrate_verified(lambda alpha, beta, delta, y: y * y, [1.0],
                                constant_schedule(), np.array([0.0, 2.0]),
-                               lambda times, states: None)
+                               lambda times, states: states)
 
     def test_long_horizon_certified(self):
         # ten periods of the time-dependent schedule: the certified oracle
@@ -244,17 +255,96 @@ class TestEvolution:
         assert abs(complex(np.vdot(ana.amplitudes, psis[-1])) - 1.0) <= 1e-7
 
     def test_banded_derivative_matches_hamiltonian(self):
+        # frame identity: psi = exp(-i theta) phi with theta = B d + Delta
+        # gives psi' = -i (beta d + delta) psi + exp(-i theta) phi' = -i H psi
         params = AlgebraParams.from_ell(1)
-        sched = sinusoidal_schedule(alpha_amp=0.2 + 0.1j, beta0=1.1, delta0=0.3)
+        sched = sinusoidal_schedule(alpha_amp=0.2 + 0.1j, beta0=1.1,
+                                    beta_amp=0.2, delta0=0.3)
         rng = np.random.default_rng(7)
-        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
-        psi /= np.linalg.norm(psi)
-        deriv = _schrodinger_deriv(params, 64)
+        n = 64
+        d = fock._number_diagonal(params, n)
+        deriv = _schrodinger_deriv(params, n, 1.1)
         for t in (0.0, 0.31, 2.9):
             alpha, beta, delta = sched.coefficients(t)
-            h_psi = build_hamiltonian(params, alpha, beta, delta, 64) @ psi
-            banded = deriv(alpha, beta, delta, psi)
-            assert np.max(np.abs(banded + 1j * h_psi)) <= 1e-13 * np.max(np.abs(h_psi))
+            phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            phi /= np.linalg.norm(phi)
+            # B = C + b, the reference part and the remainder
+            c, b, big_delta = rng.uniform(-20.0, 20.0, size=3)
+            rot = np.exp(-1j * ((c + b) * d + big_delta))
+            psi = rot * phi
+            dy = deriv(alpha, beta, delta, np.append(phi, [c, b, big_delta]))
+            assert (dy[n], dy[n + 1], dy[n + 2]) == (1.1, beta - 1.1, delta)
+            dpsi = -1j * (beta * d + delta) * psi + rot * dy[:n]
+            h_psi = build_hamiltonian(params, alpha, beta, delta, n) @ psi
+            assert np.max(np.abs(dpsi + 1j * h_psi)) <= 1e-13 * np.max(np.abs(h_psi))
+
+    @pytest.mark.parametrize("which", ["sinusoidal", "tabulated"])
+    def test_matches_lab_frame_reference(self, which):
+        # both schedules vary beta, so the frame's B component is not a
+        # multiple of t, and both carry a nonzero delta
+        n, t_final = 48, 3.0
+        params = AlgebraParams(epsilon=1.5)
+        if which == "sinusoidal":
+            sched = sinusoidal_schedule(alpha_amp=0.25 + 0.1j, beta0=1.0,
+                                        beta_amp=0.3, delta0=0.4, omega=1.7)
+        else:
+            ts = np.linspace(0.0, t_final, 7)
+            sched = tabulated_schedule(ts, 0.2 * np.cos(ts) + 0.1j * ts,
+                                       1.2 + 0.3 * np.sin(2 * ts), -0.5 + 0.2 * ts)
+        psi0 = states.cs_amplitudes(states.CsSpec(zeta=0.2j, xi=0.7 - 0.3j,
+                                                  epsilon=1.5), truncation=n)
+        times, psis = evolve_trajectory(psi0, sched, t_final, t_final, params,
+                                        n_samples=6)
+
+        def rhs(t, psi):
+            return -1j * (build_hamiltonian(params, *sched.coefficients(t), n) @ psi)
+
+        # the reference integrates -i H psi in the lab frame, restarting at
+        # each knot where the coefficients' slopes jump
+        edges = [0.0, *(k for k in sched.knots if 0.0 < k < t_final), t_final]
+        ref = np.empty_like(psis)
+        ref[0] = psi = psi0.amplitudes
+        for start, end in zip(edges[:-1], edges[1:]):
+            sol = solve_ivp(rhs, (start, end), psi, method="DOP853",
+                            dense_output=True, rtol=1e-13, atol=1e-15)
+            inside = (times > start) & (times <= end)
+            ref[inside] = sol.sol(times[inside]).T
+            psi = sol.y[:, -1]
+        assert np.max(np.abs(psis - ref)) <= 1e-9
+
+    def test_phase_only_run_certified_on_lab_frame(self):
+        # alpha = 0 with a varying beta: the exact state only turns,
+        # psi_n(t) = exp(-i (B(t) d_n + delta t)) psi_n(0), by phases up to
+        # B d_n ~ 300 * 256 here.  The frame's B error reaches psi_n times d_n,
+        # so the oracle must be accurate on lab-frame psi, not just on B.
+        n, t_final = 256, 300.0
+        params = AlgebraParams(epsilon=1.5)
+        beta0, beta_amp, omega, delta = 1.0, 0.6, 1.3, 0.4
+        sched = sinusoidal_schedule(beta0=beta0, beta_amp=beta_amp,
+                                    delta0=delta, omega=omega)
+        psi0 = states.cs_amplitudes(states.CsSpec(zeta=0.0, xi=10.0, epsilon=1.5),
+                                    truncation=n)
+        times, psis = evolve_trajectory(psi0, sched, t_final, t_final, params,
+                                        n_samples=8)
+        big_b = beta0 * times + beta_amp * (1.0 - np.cos(omega * times)) / omega
+        exact = psi0.amplitudes * np.exp(
+            -1j * (np.outer(big_b, fock._number_diagonal(params, n))
+                   + delta * times[:, None]))
+        assert np.max(np.abs(psis - exact)) <= 1e-10
+
+    def test_rerun_certifies_the_guard_output(self):
+        # integrate_verified compares the two runs on what the guard returns:
+        # scaling y' = i y by 1e12 there exposes the runs' last-digit gap
+        times = np.linspace(0.0, 3.0, 4)
+
+        def run(scale):
+            return integrate_verified(lambda alpha, beta, delta, y: 1j * y, [1.0],
+                                      constant_schedule(), times,
+                                      lambda times, y: scale * y)
+
+        assert np.max(np.abs(run(1.0)[:, 0] - np.exp(1j * times))) <= 1e-10
+        with pytest.raises(IntegrationError, match="disagrees by"):
+            run(1e12)
 
     def test_trajectory_sampling(self):
         params = AlgebraParams.from_ell(0)

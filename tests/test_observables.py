@@ -15,7 +15,7 @@ from parabose.states import CsSpec, cs_amplitudes
 
 def matrix_moments(spec, params, extra=48):
     """Expectation values straight from the dense operator matrices."""
-    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon) + extra)
+    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon)[0] + extra)
     psi = cs_amplitudes(spec, truncation=n).amplitudes
     a, ad, refl = build_ladder(AlgebraParams(epsilon=spec.epsilon,
                                              length_scale=params.length_scale,

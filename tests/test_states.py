@@ -1,5 +1,6 @@
 """State constructors: normalization, reductions, transitions, overlaps."""
 
+import cmath
 import math
 import time
 
@@ -214,7 +215,7 @@ class TestCsAmplitudes:
         # (a + zeta a' - xi) annihilates the state (eigenvalue route)
         zeta, xi, eps = 0.45, 1.0j, 2.5
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
-        n = 2 * (states._cs_pairs(zeta, xi, eps) + 64)
+        n = 2 * (states._cs_pairs(zeta, xi, eps)[0] + 64)
         v = cs_amplitudes(spec, truncation=n)
         a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
         op = a + zeta * ad - xi * np.eye(n)
@@ -260,8 +261,36 @@ class TestCsAmplitudes:
         start = time.perf_counter()
         n_pairs = cs_amplitudes(spec).truncation // 2
         assert time.perf_counter() - start < 0.5
-        w = states._pair_masses(8 * n_pairs, spec.zeta, spec.xi, spec.epsilon)
+        w, _, _ = states._pair_masses(8 * n_pairs, spec.zeta, spec.xi, spec.epsilon)
         assert np.sum(w[n_pairs:]) < states.CS_TAIL_BOUND * np.sum(w)
+
+    def test_search_window_columns_reused(self, monkeypatch):
+        # the amplitudes slice the truncation search's last window and equal
+        # (==) a fresh column build at the chosen length; only an explicit
+        # truncation past that window builds the columns again
+        rng = np.random.default_rng(5)
+        builds = []
+        build = states._cs_columns
+        monkeypatch.setattr(states, "_cs_columns",
+                            lambda n, *args: builds.append(n) or build(n, *args))
+        for _ in range(12):
+            zeta = complex(rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.uniform()))
+            xi = complex(rng.uniform(0.0, 6.0) * np.exp(2j * np.pi * rng.uniform()))
+            eps = float(rng.uniform(0.5, 6.0))
+            spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
+            window = len(states._cs_pairs(zeta, xi, eps)[1])
+            for truncation in (None, 2 * window, 2 * window + 64):
+                builds.clear()
+                v = cs_amplitudes(spec, truncation=truncation)
+                n_pairs = v.truncation // 2
+                assert builds[-1] == (n_pairs if n_pairs > window else window)
+                even, odd = build(n_pairs, zeta, xi, eps)
+                pre = cmath.exp(states._cs_log_prefactor(spec))
+                amps = np.zeros(v.truncation, dtype=complex)
+                amps[0::2] = pre * even
+                amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
+                assert np.array_equal(v.amplitudes,
+                                      states._finalize(amps, "").amplitudes)
 
     def test_schrodinger_property_constant_schedule(self):
         # analytic parameters propagated by the ODE solver keep the state on
@@ -369,8 +398,8 @@ class TestCsOverlap:
     @staticmethod
     def _fock_overlap(s1, s2):
         eps = s1.epsilon
-        n = 2 * max(states._cs_pairs(s1.zeta, s1.xi, eps),
-                    states._cs_pairs(s2.zeta, s2.xi, eps))
+        n = 2 * max(states._cs_pairs(s1.zeta, s1.xi, eps)[0],
+                    states._cs_pairs(s2.zeta, s2.xi, eps)[0])
         return cs_amplitudes(s1, n).overlap(cs_amplitudes(s2, n))
 
     def test_matches_amplitude_series(self, rng):
@@ -398,7 +427,7 @@ class TestCsOverlap:
         eps = 1.5
         s1 = CsSpec(zeta=0.3, xi=0.0, epsilon=eps)
         s2 = CsSpec(zeta=0.2, xi=0.8, epsilon=eps)
-        n = 2 * (states._cs_pairs(s2.zeta, s2.xi, eps) + 16)
+        n = 2 * (states._cs_pairs(s2.zeta, s2.xi, eps)[0] + 16)
         v1, v2 = cs_amplitudes(s1, n), cs_amplitudes(s2, n)
         assert abs(cs_overlap(s1, s2) - v1.overlap(v2)) <= 1e-10
 
