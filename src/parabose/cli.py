@@ -18,6 +18,7 @@ file beside it is renamed into place.  One command per published figure:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -246,7 +247,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; each parse_args call
+    starts from a fresh namespace, and append copies its default list."""
     parser = argparse.ArgumentParser(
         prog="parabose",
         description="Generalized para-Bose state toolkit: figure data, "

@@ -44,6 +44,7 @@ __all__ = [
     "check_horizon",
     "FockVector",
     "build_ladder",
+    "ladder_products",
     "build_hamiltonian",
     "evolve_trajectory",
     "integrate_verified",
@@ -171,6 +172,18 @@ def build_ladder(params: AlgebraParams, truncation: int):
     a_dagger = a.conj().T.copy()
     reflection = np.diag((-1.0 + 0j) ** np.arange(truncation))
     return a, a_dagger, reflection
+
+
+def ladder_products(params: AlgebraParams, psi: np.ndarray):
+    """(a psi, a_dagger psi) at truncation len(psi) as banded shifts by the
+    ladder diagonal: the products with ``build_ladder``'s matrices, without
+    forming them."""
+    s = _ladder_diagonal(params, len(psi))
+    a_psi = np.zeros(len(psi), dtype=complex)
+    ad_psi = np.zeros(len(psi), dtype=complex)
+    a_psi[:-1] = s * psi[1:]
+    ad_psi[1:] = s * psi[:-1]
+    return a_psi, ad_psi
 
 
 def build_hamiltonian(

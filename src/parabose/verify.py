@@ -25,7 +25,7 @@ from . import completeness, coordrep, observables, oscillator, states
 from .dynamics import apply_A, assemble_A, solve_fg, solve_zeta_xi
 from .errors import DomainError
 from .fock import AlgebraParams, build_hamiltonian, build_ladder, \
-    evolve_trajectory
+    evolve_trajectory, ladder_products
 from .schedules import constant_schedule, sinusoidal_schedule
 from .states import CsSpec, SvsSpec
 
@@ -339,9 +339,8 @@ def check_svs_annihilation(rng):
         spec = SvsSpec(zeta=zeta, epsilon=eps)
         n = 2 * (states._svs_pairs(abs(zeta), eps) + 64)
         v = states.svs_amplitudes(spec, truncation=n)
-        a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
-        op = a + zeta * ad
-        worst = max(worst, float(np.linalg.norm(op @ v.amplitudes)))
+        a_v, ad_v = ladder_products(AlgebraParams(epsilon=eps), v.amplitudes)
+        worst = max(worst, float(np.linalg.norm(a_v + zeta * ad_v)))
     return worst
 
 
@@ -352,9 +351,9 @@ def check_cs_eigenrelation(rng):
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
         n = 2 * (states._cs_pairs(zeta, xi, eps)[0] + 64)
         v = states.cs_amplitudes(spec, truncation=n)
-        a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
-        op = a + zeta * ad - xi * np.eye(n)
-        worst = max(worst, float(np.linalg.norm(op @ v.amplitudes)))
+        a_v, ad_v = ladder_products(AlgebraParams(epsilon=eps), v.amplitudes)
+        worst = max(worst, float(np.linalg.norm(
+            a_v + zeta * ad_v - xi * v.amplitudes)))
     return worst
 
 
@@ -447,19 +446,17 @@ def check_zero_squeeze_continuity(rng):
 
 # -- observables ------------------------------------------------------------
 
-def _quadratures(params, n):
-    """Matrices of x, p and the reflection R at truncation n."""
-    a, ad, refl = build_ladder(params, n)
+def _quadratures(params, a, ad):
+    """x and p from a and a' (matrices, or their products with a state)."""
     l = params.length_scale
     return ((a + ad) * l / math.sqrt(2.0),
-            params.hbar * (a - ad) / (1j * math.sqrt(2.0) * l), refl)
+            params.hbar * (a - ad) / (1j * math.sqrt(2.0) * l))
 
 
 def _matrix_moments(spec, params):
     n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon)[0] + 64)
     psi = states.cs_amplitudes(spec, truncation=n).amplitudes
-    x_op, p_op, refl = _quadratures(params, n)
-    x_psi, p_psi = x_op @ psi, p_op @ psi
+    x_psi, p_psi = _quadratures(params, *ladder_products(params, psi))
 
     def ev(bra, ket):
         return complex(np.vdot(bra, ket)).real
@@ -470,7 +467,7 @@ def _matrix_moments(spec, params):
     var_x = ev(x_psi, x_psi) - mean_x**2
     var_p = ev(p_psi, p_psi) - mean_p**2
     cov = ev(x_psi, p_psi) - mean_x * mean_p
-    mean_r = ev(psi, refl @ psi)
+    mean_r = ev(psi[0::2], psi[0::2]) - ev(psi[1::2], psi[1::2])
     return observables.Moments(mean_x, mean_p, var_x, var_p, cov, mean_r)
 
 
@@ -623,7 +620,7 @@ def check_hamiltonian_mapping(rng):
     alpha, beta, delta = 0.3 + 0.2j, 1.0, 0.5
     hm = coordrep.hamiltonian_mapping(alpha, beta, delta, params)
     n = 64
-    x_op, p_op, _ = _quadratures(params, n)
+    x_op, p_op = _quadratures(params, *build_ladder(params, n)[:2])
     h_mech = (p_op @ p_op / (2.0 * hm.mass)
               + 0.5 * hm.mass * hm.omega**2 * (x_op @ x_op)
               + 0.5 * hm.cross * (p_op @ x_op + x_op @ p_op)

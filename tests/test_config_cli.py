@@ -3,11 +3,14 @@
 import argparse
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from parabose.cli import _COMMANDS, _emit, main
+import parabose
+from parabose.cli import _COMMANDS, _build_parser, _emit, main
 from parabose.config import ScenarioConfig, parse_scenario
 from parabose.errors import ConfigError
 
@@ -288,3 +291,22 @@ class TestDeterminism:
                 names = sorted(os.listdir(out))
                 outs.append([read(os.path.join(out, n)) for n in names])
             assert outs[0] == outs[1]
+
+    def test_parser_reuse_leaks_no_override(self, tmp_path):
+        # main builds its argparse tree once per process: a run without
+        # --set after one with it writes what a fresh process writes
+        assert _build_parser() is _build_parser()
+        assert main(["svs-prob", "--out", str(tmp_path / "set"),
+                     "--set", "state.zeta_abs=0.3"]) == 0
+        assert main(["svs-prob", "--out", str(tmp_path / "again")]) == 0
+        src = os.path.dirname(os.path.dirname(parabose.__file__))
+        subprocess.run([sys.executable, "-m", "parabose.cli", "svs-prob",
+                        "--out", str(tmp_path / "fresh")], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        runs = {}
+        for tag in ("set", "again", "fresh"):
+            out = tmp_path / tag
+            runs[tag] = {n: read(os.path.join(out, n))
+                         for n in sorted(os.listdir(out))}
+        assert runs["again"] == runs["fresh"]
+        assert runs["set"] != runs["fresh"]

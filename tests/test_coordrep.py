@@ -202,6 +202,23 @@ class TestDensity:
         peak = np.max(wg.rho_values)
         assert np.max(np.abs(np.abs(psi) ** 2 - wg.rho_values)) <= 1e-10 * peak
 
+    @pytest.mark.parametrize("ell", [5, 6])
+    def test_orders_past_the_elementary_cutoff(self, ell):
+        # ell = 6 takes both Bessel orders from ive, ell = 5 its odd one
+        assert 2 * ell > coordrep.ELEMENTARY_MAX_ORDER
+        spec = CsSpec(zeta=0.45, xi=1j, epsilon=2 * ell + 0.5, theta=0.4)
+        params = AlgebraParams.from_ell(ell)
+        wg = coordrep.probability_density(spec, params)
+        assert wg.two_route_residual <= 1e-10
+        assert abs(wg.parity_norm - 1.0) <= 1e-9
+        x = np.array([0.5, 2.0, 3.5, 5.0])
+        even, odd = coordrep.wavefunction_parity_parts(spec, params, x)
+        with mpmath.workdps(30):
+            for j, xv in enumerate(x):
+                e_ref, o_ref = parity_parts_mpmath(spec, 1.0, float(xv))
+                assert abs(even[j] - e_ref) <= 1e-11 * abs(e_ref)
+                assert abs(odd[j] - o_ref) <= 1e-11 * abs(o_ref)
+
     @pytest.mark.parametrize("ell, zeta, xi", FORMERLY_FAILING)
     def test_formerly_failing_states_normalized(self, ell, zeta, xi):
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=2 * ell + 0.5)

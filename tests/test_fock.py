@@ -14,8 +14,8 @@ from parabose.dynamics import solve_fg, solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError, \
     TruncationError
 from parabose.fock import AlgebraParams, FockVector, build_hamiltonian, \
-    build_ladder, evolve_trajectory, integrate_verified, vacuum_state, \
-    _schrodinger_deriv
+    build_ladder, evolve_trajectory, integrate_verified, ladder_products, \
+    vacuum_state, _schrodinger_deriv
 from parabose.oscillator import OscillatorConfig, cs_state
 from parabose.schedules import CoefficientSchedule, constant_schedule, \
     sinusoidal_schedule, tabulated_schedule
@@ -99,6 +99,20 @@ class TestLadder:
     def test_truncation_floor(self):
         with pytest.raises(ConfigError):
             build_ladder(AlgebraParams(epsilon=0.5), 1)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.7, 6.5])
+    @pytest.mark.parametrize("n", [2, 7, N])
+    def test_banded_products_match_dense(self, eps, n):
+        # a psi and a' psi as shifts by the ladder diagonal, last entries
+        # included, against the dense matrices
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        params = AlgebraParams(epsilon=eps)
+        a, ad, _ = build_ladder(params, n)
+        a_psi, ad_psi = ladder_products(params, psi)
+        scale = np.max(np.abs(a @ psi))
+        assert np.max(np.abs(a_psi - a @ psi)) <= 1e-15 * scale
+        assert np.max(np.abs(ad_psi - ad @ psi)) <= 1e-15 * scale
 
 
 class TestHamiltonian:

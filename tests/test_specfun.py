@@ -1,10 +1,13 @@
 """Special functions behind the closed forms, against independent oracles.
 
 The package takes ln Gamma from ``math.lgamma`` (scalars) and
-``scipy.special.gammaln`` (state columns), the modified Bessel I from
-``scipy.special.ive`` (real-axis normalization in ``states``, complex grid in
-``coordrep``), and evaluates (-zeta)^n L_n^alpha(x/zeta) by its own scaled
-recurrence.  Expected values are frozen from mpmath (50 digits) and from the
+``scipy.special.gammaln`` (state columns) and the modified Bessel I of the
+normalization from ``scipy.special.ive`` (real and complex arguments, in
+``states``).  ``coordrep`` evaluates its half-odd orders I_{n+1/2}(w) itself:
+the elementary closed form (DLMF 10.49(ii)) or the ascending series (DLMF
+10.25.2), with ``ive`` only above order ``ELEMENTARY_MAX_ORDER + 1/2``.
+(-zeta)^n L_n^alpha(x/zeta) comes from the package's own scaled recurrence.
+Expected values are frozen from mpmath (30 to 50 digits) and from the
 explicit binomial-coefficient Laguerre sum.
 """
 
@@ -35,8 +38,26 @@ def laguerre_coefficient_sum(n, alpha, x):
     return total
 
 
+def bessel_ratio_mpmath(n, w):
+    """exp(-|Re w|) I_{n+1/2}(w) / (w/2)^(n+1/2) at 30 digits; at w = 0 its
+    limit 1/Gamma(n + 3/2)."""
+    with mpmath.workdps(30):
+        order = n + mpmath.mpf(1) / 2
+        wm = mpmath.mpc(w)
+        if wm == 0:
+            return complex(1 / mpmath.gamma(order + 1))
+        return complex(mpmath.besseli(order, wm) / (wm / 2) ** order
+                       * mpmath.exp(-abs(wm.real)))
+
+
+# 16 directions of w at multiples of pi/8, the four axes exact: I_nu has its
+# zeros on the imaginary axis, which the figure family (Re w = 0) samples
+DIRECTIONS = np.round(np.exp(1j * math.pi * np.arange(16) / 8), 15)
+
+
 def bessel_i(kappa, z):
-    """I_kappa(z) as ``coordrep`` forms it: ive(kappa, z) exp(|Re z|)."""
+    """I_kappa(z) from scipy's ive as ``states`` uses it (and ``coordrep``
+    past its elementary orders): ive(kappa, z) exp(|Re z|)."""
     z = complex(z)
     return complex(ive(kappa, z) * math.exp(abs(z.real)))
 
@@ -240,3 +261,37 @@ class TestBesselI:
             ratio = float((lo - hi) / (lo + hi))
             assert abs(_i_parity_ratio(eps, y) - ratio) \
                 <= 1e-15 + 1e-12 * abs(ratio)
+
+
+class TestHalfOddBesselRatio:
+    """``coordrep._bessel_ratio``: series below the order's radius, the
+    elementary form above it up to ``ELEMENTARY_MAX_ORDER``, ``ive`` beyond."""
+
+    @pytest.mark.parametrize(
+        "n", range(-1, coordrep.ELEMENTARY_MAX_ORDER + 3))
+    def test_against_mpmath(self, n):
+        # every elementary order and the first two on ive; measured worst
+        # 3.1e-14 for the elementary orders (n = 9) and 3.5e-14 on ive
+        # (n = 11).  ive(n + 1/2, w) / (w/2)^(n + 1/2) alone misses these
+        # points by up to 4.4e-13 (n = 0) and is not finite at |w| = 1e-300
+        radius = coordrep._series_radius(n)
+        moduli = [0.0, 1e-300, 1e-8, radius * (1 - 2 ** -51),
+                  radius * (1 + 2 ** -51), *np.geomspace(0.01, 300.0, 25)]
+        w = np.outer(moduli, DIRECTIONS).ravel()
+        exact = np.array([bessel_ratio_mpmath(n, v) for v in w])
+        got = coordrep._bessel_ratio(n, w)
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n", range(-1, coordrep.ELEMENTARY_MAX_ORDER + 3))
+    def test_continuous_across_radius(self, n):
+        # one ulp either side of the series radius on 64 directions, so the
+        # two branches meet; measured worst 5e-14 (n = 9)
+        radius = coordrep._series_radius(n)
+        d = np.exp(2j * math.pi * np.arange(64) / 64)
+        below, above = d * radius * (1 - 2 ** -51), d * radius * (1 + 2 ** -51)
+        assert np.all(np.abs(below) < radius)
+        assert np.all(np.abs(above) >= radius)
+        inner = coordrep._bessel_ratio(n, below)
+        outer = coordrep._bessel_ratio(n, above)
+        assert np.max(np.abs(outer - inner) / np.abs(inner)) <= 1e-13
