@@ -32,7 +32,7 @@ from .config import ScenarioConfig, parse_scenario
 from .coordrep import default_grid, probability_density
 from .dynamics import DEFAULT_STEPS, apply_A, solve_fg, solve_zeta_xi
 from .errors import ConfigError, ParaBoseError
-from .fock import TAIL_WIDTH, AlgebraParams, build_ladder, evolve_trajectory
+from .fock import TAIL_WIDTH, AlgebraParams, evolve_trajectory
 from .observables import cs_moments, uncertainty_products
 from .oscillator import OscillatorConfig, closed_form_parameters, \
     mean_trajectories, stationary_transition
@@ -194,14 +194,13 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
     times, psis = evolve_trajectory(psi0, sched, t_final, dt, params,
                                     n_samples=n_samples)
     mi = solve_fg(sched, 1.0, zeta0, 0.0, t_final=t_final, dt=dt)
-    a, ad, _ = build_ladder(params, psi0.truncation)
     rows = []
     for t, psi in zip(times, psis):
         p = traj.at(float(t))
         ana = cs_amplitudes(states.cs_spec_from_params(p, params.epsilon),
                             truncation=psi0.truncation)
         fid = abs(complex(np.vdot(ana.amplitudes, psi)))
-        eig = float(np.linalg.norm(apply_A(mi, float(t), a, ad, psi) - xi0 * psi))
+        eig = float(np.linalg.norm(apply_A(mi, float(t), params, psi) - xi0 * psi))
         norm_err = abs(float(np.vdot(psi, psi).real) - 1.0)
         rows.append((float(t), fid, eig, norm_err))
     _emit(cfg, args, "evolve_oracle", dict(zip(
@@ -213,12 +212,7 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
     # imported here so that the figure commands do not load the suite
     from . import verify
     digits = cfg["output.digits"]
-    try:
-        if args.sabotage:
-            states.set_sabotage(True)
-        results = verify.run_all(args.seed, cfg.epsilon())
-    finally:
-        states.set_sabotage(False)
+    results = verify.run_all(args.seed, cfg.epsilon())
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -266,11 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for randomized property checks")
         p.add_argument("--plot-script", action="store_true",
                        help="emit a gnuplot script beside each CSV")
-        if name == "verify":
-            p.add_argument("--sabotage", action="store_true",
-                           help="test hook: flip a sign in the squeezed-"
-                                "vacuum transition law to prove the suite "
-                                "catches mutations")
     return parser
 
 

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 CONVERGENCE_TOL = 1e-10
+NODE_COUNT = 64
 
 
 def _require_completeness_domain(epsilon: float) -> None:
@@ -62,34 +63,30 @@ def _diagonal_quadrature(epsilon: float, n: int, node_count: int) -> float:
     return float(np.sum(w * u**n))
 
 
-def diagonal_identity_residual(
-    epsilon: float, n: int, node_count: int = 64
-) -> float:
+def diagonal_identity_residual(epsilon: float, n: int) -> float:
     """|quadrature of the n-th diagonal closure entry - 1|.
 
     The exact value is 1 through the Beta identity
     Gamma(x) Gamma(y) / Gamma(x+y) = 2 int_0^1 (1 - t^2)^(y-1) t^(2x-1) dt.
-    Nonconvergence (the full rule vs its half-node version) raises instead of
-    being absorbed into the residual.
+    Nonconvergence (the NODE_COUNT rule vs its half-node version) raises
+    instead of being absorbed into the residual.
     """
     _require_completeness_domain(epsilon)
     n = check_index(n)
     prefactor = (epsilon - 1.0) * math.exp(
         math.lgamma(n + epsilon) - math.lgamma(n + 1.0) - math.lgamma(epsilon)
     )
-    full = _diagonal_quadrature(epsilon, n, node_count)
-    half = _diagonal_quadrature(epsilon, n, max(4, node_count // 2))
+    full = _diagonal_quadrature(epsilon, n, NODE_COUNT)
+    half = _diagonal_quadrature(epsilon, n, max(4, NODE_COUNT // 2))
     if abs(full - half) > CONVERGENCE_TOL * max(abs(full), 1.0):
         raise QuadratureError(
             f"radial quadrature not converged for eps={epsilon}, n={n} "
-            f"with {node_count} nodes"
+            f"with {NODE_COUNT} nodes"
         )
     return abs(prefactor * full - 1.0)
 
 
-def identity_block_residual(
-    epsilon: float, block: int, node_count: int = 64
-) -> float:
+def identity_block_residual(epsilon: float, block: int) -> float:
     """max |M - 1| over the even-sector K x K closure block.
 
     M is assembled from the state constructor's coefficient kernel on the
@@ -104,7 +101,7 @@ def identity_block_residual(
     _require_completeness_domain(epsilon)
     if not 1 <= block <= 32:
         raise DomainError(f"block size must be in 1..32, got {block}")
-    u, w = _radial_nodes(epsilon, node_count)
+    u, w = _radial_nodes(epsilon, NODE_COUNT)
     diag = np.zeros(block)
     for uj, wj in zip(u, w):
         col = _svs_coefficient_column(math.sqrt(uj), epsilon, block)

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrationError
-from .fock import AlgebraParams, build_ladder, check_horizon, \
-    integrate_verified
+from .fock import AlgebraParams, check_horizon, integrate_verified, \
+    ladder_products
 from .schedules import CoefficientSchedule
 from .states import SQUEEZE_LIMIT, check_squeeze
 
@@ -39,7 +39,6 @@ __all__ = [
     "solve_fg",
     "solve_zeta_xi",
     "apply_A",
-    "assemble_A",
 ]
 
 MU_DRIFT_TOL = 1e-9
@@ -120,9 +119,9 @@ class StateTrajectory:
             raise ConfigError("theta_svs needs epsilon (set it on solve)")
         return self.epsilon * self.phase_fg.real - self.delta_integral
 
-    def f_reconstructed(self, f0: complex = 1.0) -> np.ndarray:
-        """f(t) = f0 exp(-i int (conj(alpha) zeta - beta) dt)."""
-        return f0 * np.exp(-1j * self.phase_fg)
+    def f_reconstructed(self) -> np.ndarray:
+        """f(t) = exp(-i int (conj(alpha) zeta - beta) dt), f(0) = 1."""
+        return np.exp(-1j * self.phase_fg)
 
     @cached_property
     def xi_windings(self) -> np.ndarray:
@@ -232,20 +231,10 @@ def solve_zeta_xi(
     )
 
 
-def assemble_A(
-    mi: MotionIntegral,
-    t: float,
-    params: AlgebraParams,
-    truncation: int,
-) -> np.ndarray:
-    """Integral-of-motion matrix A(t) = f(t) a + g(t) a' + phi0."""
-    a, ad, _ = build_ladder(params, truncation)
-    return apply_A(mi, t, a, ad, np.eye(truncation))
-
-
-def apply_A(mi: MotionIntegral, t: float, a: np.ndarray, ad: np.ndarray,
+def apply_A(mi: MotionIntegral, t: float, params: AlgebraParams,
             psi: np.ndarray) -> np.ndarray:
-    """A(t) psi = f(t) a psi + g(t) a' psi + phi0 psi for the ladder
-    matrices a, a' of ``build_ladder``; psi a state or a matrix."""
+    """A(t) psi = f(t) a psi + g(t) a' psi + phi0 psi at truncation len(psi),
+    the ladders applied as ``fock.ladder_products``."""
     f, g = mi.at(t)
-    return f * (a @ psi) + g * (ad @ psi) + mi.phi0 * psi
+    a_psi, ad_psi = ladder_products(params, psi)
+    return f * a_psi + g * ad_psi + mi.phi0 * psi

@@ -202,11 +202,11 @@ class AsymptoticUncertainty:
 def asymptotic_uncertainties(
     cfg: OscillatorConfig,
     regime: str,
-    t: float = 0.0,
     small_xi_max: float = 0.1,
     large_y_min: float = 20.0,
 ) -> AsymptoticUncertainty:
-    """Small- or large-argument closed forms for the uncertainty products.
+    """Small- or large-argument closed forms for the uncertainty products
+    at t = 0.
 
     small:  R ~ ((4l+1)(1-|z0|^2) - |xi0|^2) / ((4l+1)(1-|z0|^2) + |xi0|^2)
     large:  R ~ l (1-|z0|^2) / (|xi0|^2 - 2 l^2 (1-|z0|^2))
@@ -235,7 +235,6 @@ def asymptotic_uncertainties(
         r_bar = cfg.ell * one / (x_abs**2 - 2.0 * cfg.ell**2 * one)
     else:
         raise DomainError(f"regime must be 'small' or 'large', got {regime!r}")
-    heis, sr = uncertainty_products(closed_form_parameters(cfg, t).zeta,
-                                    r_bar, cfg.algebra_params())
+    heis, sr = uncertainty_products(cfg.zeta0, r_bar, cfg.algebra_params())
     return AsymptoticUncertainty(heisenberg=heis, schrodinger_robertson=sr,
                                  mean_r=r_bar)

@@ -80,7 +80,7 @@ __all__ = [
 SVS_TAIL_BOUND = 1e-14
 CS_TAIL_BOUND = 1e-16
 MAX_PAIRS = 200_000
-RENORM_WARN_TOL = 1e-9
+NORM_WARN_TOL = 1e-9
 SQUEEZE_LIMIT = 1.0 - 1e-6
 DISTRIBUTION_CACHE = 8
 
@@ -108,11 +108,14 @@ def check_index(n) -> int:
     return int(n)
 
 
-def _check_state_inputs(zeta: complex, epsilon: float, xi: complex = 0.0):
+def _check_state_inputs(zeta: complex, epsilon: float, xi: complex = 0.0,
+                        theta: float = 0.0):
     check_epsilon(epsilon)
     check_squeeze(zeta)
     if not math.isfinite(abs(xi)):
         raise DomainError(f"xi must be finite, got {xi!r}")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ class SvsSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_state_inputs(self.zeta, self.epsilon)
+        _check_state_inputs(self.zeta, self.epsilon, theta=self.theta)
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ class CsSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_state_inputs(self.zeta, self.epsilon, self.xi)
+        _check_state_inputs(self.zeta, self.epsilon, self.xi, self.theta)
 
 
 def svs_spec_from_params(params, epsilon: float) -> SvsSpec:
@@ -190,8 +193,8 @@ def _i_small_pair(epsilon: float, y):
 
 
 def _log_i_sum(epsilon: float, y):
-    """ln[ (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) ] for real y >= 0 (a
-    float) or complex y (a complex logarithm of the same entire function).
+    """ln[ (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) ] for real y (a float)
+    or complex y (a complex logarithm of the same entire function).
 
     The divided-out power makes it regular (DLMF 10.25.2): at y = 0 it is
     -ln Gamma(eps), so zero displacement needs no limit of its own.  Each
@@ -214,15 +217,6 @@ def _log_i_sum(epsilon: float, y):
     s_lo, t = _i_small_pair(epsilon, y)
     return (-math.lgamma(epsilon) + log(s_lo)
             + (math.log1p(t) if real else log(1.0 + t)))
-
-
-def _i_parity_ratio(epsilon: float, y: float) -> float:
-    """( I_{eps-1}(y) - I_eps(y) ) / ( I_{eps-1}(y) + I_eps(y) ), y >= 0."""
-    lo, hi = ive(epsilon - 1.0, y), ive(epsilon, y)
-    if y < _SMALL_Y or hi < _TINY:
-        _, t = _i_small_pair(epsilon, y)
-        return (1.0 - t) / (1.0 + t)
-    return float((lo - hi) / (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +361,16 @@ def _resolve_pairs(auto_pairs: int, truncation: int | None) -> tuple[int, int]:
 
 
 def _finalize(amps: np.ndarray, what: str) -> FockVector:
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    residual = abs(norm_sq - 1.0)
-    if residual > RENORM_WARN_TOL:
+    """The amplitudes as computed; a norm off 1 by more than NORM_WARN_TOL
+    warns, and is left for the normalization checks to report."""
+    residual = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+    if residual > NORM_WARN_TOL:
         warnings.warn(
             f"{what} normalization residual {residual:.3e} exceeds "
-            f"{RENORM_WARN_TOL}; renormalizing (possible special-function "
-            "regression)",
+            f"{NORM_WARN_TOL} (possible special-function regression)",
             RuntimeWarning,
             stacklevel=3,
         )
-        amps = amps / math.sqrt(norm_sq)
     return FockVector(amps)
 
 
@@ -426,15 +419,9 @@ def svs_transition(zeta: complex, epsilon: float, n: int) -> float:
     return min(float(base * math.exp(log_term)), 1.0)
 
 
-def svs_overlap(spec1: SvsSpec, spec2: SvsSpec,
-                phase_integral: float | None = None) -> complex:
-    """<spec1|spec2> in closed form.
-
-    The dynamical phase is exp(i eps * phase_integral) with phase_integral =
-    int Re[alpha (zeta2* - zeta1*)] dt; when omitted it is inferred from the
-    stored state phases (theta2 - theta1), which equals the same quantity for
-    two states evolved under one schedule.
-    """
+def svs_overlap(spec1: SvsSpec, spec2: SvsSpec) -> complex:
+    """<spec1|spec2> in closed form, its phase exp(i (theta2 - theta1))
+    from the stored state phases."""
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("svs_overlap requires equal epsilon")
     eps = spec1.epsilon
@@ -442,11 +429,7 @@ def svs_overlap(spec1: SvsSpec, spec2: SvsSpec,
     base = ((1.0 - abs(z1) ** 2) ** (eps / 2.0)
             * (1.0 - abs(z2) ** 2) ** (eps / 2.0)
             * (1.0 - np.conj(z1) * z2) ** (-eps))
-    if phase_integral is None:
-        phase = np.exp(1j * (spec2.theta - spec1.theta))
-    else:
-        phase = np.exp(1j * eps * phase_integral)
-    return complex(base * phase)
+    return complex(base * np.exp(1j * (spec2.theta - spec1.theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +557,10 @@ def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:
 
         (I_{eps-1}(y) - I_eps(y)) / (I_{eps-1}(y) + I_eps(y)),
 
-    y = |xi|^2/(1-|zeta|^2); exactly 1 at xi = 0 (pure even state)."""
+    y = |xi|^2/(1-|zeta|^2): the normalization's Bessel pair at -y over the
+    same pair at y (each I_nu(y)/(y/2)^nu is even in y); exactly 1 at
+    xi = 0 (pure even state)."""
     _check_state_inputs(zeta, epsilon, xi)
     y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-    return float(_i_parity_ratio(float(epsilon), y))
+    eps = float(epsilon)
+    return math.exp(_log_i_sum(eps, -y) - _log_i_sum(eps, y))

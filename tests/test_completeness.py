@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from parabose import completeness
 from parabose.completeness import diagonal_identity_residual, \
     identity_block_residual, weight
 from parabose.errors import DomainError, QuadratureError
@@ -62,14 +63,16 @@ class TestDiagonalIdentity:
 
     def test_near_unit_level_with_weighted_rule(self):
         # the Jacobi rule is built for the endpoint exponent and still nails
-        # eps = 1.05 at 64 nodes
-        assert diagonal_identity_residual(1.05, 0, node_count=64) <= 1e-8
+        # eps = 1.05 at its NODE_COUNT = 64 nodes
+        assert completeness.NODE_COUNT == 64
+        assert diagonal_identity_residual(1.05, 0) <= 1e-8
 
-    def test_unconverged_rule_fails_loudly(self):
+    def test_unconverged_rule_fails_loudly(self, monkeypatch):
         # 8 nodes integrate u^n exactly only to degree 15 and 4 nodes to 7:
         # the full and half rules disagree, which raises
+        monkeypatch.setattr(completeness, "NODE_COUNT", 8)
         with pytest.raises(QuadratureError, match="not converged"):
-            diagonal_identity_residual(2.5, 12, node_count=8)
+            diagonal_identity_residual(2.5, 12)
 
     def test_domain_gate(self):
         with pytest.raises(DomainError):

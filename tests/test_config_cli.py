@@ -277,6 +277,27 @@ class TestCommands:
                      "--set", "run.samples=1", "--set", "run.t_final=0.1"]) == 0
 
 
+class TestSurface:
+    OPTIONS = {"--config", "--set", "--out", "--seed", "--plot-script"}
+
+    def test_every_subcommand_has_the_same_options(self):
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(_COMMANDS)
+        for name, parser in sub.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings}
+            assert options - {"-h", "--help"} == self.OPTIONS, name
+
+    def test_sabotage_is_not_an_option(self, capsys):
+        # the mutation hook is states.set_sabotage, not a CLI flag
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--sabotage"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: parabose")
+        assert "error: unrecognized arguments: --sabotage" in err
+
+
 class TestDeterminism:
     def test_figure_commands_byte_identical(self, tmp_path):
         for cmd, extra in (

@@ -23,8 +23,8 @@ from scipy.special import gammaln, ive
 from parabose import coordrep
 from parabose.errors import DomainError
 from parabose.fock import AlgebraParams
-from parabose.states import CsSpec, _i_parity_ratio, _log_i_sum, \
-    _scaled_laguerre_column, cs_transition, svs_transition
+from parabose.states import CsSpec, _log_i_sum, _scaled_laguerre_column, \
+    cs_transition, mean_reflection, svs_transition
 
 mpmath.mp.dps = 40
 
@@ -221,7 +221,7 @@ class TestBesselI:
     def test_regularized_normalization_at_zero(self, eps):
         # (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) -> 1/Gamma(eps)
         assert _log_i_sum(eps, 0.0) == -math.lgamma(eps)
-        assert _i_parity_ratio(eps, 0.0) == 1.0
+        assert mean_reflection(0.0, 0.0, eps) == 1.0
 
     def test_regularized_normalization_at_tiny_argument(self):
         # ive(4.5, y) is still a normal double here, so the ive route would
@@ -253,13 +253,15 @@ class TestBesselI:
         # series (y < 1e-3) and the old asymptotic seam at 600;
         # _log_i_sum has (y/2)^(eps-1) divided out, here restored
         for y in (1e-300, 1e-8, 1.0, 50.0, 600.0, 601.0, 1e4):
+            xi = math.sqrt(y)
+            y = xi * xi  # the y that mean_reflection(0, xi, eps) forms
             lo = mpmath.besseli(eps - 1, y)
             hi = mpmath.besseli(eps, y)
             exact = float(mpmath.log(lo + hi))
             got = _log_i_sum(eps, y) + (eps - 1.0) * math.log(0.5 * y)
             assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact))
             ratio = float((lo - hi) / (lo + hi))
-            assert abs(_i_parity_ratio(eps, y) - ratio) \
+            assert abs(mean_reflection(0.0, xi, eps) - ratio) \
                 <= 1e-15 + 1e-12 * abs(ratio)
 
 

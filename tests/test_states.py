@@ -142,12 +142,6 @@ class TestSvsOverlap:
             assert abs(closed - v1.overlap(v2)) <= 1e-10
             assert abs(closed) <= 1.0 + 1e-12
 
-    def test_explicit_phase_integral(self):
-        s1 = SvsSpec(zeta=0.2, epsilon=1.5)
-        s2 = SvsSpec(zeta=0.5, epsilon=1.5)
-        val = svs_overlap(s1, s2, phase_integral=0.8)
-        assert np.angle(val / svs_overlap(s1, s2)) == pytest.approx(1.5 * 0.8)
-
     def test_level_mismatch(self):
         with pytest.raises(DomainError):
             svs_overlap(SvsSpec(zeta=0.1, epsilon=1.5),
@@ -493,16 +487,28 @@ class TestMeanReflection:
             assert abs(mean_reflection(zeta, xi, eps) - direct) <= 1e-10
 
     def test_large_argument_branch_continuity(self):
-        import mpmath
-        mpmath.mp.dps = 40
         # y = 600 was a branch seam; keep points on either side of it
-        for y in (550.0, 650.0, 2000.0):
-            eps = 4.5
-            exact = float(
-                (mpmath.besseli(eps - 1, y) - mpmath.besseli(eps, y))
-                / (mpmath.besseli(eps - 1, y) + mpmath.besseli(eps, y)))
-            got = states._i_parity_ratio(eps, y)
-            assert got == pytest.approx(exact, rel=1e-11)
+        eps = 4.5
+        with mpmath.workdps(40):
+            for y in (550.0, 650.0, 2000.0):
+                xi = math.sqrt(y)
+                y = xi * xi  # the y that mean_reflection(0, xi, eps) forms
+                lo, hi = mpmath.besseli(eps - 1, y), mpmath.besseli(eps, y)
+                exact = float((lo - hi) / (lo + hi))
+                got = mean_reflection(0.0, xi, eps)
+                assert got == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.75, 1.0, 1.5, 2.5, 4.5, 6.5, 12.3])
+    def test_against_mpmath_grid(self, eps):
+        # the Bessel pair at -y over the pair at y, across the small-y
+        # series (y < 1e-3) and out to y = 700; measured worst 1.4e-14
+        with mpmath.workdps(40):
+            for y in np.geomspace(1e-8, 700.0, 60):
+                xi = math.sqrt(y)
+                y = xi * xi  # the y that mean_reflection(0, xi, eps) forms
+                lo, hi = mpmath.besseli(eps - 1, y), mpmath.besseli(eps, y)
+                exact = float((lo - hi) / (lo + hi))
+                assert abs(mean_reflection(0.0, xi, eps) - exact) <= 1e-13
 
     def test_value_range(self):
         for xi in (0.1, 1.0, 3.0, 10.0):
@@ -520,6 +526,28 @@ def test_non_finite_displacement_rejected(call, xi):
     # cs_transition and mean_reflection returned nan for a NaN xi
     with pytest.raises(DomainError, match="xi must be finite"):
         call(xi)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda theta: CsSpec(zeta=0.3, xi=1.0, epsilon=2.5, theta=theta),
+    lambda theta: SvsSpec(zeta=0.3, epsilon=2.5, theta=theta),
+])
+def test_non_finite_phase_rejected(build, theta):
+    # a NaN or infinite phase built an all-NaN amplitude vector
+    with pytest.raises(DomainError, match="theta must be finite"):
+        build(theta)
+
+
+def test_squeezed_spec_needs_a_trajectory_solved_with_epsilon():
+    # without epsilon the trajectory carries theta_svs = NaN, which the
+    # squeezed-vacuum spec used to accept
+    traj = solve_zeta_xi(constant_schedule(), 0.3, 1.0, t_final=1.0)
+    with pytest.raises(DomainError, match="theta must be finite"):
+        states.svs_spec_from_params(traj.at(0.5), 2.5)
+    solved = solve_zeta_xi(constant_schedule(), 0.3, 1.0, t_final=1.0,
+                           epsilon=2.5)
+    assert math.isfinite(states.svs_spec_from_params(solved.at(0.5), 2.5).theta)
 
 
 @pytest.mark.parametrize("n", [math.nan, math.inf, -1, 1.5])

@@ -1,10 +1,11 @@
-"""The invariant-suite runner itself: statuses, exclusion, sabotage."""
+"""The invariant-suite runner itself: statuses, exclusion, planted faults."""
 
 import math
 
 import numpy as np
+import pytest
 
-from parabose import verify
+from parabose import states, verify
 from parabose.states import set_sabotage
 
 # every registered row in report order with its tolerance; a changed entry
@@ -83,6 +84,26 @@ def test_sabotage_trips_transition_and_oracle_checks():
     assert sums.failed and oracle.failed
     # and the hook resets cleanly
     assert not verify.check_transition_sums(np.random.default_rng(0)).failed
+
+
+def test_svs_normalization_row_fails_on_a_planted_norm_error(monkeypatch):
+    # a 1e-4 error in the coefficient column puts the norm off by ~2e-4;
+    # the constructor warns and no longer renormalizes it away
+    column = states._svs_coefficient_column
+    monkeypatch.setattr(states, "_svs_coefficient_column",
+                        lambda *args: column(*args) * (1.0 + 1e-4))
+    with pytest.warns(RuntimeWarning, match="normalization residual"):
+        row = verify.check_svs_normalization(np.random.default_rng(0))
+    assert row.failed and row.residual > 1e-5
+
+
+def test_cs_normalization_row_fails_on_a_planted_norm_error(monkeypatch):
+    prefactor = states._cs_log_prefactor
+    monkeypatch.setattr(states, "_cs_log_prefactor",
+                        lambda spec: prefactor(spec) + 1e-4)
+    with pytest.warns(RuntimeWarning, match="normalization residual"):
+        row = verify.check_cs_normalization(np.random.default_rng(0))
+    assert row.failed and row.residual > 1e-5
 
 
 def test_results_are_seed_reproducible():
