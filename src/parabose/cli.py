@@ -65,10 +65,10 @@ def _emit(cfg: ScenarioConfig, args, stem: str, columns: dict) -> None:
     output.digits significant digits; with --plot-script, stem.gp beside it."""
     directory = cfg["output.dir"]
     line = ",".join([f"%.{cfg['output.digits']}g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist()
-                 for c in columns.values()))
-    _write(directory, f"{stem}.csv",
-           ",".join(columns) + "\n" + "".join(line % row for row in rows))
+    table = np.array([np.asarray(c, dtype=float) for c in columns.values()])
+    # one % over the whole file, its values row after row
+    _write(directory, f"{stem}.csv", ",".join(columns) + "\n"
+           + (line * table.shape[1]) % tuple(table.T.ravel().tolist()))
     if args.plot_script:
         _write(directory, f"{stem}.gp", "\n".join([
             "set datafile separator ','",

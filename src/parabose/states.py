@@ -29,9 +29,15 @@ termwise to the zeta -> 0 limit (xi^2/2)^n / n!, so no argument ever diverges.
 The transition distribution P_n = |c_n|^2 has the closed parity-split form
 implemented in ``cs_transition``; as printed it is algebraically identical to
 |c_n|^2 (the exponential in it is exactly |exp(conj(zeta) xi^2 / ...)|^2, and
-its inner index labels the parity pair n = 2m or n = 2m+1).  A bounded cache
-keeps, per recent state, its n-independent log part and one Laguerre column
-per parity, so sweeping n costs one recurrence pass, not one per n.
+its inner index labels the parity pair n = 2m or n = 2m+1).
+
+A bounded cache keeps the last STATE_CACHE coherent states, each checked once
+as it enters.  Per state it holds one scaled Laguerre column per parity and
+one column of P_n per parity.  Each column grows in place from its last
+entries and is never recomputed.  The truncation search's windows, the
+amplitudes and the distribution all read the same Laguerre column, so a state
+costs one recurrence pass however it is used, and every entry is the same
+number whatever the order of the calls.
 
 The overlap of two coherent states at one level sums both parity series by
 the Hille-Hardy formula (DLMF §18.18),
@@ -53,6 +59,7 @@ import cmath
 import functools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +89,10 @@ CS_TAIL_BOUND = 1e-16
 MAX_PAIRS = 200_000
 NORM_WARN_TOL = 1e-9
 SQUEEZE_LIMIT = 1.0 - 1e-6
-DISTRIBUTION_CACHE = 8
+STATE_CACHE = 8
+# the normalization's Bessel pair comes from scipy's ive, which returns NaN
+# past |z| = 2^30 ~ 1.07e9
+Y_LIMIT = 1e9
 
 # Test hook for mutation detection: flips a sign inside the squeezed-vacuum
 # transition formula so the verification suite demonstrably fails.
@@ -108,12 +118,20 @@ def check_index(n) -> int:
     return int(n)
 
 
-def _check_state_inputs(zeta: complex, epsilon: float, xi: complex = 0.0,
-                        theta: float = 0.0):
+def _check_state_inputs(zeta: complex, epsilon: float,
+                        xi: complex | None = None, theta: float = 0.0):
+    """The state domain; xi is None for the squeezed vacuum."""
     check_epsilon(epsilon)
     check_squeeze(zeta)
-    if not math.isfinite(abs(xi)):
-        raise DomainError(f"xi must be finite, got {xi!r}")
+    if xi is not None:
+        try:
+            y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+        except OverflowError:  # |xi|^2 past double range, on Python floats
+            y = math.inf
+        if not y <= Y_LIMIT:
+            raise DomainError(
+                f"xi must be finite with y = |xi|^2/(1-|zeta|^2) <= "
+                f"{Y_LIMIT:g}, got {xi!r}")
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
 
@@ -222,24 +240,48 @@ def _log_i_sum(epsilon: float, y):
 # ---------------------------------------------------------------------------
 # Scaled Laguerre columns.
 
-def _scaled_laguerre_column(n_pairs: int, alpha: float, zeta: complex,
-                            x: complex) -> np.ndarray:
-    """M_n = (-zeta)^n L_n^alpha(x / zeta) for n < n_pairs, where x = xi^2/2.
+_STEP_CHUNK = 4096
+
+
+class _LaguerreColumn:
+    """M_n = (-zeta)^n L_n^alpha(x / zeta), where x = xi^2/2, grown in place.
 
     Recurrence (n+1) M_{n+1} = (x - zeta (2n+1+alpha)) M_n - zeta^2 (n+alpha)
     M_{n-1}; at zeta = 0 it degenerates to M_n = x^n / n! termwise, so the
-    column is continuous across the zero-squeeze point.
+    column is continuous across the zero-squeeze point.  Each new entry comes
+    from the last two, so a column is computed once however far it is read.
+    The steps run on Python complex; times 1/(n+1) rounds as numpy's complex
+    division by n+1 does, so every entry equals that of a one-pass numpy
+    column.
     """
-    out = np.empty(n_pairs, dtype=complex)
-    out[0] = 1.0
-    if n_pairs == 1:
-        return out
-    out[1] = x - zeta * (1.0 + alpha)
-    z2 = zeta * zeta
-    for n in range(1, n_pairs - 1):
-        out[n + 1] = ((x - zeta * (2 * n + 1 + alpha)) * out[n]
-                      - z2 * (n + alpha) * out[n - 1]) / (n + 1)
-    return out
+
+    def __init__(self, alpha: float, zeta: complex, x: complex):
+        self.alpha, self.zeta, self.x = alpha, zeta, x
+        self.values = np.array([1.0, x - zeta * (1.0 + alpha)], dtype=complex)
+
+    def extend(self, length: int) -> np.ndarray:
+        """The column, at least ``length`` entries long."""
+        have = len(self.values)
+        if length <= have:
+            return self.values
+        alpha, zeta, x = self.alpha, self.zeta, self.x
+        z2 = zeta * zeta
+        out = np.empty(length, dtype=complex)
+        out[:have] = self.values
+        prev, last = self.values[-2:].tolist()
+        # stored _STEP_CHUNK entries at a time: a list of Python complex
+        # takes 40 B an entry against numpy's 16
+        for start in range(have, length, _STEP_CHUNK):
+            stop = min(start + _STEP_CHUNK, length)
+            new = []
+            for n in range(start - 1, stop - 1):
+                prev, last = last, ((x - zeta * (2 * n + 1 + alpha)) * last
+                                    - z2 * (n + alpha) * prev
+                                    ) * (1.0 / (n + 1))
+                new.append(last)
+            out[start:stop] = new
+        self.values = out
+        return self.values
 
 
 def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
@@ -263,13 +305,15 @@ def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
 def _cs_columns(n_pairs: int, zeta: complex, xi: complex,
                 epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Gamma-weighted Laguerre columns (e_n, o_n), n < n_pairs, with
-    c_{2n} = pre e_n and c_{2n+1} = pre (xi/sqrt 2) o_n."""
-    x = 0.5 * xi * xi
+    c_{2n} = pre e_n and c_{2n+1} = pre (xi/sqrt 2) o_n; the Laguerre
+    factors are read from the state's cached columns."""
+    state = _cs_state(complex(zeta), complex(xi), float(epsilon))
+    even_m, odd_m = state.laguerre
     n = np.arange(n_pairs)
     log_fact = gammaln(n + 1.0)
-    even = (_scaled_laguerre_column(n_pairs, epsilon - 1.0, zeta, x)
+    even = (even_m.extend(n_pairs)[:n_pairs]
             * np.exp(0.5 * (log_fact - gammaln(n + epsilon))))
-    odd = (_scaled_laguerre_column(n_pairs, epsilon, zeta, x)
+    odd = (odd_m.extend(n_pairs)[:n_pairs]
            * np.exp(0.5 * (log_fact - gammaln(n + epsilon + 1.0))))
     return even, odd
 
@@ -286,11 +330,7 @@ def _pair_masses(n_pairs: int, zeta: complex, xi: complex, epsilon: float
         even, odd = _cs_columns(n_pairs, zeta, xi, epsilon)
         w = np.abs(even) ** 2 + 0.5 * abs(xi) ** 2 * np.abs(odd) ** 2
     if not np.all(np.isfinite(w)):
-        y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-        raise DomainError(
-            f"coherent-state columns overflow at y = |xi|^2/(1-|zeta|^2) "
-            f"= {y:.6g}; the state is not representable in double precision"
-        )
+        raise _cs_state(complex(zeta), complex(xi), float(epsilon)).overflow()
     return w, even, odd
 
 
@@ -472,54 +512,82 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     return _finalize(amps, "cs_amplitudes")
 
 
-class _CsDistribution:
-    """The n-independent part of ln P_n of one coherent state, and one scaled
-    Laguerre column per parity that grows geometrically on demand."""
+class _CsState:
+    """One coherent state's n-dependent columns, each grown in place and
+    never recomputed: the scaled Laguerre column of each parity (alpha =
+    eps - 1 and eps), which the truncation search, the amplitudes and the
+    distribution all read, and each parity's P_n.  The inputs are checked
+    once, here."""
 
     def __init__(self, zeta: complex, xi: complex, epsilon: float):
-        self.zeta, self.x, self.epsilon = zeta, 0.5 * xi * xi, epsilon
+        _check_state_inputs(zeta, epsilon, xi)
+        x = 0.5 * xi * xi
+        self.laguerre = (_LaguerreColumn(epsilon - 1.0, zeta, x),
+                         _LaguerreColumn(epsilon, zeta, x))
+        self.epsilon = epsilon
         one = 1.0 - abs(zeta) ** 2
-        y = abs(xi) ** 2 / one
+        self.y = abs(xi) ** 2 / one
         self.log_base = (epsilon * math.log(one)
                          + (np.conj(zeta) * xi * xi).real / one
-                         - _log_i_sum(epsilon, y))
-        self.columns = [np.empty(0, dtype=complex)] * 2
+                         - _log_i_sum(epsilon, self.y))
+        # (|xi|^2/2)^parity rather than its log: xi = 0 closes the odd lines
+        self.odd_factor = 0.5 * abs(xi) ** 2
+        self.transitions = (array("d"), array("d"))
 
-    def laguerre(self, parity: int, m: int) -> complex:
-        """M_m = (-zeta)^m L_m^alpha(xi^2/(2 zeta)), alpha = eps - 1 + parity."""
-        column = self.columns[parity]
+    def overflow(self) -> DomainError:
+        return DomainError(
+            f"coherent-state columns overflow at y = |xi|^2/(1-|zeta|^2) "
+            f"= {self.y:.6g}; the state is not representable in double "
+            f"precision")
+
+    def transition(self, parity: int, m: int) -> float:
+        """P_{2m + parity}.  A short column is extended through m and, as
+        far as the Laguerre column already reaches, to twice its length."""
+        column = self.transitions[parity]
         if m >= len(column):
-            column = _scaled_laguerre_column(
-                max(m + 1, 2 * len(column)), self.epsilon - 1.0 + parity,
-                self.zeta, self.x)
-            self.columns[parity] = column
-        return column[m]
+            self._extend_transitions(parity, m)
+        p = column[m]
+        if math.isnan(p):
+            raise self.overflow()
+        return p
+
+    def _extend_transitions(self, parity: int, m: int) -> None:
+        column, laguerre = self.transitions[parity], self.laguerre[parity]
+        if m >= len(laguerre.values):
+            # geometric growth: a sweep over n extends it O(log n) times
+            laguerre.extend(max(m + 1, 2 * len(laguerre.values)))
+        alpha = self.epsilon - 1.0 + parity
+        factor = self.odd_factor if parity else 1.0
+        for k, lag in enumerate(
+                laguerre.values[len(column):max(m + 1, 2 * len(column))]
+                .tolist(), len(column)):
+            log_p = (self.log_base
+                     + math.lgamma(k + 1.0) - math.lgamma(k + alpha + 1.0))
+            try:
+                p = abs(lag) ** 2 * factor * math.exp(log_p)
+            except OverflowError:  # Python floats raise where numpy gives inf
+                p = math.inf
+            # probabilities may poke past 1 by an ulp of the log-gamma; a P
+            # past double range is kept as NaN and raises when it is read
+            column.append(min(p, 1.0) if math.isfinite(p) else math.nan)
 
 
-@functools.lru_cache(maxsize=DISTRIBUTION_CACHE)
-def _cs_distribution(zeta: complex, xi: complex,
-                     epsilon: float) -> _CsDistribution:
-    return _CsDistribution(zeta, xi, epsilon)
+@functools.lru_cache(maxsize=STATE_CACHE)
+def _cs_state(zeta: complex, xi: complex, epsilon: float) -> _CsState:
+    return _CsState(zeta, xi, epsilon)
 
 
 def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     """P_n = |c_n|^2 of the coherent state, parity split in closed form.
 
-    The Laguerre columns of the last DISTRIBUTION_CACHE states are kept, so
-    a whole distribution P_0 .. P_N costs O(N); each P_n is the same number
-    whatever the order of the calls.
+    The columns of the last STATE_CACHE states are kept, so a whole
+    distribution P_0 .. P_N costs O(N); each P_n is the same number whatever
+    the order of the calls.  A P_n that is not finite in double precision
+    (|M_n|^2 overflows, from y ~ 430 at some zeta) raises DomainError.
     """
-    _check_state_inputs(zeta, epsilon, xi)
-    zeta, xi = complex(zeta), complex(xi)
     m, parity = divmod(check_index(n), 2)
-    dist = _cs_distribution(zeta, xi, float(epsilon))
-    alpha = epsilon - 1.0 + parity
-    log_p = (dist.log_base
-             + math.lgamma(m + 1.0) - math.lgamma(m + alpha + 1.0))
-    # (|xi|^2/2)^parity rather than its log: xi = 0 closes the odd lines
-    odd_factor = (0.5 * abs(xi) ** 2) ** parity
-    return min(float(abs(dist.laguerre(parity, m)) ** 2 * odd_factor
-                     * math.exp(log_p)), 1.0)
+    return _cs_state(complex(zeta), complex(xi),
+                     float(epsilon)).transition(parity, m)
 
 
 def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:

@@ -259,6 +259,11 @@ class TestCommands:
         ("oscillator", ["algebra.ell=1", "run.t_final=nan"]),
         ("evolve", ["run.t_final=nan", "run.samples=1"]),
         ("evolve", ["run.t_final=inf"]),
+        # P_n past double range from n = 388 on: once 613 nan rows, exit 0
+        ("cs-prob", ["state.xi_re=30", "figure.n_max=1000",
+                     "figure.epsilons=2.5"]),
+        # |xi|^2 past double range: once a bare OverflowError, exit 1
+        ("cs-prob", ["state.xi_re=1e200"]),
     ])
     def test_nan_input_fails_loudly(self, tmp_path, capsys, command, overrides):
         out = tmp_path / "nan"

@@ -23,7 +23,7 @@ from scipy.special import gammaln, ive
 from parabose import coordrep
 from parabose.errors import DomainError
 from parabose.fock import AlgebraParams
-from parabose.states import CsSpec, _log_i_sum, _scaled_laguerre_column, \
+from parabose.states import CsSpec, _LaguerreColumn, _log_i_sum, \
     cs_transition, mean_reflection, svs_transition
 
 mpmath.mp.dps = 40
@@ -106,13 +106,36 @@ class TestLaguerre:
     def test_degree_zero_and_one(self):
         for alpha, x, zeta in ((3.7, 2.0 + 5.0j, 0.4), (0.5, 1.0 + 2.0j, -0.3j),
                                (-0.5, -3.0, 0.9), (4.0, 0.0, 0.2 + 0.1j)):
-            col = _scaled_laguerre_column(2, alpha, zeta, x)
+            col = _LaguerreColumn(alpha, zeta, x).extend(2)
             assert col[0] == 1.0
             assert col[1] == pytest.approx(x - zeta * (1.0 + alpha))
 
+    def test_grown_column_equals_one_numpy_pass(self):
+        # grown in pieces on Python complex, across the storage chunks, the
+        # column equals (==) one pass over a numpy column that divides by n + 1
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            alpha = float(rng.uniform(-0.5, 6.0))
+            # |zeta| near 1 keeps the entries past the first chunk nonzero
+            zeta = complex(rng.uniform(0.93, 0.97)
+                           * np.exp(2j * np.pi * rng.uniform()))
+            x = complex(0.5 * (rng.uniform(0.0, 8.0)
+                               * np.exp(2j * np.pi * rng.uniform())) ** 2)
+            want = np.empty(9000, dtype=complex)
+            want[0], want[1] = 1.0, x - zeta * (1.0 + alpha)
+            for n in range(1, 8999):
+                want[n + 1] = ((x - zeta * (2 * n + 1 + alpha)) * want[n]
+                               - zeta * zeta * (n + alpha) * want[n - 1]
+                               ) / (n + 1)
+            column = _LaguerreColumn(alpha, zeta, x)
+            for length in (3, 17, 18, 150, 4100, 9000):
+                column.extend(length)
+            assert np.array_equal(column.values, want)
+            assert want[-1] != 0.0
+
     def test_frozen_oracle_value(self):
         # zeta = -1 turns M_5 into L_5^alpha(-x); explicit-coefficient sum
-        got = _scaled_laguerre_column(6, -0.5, -1.0, -(2.0 + 1.0j))[5]
+        got = _LaguerreColumn(-0.5, -1.0, -(2.0 + 1.0j)).extend(6)[5]
         assert got == pytest.approx(1.5471354166666667 + 0.3848958333333333j,
                                     rel=1e-12)
 
@@ -131,7 +154,7 @@ class TestLaguerre:
         zeta = complex(zeta_abs * np.exp(1j * zeta_arg))
         exact = complex((-mpmath.mpc(zeta)) ** n * laguerre_coefficient_sum(
             n, alpha, mpmath.mpc(x) / mpmath.mpc(zeta)))
-        got = _scaled_laguerre_column(n + 1, alpha, zeta, x)[n]
+        got = _LaguerreColumn(alpha, zeta, x).extend(n + 1)[n]
         assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
     def test_domain(self):

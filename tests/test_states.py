@@ -344,7 +344,7 @@ class TestCsTransition:
         m, parity = divmod(n, 2)
         alpha = eps - 1.0 + parity
         one = 1.0 - abs(zeta) ** 2
-        col = states._scaled_laguerre_column(m + 1, alpha, zeta, 0.5 * xi * xi)
+        col = states._LaguerreColumn(alpha, zeta, 0.5 * xi * xi).extend(m + 1)
         log_p = (eps * math.log(one)
                  + (np.conj(zeta) * xi * xi).real / one
                  - states._log_i_sum(eps, abs(xi) ** 2 / one)
@@ -357,15 +357,15 @@ class TestCsTransition:
         ns = range(300)
 
         def fresh(state):
-            states._cs_distribution.cache_clear()
+            states._cs_state.cache_clear()
             return [cs_transition(*state, n) for n in ns]
 
         want_a, want_b = fresh(a), fresh(b)
         assert want_a == [self._per_n(*map(complex, a[:2]), a[2], n)
                           for n in ns]
-        states._cs_distribution.cache_clear()
+        states._cs_state.cache_clear()
         assert [cs_transition(*a, n) for n in reversed(ns)] == want_a[::-1]
-        states._cs_distribution.cache_clear()
+        states._cs_state.cache_clear()
         mixed = [(cs_transition(*a, n), cs_transition(*b, n)) for n in ns]
         assert [p for p, _ in mixed] == want_a
         assert [q for _, q in mixed] == want_b
@@ -373,15 +373,78 @@ class TestCsTransition:
     def test_cache_is_bounded(self):
         for k in range(20):
             cs_transition(0.01 * k, 1.0, 2.5, 40)
-        assert states._cs_distribution.cache_info().currsize \
-            <= states.DISTRIBUTION_CACHE < 20
+        assert states._cs_state.cache_info().currsize \
+            <= states.STATE_CACHE < 20
 
     def test_nan_displacement_rejected_after_cached_call(self):
         cs_transition(0.3, 1.0, 2.5, 3)
-        size = states._cs_distribution.cache_info().currsize
+        size = states._cs_state.cache_info().currsize
         with pytest.raises(DomainError, match="xi must be finite"):
             cs_transition(0.3, math.nan, 2.5, 3)
-        assert states._cs_distribution.cache_info().currsize == size
+        assert states._cs_state.cache_info().currsize == size
+
+    def test_shared_columns_prefix_stable(self):
+        # the search, the amplitudes and the distribution read one growing
+        # column per parity; whichever reads first, every amplitude and
+        # every P_n equals (==) the value from a fresh cache
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            zeta = complex(rng.uniform(0.0, 0.8)
+                           * np.exp(2j * np.pi * rng.uniform()))
+            xi = complex(rng.uniform(0.0, 6.0)
+                         * np.exp(2j * np.pi * rng.uniform()))
+            eps = float(rng.uniform(0.5, 6.0))
+            spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
+
+            def fresh(read):
+                states._cs_state.cache_clear()
+                return read()
+
+            def distribution():
+                return [cs_transition(zeta, xi, eps, n) for n in range(wide)]
+
+            window = fresh(lambda: len(states._cs_pairs(zeta, xi, eps)[1]))
+            wide = 2 * window + 64
+            amps = fresh(lambda: cs_amplitudes(spec).amplitudes)
+            wide_amps = fresh(
+                lambda: cs_amplitudes(spec, truncation=wide).amplitudes)
+            dist = fresh(distribution)
+            states._cs_state.cache_clear()
+            assert np.array_equal(cs_amplitudes(spec).amplitudes, amps)
+            assert distribution() == dist
+            states._cs_state.cache_clear()
+            assert [cs_transition(zeta, xi, eps, n)
+                    for n in range(len(amps))] == dist[:len(amps)]
+            assert np.array_equal(
+                cs_amplitudes(spec, truncation=wide).amplitudes, wide_amps)
+
+    def test_overflow_fails_loudly(self):
+        # |M_n|^2 past double range: min(P, 1) once turned inf into 1.0
+        # (the true P_729 is 0.01469) and inf * 0 into NaN (xi = 30)
+        p100 = cs_transition(0.0, 27.0, 2.5, 100)
+        with pytest.raises(DomainError, match="y = .* = 729"):
+            cs_transition(0.0, 27.0, 2.5, 729)
+        assert cs_transition(0.0, 27.0, 2.5, 100) == p100 > 0.0
+        # past the window where |M_n|^2 overflows the lines read again
+        assert cs_transition(0.0, 27.0, 2.5, 1000) == pytest.approx(
+            1.76652066726395e-22, rel=1e-8)  # 50-digit mpmath
+        with pytest.raises(DomainError, match="y = .* = 900"):
+            cs_transition(0.0, 30.0, 2.5, 500)
+
+    @pytest.mark.parametrize("xi", [4e4, 1e200, complex(1e308, 1e308)])
+    def test_displacement_past_limit_rejected(self, xi):
+        # past y = 1e9 ive is NaN, and ln of the Bessel pair once raised a
+        # bare ValueError; past |xi| ~ 1.3e154, |xi|^2 a bare OverflowError
+        with pytest.raises(DomainError, match="xi must be finite"):
+            CsSpec(zeta=0.0, xi=xi, epsilon=2.5)
+        with pytest.raises(DomainError, match="xi must be finite"):
+            cs_transition(0.0, xi, 2.5, 0)
+        with pytest.raises(DomainError, match="xi must be finite"):
+            mean_reflection(0.0, xi, 2.5)
+        # just inside y = |xi|^2/(1-|zeta|^2) = 1e9 the numbers are finite
+        xi_max = 0.999 * math.sqrt(1e9 * (1.0 - 0.99 ** 2)) * 1j
+        assert 0.0 < mean_reflection(0.99, xi_max, 2.5) < 1e-8
+        assert cs_transition(0.99, xi_max, 2.5, 0) == 0.0
 
 
 class TestCsOverlap:
