@@ -30,6 +30,7 @@ lab-frame psi.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -274,17 +275,22 @@ def _schrodinger_deriv(params: AlgebraParams, truncation: int, beta0: float):
 
     In this frame the diagonal of H and delta are exact and only the two
     alpha bands of -i H / hbar remain (H couples n to n +- 2), each turned by
-    exp(-+i B (d_{n+2} - d_n)); no matrix is formed.
+    exp(-+i B (d_{n+2} - d_n)); no matrix is formed.  Below the truncation
+    edge d_n = n + eps, so the gap is 2 and the turn one scalar exp(-2iB);
+    only the last band entry, whose d_{N-1} lacks its a a' term, has a turn
+    of its own.
     """
     n = truncation
     s = _ladder_diagonal(params, n)
     band = 0.5 * s[:-1] * s[1:]                     # <n|a^2|n+2> / 2
     d = _number_diagonal(params, n)
-    gap = d[2:] - d[:-2]
+    edge_gap = d[-1] - d[-3]
 
     def deriv(alpha, beta, delta, y):
         phi = y[:n]
-        turned = band * np.exp(-1j * (y[n] + y[n + 1]).real * gap)
+        b = (y[n] + y[n + 1]).real
+        turned = band * cmath.exp(-2j * b)
+        turned[-1] = band[-1] * cmath.exp(-1j * b * edge_gap)
         out = np.zeros_like(y)
         out[:n - 2] = -1j * alpha.conjugate() * (turned * phi[2:])
         out[2:n] += -1j * alpha * (turned.conjugate() * phi[:-2])

@@ -283,6 +283,11 @@ class _LaguerreColumn:
         self.values = out
         return self.values
 
+    def release(self) -> None:
+        """Keep only the two seed entries; ``extend`` grows the same column
+        again."""
+        self.values = self.values[:2].copy()
+
 
 def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
     """Smallest pair count with geometric tail bound below SVS_TAIL_BOUND."""
@@ -324,13 +329,18 @@ def _pair_masses(n_pairs: int, zeta: complex, xi: complex, epsilon: float
     with the ``_cs_columns`` they were computed from.
 
     They peak near exp(y), y = |xi|^2/(1-|zeta|^2); past y ~ 700 they
-    overflow and no truncation can be chosen, which fails loudly here.
+    overflow and no truncation can be chosen, which fails loudly here.  The
+    state's Laguerre columns, as long as the window, are then released, so
+    the cache keeps nothing of a state that cannot be used.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         even, odd = _cs_columns(n_pairs, zeta, xi, epsilon)
         w = np.abs(even) ** 2 + 0.5 * abs(xi) ** 2 * np.abs(odd) ** 2
     if not np.all(np.isfinite(w)):
-        raise _cs_state(complex(zeta), complex(xi), float(epsilon)).overflow()
+        state = _cs_state(complex(zeta), complex(xi), float(epsilon))
+        for column in state.laguerre:
+            column.release()
+        raise state.overflow()
     return w, even, odd
 
 

@@ -16,8 +16,15 @@ pass when residual <= tolerance, so a NaN residual fails.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
+import time
 from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -827,8 +834,76 @@ def check_configured_level(epsilon: float) -> CheckResult:
     return _row(name, worst, tolerance, f"eps = {epsilon}")
 
 
+MAX_WORKERS = 3
+
+
+def _worker_count() -> int:
+    """Processes for ``run_all``: the usable CPUs, at most MAX_WORKERS = 3,
+    since ``dynamics.mu_conservation`` is over a third of a pass, so a
+    fourth worker could not shorten it, and the cap keeps a many-core host
+    from forking a worker per row; 1 (no pool) without the fork start
+    method."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _init_worker(parent: int) -> None:
+    # Ctrl-C reaches the whole process group; only the parent acts on it.
+    # A worker is forked with SIGINT blocked, so one that arrives before
+    # this point is dropped here rather than stopping the worker half-made.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    # a parent killed outright (SIGTERM, SIGKILL) cannot shut the pool
+    # down, and its workers would wait for rows forever
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
+
+
+def _run_row(index: int, seed: int) -> CheckResult:
+    return ALL_CHECKS[index](np.random.default_rng(seed))
+
+
 def run_all(seed: int, epsilon: float) -> list[CheckResult]:
     """Every row of ``ALL_CHECKS``, each with a fresh generator from
-    ``seed``, then the ``check_configured_level`` row for ``epsilon``."""
-    return ([run(np.random.default_rng(seed)) for run in ALL_CHECKS]
-            + [check_configured_level(epsilon)])
+    ``seed``, then the ``check_configured_level`` row for ``epsilon``.
+
+    The rows are independent and run on ``_worker_count()`` forked worker
+    processes.  Their results come back in declaration order, so the report
+    is byte-identical to the in-process map that runs with one usable CPU or
+    without the fork start method.  The workers ignore SIGINT: on an
+    interrupt, or an exception from a row, the pending rows are cancelled,
+    the running ones finish, and no worker outlives the call.  A worker
+    whose parent is killed outright exits within 0.2 s.
+    """
+    rows, workers = range(len(ALL_CHECKS)), _worker_count()
+    if workers == 1:
+        results = list(map(_run_row, rows, repeat(seed)))
+    else:
+        # loaded once here rather than by every worker of every pass
+        import scipy.integrate  # noqa: F401
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(os.getpid(),))
+        try:
+            # the first submit forks the workers: an interrupt is held back
+            # until they and the pool's thread are up, so shutdown sees them
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pending = pool.map(_run_row, rows, repeat(seed))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            results = list(pending)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return results + [check_configured_level(epsilon)]

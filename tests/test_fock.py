@@ -292,6 +292,43 @@ class TestEvolution:
             h_psi = build_hamiltonian(params, alpha, beta, delta, n) @ psi
             assert np.max(np.abs(dpsi + 1j * h_psi)) <= 1e-13 * np.max(np.abs(h_psi))
 
+    @pytest.mark.parametrize("n", [96, 256])
+    @pytest.mark.parametrize("eps", [0.5, 1.5, 2.5, 4.5, 6.3])
+    def test_band_turn_is_one_scalar_below_the_edge(self, n, eps):
+        # below the edge d_{n+2} - d_n = 2, so the bands turn by exp(-2iB)
+        # and only the last entry by its own gap; the reference is the
+        # N-vector formula, turned entry by entry
+        params = AlgebraParams(epsilon=eps)
+        s = fock._ladder_diagonal(params, n)
+        band = 0.5 * s[:-1] * s[1:]
+        d = fock._number_diagonal(params, n)
+        gap = d[2:] - d[:-2]
+        assert np.max(np.abs(gap[:-1] - 2.0)) <= 1e-13
+        # d_{N-1} = s_{N-1}^2 / 2 = (N - 2) / 2 + eps at even N
+        assert gap[-1] == pytest.approx(2.0 - n / 2.0, abs=1e-12)
+        exact_gap = np.append(np.full(n - 3, 2.0), gap[-1])
+        deriv = _schrodinger_deriv(params, n, 1.1)
+        rng = np.random.default_rng(11)
+        alpha = 0.3 - 0.2j
+        for big_b in (0.3, 2.1, 7.9, 40.0):
+            phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            c = rng.uniform(0.0, big_b)
+            dy = deriv(alpha, 1.3, 0.2, np.append(phi, [c, big_b - c, 0.4]))
+
+            def reference(g):
+                turned = band * np.exp(-1j * big_b * g)
+                out = np.zeros(n, dtype=complex)
+                out[:n - 2] = -1j * alpha.conjugate() * (turned * phi[2:])
+                out[2:] += -1j * alpha * (turned.conjugate() * phi[:-2])
+                return out
+
+            exact = reference(exact_gap)
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(dy[:n] - exact)) <= 1e-14 * scale
+            # the entry-by-entry gaps carry round-off that B multiplies
+            bound = 1e-14 + 2.0 * big_b * np.max(np.abs(gap[:-1] - 2.0))
+            assert np.max(np.abs(dy[:n] - reference(gap))) <= bound * scale
+
     @pytest.mark.parametrize("which", ["sinusoidal", "tabulated"])
     def test_matches_lab_frame_reference(self, which):
         # both schedules vary beta, so the frame's B component is not a

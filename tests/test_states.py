@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -430,6 +431,29 @@ class TestCsTransition:
             1.76652066726395e-22, rel=1e-8)  # 50-digit mpmath
         with pytest.raises(DomainError, match="y = .* = 900"):
             cs_transition(0.0, 30.0, 2.5, 500)
+
+    def test_overflowed_state_keeps_no_columns(self):
+        # at y = 3e4 the search's first window is ~21,000 pairs; the cache
+        # once kept both of its Laguerre columns (0.68 MB) for a state that
+        # raises on every use
+        zeta, eps = 0.3, 2.5
+        xi = math.sqrt(3e4 * (1.0 - zeta**2))
+        states._cs_state.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(DomainError, match="y = .* = 30000"):
+                cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5e6
+        state = states._cs_state(complex(zeta), complex(xi), eps)
+        assert [len(c.values) for c in state.laguerre] == [2, 2]
+        # the lines still read, from columns grown again as far as needed
+        assert cs_transition(zeta, xi, eps, 3) == 0.0
+        with pytest.raises(DomainError, match="y = .* = 30000"):
+            cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
 
     @pytest.mark.parametrize("xi", [4e4, 1e200, complex(1e308, 1e308)])
     def test_displacement_past_limit_rejected(self, xi):

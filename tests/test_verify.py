@@ -1,12 +1,22 @@
 """The invariant-suite runner itself: statuses, exclusion, planted faults."""
 
 import math
+import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from parabose import states, verify
+from parabose import cli, states, verify
+from parabose.errors import DomainError
 from parabose.states import set_sabotage
+
+SRC = str(pathlib.Path(verify.__file__).resolve().parents[1])
 
 # every registered row in report order with its tolerance; a changed entry
 # here is a changed trust statement and should be read as one
@@ -147,3 +157,209 @@ def test_structure_rows_report_zero_or_one_against_half(monkeypatch):
 
     row = broken(np.random.default_rng(0))
     assert (row.residual, row.status, row.note) == (1.0, "fail", "measured note")
+
+
+# -- the worker pool --------------------------------------------------------
+
+@pytest.fixture
+def pool(monkeypatch):
+    """run_all on two forked workers, whatever this host's CPU count."""
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pool_rows_equal_in_process_rows(pool, seed):
+    rows = verify.run_all(seed, 2.5)
+    alone = [c(np.random.default_rng(seed)) for c in verify.ALL_CHECKS]
+    alone.append(verify.check_configured_level(2.5))
+    assert [(r.name, r.status, r.note) for r in rows] \
+        == [(r.name, r.status, r.note) for r in alone]
+    # bit-identical, compared as bytes so that a NaN matches itself
+    assert np.array([r.residual for r in rows]).tobytes() \
+        == np.array([r.residual for r in alone]).tobytes()
+
+
+def test_one_worker_maps_in_process(monkeypatch):
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    pid = os.getpid()
+
+    @verify.check("probe.pid", 0.5)
+    def here(rng):
+        return float(os.getpid() != pid)
+
+    assert verify.run_all(0, 0.75)[0].status == "pass"
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert verify._worker_count() == verify.MAX_WORKERS == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert verify._worker_count() == 1
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verify._worker_count() == 1
+
+
+def test_failing_row_fails_through_the_pool(pool, monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+
+    @verify.check("probe.pass", 1.0)
+    def fine(rng):
+        return 0.5
+
+    @verify.check("probe.fail", 1.0, "static")
+    def broken(rng):
+        return 2.0
+
+    rows = verify.run_all(0, 0.75)
+    assert [(r.name, r.status) for r in rows] == [
+        ("probe.pass", "pass"), ("probe.fail", "fail"),
+        ("completeness.configured_level", "excluded")]
+    assert rows[1].residual == 2.0 and rows[1].note == "static"
+
+
+def test_row_error_exits_2_through_the_pool(pool, monkeypatch, tmp_path,
+                                            capsys):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+
+    @verify.check("probe.pass", 1.0)
+    def fine(rng):
+        return 0.5
+
+    @verify.check("probe.raises", 1.0)
+    def raises(rng):
+        raise DomainError("planted row error")
+
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: planted row error")
+    assert not (tmp_path / "verify_report.txt").exists()
+
+
+def test_interrupt_cancels_the_pending_rows(pool, monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+
+    @verify.check("probe.interrupt", 1.0)
+    def interrupt(rng):
+        time.sleep(0.1)
+        raise KeyboardInterrupt
+
+    for k in range(30):
+        @verify.check(f"probe.slow{k}", 1.0)
+        def slow(rng, k=k):
+            (tmp_path / f"ran{k}").touch()
+            time.sleep(0.05)
+            return 0.0
+
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_all(0, 0.75)
+    # the second worker ran a few rows while the first slept; the rest
+    # were cancelled
+    assert len(list(tmp_path.iterdir())) < 10
+
+
+def _verify_env():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_forks_while_blas_threads_are_alive(tmp_path):
+    # BLAS keeps its own threads when no *_NUM_THREADS caps them, and
+    # Python >= 3.12 warns when a multi-threaded process forks
+    out = tmp_path / "sub"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning",
+         "-W", "error::ResourceWarning", "-m", "parabose.cli", "verify",
+         "--out", str(out)],
+        env=_verify_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert cli.main(["verify", "--out", str(tmp_path / "here")]) == 0
+    assert (out / "verify_report.txt").read_bytes() \
+        == (tmp_path / "here" / "verify_report.txt").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # the figure commands pay for neither the suite nor multiprocessing
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); import parabose.cli; "
+             "print(sorted({'parabose.verify', 'multiprocessing', "
+             "'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _kill_group(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
+
+
+def _verify_with_workers(tmp_path):
+    """A ``parabose verify`` process in its own process group, returned
+    once its workers are up, with their pids."""
+    if verify._worker_count() < 2:
+        pytest.skip("one usable CPU: verify runs its rows in-process")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parabose.cli", "verify", "--out",
+         str(tmp_path)],
+        env=_verify_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    if not children.exists():
+        _kill_group(proc)
+        pytest.skip("the kernel does not list a process's children")
+    deadline = time.monotonic() + 60.0
+    while len(children.read_text().split()) < verify._worker_count():
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
+    return proc, [int(pid) for pid in children.read_text().split()]
+
+
+def test_ctrl_c_leaves_no_worker_behind(tmp_path):
+    proc, _ = _verify_with_workers(tmp_path)
+    try:
+        # Ctrl-C: SIGINT to the whole process group
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGINT
+        assert err.count("Traceback") == 1  # the parent's, none from a worker
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        _kill_group(proc)
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_workers_exit_with_a_killed_parent(tmp_path):
+    # SIGTERM to the parent alone ends it without a shutdown of the pool
+    proc, workers = _verify_with_workers(tmp_path)
+    try:
+        proc.terminate()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, workers)):
+            assert time.monotonic() < deadline, "a worker outlived its parent"
+            time.sleep(0.05)
+    finally:
+        _kill_group(proc)
