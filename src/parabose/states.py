@@ -32,12 +32,12 @@ implemented in ``cs_transition``; as printed it is algebraically identical to
 its inner index labels the parity pair n = 2m or n = 2m+1).
 
 A bounded cache keeps the last STATE_CACHE coherent states, each checked once
-as it enters.  Per state it holds one scaled Laguerre column per parity and
-one column of P_n per parity.  Each column grows in place from its last
-entries and is never recomputed.  The truncation search's windows, the
-amplitudes and the distribution all read the same Laguerre column, so a state
-costs one recurrence pass however it is used, and every entry is the same
-number whatever the order of the calls.
+as it enters.  Per state it holds, per parity, one scaled Laguerre column, one
+column of Gamma weights ln n! - ln Gamma(n+alpha+1) and one column of P_n.
+Each column grows in place and is never recomputed.  The truncation search's
+windows, the amplitudes and the distribution all read the same Laguerre and
+weight columns, so a state costs one recurrence pass however it is used, and
+every entry is the same number whatever the order of the calls.
 
 The overlap of two coherent states at one level sums both parity series by
 the Hille-Hardy formula (DLMF §18.18),
@@ -113,6 +113,8 @@ def check_squeeze(zeta: complex) -> None:
 
 def check_index(n) -> int:
     """A number-state index as int: a nonnegative integer (NaN, inf fail)."""
+    if type(n) is int and n >= 0:
+        return n
     if not (float(n).is_integer() and n >= 0):
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     return int(n)
@@ -252,7 +254,8 @@ class _LaguerreColumn:
     from the last two, so a column is computed once however far it is read.
     The steps run on Python complex; times 1/(n+1) rounds as numpy's complex
     division by n+1 does, so every entry equals that of a one-pass numpy
-    column.
+    column.  The amplitudes read a prefix of it; a state's P_n column reads
+    all of it, each extension in one numpy pass over the entries it lacks.
     """
 
     def __init__(self, alpha: float, zeta: complex, x: complex):
@@ -311,15 +314,14 @@ def _cs_columns(n_pairs: int, zeta: complex, xi: complex,
                 epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Gamma-weighted Laguerre columns (e_n, o_n), n < n_pairs, with
     c_{2n} = pre e_n and c_{2n+1} = pre (xi/sqrt 2) o_n; the Laguerre
-    factors are read from the state's cached columns."""
+    factors and the Gamma weights are read from the state's cached
+    columns."""
     state = _cs_state(complex(zeta), complex(xi), float(epsilon))
     even_m, odd_m = state.laguerre
-    n = np.arange(n_pairs)
-    log_fact = gammaln(n + 1.0)
     even = (even_m.extend(n_pairs)[:n_pairs]
-            * np.exp(0.5 * (log_fact - gammaln(n + epsilon))))
+            * np.exp(0.5 * state.gamma_weights(0, n_pairs)[:n_pairs]))
     odd = (odd_m.extend(n_pairs)[:n_pairs]
-           * np.exp(0.5 * (log_fact - gammaln(n + epsilon + 1.0))))
+           * np.exp(0.5 * state.gamma_weights(1, n_pairs)[:n_pairs]))
     return even, odd
 
 
@@ -329,18 +331,11 @@ def _pair_masses(n_pairs: int, zeta: complex, xi: complex, epsilon: float
     with the ``_cs_columns`` they were computed from.
 
     They peak near exp(y), y = |xi|^2/(1-|zeta|^2); past y ~ 700 they
-    overflow and no truncation can be chosen, which fails loudly here.  The
-    state's Laguerre columns, as long as the window, are then released, so
-    the cache keeps nothing of a state that cannot be used.
+    overflow to inf or NaN, which ``_cs_pairs`` reports.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         even, odd = _cs_columns(n_pairs, zeta, xi, epsilon)
         w = np.abs(even) ** 2 + 0.5 * abs(xi) ** 2 * np.abs(odd) ** 2
-    if not np.all(np.isfinite(w)):
-        state = _cs_state(complex(zeta), complex(xi), float(epsilon))
-        for column in state.laguerre:
-            column.release()
-        raise state.overflow()
     return w, even, odd
 
 
@@ -358,8 +353,16 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float
     factors oscillate through near-zeros.  The ratio is floored at |zeta|^2,
     so the acceptance threshold sits halfway between |zeta|^2 and 1 once
     |zeta|^2 passes 0.9.
+
+    Masses past double range leave no truncation to choose, which fails
+    loudly.  The state's Laguerre and weight columns, as long as the window,
+    are then released, so the cache keeps nothing of a state that cannot be
+    used, and the state keeps the verdict, so a repeat call raises at once.
     """
     zeta, xi = complex(zeta), complex(xi)
+    state = _cs_state(zeta, xi, float(epsilon))
+    if state.overflowed:
+        raise state.overflow()
     zeta_abs, xi_abs = abs(zeta), abs(xi)
     lam = 0.5 * xi_abs * xi_abs / max(1.0 - zeta_abs, 0.05)
     guess = 16 + _svs_pairs(zeta_abs, epsilon) \
@@ -368,6 +371,10 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float
     while True:
         guess = min(guess, MAX_PAIRS)
         w, even, odd = _pair_masses(guess, zeta, xi, epsilon)
+        if not np.all(np.isfinite(w)):
+            state.overflowed = True
+            state.release()
+            raise state.overflow()
         total = float(np.sum(w))
         tip = max(float(np.max(w[-8:])), 1e-320)
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
@@ -522,12 +529,20 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     return _finalize(amps, "cs_amplitudes")
 
 
+# the least a P_n column's Laguerre column grows to: a fresh state's first
+# lines (a figure's 41, a check's dozen) take one numpy pass per parity, not
+# one per doubling from the two seed entries
+_FIRST_PASS = 32
+
+
 class _CsState:
     """One coherent state's n-dependent columns, each grown in place and
-    never recomputed: the scaled Laguerre column of each parity (alpha =
-    eps - 1 and eps), which the truncation search, the amplitudes and the
-    distribution all read, and each parity's P_n.  The inputs are checked
-    once, here."""
+    never recomputed.  Per parity (alpha = eps - 1 and eps): the scaled
+    Laguerre column M_n, the Gamma weights ln n! - ln Gamma(n+alpha+1) that
+    turn it into amplitudes and P_n, and the column of P_n.  The truncation
+    search, the amplitudes and the distribution all read the first two.
+    The inputs are checked once, here; a truncation search that overflows
+    is remembered in ``overflowed``."""
 
     def __init__(self, zeta: complex, xi: complex, epsilon: float):
         _check_state_inputs(zeta, epsilon, xi)
@@ -542,7 +557,9 @@ class _CsState:
                          - _log_i_sum(epsilon, self.y))
         # (|xi|^2/2)^parity rather than its log: xi = 0 closes the odd lines
         self.odd_factor = 0.5 * abs(xi) ** 2
+        self.weights = [np.empty(0), np.empty(0)]
         self.transitions = (array("d"), array("d"))
+        self.overflowed = False
 
     def overflow(self) -> DomainError:
         return DomainError(
@@ -550,36 +567,41 @@ class _CsState:
             f"= {self.y:.6g}; the state is not representable in double "
             f"precision")
 
-    def transition(self, parity: int, m: int) -> float:
-        """P_{2m + parity}.  A short column is extended through m and, as
-        far as the Laguerre column already reaches, to twice its length."""
-        column = self.transitions[parity]
-        if m >= len(column):
-            self._extend_transitions(parity, m)
-        p = column[m]
-        if math.isnan(p):
-            raise self.overflow()
-        return p
+    def release(self) -> None:
+        """Drop the Laguerre and weight columns; the P_n lines still read,
+        from columns grown again."""
+        for column in self.laguerre:
+            column.release()
+        self.weights = [np.empty(0), np.empty(0)]
 
-    def _extend_transitions(self, parity: int, m: int) -> None:
+    def gamma_weights(self, parity: int, length: int) -> np.ndarray:
+        """ln n! - ln Gamma(n+alpha+1), at least ``length`` entries long."""
+        weights = self.weights[parity]
+        if length > len(weights):
+            n = np.arange(len(weights), length)
+            weights = self.weights[parity] = np.concatenate(
+                (weights, gammaln(n + 1.0) - gammaln(n + self.epsilon + parity)))
+        return weights
+
+    def extend_transitions(self, parity: int, m: int) -> array:
+        """The column of P_{2k + parity}, through k = m and every Laguerre
+        entry the state holds; a short Laguerre column first grows through m,
+        to at least twice its length and to _FIRST_PASS entries, so a sweep
+        over n extends it O(log n) times."""
         column, laguerre = self.transitions[parity], self.laguerre[parity]
         if m >= len(laguerre.values):
-            # geometric growth: a sweep over n extends it O(log n) times
-            laguerre.extend(max(m + 1, 2 * len(laguerre.values)))
-        alpha = self.epsilon - 1.0 + parity
+            laguerre.extend(max(m + 1, 2 * len(laguerre.values), _FIRST_PASS))
+        have, length = len(column), len(laguerre.values)
         factor = self.odd_factor if parity else 1.0
-        for k, lag in enumerate(
-                laguerre.values[len(column):max(m + 1, 2 * len(column))]
-                .tolist(), len(column)):
-            log_p = (self.log_base
-                     + math.lgamma(k + 1.0) - math.lgamma(k + alpha + 1.0))
-            try:
-                p = abs(lag) ** 2 * factor * math.exp(log_p)
-            except OverflowError:  # Python floats raise where numpy gives inf
-                p = math.inf
-            # probabilities may poke past 1 by an ulp of the log-gamma; a P
-            # past double range is kept as NaN and raises when it is read
-            column.append(min(p, 1.0) if math.isfinite(p) else math.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = (np.abs(laguerre.values[have:]) ** 2 * factor
+                 * np.exp(self.log_base
+                          + self.gamma_weights(parity, length)[have:length]))
+        # probabilities may poke past 1 by an ulp of the log-gamma; a P past
+        # double range is kept as NaN and raises when it is read
+        column.frombytes(np.where(np.isfinite(p), np.minimum(p, 1.0),
+                                  np.nan).tobytes())
+        return column
 
 
 @functools.lru_cache(maxsize=STATE_CACHE)
@@ -590,14 +612,24 @@ def _cs_state(zeta: complex, xi: complex, epsilon: float) -> _CsState:
 def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     """P_n = |c_n|^2 of the coherent state, parity split in closed form.
 
-    The columns of the last STATE_CACHE states are kept, so a whole
-    distribution P_0 .. P_N costs O(N); each P_n is the same number whatever
-    the order of the calls.  A P_n that is not finite in double precision
-    (|M_n|^2 overflows, from y ~ 430 at some zeta) raises DomainError.
+    The columns of the last STATE_CACHE states are kept: the first line
+    read past a column's end fills in every line the state's Laguerre
+    column reaches, in one numpy pass over the Gamma weights its amplitudes
+    use, so a whole distribution P_0 .. P_N costs O(N) and each further
+    line is one lookup.  Each line is computed entry by entry, so P_n is the
+    same number whatever the order of the calls.  A P_n that is not finite
+    in double precision (|M_n|^2 overflows, from y ~ 430 at some zeta)
+    raises DomainError.
     """
     m, parity = divmod(check_index(n), 2)
-    return _cs_state(complex(zeta), complex(xi),
-                     float(epsilon)).transition(parity, m)
+    state = _cs_state(complex(zeta), complex(xi), float(epsilon))
+    column = state.transitions[parity]
+    if m >= len(column):
+        column = state.extend_transitions(parity, m)
+    p = column[m]
+    if p != p:  # NaN marks a line past double range
+        raise state.overflow()
+    return p
 
 
 def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 import parabose.states as states
 from parabose.completeness import diagonal_identity_residual
@@ -341,17 +342,23 @@ class TestCsTransition:
 
     @staticmethod
     def _per_n(zeta, xi, eps, n):
-        # the O(n) per-call evaluation the cached columns must reproduce
+        # the O(n) per-call evaluation the cached columns must reproduce, on
+        # the production primitives: the Gamma weight from gammaln, added to
+        # the n-independent part of ln P_n, then one exp; one-entry arrays,
+        # since numpy's array loops for abs and exp may round differently
+        # from its scalar ones
         m, parity = divmod(n, 2)
-        alpha = eps - 1.0 + parity
         one = 1.0 - abs(zeta) ** 2
-        col = states._LaguerreColumn(alpha, zeta, 0.5 * xi * xi).extend(m + 1)
-        log_p = (eps * math.log(one)
-                 + (np.conj(zeta) * xi * xi).real / one
-                 - states._log_i_sum(eps, abs(xi) ** 2 / one)
-                 + math.lgamma(m + 1.0) - math.lgamma(m + alpha + 1.0))
-        return min(float(abs(col[m]) ** 2 * (0.5 * abs(xi) ** 2) ** parity
-                         * math.exp(log_p)), 1.0)
+        col = states._LaguerreColumn(eps - 1.0 + parity, zeta,
+                                     0.5 * xi * xi).extend(m + 1)
+        log_base = (eps * math.log(one)
+                    + (np.conj(zeta) * xi * xi).real / one
+                    - states._log_i_sum(eps, abs(xi) ** 2 / one))
+        k = np.array([m])
+        weight = gammaln(k + 1.0) - gammaln(k + eps + parity)
+        p = (np.abs(col[k]) ** 2 * (0.5 * abs(xi) ** 2) ** parity
+             * np.exp(log_base + weight))
+        return min(float(p[0]), 1.0)
 
     def test_cached_columns_independent_of_call_order(self):
         a, b = (0.6 * np.exp(0.4j), 2.5 - 1.5j, 2.5), (0.3j, -4.0 + 1.0j, 6.5)
@@ -432,10 +439,10 @@ class TestCsTransition:
         with pytest.raises(DomainError, match="y = .* = 900"):
             cs_transition(0.0, 30.0, 2.5, 500)
 
-    def test_overflowed_state_keeps_no_columns(self):
+    def test_overflowed_state_keeps_no_columns(self, monkeypatch):
         # at y = 3e4 the search's first window is ~21,000 pairs; the cache
         # once kept both of its Laguerre columns (0.68 MB) for a state that
-        # raises on every use
+        # raises on every use, and then rebuilt that window on every call
         zeta, eps = 0.3, 2.5
         xi = math.sqrt(3e4 * (1.0 - zeta**2))
         states._cs_state.cache_clear()
@@ -450,10 +457,36 @@ class TestCsTransition:
         assert retained < 0.5e6
         state = states._cs_state(complex(zeta), complex(xi), eps)
         assert [len(c.values) for c in state.laguerre] == [2, 2]
+        # a repeat call raises from the kept verdict, with no window built
+        windows = []
+        masses = states._pair_masses
+        monkeypatch.setattr(states, "_pair_masses",
+                            lambda *args: windows.append(args) or masses(*args))
+        with pytest.raises(DomainError, match="y = .* = 30000"):
+            cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+        assert windows == []
+        assert [len(c.values) for c in state.laguerre] == [2, 2]
         # the lines still read, from columns grown again as far as needed
         assert cs_transition(zeta, xi, eps, 3) == 0.0
         with pytest.raises(DomainError, match="y = .* = 30000"):
             cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+
+    @pytest.mark.parametrize("zeta, xi, eps", [
+        (0.75 * np.exp(2.24j), 7.3 * np.exp(2.68j), 2.5),
+        (0.75 * np.exp(2.26j), 7.6 * np.exp(-1.06j), 4.5),
+        (0.75 * np.exp(-1.17j), 7.0 * np.exp(-1.92j), 1.5),
+    ], ids=["eps2.5", "eps4.5", "eps1.5"])
+    def test_relative_agreement_with_amplitudes(self, zeta, xi, eps):
+        # P_n and |c_n|^2 share one column of Gamma weights, so they agree
+        # to ~1.5e-14 relative on every representable line at N = 1274 to
+        # 1620; with P_n's weights from math.lgamma the gap was 1.8e-12 to
+        # 2.3e-12, growing with N
+        amps = cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps)).amplitudes
+        assert len(amps) > 1000
+        p = np.array([cs_transition(zeta, xi, eps, n)
+                      for n in range(len(amps))])
+        keep = p >= 1e-300
+        assert np.max(np.abs(p - np.abs(amps) ** 2)[keep] / p[keep]) < 1e-13
 
     @pytest.mark.parametrize("xi", [4e4, 1e200, complex(1e308, 1e308)])
     def test_displacement_past_limit_rejected(self, xi):
@@ -647,3 +680,18 @@ def test_index_must_be_a_nonnegative_integer(call, n):
     # n = nan raised a bare ValueError from int(n)
     with pytest.raises(DomainError, match="nonnegative integer"):
         call(n)
+
+
+@pytest.mark.parametrize("n, index", [
+    (3, 3), (np.int64(3), 3), (3.0, 3), (True, 1),
+    (-1, None), (2.5, None), (math.nan, None), (math.inf, None),
+])
+def test_index_verdicts(n, index):
+    # the plain-int fast path gives every input the verdict of the general
+    # rule: a nonnegative integer comes back as a Python int
+    if index is None:
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            states.check_index(n)
+    else:
+        got = states.check_index(n)
+        assert type(got) is int and got == index
