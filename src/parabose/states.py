@@ -23,21 +23,25 @@ The power (xi/sqrt 2)^(eps-1) cancels against (y/2)^(eps-1) divided out of
 the Bessel sum, whose quotient is entire (DLMF 10.25.2), so xi = 0 is an
 ordinary input: the odd amplitudes vanish and the even ones are the
 squeezed-vacuum series, with arg xi -> 0 taken from the positive real axis.
-The combination (-zeta)^n L_n^alpha(xi^2/(2 zeta)) is evaluated through a
-rescaled three-term recurrence that is exact for every |zeta| < 1 and reduces
-termwise to the zeta -> 0 limit (xi^2/2)^n / n!, so no argument ever diverges.
+The column sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n L_n^alpha(xi^2/(2 zeta)),
+alpha = eps - 1 + parity, is evaluated through its own three-term recurrence
+(that of the orthonormal Laguerre polynomials, DLMF §18.9, scaled by
+(-zeta)^n), which is exact for every |zeta| < 1 and reduces termwise to the
+zeta -> 0 limit (xi^2/2)^n / sqrt(n! Gamma(n+alpha+1)), so no argument ever
+diverges; the amplitudes of each parity are the prefactor times that
+column.
 The transition distribution P_n = |c_n|^2 has the closed parity-split form
 implemented in ``cs_transition``; as printed it is algebraically identical to
 |c_n|^2 (the exponential in it is exactly |exp(conj(zeta) xi^2 / ...)|^2, and
 its inner index labels the parity pair n = 2m or n = 2m+1).
 
 A bounded cache keeps the last STATE_CACHE coherent states, each checked once
-as it enters.  Per state it holds, per parity, one scaled Laguerre column, one
-column of Gamma weights ln n! - ln Gamma(n+alpha+1) and one column of P_n.
-Each column grows in place and is never recomputed.  The truncation search's
-windows, the amplitudes and the distribution all read the same Laguerre and
-weight columns, so a state costs one recurrence pass however it is used, and
-every entry is the same number whatever the order of the calls.
+as it enters.  Per state it holds, per parity, one normalized Laguerre column
+and one column of P_n, and the truncation search's outcome.  Each column
+grows in place and is never recomputed.  The truncation search's windows,
+the amplitudes and the distribution all read the same Laguerre columns, so a
+state costs one recurrence pass and one search however it is used, and every
+entry is the same number whatever the order of the calls.
 
 The overlap of two coherent states at one level sums both parity series by
 the Hille-Hardy formula (DLMF §18.18),
@@ -63,7 +67,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive
+from scipy.special import ive
 
 from .errors import ConfigError, DomainError, TruncationError
 from .fock import FockVector, check_epsilon
@@ -240,27 +244,35 @@ def _log_i_sum(epsilon: float, y):
 
 
 # ---------------------------------------------------------------------------
-# Scaled Laguerre columns.
+# Normalized Laguerre columns.
 
 _STEP_CHUNK = 4096
 
 
 class _LaguerreColumn:
-    """M_n = (-zeta)^n L_n^alpha(x / zeta), where x = xi^2/2, grown in place.
+    """e_n = sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n L_n^alpha(x / zeta), where
+    x = xi^2/2, grown in place: c_{2n} = pre e_n at alpha = eps - 1, and
+    c_{2n+1} = pre (xi/sqrt 2) e_n at alpha = eps.
 
-    Recurrence (n+1) M_{n+1} = (x - zeta (2n+1+alpha)) M_n - zeta^2 (n+alpha)
-    M_{n-1}; at zeta = 0 it degenerates to M_n = x^n / n! termwise, so the
-    column is continuous across the zero-squeeze point.  Each new entry comes
-    from the last two, so a column is computed once however far it is read.
-    The steps run on Python complex; times 1/(n+1) rounds as numpy's complex
-    division by n+1 does, so every entry equals that of a one-pass numpy
-    column.  The amplitudes read a prefix of it; a state's P_n column reads
-    all of it, each extension in one numpy pass over the entries it lacks.
+    Recurrence e_0 = Gamma(alpha+1)^(-1/2),
+    e_1 = (x - zeta (1+alpha)) e_0 / sqrt(alpha+1) and
+
+        sqrt((n+1)(n+alpha+1)) e_{n+1}
+            = (x - zeta (2n+1+alpha)) e_n - zeta^2 sqrt(n (n+alpha)) e_{n-1};
+
+    at zeta = 0 it degenerates to e_n = x^n / sqrt(n! Gamma(n+alpha+1))
+    termwise, so the column is continuous across the zero-squeeze point.
+    Each new entry comes from the last two, so a column is computed once
+    however far it is read.  The three coefficients of a step are
+    elementwise numpy operations and the steps run on Python complex, so a
+    column grown in pieces equals (==) one grown in a single call.
     """
 
     def __init__(self, alpha: float, zeta: complex, x: complex):
         self.alpha, self.zeta, self.x = alpha, zeta, x
-        self.values = np.array([1.0, x - zeta * (1.0 + alpha)], dtype=complex)
+        first = math.exp(-0.5 * math.lgamma(alpha + 1.0))
+        second = (x - zeta * (1.0 + alpha)) * first / math.sqrt(alpha + 1.0)
+        self.values = np.array([first, second], dtype=complex)
 
     def extend(self, length: int) -> np.ndarray:
         """The column, at least ``length`` entries long."""
@@ -268,21 +280,22 @@ class _LaguerreColumn:
         if length <= have:
             return self.values
         alpha, zeta, x = self.alpha, self.zeta, self.x
-        z2 = zeta * zeta
         out = np.empty(length, dtype=complex)
         out[:have] = self.values
         prev, last = self.values[-2:].tolist()
         # stored _STEP_CHUNK entries at a time: a list of Python complex
         # takes 40 B an entry against numpy's 16
         for start in range(have, length, _STEP_CHUNK):
-            stop = min(start + _STEP_CHUNK, length)
+            n = np.arange(start - 1, min(start + _STEP_CHUNK, length) - 1,
+                          dtype=float)
             new = []
-            for n in range(start - 1, stop - 1):
-                prev, last = last, ((x - zeta * (2 * n + 1 + alpha)) * last
-                                    - z2 * (n + alpha) * prev
-                                    ) * (1.0 / (n + 1))
+            for a, b, d in zip(
+                    (x - zeta * (2.0 * n + 1.0 + alpha)).tolist(),
+                    (zeta * zeta * np.sqrt(n * (n + alpha))).tolist(),
+                    np.sqrt((n + 1.0) * (n + alpha + 1.0)).tolist()):
+                prev, last = last, (a * last - b * prev) / d
                 new.append(last)
-            out[start:stop] = new
+            out[start:start + len(new)] = new
         self.values = out
         return self.values
 
@@ -310,41 +323,27 @@ def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
     )
 
 
-def _cs_columns(n_pairs: int, zeta: complex, xi: complex,
-                epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma-weighted Laguerre columns (e_n, o_n), n < n_pairs, with
-    c_{2n} = pre e_n and c_{2n+1} = pre (xi/sqrt 2) o_n; the Laguerre
-    factors and the Gamma weights are read from the state's cached
-    columns."""
-    state = _cs_state(complex(zeta), complex(xi), float(epsilon))
-    even_m, odd_m = state.laguerre
-    even = (even_m.extend(n_pairs)[:n_pairs]
-            * np.exp(0.5 * state.gamma_weights(0, n_pairs)[:n_pairs]))
-    odd = (odd_m.extend(n_pairs)[:n_pairs]
-           * np.exp(0.5 * state.gamma_weights(1, n_pairs)[:n_pairs]))
-    return even, odd
+def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
+    """Minimal pair count with relative tail mass below CS_TAIL_BOUND.
 
-
-def _pair_masses(n_pairs: int, zeta: complex, xi: complex, epsilon: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized per-pair masses |c_2n|^2 + |c_{2n+1}|^2 (prefactor off),
-    with the ``_cs_columns`` they were computed from.
-
-    They peak near exp(y), y = |xi|^2/(1-|zeta|^2); past y ~ 700 they
-    overflow to inf or NaN, which ``_cs_pairs`` reports.
+    The search runs once per cached state, which keeps its count; a state
+    whose masses pass double range keeps that verdict instead, and every
+    call raises DomainError at once.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        even, odd = _cs_columns(n_pairs, zeta, xi, epsilon)
-        w = np.abs(even) ** 2 + 0.5 * abs(xi) ** 2 * np.abs(odd) ** 2
-    return w, even, odd
+    zeta, xi = complex(zeta), complex(xi)
+    state = _cs_state(zeta, xi, float(epsilon))
+    if state.pairs is None:
+        state.pairs = _search_pairs(state, abs(zeta), abs(xi), epsilon)
+    if not state.pairs:
+        raise state.overflow()
+    return state.pairs
 
 
-def _cs_pairs(zeta: complex, xi: complex, epsilon: float
-              ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Minimal pair count with relative tail mass below CS_TAIL_BOUND, and
-    the ``_cs_columns`` of the last search window.  The columns are at least
-    that long unless the count is the window plus one, when the tail already
-    reaches the bound at the window's last pair.
+def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
+                  epsilon: float) -> int:
+    """The truncation search behind ``_cs_pairs``; 0 for a state whose pair
+    masses |e_n|^2 + |xi|^2/2 |o_n|^2 (the amplitudes over the prefactor)
+    pass double range.
 
     Scans the true per-pair masses over a working window that keeps growing
     until the trailing decay is safely geometric (asymptotic ratio
@@ -354,28 +353,26 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float
     so the acceptance threshold sits halfway between |zeta|^2 and 1 once
     |zeta|^2 passes 0.9.
 
-    Masses past double range leave no truncation to choose, which fails
-    loudly.  The state's Laguerre and weight columns, as long as the window,
-    are then released, so the cache keeps nothing of a state that cannot be
-    used, and the state keeps the verdict, so a repeat call raises at once.
+    The masses peak near exp(y), y = |xi|^2/(1-|zeta|^2), and pass double
+    range from y ~ 700.  They are nonnegative, so their sum is finite only
+    when every mass is.  On overflow the state's columns, as long as the
+    window, are released, so the cache keeps nothing of a state that cannot
+    be used.
     """
-    zeta, xi = complex(zeta), complex(xi)
-    state = _cs_state(zeta, xi, float(epsilon))
-    if state.overflowed:
-        raise state.overflow()
-    zeta_abs, xi_abs = abs(zeta), abs(xi)
     lam = 0.5 * xi_abs * xi_abs / max(1.0 - zeta_abs, 0.05)
     guess = 16 + _svs_pairs(zeta_abs, epsilon) \
         + int(lam + 12.0 * math.sqrt(lam + 4.0) + 24.0)
     accept = max(0.95, 0.5 * (1.0 + zeta_abs**2))
+    even, odd = state.laguerre
     while True:
         guess = min(guess, MAX_PAIRS)
-        w, even, odd = _pair_masses(guess, zeta, xi, epsilon)
-        if not np.all(np.isfinite(w)):
-            state.overflowed = True
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (np.abs(even.extend(guess)[:guess]) ** 2
+                 + 0.5 * xi_abs ** 2 * np.abs(odd.extend(guess)[:guess]) ** 2)
+            total = float(np.sum(w))
+        if not math.isfinite(total):
             state.release()
-            raise state.overflow()
-        total = float(np.sum(w))
+            return 0
         tip = max(float(np.max(w[-8:])), 1e-320)
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
         ratio = max(ratio, zeta_abs**2)
@@ -398,7 +395,7 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float
             break
     else:
         n_pairs = 2
-    return min(max(n_pairs, 2), MAX_PAIRS), even, odd
+    return min(max(n_pairs, 2), MAX_PAIRS)
 
 
 def _resolve_pairs(auto_pairs: int, truncation: int | None) -> tuple[int, int]:
@@ -509,23 +506,21 @@ def _cs_log_prefactor(spec: CsSpec) -> complex:
 
 
 def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
-    """Amplitude vector of the generalized coherent state.
+    """Amplitude vector of the generalized coherent state: the prefactor
+    times the state's cached Laguerre columns.
 
     At xi = 0 the odd sector vanishes identically and the even amplitudes
     are the squeezed-vacuum series (with the coherent-family phase); the
     xi -> 0 limit is taken along the positive real axis.
     """
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    auto_pairs, even, odd = _cs_pairs(zeta, xi, eps)
-    n_pairs, n_total = _resolve_pairs(auto_pairs, truncation)
-    # the recurrence is prefix-stable: the search window's columns serve
-    # unless the count (explicit, or one past the window) reaches past them
-    if n_pairs > len(even):
-        even, odd = _cs_columns(n_pairs, zeta, xi, eps)
+    n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps), truncation)
+    even, odd = (column.extend(n_pairs)[:n_pairs]
+                 for column in _cs_state(zeta, xi, eps).laguerre)
     pre = cmath.exp(_cs_log_prefactor(spec))
     amps = np.zeros(n_total, dtype=complex)
-    amps[0::2] = pre * even[:n_pairs]
-    amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd[:n_pairs]
+    amps[0::2] = pre * even
+    amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
     return _finalize(amps, "cs_amplitudes")
 
 
@@ -537,29 +532,27 @@ _FIRST_PASS = 32
 
 class _CsState:
     """One coherent state's n-dependent columns, each grown in place and
-    never recomputed.  Per parity (alpha = eps - 1 and eps): the scaled
-    Laguerre column M_n, the Gamma weights ln n! - ln Gamma(n+alpha+1) that
-    turn it into amplitudes and P_n, and the column of P_n.  The truncation
-    search, the amplitudes and the distribution all read the first two.
-    The inputs are checked once, here; a truncation search that overflows
-    is remembered in ``overflowed``."""
+    never recomputed.  Per parity (alpha = eps - 1 and eps): the normalized
+    Laguerre column e_n, which the truncation search, the amplitudes and
+    the distribution all read, and the column of P_{2n+parity} =
+    |e_n|^2 k_parity, with k_0 = |pre|^2 and k_1 = |xi|^2/2 |pre|^2.  Also
+    the truncation search's outcome, ``pairs``: None before it runs, then
+    the pair count, or 0 when the masses overflow.  The inputs are checked
+    once, here."""
 
     def __init__(self, zeta: complex, xi: complex, epsilon: float):
-        _check_state_inputs(zeta, epsilon, xi)
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=epsilon)
         x = 0.5 * xi * xi
         self.laguerre = (_LaguerreColumn(epsilon - 1.0, zeta, x),
                          _LaguerreColumn(epsilon, zeta, x))
-        self.epsilon = epsilon
-        one = 1.0 - abs(zeta) ** 2
-        self.y = abs(xi) ** 2 / one
-        self.log_base = (epsilon * math.log(one)
-                         + (np.conj(zeta) * xi * xi).real / one
-                         - _log_i_sum(epsilon, self.y))
-        # (|xi|^2/2)^parity rather than its log: xi = 0 closes the odd lines
-        self.odd_factor = 0.5 * abs(xi) ** 2
-        self.weights = [np.empty(0), np.empty(0)]
+        self.y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+        # theta enters the prefactor's logarithm only in its imaginary part
+        with np.errstate(over="ignore"):
+            k = float(np.exp(2.0 * _cs_log_prefactor(spec).real))
+        # |xi|^2/2 as a factor rather than a log: xi = 0 closes the odd lines
+        self.factors = (k, 0.5 * abs(xi) ** 2 * k)
         self.transitions = (array("d"), array("d"))
-        self.overflowed = False
+        self.pairs = None
 
     def overflow(self) -> DomainError:
         return DomainError(
@@ -568,20 +561,10 @@ class _CsState:
             f"precision")
 
     def release(self) -> None:
-        """Drop the Laguerre and weight columns; the P_n lines still read,
-        from columns grown again."""
+        """Drop the Laguerre columns; the P_n lines still read, from
+        columns grown again."""
         for column in self.laguerre:
             column.release()
-        self.weights = [np.empty(0), np.empty(0)]
-
-    def gamma_weights(self, parity: int, length: int) -> np.ndarray:
-        """ln n! - ln Gamma(n+alpha+1), at least ``length`` entries long."""
-        weights = self.weights[parity]
-        if length > len(weights):
-            n = np.arange(len(weights), length)
-            weights = self.weights[parity] = np.concatenate(
-                (weights, gammaln(n + 1.0) - gammaln(n + self.epsilon + parity)))
-        return weights
 
     def extend_transitions(self, parity: int, m: int) -> array:
         """The column of P_{2k + parity}, through k = m and every Laguerre
@@ -591,14 +574,12 @@ class _CsState:
         column, laguerre = self.transitions[parity], self.laguerre[parity]
         if m >= len(laguerre.values):
             laguerre.extend(max(m + 1, 2 * len(laguerre.values), _FIRST_PASS))
-        have, length = len(column), len(laguerre.values)
-        factor = self.odd_factor if parity else 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            p = (np.abs(laguerre.values[have:]) ** 2 * factor
-                 * np.exp(self.log_base
-                          + self.gamma_weights(parity, length)[have:length]))
-        # probabilities may poke past 1 by an ulp of the log-gamma; a P past
-        # double range is kept as NaN and raises when it is read
+            p = np.abs(laguerre.values[len(column):]) ** 2 \
+                * self.factors[parity]
+        # probabilities may poke past 1 by round-off; a P past double range
+        # (|e_n|^2 overflows, from y ~ 700) is kept as NaN and raises when
+        # it is read
         column.frombytes(np.where(np.isfinite(p), np.minimum(p, 1.0),
                                   np.nan).tobytes())
         return column
@@ -614,12 +595,13 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
 
     The columns of the last STATE_CACHE states are kept: the first line
     read past a column's end fills in every line the state's Laguerre
-    column reaches, in one numpy pass over the Gamma weights its amplitudes
-    use, so a whole distribution P_0 .. P_N costs O(N) and each further
-    line is one lookup.  Each line is computed entry by entry, so P_n is the
-    same number whatever the order of the calls.  A P_n that is not finite
-    in double precision (|M_n|^2 overflows, from y ~ 430 at some zeta)
-    raises DomainError.
+    column reaches, in one numpy pass over the column its amplitudes read,
+    so a whole distribution P_0 .. P_N costs O(N) and each further line is
+    one lookup.  Each line is computed entry by entry, so P_n is the same
+    number whatever the order of the calls.  A P_n that is not finite in
+    double precision raises DomainError: |e_n|^2 overflows from y ~ 700,
+    where the amplitudes' truncation search overflows too, and |pre|^2 from
+    eps ~ 171.
     """
     m, parity = divmod(check_index(n), 2)
     state = _cs_state(complex(zeta), complex(xi), float(epsilon))

@@ -356,7 +356,7 @@ def check_cs_eigenrelation(rng):
     worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 5):
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
-        n = 2 * (states._cs_pairs(zeta, xi, eps)[0] + 64)
+        n = 2 * (states._cs_pairs(zeta, xi, eps) + 64)
         v = states.cs_amplitudes(spec, truncation=n)
         a_v, ad_v = ladder_products(AlgebraParams(epsilon=eps), v.amplitudes)
         worst = max(worst, float(np.linalg.norm(
@@ -392,8 +392,8 @@ def check_cs_overlap_series(rng):
         x2 = rng.uniform(0.1, 1.8) * np.exp(2j * np.pi * rng.uniform())
         s1 = CsSpec(zeta=z1, xi=x1, epsilon=eps, theta=rng.uniform(0, 6.0))
         s2 = CsSpec(zeta=z2, xi=x2, epsilon=eps, theta=rng.uniform(0, 6.0))
-        n = 2 * max(states._cs_pairs(z1, x1, eps)[0],
-                    states._cs_pairs(z2, x2, eps)[0])
+        n = 2 * max(states._cs_pairs(z1, x1, eps),
+                    states._cs_pairs(z2, x2, eps))
         v1 = states.cs_amplitudes(s1, truncation=n)
         v2 = states.cs_amplitudes(s2, truncation=n)
         worst = max(worst, abs(states.cs_overlap(s1, s2) - v1.overlap(v2)))
@@ -461,7 +461,7 @@ def _quadratures(params, a, ad):
 
 
 def _matrix_moments(spec, params):
-    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon)[0] + 64)
+    n = 2 * (states._cs_pairs(spec.zeta, spec.xi, spec.epsilon) + 64)
     psi = states.cs_amplitudes(spec, truncation=n).amplitudes
     x_psi, p_psi = _quadratures(params, *ladder_products(params, psi))
 

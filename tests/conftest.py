@@ -1,10 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
 from parabose.coordrep import vacuum_wavefunction
+
+# hypothesis' pytest plugin imports this module (and libcst with it) when a
+# property test fails; libcst's import warns DeprecationWarning from
+# mypy_extensions, which the suite's `error` filter would turn into an
+# INTERNALERROR that ends the session before the remaining tests run
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def fock_basis_wavefunction(n, ell, l, x):

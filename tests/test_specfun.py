@@ -1,12 +1,13 @@
 """Special functions behind the closed forms, against independent oracles.
 
-The package takes ln Gamma from ``math.lgamma`` (scalars) and
-``scipy.special.gammaln`` (state columns) and the modified Bessel I of the
-normalization from ``scipy.special.ive`` (real and complex arguments, in
+The package takes ln Gamma from ``math.lgamma`` (``scipy.special.gammaln``
+is checked beside it) and the modified Bessel I of the normalization from
+``scipy.special.ive`` (real and complex arguments, in
 ``states``).  ``coordrep`` evaluates its half-odd orders I_{n+1/2}(w) itself:
 the elementary closed form (DLMF 10.49(ii)) or the ascending series (DLMF
 10.25.2), with ``ive`` only above order ``ELEMENTARY_MAX_ORDER + 1/2``.
-(-zeta)^n L_n^alpha(x/zeta) comes from the package's own scaled recurrence.
+sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n L_n^alpha(x/zeta) comes from the
+package's own normalized recurrence.
 Expected values are frozen from mpmath (30 to 50 digits) and from the
 explicit binomial-coefficient Laguerre sum.
 """
@@ -100,19 +101,33 @@ class TestLogGamma:
             CsSpec(zeta=0.3, xi=1.0, epsilon=bad)
 
 
+def gamma_weight(n, alpha):
+    """sqrt(n!/Gamma(n+alpha+1)) at 40 digits: what turns the scaled
+    Laguerre value M_n = (-zeta)^n L_n^alpha(x / zeta) into the column
+    entry e_n."""
+    return mpmath.sqrt(mpmath.factorial(n) / mpmath.gamma(n + alpha + 1))
+
+
 class TestLaguerre:
-    """M_n = (-zeta)^n L_n^alpha(x / zeta), the scaled recurrence column."""
+    """e_n = sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n L_n^alpha(x / zeta), the
+    normalized recurrence column."""
 
     def test_degree_zero_and_one(self):
         for alpha, x, zeta in ((3.7, 2.0 + 5.0j, 0.4), (0.5, 1.0 + 2.0j, -0.3j),
                                (-0.5, -3.0, 0.9), (4.0, 0.0, 0.2 + 0.1j)):
             col = _LaguerreColumn(alpha, zeta, x).extend(2)
-            assert col[0] == 1.0
-            assert col[1] == pytest.approx(x - zeta * (1.0 + alpha))
+            # M_0 = 1 exactly; e_0 is Gamma(alpha+1)^(-1/2) to the rounding
+            # of its exp and log-gamma
+            assert col[0] == pytest.approx(float(gamma_weight(0, alpha)),
+                                           rel=1e-15, abs=0.0)
+            assert col[1] == pytest.approx(
+                (x - zeta * (1.0 + alpha)) * float(gamma_weight(1, alpha)))
 
     def test_grown_column_equals_one_numpy_pass(self):
-        # grown in pieces on Python complex, across the storage chunks, the
-        # column equals (==) one pass over a numpy column that divides by n + 1
+        # grown in pieces, across the storage chunks, the column equals (==)
+        # one pass of the recurrence written out on Python complex, with
+        # the same coefficients and the same division by
+        # sqrt((n+1)(n+alpha+1))
         rng = np.random.default_rng(3)
         for _ in range(8):
             alpha = float(rng.uniform(-0.5, 6.0))
@@ -121,12 +136,14 @@ class TestLaguerre:
                            * np.exp(2j * np.pi * rng.uniform()))
             x = complex(0.5 * (rng.uniform(0.0, 8.0)
                                * np.exp(2j * np.pi * rng.uniform())) ** 2)
-            want = np.empty(9000, dtype=complex)
-            want[0], want[1] = 1.0, x - zeta * (1.0 + alpha)
+            first = math.exp(-0.5 * math.lgamma(alpha + 1.0))
+            want = [first, (x - zeta * (1.0 + alpha)) * first
+                    / math.sqrt(alpha + 1.0)]
             for n in range(1, 8999):
-                want[n + 1] = ((x - zeta * (2 * n + 1 + alpha)) * want[n]
-                               - zeta * zeta * (n + alpha) * want[n - 1]
-                               ) / (n + 1)
+                want.append(((x - zeta * (2.0 * n + 1.0 + alpha)) * want[n]
+                             - zeta * zeta * math.sqrt(n * (n + alpha))
+                             * want[n - 1])
+                            / math.sqrt((n + 1.0) * (n + alpha + 1.0)))
             column = _LaguerreColumn(alpha, zeta, x)
             for length in (3, 17, 18, 150, 4100, 9000):
                 column.extend(length)
@@ -136,8 +153,9 @@ class TestLaguerre:
     def test_frozen_oracle_value(self):
         # zeta = -1 turns M_5 into L_5^alpha(-x); explicit-coefficient sum
         got = _LaguerreColumn(-0.5, -1.0, -(2.0 + 1.0j)).extend(6)[5]
-        assert got == pytest.approx(1.5471354166666667 + 0.3848958333333333j,
-                                    rel=1e-12)
+        assert got == pytest.approx(
+            (1.5471354166666667 + 0.3848958333333333j)
+            * float(gamma_weight(5, -0.5)), rel=1e-12)
 
     @given(
         n=st.integers(min_value=0, max_value=40),
@@ -153,7 +171,7 @@ class TestLaguerre:
         x = complex(re, im)
         zeta = complex(zeta_abs * np.exp(1j * zeta_arg))
         exact = complex((-mpmath.mpc(zeta)) ** n * laguerre_coefficient_sum(
-            n, alpha, mpmath.mpc(x) / mpmath.mpc(zeta)))
+            n, alpha, mpmath.mpc(x) / mpmath.mpc(zeta)) * gamma_weight(n, alpha))
         got = _LaguerreColumn(alpha, zeta, x).extend(n + 1)[n]
         assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 

@@ -9,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
 
 import parabose.states as states
 from parabose.completeness import diagonal_identity_residual
@@ -26,6 +25,34 @@ zeta_st = st.tuples(
     st.floats(min_value=0.0, max_value=2.0 * math.pi),
 ).map(lambda p: p[0] * np.exp(1j * p[1]))
 eps_st = st.floats(min_value=0.5, max_value=6.0)
+
+# coherent states with truncations N = 1620, 1274 and 1454
+LONG_STATES = [
+    (0.75 * np.exp(2.24j), 7.3 * np.exp(2.68j), 2.5),
+    (0.75 * np.exp(2.26j), 7.6 * np.exp(-1.06j), 4.5),
+    (0.75 * np.exp(-1.17j), 7.0 * np.exp(-1.92j), 1.5),
+]
+LONG_IDS = ["eps2.5", "eps4.5", "eps1.5"]
+
+
+def amplitude_mpmath(zeta, xi, eps, n):
+    """c_n of the coherent state (theta = 0) from the closed form at 30
+    digits, with mpmath's Laguerre function and Gamma."""
+    with mpmath.workdps(30):
+        z, x, e = mpmath.mpc(zeta), mpmath.mpc(xi), mpmath.mpf(eps)
+        one = 1 - abs(z) ** 2
+        m, parity = divmod(n, 2)
+        y = abs(x) ** 2 / one
+        pre = ((x / mpmath.sqrt(2)) ** (e - 1)
+               * mpmath.sqrt(one / (mpmath.besseli(e - 1, y)
+                                    + mpmath.besseli(e, y)))
+               * mpmath.exp(mpmath.conj(z) * x * x / (2 * one)))
+        c = (pre * (-z) ** m
+             * mpmath.laguerre(m, e - 1 + parity, x * x / (2 * z))
+             * mpmath.sqrt(mpmath.factorial(m) / mpmath.gamma(m + e + parity)))
+        if parity:
+            c *= x / mpmath.sqrt(2)
+        return complex(c)
 
 
 class TestSvsAmplitudes:
@@ -211,7 +238,7 @@ class TestCsAmplitudes:
         # (a + zeta a' - xi) annihilates the state (eigenvalue route)
         zeta, xi, eps = 0.45, 1.0j, 2.5
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
-        n = 2 * (states._cs_pairs(zeta, xi, eps)[0] + 64)
+        n = 2 * (states._cs_pairs(zeta, xi, eps) + 64)
         v = cs_amplitudes(spec, truncation=n)
         a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
         op = a + zeta * ad - xi * np.eye(n)
@@ -249,6 +276,30 @@ class TestCsAmplitudes:
                 cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("xi", [26.88, 26.9, 26.93])
+    def test_mass_sum_overflow_fails_loudly(self, xi):
+        # y ~ 722-725: every pair mass is finite but their sum is not; the
+        # search once read the inf total as a converged tail and returned a
+        # 4-entry vector of norm 0
+        with pytest.raises(DomainError, match="y = .* = 72"):
+            cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
+
+    @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES, ids=LONG_IDS)
+    def test_amplitudes_against_mpmath(self, zeta, xi, eps):
+        # every 15th amplitude of a state with N = 1274 to 1620 within 2e-13
+        # relative of 30-digit mpmath (about 1e-13 at most); the Gamma
+        # weights ln n! - ln Gamma(n+alpha+1), as a difference of two
+        # gammaln values, once cost up to 6.5e-13
+        amps = cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps)).amplitudes
+        assert len(amps) > 1000
+        errors = []
+        for n in range(0, len(amps), 15):
+            ref = amplitude_mpmath(zeta, xi, eps, n)
+            if abs(ref) ** 2 >= 1e-300:
+                errors.append(abs(amps[n] - ref) / abs(ref))
+        assert len(errors) > 80
+        assert max(errors) < 2e-13
+
     @pytest.mark.parametrize("zeta_abs", [0.98, 0.99, 0.999])
     def test_deep_squeeze_truncation_search(self, zeta_abs):
         # the smoothed window ratio is floored at |zeta|^2, so past
@@ -257,36 +308,50 @@ class TestCsAmplitudes:
         start = time.perf_counter()
         n_pairs = cs_amplitudes(spec).truncation // 2
         assert time.perf_counter() - start < 0.5
-        w, _, _ = states._pair_masses(8 * n_pairs, spec.zeta, spec.xi, spec.epsilon)
+        # the pair masses |c_2n|^2 + |c_{2n+1}|^2 over |pre|^2, eight times
+        # further out
+        even, odd = (column.extend(8 * n_pairs)[:8 * n_pairs]
+                     for column in states._cs_state(
+                         complex(spec.zeta), complex(spec.xi),
+                         spec.epsilon).laguerre)
+        w = np.abs(even) ** 2 + 0.5 * abs(spec.xi) ** 2 * np.abs(odd) ** 2
         assert np.sum(w[n_pairs:]) < states.CS_TAIL_BOUND * np.sum(w)
 
     def test_search_window_columns_reused(self, monkeypatch):
-        # the amplitudes slice the truncation search's last window and equal
-        # (==) a fresh column build at the chosen length; only an explicit
-        # truncation past that window builds the columns again
+        # the amplitudes slice the columns the truncation search grew (its
+        # last window), or grow them on past an explicit truncation, and
+        # equal (==) the prefactor times a fresh column build at the chosen
+        # length; the search itself runs once per state, also when the
+        # count is asked for before an explicit truncation
         rng = np.random.default_rng(5)
-        builds = []
-        build = states._cs_columns
-        monkeypatch.setattr(states, "_cs_columns",
-                            lambda n, *args: builds.append(n) or build(n, *args))
+        searches = []
+        search = states._search_pairs
+        monkeypatch.setattr(states, "_search_pairs",
+                            lambda *args: searches.append(args) or search(*args))
         for _ in range(12):
             zeta = complex(rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.uniform()))
             xi = complex(rng.uniform(0.0, 6.0) * np.exp(2j * np.pi * rng.uniform()))
             eps = float(rng.uniform(0.5, 6.0))
             spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
-            window = len(states._cs_pairs(zeta, xi, eps)[1])
+            searches.clear()
+            states._cs_pairs(zeta, xi, eps)
+            state = states._cs_state(zeta, xi, eps)
+            window = len(state.laguerre[0].values)
             for truncation in (None, 2 * window, 2 * window + 64):
-                builds.clear()
                 v = cs_amplitudes(spec, truncation=truncation)
                 n_pairs = v.truncation // 2
-                assert builds[-1] == (n_pairs if n_pairs > window else window)
-                even, odd = build(n_pairs, zeta, xi, eps)
+                assert [len(c.values) for c in state.laguerre] \
+                    == [max(n_pairs, window)] * 2
+                even, odd = (states._LaguerreColumn(
+                    alpha, zeta, 0.5 * xi * xi).extend(n_pairs)[:n_pairs]
+                    for alpha in (eps - 1.0, eps))
                 pre = cmath.exp(states._cs_log_prefactor(spec))
                 amps = np.zeros(v.truncation, dtype=complex)
                 amps[0::2] = pre * even
                 amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
                 assert np.array_equal(v.amplitudes,
                                       states._finalize(amps, "").amplitudes)
+            assert len(searches) == 1
 
     def test_schrodinger_property_constant_schedule(self):
         # analytic parameters propagated by the ODE solver keep the state on
@@ -343,21 +408,18 @@ class TestCsTransition:
     @staticmethod
     def _per_n(zeta, xi, eps, n):
         # the O(n) per-call evaluation the cached columns must reproduce, on
-        # the production primitives: the Gamma weight from gammaln, added to
-        # the n-independent part of ln P_n, then one exp; one-entry arrays,
-        # since numpy's array loops for abs and exp may round differently
-        # from its scalar ones
+        # the production primitives: a fresh column of one parity, and
+        # |pre|^2 from the prefactor's logarithm, times |xi|^2/2 on the odd
+        # lines; one-entry arrays, since numpy's array loop for abs may
+        # round differently from its scalar one
         m, parity = divmod(n, 2)
-        one = 1.0 - abs(zeta) ** 2
-        col = states._LaguerreColumn(eps - 1.0 + parity, zeta,
+        col = states._LaguerreColumn((eps - 1.0, eps)[parity], zeta,
                                      0.5 * xi * xi).extend(m + 1)
-        log_base = (eps * math.log(one)
-                    + (np.conj(zeta) * xi * xi).real / one
-                    - states._log_i_sum(eps, abs(xi) ** 2 / one))
-        k = np.array([m])
-        weight = gammaln(k + 1.0) - gammaln(k + eps + parity)
-        p = (np.abs(col[k]) ** 2 * (0.5 * abs(xi) ** 2) ** parity
-             * np.exp(log_base + weight))
+        k = float(np.exp(2.0 * states._cs_log_prefactor(
+            CsSpec(zeta=zeta, xi=xi, epsilon=eps)).real))
+        if parity:
+            k = 0.5 * abs(xi) ** 2 * k
+        p = np.abs(col[[m]]) ** 2 * k
         return min(float(p[0]), 1.0)
 
     def test_cached_columns_independent_of_call_order(self):
@@ -411,7 +473,11 @@ class TestCsTransition:
             def distribution():
                 return [cs_transition(zeta, xi, eps, n) for n in range(wide)]
 
-            window = fresh(lambda: len(states._cs_pairs(zeta, xi, eps)[1]))
+            def window():
+                states._cs_pairs(zeta, xi, eps)
+                return len(states._cs_state(zeta, xi, eps).laguerre[0].values)
+
+            window = fresh(window)
             wide = 2 * window + 64
             amps = fresh(lambda: cs_amplitudes(spec).amplitudes)
             wide_amps = fresh(
@@ -427,13 +493,17 @@ class TestCsTransition:
                 cs_amplitudes(spec, truncation=wide).amplitudes, wide_amps)
 
     def test_overflow_fails_loudly(self):
-        # |M_n|^2 past double range: min(P, 1) once turned inf into 1.0
-        # (the true P_729 is 0.01469) and inf * 0 into NaN (xi = 30)
+        # |e_n|^2 past double range: min(P, 1) once turned inf into 1.0 and
+        # inf * 0 into NaN (xi = 30); the odd column peaks at |e|^2 ~ 6.8e306,
+        # so P_729 reads (30-digit mpmath: 0.0146933982536429), while the
+        # even column's peak, near P_728, overflows
         p100 = cs_transition(0.0, 27.0, 2.5, 100)
         with pytest.raises(DomainError, match="y = .* = 729"):
-            cs_transition(0.0, 27.0, 2.5, 729)
+            cs_transition(0.0, 27.0, 2.5, 728)
+        assert cs_transition(0.0, 27.0, 2.5, 729) == pytest.approx(
+            0.0146933982536429186, rel=1e-13)
         assert cs_transition(0.0, 27.0, 2.5, 100) == p100 > 0.0
-        # past the window where |M_n|^2 overflows the lines read again
+        # past the window where |e_n|^2 overflows the lines read again
         assert cs_transition(0.0, 27.0, 2.5, 1000) == pytest.approx(
             1.76652066726395e-22, rel=1e-8)  # 50-digit mpmath
         with pytest.raises(DomainError, match="y = .* = 900"):
@@ -458,29 +528,33 @@ class TestCsTransition:
         state = states._cs_state(complex(zeta), complex(xi), eps)
         assert [len(c.values) for c in state.laguerre] == [2, 2]
         # a repeat call raises from the kept verdict, with no window built
-        windows = []
-        masses = states._pair_masses
-        monkeypatch.setattr(states, "_pair_masses",
-                            lambda *args: windows.append(args) or masses(*args))
+        searches = []
+        search = states._search_pairs
+        monkeypatch.setattr(states, "_search_pairs",
+                            lambda *args: searches.append(args) or search(*args))
         with pytest.raises(DomainError, match="y = .* = 30000"):
             cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
-        assert windows == []
+        assert searches == []
         assert [len(c.values) for c in state.laguerre] == [2, 2]
         # the lines still read, from columns grown again as far as needed
         assert cs_transition(zeta, xi, eps, 3) == 0.0
         with pytest.raises(DomainError, match="y = .* = 30000"):
             cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
 
-    @pytest.mark.parametrize("zeta, xi, eps", [
-        (0.75 * np.exp(2.24j), 7.3 * np.exp(2.68j), 2.5),
-        (0.75 * np.exp(2.26j), 7.6 * np.exp(-1.06j), 4.5),
-        (0.75 * np.exp(-1.17j), 7.0 * np.exp(-1.92j), 1.5),
-    ], ids=["eps2.5", "eps4.5", "eps1.5"])
+    @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES + [
+        (-0.7701509910417981 - 0.36074694507234856j,
+         8.113711870289373 + 10.522788008682607j, 6.375459123273524),
+        (0.534628470477825 + 0.5631772518505997j,
+         1.3741827424151583 - 12.924093800025657j, 5.681324933499843),
+    ], ids=LONG_IDS + ["y638", "y425"])
     def test_relative_agreement_with_amplitudes(self, zeta, xi, eps):
-        # P_n and |c_n|^2 share one column of Gamma weights, so they agree
-        # to ~1.5e-14 relative on every representable line at N = 1274 to
-        # 1620; with P_n's weights from math.lgamma the gap was 1.8e-12 to
-        # 2.3e-12, growing with N
+        # P_n and |c_n|^2 read one Laguerre column, so they agree to ~1e-15
+        # relative on every representable line at N = 1274 to 6858; with
+        # P_n's Gamma weights from math.lgamma the gap was 1.8e-12 to
+        # 2.3e-12, growing with N, and 1.5e-14 from the amplitudes' gammaln
+        # weights.  At y ~ 638 and y ~ 425 (N = 6858 and 4512) |M_n|^2 of
+        # the unweighted column once overflowed, so P_n raised on 4,000 and
+        # 236 lines where the amplitudes were whole
         amps = cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps)).amplitudes
         assert len(amps) > 1000
         p = np.array([cs_transition(zeta, xi, eps, n)
@@ -512,8 +586,8 @@ class TestCsOverlap:
     @staticmethod
     def _fock_overlap(s1, s2):
         eps = s1.epsilon
-        n = 2 * max(states._cs_pairs(s1.zeta, s1.xi, eps)[0],
-                    states._cs_pairs(s2.zeta, s2.xi, eps)[0])
+        n = 2 * max(states._cs_pairs(s1.zeta, s1.xi, eps),
+                    states._cs_pairs(s2.zeta, s2.xi, eps))
         return cs_amplitudes(s1, n).overlap(cs_amplitudes(s2, n))
 
     def test_matches_amplitude_series(self, rng):
@@ -541,7 +615,7 @@ class TestCsOverlap:
         eps = 1.5
         s1 = CsSpec(zeta=0.3, xi=0.0, epsilon=eps)
         s2 = CsSpec(zeta=0.2, xi=0.8, epsilon=eps)
-        n = 2 * (states._cs_pairs(s2.zeta, s2.xi, eps)[0] + 16)
+        n = 2 * (states._cs_pairs(s2.zeta, s2.xi, eps) + 16)
         v1, v2 = cs_amplitudes(s1, n), cs_amplitudes(s2, n)
         assert abs(cs_overlap(s1, s2) - v1.overlap(v2)) <= 1e-10
 
