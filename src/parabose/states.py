@@ -36,12 +36,10 @@ implemented in ``cs_transition``; as printed it is algebraically identical to
 its inner index labels the parity pair n = 2m or n = 2m+1).
 
 A bounded cache keeps the last STATE_CACHE coherent states, each checked once
-as it enters.  Per state it holds, per parity, one normalized Laguerre column
-and one column of P_n, and the truncation search's outcome.  Each column
-grows in place and is never recomputed.  The truncation search's windows,
-the amplitudes and the distribution all read the same Laguerre columns, so a
-state costs one recurrence pass and one search however it is used, and every
-entry is the same number whatever the order of the calls.
+as it enters.  The truncation search, the amplitudes and the distribution all
+read a state's Laguerre columns, which grow in place and are never
+recomputed: a state costs one recurrence pass and one search however it is
+used, and every entry is the same number whatever the order of the calls.
 
 The overlap of two coherent states at one level sums both parity series by
 the Hille-Hardy formula (DLMF §18.18),
@@ -247,12 +245,23 @@ def _log_i_sum(epsilon: float, y):
 # Normalized Laguerre columns.
 
 _STEP_CHUNK = 4096
+_LN2 = math.log(2.0)
+
+
+def _scaled_exp(t: float, shift: int, exp=math.exp) -> float:
+    """exp(t) 2^shift: the shift scales exp(t) exactly, and splits off first
+    where exp(t) alone would leave the normal double range."""
+    if -708.0 < t < 709.0:
+        return math.ldexp(float(exp(t)), shift)
+    j = round(t / _LN2)
+    return math.ldexp(float(exp(t - j * _LN2)), j + shift)
 
 
 class _LaguerreColumn:
-    """e_n = sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n L_n^alpha(x / zeta), where
-    x = xi^2/2, grown in place: c_{2n} = pre e_n at alpha = eps - 1, and
-    c_{2n+1} = pre (xi/sqrt 2) e_n at alpha = eps.
+    """2^-scale e_n, e_n = sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n
+    L_n^alpha(x / zeta), x = xi^2/2, grown in place: c_{2n} = pre e_n at
+    alpha = eps - 1, c_{2n+1} = pre (xi/sqrt 2) e_n at alpha = eps.  The
+    exact power of two is chosen by ``_column_scale``.
 
     Recurrence e_0 = Gamma(alpha+1)^(-1/2),
     e_1 = (x - zeta (1+alpha)) e_0 / sqrt(alpha+1) and
@@ -268,9 +277,9 @@ class _LaguerreColumn:
     column grown in pieces equals (==) one grown in a single call.
     """
 
-    def __init__(self, alpha: float, zeta: complex, x: complex):
+    def __init__(self, alpha: float, zeta: complex, x: complex, scale=0):
         self.alpha, self.zeta, self.x = alpha, zeta, x
-        first = math.exp(-0.5 * math.lgamma(alpha + 1.0))
+        first = _scaled_exp(-0.5 * math.lgamma(alpha + 1.0), -scale)
         second = (x - zeta * (1.0 + alpha)) * first / math.sqrt(alpha + 1.0)
         self.values = np.array([first, second], dtype=complex)
 
@@ -298,11 +307,6 @@ class _LaguerreColumn:
             out[start:start + len(new)] = new
         self.values = out
         return self.values
-
-    def release(self) -> None:
-        """Keep only the two seed entries; ``extend`` grows the same column
-        again."""
-        self.values = self.values[:2].copy()
 
 
 def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
@@ -343,7 +347,7 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
                   epsilon: float) -> int:
     """The truncation search behind ``_cs_pairs``; 0 for a state whose pair
     masses |e_n|^2 + |xi|^2/2 |o_n|^2 (the amplitudes over the prefactor)
-    pass double range.
+    pass double range.  It reads them divided by the exact 4^scale.
 
     Scans the true per-pair masses over a working window that keeps growing
     until the trailing decay is safely geometric (asymptotic ratio
@@ -354,10 +358,9 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
     |zeta|^2 passes 0.9.
 
     The masses peak near exp(y), y = |xi|^2/(1-|zeta|^2), and pass double
-    range from y ~ 700.  They are nonnegative, so their sum is finite only
-    when every mass is.  On overflow the state's columns, as long as the
-    window, are released, so the cache keeps nothing of a state that cannot
-    be used.
+    range from y ~ 700; they are nonnegative, so their sum is finite only
+    when every mass is.  On overflow the state's columns are released, so
+    the cache keeps nothing of a state that cannot be used.
     """
     lam = 0.5 * xi_abs * xi_abs / max(1.0 - zeta_abs, 0.05)
     guess = 16 + _svs_pairs(zeta_abs, epsilon) \
@@ -370,7 +373,8 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
             w = (np.abs(even.extend(guess)[:guess]) ** 2
                  + 0.5 * xi_abs ** 2 * np.abs(odd.extend(guess)[:guess]) ** 2)
             total = float(np.sum(w))
-        if not math.isfinite(total):
+            unscaled = np.ldexp(total, 2 * state.scale)
+        if not math.isfinite(unscaled):
             state.release()
             return 0
         tip = max(float(np.max(w[-8:])), 1e-320)
@@ -387,15 +391,11 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
             f"|zeta|={zeta_abs}, |xi|={xi_abs}"
         )
     remaining = beyond
-    n_pairs = guess
     for n in range(guess - 1, 0, -1):
         remaining += w[n]
         if remaining / total >= CS_TAIL_BOUND:
-            n_pairs = n + 2
-            break
-    else:
-        n_pairs = 2
-    return min(max(n_pairs, 2), MAX_PAIRS)
+            return min(n + 2, MAX_PAIRS)
+    return 2
 
 
 def _resolve_pairs(auto_pairs: int, truncation: int | None) -> tuple[int, int]:
@@ -515,9 +515,11 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     """
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps), truncation)
-    even, odd = (column.extend(n_pairs)[:n_pairs]
-                 for column in _cs_state(zeta, xi, eps).laguerre)
-    pre = cmath.exp(_cs_log_prefactor(spec))
+    state = _cs_state(zeta, xi, eps)
+    even, odd = (column.extend(n_pairs)[:n_pairs] for column in state.laguerre)
+    # pre 2^s times 2^-s e_n, exactly; |pre| alone may pass double range
+    log_pre = _cs_log_prefactor(spec)
+    pre = cmath.rect(_scaled_exp(log_pre.real, state.scale), log_pre.imag)
     amps = np.zeros(n_total, dtype=complex)
     amps[0::2] = pre * even
     amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
@@ -530,25 +532,41 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
 _FIRST_PASS = 32
 
 
+def _column_scale(log_k: float, epsilon: float) -> int:
+    """The s of a state's columns 2^-s e_n, from log_k = ln |pre|^2, so that
+    both factors of P_n = |2^-s e_n|^2 (4^s |pre|^2) stay in double range
+    wherever P_n does.  Where |pre|^2 > 1 (~ Gamma(eps), past double range
+    from eps ~ 171.6, while |e_n|^2 ~ 1/Gamma(eps)), 4^s |pre|^2 is in
+    (1/4, 1].  Below eps = 1 the even weight n!/Gamma(n+eps) grows like
+    n^(1-eps); 4^s takes it out up to n = 2 MAX_PAIRS, so |2^-s e_n|^2
+    overflows no sooner than the unweighted |(-zeta)^n L_n^alpha|^2."""
+    if log_k > 0.0:
+        return math.floor(-0.5 * log_k / _LN2)
+    if epsilon < 1.0:
+        return math.ceil(0.5 * (1.0 - epsilon) * math.log2(2 * MAX_PAIRS))
+    return 0
+
+
 class _CsState:
     """One coherent state's n-dependent columns, each grown in place and
-    never recomputed.  Per parity (alpha = eps - 1 and eps): the normalized
-    Laguerre column e_n, which the truncation search, the amplitudes and
-    the distribution all read, and the column of P_{2n+parity} =
-    |e_n|^2 k_parity, with k_0 = |pre|^2 and k_1 = |xi|^2/2 |pre|^2.  Also
-    the truncation search's outcome, ``pairs``: None before it runs, then
-    the pair count, or 0 when the masses overflow.  The inputs are checked
-    once, here."""
+    never recomputed.  Per parity (alpha = eps - 1 and eps): the Laguerre
+    column 2^-s e_n (s = ``scale``), which the truncation search, the
+    amplitudes and the distribution all read, and the column of
+    P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s |pre|^2 and
+    k_1 = |xi|^2/2 k_0.  Also the search's outcome ``pairs``: None before it
+    runs, then the pair count, or 0 when the masses overflow.  The inputs
+    are checked once, here."""
 
     def __init__(self, zeta: complex, xi: complex, epsilon: float):
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=epsilon)
+        # ln |pre|^2: theta enters only the logarithm's imaginary part
+        log_k = 2.0 * _cs_log_prefactor(spec).real
+        self.scale = _column_scale(log_k, epsilon)
         x = 0.5 * xi * xi
-        self.laguerre = (_LaguerreColumn(epsilon - 1.0, zeta, x),
-                         _LaguerreColumn(epsilon, zeta, x))
+        self.laguerre = (_LaguerreColumn(epsilon - 1.0, zeta, x, self.scale),
+                         _LaguerreColumn(epsilon, zeta, x, self.scale))
         self.y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-        # theta enters the prefactor's logarithm only in its imaginary part
-        with np.errstate(over="ignore"):
-            k = float(np.exp(2.0 * _cs_log_prefactor(spec).real))
+        k = _scaled_exp(log_k, 2 * self.scale, np.exp)
         # |xi|^2/2 as a factor rather than a log: xi = 0 closes the odd lines
         self.factors = (k, 0.5 * abs(xi) ** 2 * k)
         self.transitions = (array("d"), array("d"))
@@ -564,7 +582,7 @@ class _CsState:
         """Drop the Laguerre columns; the P_n lines still read, from
         columns grown again."""
         for column in self.laguerre:
-            column.release()
+            column.values = column.values[:2].copy()
 
     def extend_transitions(self, parity: int, m: int) -> array:
         """The column of P_{2k + parity}, through k = m and every Laguerre
@@ -578,8 +596,7 @@ class _CsState:
             p = np.abs(laguerre.values[len(column):]) ** 2 \
                 * self.factors[parity]
         # probabilities may poke past 1 by round-off; a P past double range
-        # (|e_n|^2 overflows, from y ~ 700) is kept as NaN and raises when
-        # it is read
+        # (from y ~ 700) is kept as NaN and raises when it is read
         column.frombytes(np.where(np.isfinite(p), np.minimum(p, 1.0),
                                   np.nan).tobytes())
         return column
@@ -599,9 +616,9 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     so a whole distribution P_0 .. P_N costs O(N) and each further line is
     one lookup.  Each line is computed entry by entry, so P_n is the same
     number whatever the order of the calls.  A P_n that is not finite in
-    double precision raises DomainError: |e_n|^2 overflows from y ~ 700,
-    where the amplitudes' truncation search overflows too, and |pre|^2 from
-    eps ~ 171.
+    double precision raises DomainError: the stored |2^-s e_n|^2 overflows
+    from y ~ 700, where the amplitudes' truncation search overflows too;
+    the power of two s keeps both factors of P_n in range at every eps.
     """
     m, parity = divmod(check_index(n), 2)
     state = _cs_state(complex(zeta), complex(xi), float(epsilon))

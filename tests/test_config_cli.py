@@ -105,6 +105,17 @@ class TestCommands:
         odd = [float(r.split(",")[1]) for r in rows[1::2]]
         assert all(v == 0.0 for v in odd)  # xi defaults to zero
 
+    def test_cs_prob_at_large_epsilon(self, tmp_path):
+        # |pre|^2 passes double range from eps ~ 171.6: every row once
+        # raised, naming y rather than eps
+        out = str(tmp_path / "e")
+        assert main(["cs-prob", "--out", out, "--set", "state.zeta_abs=0.3",
+                     "--set", "state.xi_re=1", "--set", "figure.epsilons=200",
+                     "--set", "figure.n_max=300"]) == 0
+        rows = read(os.path.join(out, "cs_prob_eps200.csv")).splitlines()[1:]
+        p = [float(r.split(",")[1]) for r in rows]
+        assert len(p) == 301 and all(0.0 < v < 1.0 for v in p)
+
     def test_weight_start_value(self, tmp_path):
         out = str(tmp_path / "c")
         assert main(["weight", "--out", out,

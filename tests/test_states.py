@@ -300,6 +300,18 @@ class TestCsAmplitudes:
         assert len(errors) > 80
         assert max(errors) < 2e-13
 
+    @pytest.mark.parametrize("eps", [170.5, 200.0])
+    def test_large_epsilon_amplitudes_against_mpmath(self, eps):
+        # |e_n| ~ Gamma(eps)^(-1/2) underflowed through the truncation
+        # search's window, which at eps = 200 then scanned to MAX_PAIRS and
+        # raised TruncationError
+        zeta, xi = 0.5j, 3.0 - 1.0j
+        amps = cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps)).amplitudes
+        assert len(amps) > 300
+        for n in range(0, len(amps), 15):
+            ref = amplitude_mpmath(zeta, xi, eps, n)
+            assert abs(amps[n] - ref) < 2e-13 * abs(ref)
+
     @pytest.mark.parametrize("zeta_abs", [0.98, 0.99, 0.999])
     def test_deep_squeeze_truncation_search(self, zeta_abs):
         # the smoothed window ratio is floored at |zeta|^2, so past
@@ -408,15 +420,18 @@ class TestCsTransition:
     @staticmethod
     def _per_n(zeta, xi, eps, n):
         # the O(n) per-call evaluation the cached columns must reproduce, on
-        # the production primitives: a fresh column of one parity, and
-        # |pre|^2 from the prefactor's logarithm, times |xi|^2/2 on the odd
-        # lines; one-entry arrays, since numpy's array loop for abs may
-        # round differently from its scalar one
+        # the production primitives: a fresh column of one parity at the
+        # state's power-of-two scale, and 4^scale |pre|^2 from the
+        # prefactor's logarithm, times |xi|^2/2 on the odd lines; one-entry
+        # arrays, since numpy's array loop for abs may round differently
+        # from its scalar one
         m, parity = divmod(n, 2)
+        log_k = 2.0 * states._cs_log_prefactor(
+            CsSpec(zeta=zeta, xi=xi, epsilon=eps)).real
+        scale = states._column_scale(log_k, eps)
         col = states._LaguerreColumn((eps - 1.0, eps)[parity], zeta,
-                                     0.5 * xi * xi).extend(m + 1)
-        k = float(np.exp(2.0 * states._cs_log_prefactor(
-            CsSpec(zeta=zeta, xi=xi, epsilon=eps)).real))
+                                     0.5 * xi * xi, scale).extend(m + 1)
+        k = states._scaled_exp(log_k, 2 * scale, np.exp)
         if parity:
             k = 0.5 * abs(xi) ** 2 * k
         p = np.abs(col[[m]]) ** 2 * k
@@ -501,11 +516,11 @@ class TestCsTransition:
         with pytest.raises(DomainError, match="y = .* = 729"):
             cs_transition(0.0, 27.0, 2.5, 728)
         assert cs_transition(0.0, 27.0, 2.5, 729) == pytest.approx(
-            0.0146933982536429186, rel=1e-13)
+            0.0146933982536429186, rel=1e-13, abs=0.0)
         assert cs_transition(0.0, 27.0, 2.5, 100) == p100 > 0.0
         # past the window where |e_n|^2 overflows the lines read again
         assert cs_transition(0.0, 27.0, 2.5, 1000) == pytest.approx(
-            1.76652066726395e-22, rel=1e-8)  # 50-digit mpmath
+            1.76652066726395e-22, rel=1e-8, abs=0.0)  # 50-digit mpmath
         with pytest.raises(DomainError, match="y = .* = 900"):
             cs_transition(0.0, 30.0, 2.5, 500)
 
@@ -561,6 +576,31 @@ class TestCsTransition:
                       for n in range(len(amps))])
         keep = p >= 1e-300
         assert np.max(np.abs(p - np.abs(amps) ** 2)[keep] / p[keep]) < 1e-13
+
+    @pytest.mark.parametrize("eps", [170.5, 200.0])
+    def test_large_epsilon_against_mpmath(self, eps):
+        # |pre|^2 ~ Gamma(eps) passes double range from eps ~ 171.6, and
+        # |e_n|^2 ~ 1/Gamma(eps) underflows from eps ~ 100; with both in one
+        # product P_n once read 0.0 at n = 500 (eps 170.5) and raised on
+        # every line (eps 200), where the log-space form was finite
+        zeta, xi = 0.5j, 3.0 - 1.0j
+        for n in (0, 7, 100, 300, 400, 500):
+            ref = abs(amplitude_mpmath(zeta, xi, eps, n)) ** 2
+            assert 1e-46 < ref < 1.0
+            assert cs_transition(zeta, xi, eps, n) == pytest.approx(
+                ref, rel=2e-13, abs=0.0)
+
+    def test_even_weight_below_eps_one(self):
+        # below eps = 1 the even column's weight sqrt(n!/Gamma(n+eps))
+        # grows with n, so at y ~ 694 |e_n|^2 once overflowed on 102 even
+        # lines in n = 1568..1934 where the unweighted |M_n|^2 did not
+        zeta = 0.36933419965976905 - 0.5246373942029723j
+        xi = -19.088121943906774 - 6.635988194015919j
+        eps = 0.7397438758804311
+        for n in range(1568, 1936, 8):
+            ref = abs(amplitude_mpmath(zeta, xi, eps, n)) ** 2
+            assert cs_transition(zeta, xi, eps, n) == pytest.approx(
+                ref, rel=2e-13, abs=0.0)
 
     @pytest.mark.parametrize("xi", [4e4, 1e200, complex(1e308, 1e308)])
     def test_displacement_past_limit_rejected(self, xi):
