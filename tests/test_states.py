@@ -284,6 +284,18 @@ class TestCsAmplitudes:
         with pytest.raises(DomainError, match="y = .* = 72"):
             cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
 
+    def test_overflow_verdict_ignores_column_scale(self):
+        # below eps = 1 the columns are stored divided by 2^scale; the
+        # verdict tests the unscaled sum, so the overflow edge (y ~ 711.8 at
+        # eps = 0.75) is where the masses pass double range, not 4^scale
+        # further out
+        xi, eps = 26.69, 0.75
+        assert cs_amplitudes(CsSpec(zeta=0.0, xi=26.6, epsilon=eps)) \
+            .truncation == 940
+        with pytest.raises(DomainError, match="y = .* = 712"):
+            cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
+        assert states._cs_state(0j, complex(xi), eps).scale == 3
+
     @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES, ids=LONG_IDS)
     def test_amplitudes_against_mpmath(self, zeta, xi, eps):
         # every 15th amplitude of a state with N = 1274 to 1620 within 2e-13
