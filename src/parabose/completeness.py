@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureError
 from .states import _svs_coefficient_column, check_index
@@ -52,7 +51,9 @@ def weight(epsilon: float, r) -> np.ndarray | float:
 
 def _radial_nodes(epsilon: float, node_count: int):
     """Gauss-Jacobi nodes/weights for int_0^1 (1-u)^(eps-2) g(u) du =
-    sum w_j g(u_j); the endpoint factor is the quadrature weight."""
+    sum w_j g(u_j); the endpoint factor is the quadrature weight.  scipy's
+    special functions load here, on a closure check's first use."""
+    from scipy.special import roots_jacobi
     x, w = roots_jacobi(node_count, epsilon - 2.0, 0.0)
     u = 0.5 * (x + 1.0)
     return u, w * 2.0 ** (-(epsilon - 1.0))

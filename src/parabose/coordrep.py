@@ -22,27 +22,26 @@ y = |xi|^2/(1-|zeta|^2).  Its modulus squared has a closed form of its own
 (``density_closed_form``), used as the second route of the density check.
 
 Both Bessel orders, 2 ell -+ 1/2, are half-odd integers, so I_{n+1/2}(w) is
-elementary: e^(+-w) times a polynomial in 1/w (DLMF 10.49(ii)).
-``_bessel_ratio`` evaluates exp(-|Re w|) I_{n+1/2}(w) / (w/2)^(n+1/2) in that
-form, by the ascending series (DLMF 10.25.2) at small |w|, and by scipy's
-``ive`` for orders past ELEMENTARY_MAX_ORDER + 1/2 (ell >= 5).  psi and the
-closed-form density share this one evaluator, so the density check tests
-the two formulas, not two Bessel evaluations.
+elementary: e^(+-w) times a polynomial in 1/w (DLMF 10.49(ii)).  Each term
+and the normalization come from the package's one evaluator of
+Lambda_nu(w) = Gamma(nu+1) I_nu(w)/(w/2)^nu (``bessel``): the elementary
+form, the ascending series at small |w|, and scipy's ive only for orders
+past ELEMENTARY_MAX_ORDER + 1/2 (ell >= 5).  psi, the closed-form density
+and the normalization share it, so the density check tests the two
+formulas, not two Bessel evaluations.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
-from scipy.special import ive
 
+from .bessel import log_pair, ratio_array
 from .errors import DomainError, QuadratureError
 from .fock import AlgebraParams
-from .states import CsSpec, _log_i_sum
+from .states import CsSpec
 
 __all__ = [
     "WavefunctionGrid",
@@ -101,96 +100,6 @@ def _half_line(x) -> np.ndarray:
     return x_arr
 
 
-# Orders n + 1/2 up to this n are evaluated in elementary closed form.  Past
-# it, near |w| ~ n, both the closed form and the series lose about 1e-13 to
-# cancellation at any radius (measured against mpmath on 64 directions of w).
-ELEMENTARY_MAX_ORDER = 9
-# |w| below which the ascending series serves order n + 1/2, n = -1 .. 9: the
-# radius of least worst error, measured as above
-SERIES_RADIUS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.25, 10.875, 12.125)
-
-
-def _series_radius(n: int) -> float:
-    # past the cutoff the series only keeps ive away from |w| -> 0
-    return SERIES_RADIUS[n + 1] if n <= ELEMENTARY_MAX_ORDER else 2.0
-
-
-@functools.cache
-def _series_coefficients(n: int) -> tuple[float, ...]:
-    """sqrt(pi) / (k! Gamma(n + k + 3/2)) = 4^j j! / (k! (2j)!), j = n + k + 1,
-    highest k first, through the first term below 2^-60 of the leading one
-    at the series radius; each is the rounded exact rational over sqrt(pi)."""
-    t_max = Fraction(_series_radius(n)) ** 2 / 4
-    terms = []
-    while True:
-        k = len(terms)
-        j = n + k + 1
-        c = Fraction(4 ** j * math.factorial(j),
-                     math.factorial(k) * math.factorial(2 * j))
-        if terms and c * t_max ** k < terms[0] / 2 ** 60:
-            break
-        terms.append(c)
-    return tuple(float(c) / math.sqrt(math.pi) for c in reversed(terms))
-
-
-@functools.cache
-def _elementary_coefficients(n: int) -> tuple[float, ...]:
-    """2^n a_k(m + 1/2) / sqrt(pi), a_k = (m+k)! / (2^k k! (m-k)!) and
-    m = |n + 1/2| - 1/2, highest k first."""
-    m = max(n, 0)
-    return tuple(
-        float(Fraction(2) ** n * Fraction(math.factorial(m + k), 2 ** k
-              * math.factorial(k) * math.factorial(m - k))) / math.sqrt(math.pi)
-        for k in reversed(range(m + 1)))
-
-
-def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    acc = np.full_like(t, coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * t + c
-    return acc
-
-
-def _bessel_ratio(n: int, w: np.ndarray) -> np.ndarray:
-    """exp(-|Re w|) I_{n+1/2}(w) / (w/2)^(n+1/2) for integer n >= -1, entire
-    in w; the one Bessel evaluator of the coordinate sector.
-
-    Below the order's radius (``_series_radius``) it is the ascending
-    series (DLMF 10.25.2), exp(-|Re w|) sum_k (w^2/4)^k / (k! Gamma(n + k +
-    3/2)).  Above it, for n <= ELEMENTARY_MAX_ORDER, it is the elementary
-    form (DLMF 10.49(ii)) with t = 1/w and P(t) = sum_{k<=m} a_k(m + 1/2) t^k,
-
-        2^n t^(n+1) [e^(w - |Re w|) P(-t)
-                     - (-1)^n e^(-w - |Re w|) P(t)] / sqrt(pi),
-
-    whose power of w is an integer, so no branch is chosen, and whose
-    exponents already carry the scale, so neither term overflows.  Higher
-    orders take scipy's ive (Amos) there.  Against mpmath the relative error
-    is below 4e-14 for n <= 11 on |w| <= 300, w = 0 included.
-    """
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    near = np.abs(w) < _series_radius(n)
-    if near.any():
-        wn = w[near]
-        out[near] = (_horner(_series_coefficients(n), 0.25 * wn * wn)
-                     * np.exp(-np.abs(wn.real)))
-    far = ~near
-    if not far.any():
-        return out
-    wf = w[far]
-    if n > ELEMENTARY_MAX_ORDER:
-        out[far] = ive(n + 0.5, wf) / (0.5 * wf) ** (n + 0.5)
-        return out
-    t = 1.0 / wf
-    coeffs = _elementary_coefficients(n)
-    scale = np.abs(wf.real)
-    out[far] = t ** (n + 1) * (
-        np.exp(wf - scale) * _horner(coeffs, -t)
-        - (-1) ** n * np.exp(-wf - scale) * _horner(coeffs, t))
-    return out
-
-
 def _direction(spec: CsSpec, params: AlgebraParams) -> complex:
     """u with w = sqrt(2y) x u: (xi/|xi|) sqrt(1-|zeta|^2) / ((1-zeta) l),
     xi -> 0 taken along the positive real axis."""
@@ -212,7 +121,9 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     With nu = 2 ell - 1/2 and w = sqrt(2y) x u, the power (w/2)^nu of each
     Bessel term splits into u^nu x^nu (positive reals do not move the
     principal argument) and (y/2)^(nu/2), which cancels in the regularized
-    normalization; x = 0 and xi = 0 need no limits of their own.
+    normalization; x = 0 and xi = 0 need no limits of their own.  Each term
+    is Lambda(w)/Gamma(nu+1), and the odd one has a factor w/(2 eps):
+    I_eps(w)/(w/2)^nu = (w/2) Lambda_eps(w)/Gamma(eps+1).
     """
     ell = _spec_ell(spec, params)
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
@@ -223,7 +134,7 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     y = abs(xi) ** 2 / one
     u = _direction(spec, params)
     w = math.sqrt(2.0 * y) * x_arr * u
-    log_const = (-0.5 * _log_i_sum(eps, y)
+    log_const = (-0.5 * (log_pair(eps, y) + math.lgamma(eps))
                  - (1.0 - np.conj(zeta)) * xi * xi / (2.0 * (1.0 - zeta) * one)
                  + 1j * spec.theta)
     # the Bessel ratios carry exp(-|Re w|): the growth joins the Gaussian
@@ -231,8 +142,8 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
             * np.exp(log_const
                      - (1.0 + zeta) / (1.0 - zeta) * x_arr ** 2 / (2.0 * l * l)
                      + np.abs(w.real)))
-    even = root * _bessel_ratio(2 * ell - 1, w)
-    odd = root * 0.5 * w * _bessel_ratio(2 * ell, w)
+    even = root * ratio_array(nu, w)
+    odd = root * w / (2.0 * eps) * ratio_array(eps, w)
     return even, odd
 
 
@@ -276,12 +187,13 @@ def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x):
 def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
     """Probability density evaluated by its own closed form (not |psi|^2):
 
-        rho = (q/l^2)^(2 ell + 1/2) x^(4 ell) |R_nu(w) + (w/2) R_{nu+1}(w)|^2
-              exp(2 |Re w| - L - q x^2/l^2 - shift),
+        rho = (q/l^2)^(2 ell + 1/2) x^(4 ell)
+              |Lambda_nu(w) + w/(2 eps) Lambda_eps(w)|^2
+              exp(2 |Re w| - L - ln Gamma(eps) - q x^2/l^2 - shift),
 
-    q = (1-|zeta|^2)/|1-zeta|^2, R_k(w) = exp(-|Re w|) I_k(w)/(w/2)^k from
-    ``_bessel_ratio`` (the evaluator psi uses too) and L the regularized log
-    normalization; |u|^(2 nu) = (q/l^2)^nu."""
+    q = (1-|zeta|^2)/|1-zeta|^2, exp(-|Re w|) Lambda_k(w) from
+    ``bessel.ratio_array`` (the evaluator psi uses too), L = ``log_pair``
+    the normalization's Bessel pair at y and |u|^(2 nu) = (q/l^2)^nu."""
     ell = _spec_ell(spec, params)
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
@@ -291,10 +203,10 @@ def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
     q = one / abs(1.0 - zeta) ** 2
     y = abs(xi) ** 2 / one
     w = math.sqrt(2.0 * y) * x_arr * _direction(spec, params)
-    bsum = _bessel_ratio(2 * ell - 1, w) + 0.5 * w * _bessel_ratio(2 * ell, w)
+    bsum = ratio_array(nu, w) + w / (2.0 * eps) * ratio_array(eps, w)
     shift = (((1.0 - np.conj(zeta)) / (1.0 - zeta)) * xi * xi).real / one
     rho = ((q / (l * l)) ** (nu + 1.0) * x_arr ** (4 * ell) * np.abs(bsum) ** 2
-           * np.exp(2.0 * np.abs(w.real) - _log_i_sum(eps, y)
+           * np.exp(2.0 * np.abs(w.real) - log_pair(eps, y) - math.lgamma(eps)
                     - q * x_arr ** 2 / (l * l) - shift))
     return rho if np.ndim(x) else float(rho[0])
 

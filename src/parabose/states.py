@@ -6,34 +6,27 @@ Squeezed-vacuum family (even sector only):
              sqrt(Gamma(n+eps) / (n! Gamma(eps)))
 
 Coherent family (eigenstates of the transformed lowering operator, all
-parities):
+parities), as printed
 
     c_{2n}   =  pre sqrt(n!) (-zeta)^n L_n^{eps-1}(xi^2/(2 zeta)) / sqrt(Gamma(n+eps))
     c_{2n+1} =  pre (xi/sqrt 2) sqrt(n!) (-zeta)^n L_n^{eps}(xi^2/(2 zeta))
-                / sqrt(Gamma(n+eps+1))
+                / sqrt(Gamma(n+eps+1)),
+    pre = (xi/sqrt 2)^(eps-1) sqrt((1-|zeta|^2) / (I_{eps-1}(y) + I_eps(y)))
+          exp(conj(zeta) xi^2 / (2 (1-|zeta|^2)) + i theta),
+    y = |xi|^2 / (1-|zeta|^2),
 
-with prefactor
-
-    pre = (xi/sqrt 2)^(eps-1)
-          sqrt((1-|zeta|^2) / (I_{eps-1}(y) + I_eps(y)))
-          exp( conj(zeta) xi^2 / (2 (1-|zeta|^2)) + i theta ),
-    y = |xi|^2 / (1-|zeta|^2).
-
-The power (xi/sqrt 2)^(eps-1) cancels against (y/2)^(eps-1) divided out of
-the Bessel sum, whose quotient is entire (DLMF 10.25.2), so xi = 0 is an
-ordinary input: the odd amplitudes vanish and the even ones are the
-squeezed-vacuum series, with arg xi -> 0 taken from the positive real axis.
-The column sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n L_n^alpha(xi^2/(2 zeta)),
-alpha = eps - 1 + parity, is evaluated through its own three-term recurrence
-(that of the orthonormal Laguerre polynomials, DLMF §18.9, scaled by
-(-zeta)^n), which is exact for every |zeta| < 1 and reduces termwise to the
-zeta -> 0 limit (xi^2/2)^n / sqrt(n! Gamma(n+alpha+1)), so no argument ever
-diverges; the amplitudes of each parity are the prefactor times that
-column.
-The transition distribution P_n = |c_n|^2 has the closed parity-split form
-implemented in ``cs_transition``; as printed it is algebraically identical to
-|c_n|^2 (the exponential in it is exactly |exp(conj(zeta) xi^2 / ...)|^2, and
-its inner index labels the parity pair n = 2m or n = 2m+1).
+and as evaluated: c_{2n} = p e_n(eps - 1), c_{2n+1} = p xi/sqrt(2 eps)
+e_n(eps), with the columns e_n(alpha) = sqrt(n!/(alpha+1)_n) (-zeta)^n
+L_n^alpha(xi^2/(2 zeta)).  The Bessel sum is (y/2)^(eps-1)/Gamma(eps) times
+the pair Lambda_{eps-1}(y) + y/(2 eps) Lambda_eps(y), where Lambda_nu(y) =
+Gamma(nu+1) I_nu(y)/(y/2)^nu (``bessel``): its power cancels
+(xi/sqrt 2)^(eps-1) and its Gamma(eps) the columns' Gamma functions, so no
+Gamma function is evaluated and xi = 0 is an ordinary input (the
+squeezed-vacuum series, arg xi -> 0 taken from the positive real axis).
+Each column follows its own three-term recurrence (that of the orthonormal
+Laguerre polynomials, DLMF §18.9, scaled by (-zeta)^n), exact for every
+|zeta| < 1 and termwise (xi^2/2)^n / sqrt(n! (alpha+1)_n) at zeta = 0.
+``cs_transition``'s P_n = |c_n|^2 is the paper's parity-split closed form.
 
 A bounded cache keeps the last STATE_CACHE coherent states, each checked once
 as it enters.  The truncation search, the amplitudes and the distribution all
@@ -42,17 +35,16 @@ recomputed: a state costs one recurrence pass and one search however it is
 used, and every entry is the same number whatever the order of the calls.
 
 The overlap of two coherent states at one level sums both parity series by
-the Hille-Hardy formula (DLMF §18.18),
+the Hille-Hardy formula (DLMF §18.18): with M_n = (-zeta)^n
+L_n^alpha(xi^2/(2 zeta)), t = conj(zeta1) zeta2, a = conj(xi1)^2/2,
+b = xi2^2/2 and z = conj(xi1) xi2/(1-t),
 
-    sum_n n!/Gamma(n+alpha+1) conj(M1_n) M2_n
-        = (1-t)^(-alpha-1) exp(-(a zeta2 + b conj(zeta1))/(1-t)) R_alpha(z),
+    sum_n n!/(alpha+1)_n conj(M1_n) M2_n
+        = (1-t)^(-alpha-1) exp(-(a zeta2 + b conj(zeta1))/(1-t))
+          Lambda_alpha(z),
 
-where M_n = (-zeta)^n L_n^alpha(xi^2/(2 zeta)) of each state,
-t = conj(zeta1) zeta2, a = conj(xi1)^2/2, b = xi2^2/2,
-z = conj(xi1) xi2/(1-t) and R_alpha(z) = I_alpha(z)/(z/2)^alpha is entire.  The
-even and odd sums then add up to the normalization's Bessel pair
-(I_{eps-1}(z) + I_eps(z))/(z/2)^(eps-1) at complex z, which is y at
-spec1 = spec2.
+so the even and odd sums add up to the normalization's pair at z (y at
+spec1 = spec2).
 """
 
 from __future__ import annotations
@@ -65,8 +57,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
+from .bessel import log_pair, pair
 from .errors import ConfigError, DomainError, TruncationError
 from .fock import FockVector, check_epsilon
 
@@ -92,8 +84,9 @@ MAX_PAIRS = 200_000
 NORM_WARN_TOL = 1e-9
 SQUEEZE_LIMIT = 1.0 - 1e-6
 STATE_CACHE = 8
-# the normalization's Bessel pair comes from scipy's ive, which returns NaN
-# past |z| = 2^30 ~ 1.07e9
+# off the lattice eps = 2 ell + 1/2 the normalization's Bessel pair comes
+# from scipy's ive, which returns NaN past |z| = 2^30 ~ 1.07e9 (on it the
+# pair is elementary)
 Y_LIMIT = 1e9
 
 # Test hook for mutation detection: flips a sign inside the squeezed-vacuum
@@ -191,61 +184,11 @@ def _arg_from_above(x: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel helpers (normalization, overlap and parity mean), built on the
-# exponentially scaled ive(kappa, z) = exp(-|Re z|) I_kappa(z).  Below
-# _SMALL_Y (where its O(|z|^6 / eps^3) remainder is below round-off, and ive
-# would lose ~1e-13 to cancellation against (eps - 1) ln(z/2)) or where ive
-# underflows, the leading small-argument series takes over in log space.
-
-_TINY = np.finfo(float).tiny
-_SMALL_Y = 1e-3
-
-
-def _i_small_pair(epsilon: float, y):
-    """Leading small-argument factors (s_lo, t) with
-    I_{eps-1}(y) = (y/2)^(eps-1)/Gamma(eps) * s_lo and I_eps = I_{eps-1} * t,
-    for real or complex y; relative error O(|y|^6 / eps^3), and no underflow
-    however small y is."""
-    q = 0.25 * y * y
-    s_lo = 1.0 + q / epsilon + q * q / (2.0 * epsilon * (epsilon + 1.0))
-    s_hi = 1.0 + q / (epsilon + 1.0) \
-        + q * q / (2.0 * (epsilon + 1.0) * (epsilon + 2.0))
-    t = 0.5 * y / epsilon * s_hi / s_lo
-    return s_lo, t
-
-
-def _log_i_sum(epsilon: float, y):
-    """ln[ (I_{eps-1}(y) + I_eps(y)) / (y/2)^(eps-1) ] for real y (a float)
-    or complex y (a complex logarithm of the same entire function).
-
-    The divided-out power makes it regular (DLMF 10.25.2): at y = 0 it is
-    -ln Gamma(eps), so zero displacement needs no limit of its own.  Each
-    I_nu(y)/(y/2)^nu is even in y, so Re y < 0 is evaluated at -y, where the
-    second term (one factor y/2 more) changes sign and no branch cut is
-    near.  There the two terms cancel; a sum that cancels to zero is below
-    round-off on the scale exp(|Re y|) and gives -inf.
-    """
-    real = not isinstance(y, complex)
-    log = math.log if real else cmath.log
-    if abs(y) >= _SMALL_Y:
-        sign = -1.0 if y.real < 0.0 else 1.0
-        w = sign * y
-        lo, hi = ive(epsilon - 1.0, w), ive(epsilon, w)
-        if abs(hi) >= _TINY:
-            pair = lo + sign * hi
-            if pair == 0.0:
-                return -math.inf
-            return w.real + log(pair) - (epsilon - 1.0) * log(0.5 * w)
-    s_lo, t = _i_small_pair(epsilon, y)
-    return (-math.lgamma(epsilon) + log(s_lo)
-            + (math.log1p(t) if real else log(1.0 + t)))
-
-
-# ---------------------------------------------------------------------------
 # Normalized Laguerre columns.
 
 _STEP_CHUNK = 4096
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _scaled_exp(t: float, shift: int, exp=math.exp) -> float:
@@ -258,19 +201,18 @@ def _scaled_exp(t: float, shift: int, exp=math.exp) -> float:
 
 
 class _LaguerreColumn:
-    """2^-scale e_n, e_n = sqrt(n!/Gamma(n+alpha+1)) (-zeta)^n
-    L_n^alpha(x / zeta), x = xi^2/2, grown in place: c_{2n} = pre e_n at
-    alpha = eps - 1, c_{2n+1} = pre (xi/sqrt 2) e_n at alpha = eps.  The
-    exact power of two is chosen by ``_column_scale``.
+    """2^-scale e_n, e_n = sqrt(n!/(alpha+1)_n) (-zeta)^n L_n^alpha(x / zeta),
+    x = xi^2/2, grown in place: c_{2n} = pre e_n at alpha = eps - 1,
+    c_{2n+1} = pre xi/sqrt(2 eps) e_n at alpha = eps.  The exact power of
+    two is chosen by ``_column_scale``.
 
-    Recurrence e_0 = Gamma(alpha+1)^(-1/2),
-    e_1 = (x - zeta (1+alpha)) e_0 / sqrt(alpha+1) and
+    Recurrence e_0 = 1, e_1 = (x - zeta (1+alpha)) / sqrt(alpha+1) and
 
         sqrt((n+1)(n+alpha+1)) e_{n+1}
             = (x - zeta (2n+1+alpha)) e_n - zeta^2 sqrt(n (n+alpha)) e_{n-1};
 
-    at zeta = 0 it degenerates to e_n = x^n / sqrt(n! Gamma(n+alpha+1))
-    termwise, so the column is continuous across the zero-squeeze point.
+    at zeta = 0 it degenerates to e_n = x^n / sqrt(n! (alpha+1)_n) termwise,
+    so the column is continuous across the zero-squeeze point.
     Each new entry comes from the last two, so a column is computed once
     however far it is read.  The three coefficients of a step are
     elementwise numpy operations and the steps run on Python complex, so a
@@ -279,7 +221,7 @@ class _LaguerreColumn:
 
     def __init__(self, alpha: float, zeta: complex, x: complex, scale=0):
         self.alpha, self.zeta, self.x = alpha, zeta, x
-        first = _scaled_exp(-0.5 * math.lgamma(alpha + 1.0), -scale)
+        first = math.ldexp(1.0, -scale)
         second = (x - zeta * (1.0 + alpha)) * first / math.sqrt(alpha + 1.0)
         self.values = np.array([first, second], dtype=complex)
 
@@ -334,8 +276,7 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
     whose masses pass double range keeps that verdict instead, and every
     call raises DomainError at once.
     """
-    zeta, xi = complex(zeta), complex(xi)
-    state = _cs_state(zeta, xi, float(epsilon))
+    state = _cs_state(zeta, xi, epsilon)
     if state.pairs is None:
         state.pairs = _search_pairs(state, abs(zeta), abs(xi), epsilon)
     if not state.pairs:
@@ -346,8 +287,9 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
 def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
                   epsilon: float) -> int:
     """The truncation search behind ``_cs_pairs``; 0 for a state whose pair
-    masses |e_n|^2 + |xi|^2/2 |o_n|^2 (the amplitudes over the prefactor)
-    pass double range.  It reads them divided by the exact 4^scale.
+    masses pass double range, read on the column before normalization,
+    |e_n|^2 + |xi|^2/(2 eps) |o_n|^2 over Gamma(eps) (the amplitudes over
+    the prefactor).  It reads them divided by the exact 4^scale.
 
     Scans the true per-pair masses over a working window that keeps growing
     until the trailing decay is safely geometric (asymptotic ratio
@@ -370,11 +312,12 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
     while True:
         guess = min(guess, MAX_PAIRS)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = (np.abs(even.extend(guess)[:guess]) ** 2
-                 + 0.5 * xi_abs ** 2 * np.abs(odd.extend(guess)[:guess]) ** 2)
+            w = (np.abs(even.extend(guess)[:guess]) ** 2 + 0.5 * xi_abs ** 2
+                 / epsilon * np.abs(odd.extend(guess)[:guess]) ** 2)
             total = float(np.sum(w))
-            unscaled = np.ldexp(total, 2 * state.scale)
-        if not math.isfinite(unscaled):
+        # ln of the masses before normalization: 4^scale total / Gamma(eps)
+        if not (math.log(total) + 2 * state.scale * _LN2
+                - math.lgamma(epsilon) < _LOG_MAX):
             state.release()
             return 0
         tip = max(float(np.max(w[-8:])), 1e-320)
@@ -492,15 +435,16 @@ def svs_overlap(spec1: SvsSpec, spec2: SvsSpec) -> complex:
 def _cs_log_prefactor(spec: CsSpec) -> complex:
     """Logarithm of the common amplitude prefactor (overflow-safe).
 
-    Its power (xi/sqrt 2)^(eps-1) cancels against the one divided out of
-    ``_log_i_sum``, which leaves the modulus
-    (1-|zeta|^2)^(eps/2) exp(-L/2 + Re w), regular at xi = 0.
+    Its power (xi/sqrt 2)^(eps-1) and the Gamma(eps) of the columns cancel
+    against the normalization's Bessel sum, which leaves the modulus
+    (1-|zeta|^2)^(eps/2) exp(-L/2 + Re w), L = ``log_pair``(eps, y),
+    regular at xi = 0.
     """
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
     w = np.conj(zeta) * xi * xi / (2.0 * one)
-    log_mag = 0.5 * eps * math.log(one) - 0.5 * _log_i_sum(eps, y) + w.real
+    log_mag = 0.5 * eps * math.log(one) - 0.5 * log_pair(eps, y) + w.real
     arg = (eps - 1.0) * _arg_from_above(xi) + w.imag + spec.theta
     return complex(log_mag, arg)
 
@@ -522,7 +466,7 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     pre = cmath.rect(_scaled_exp(log_pre.real, state.scale), log_pre.imag)
     amps = np.zeros(n_total, dtype=complex)
     amps[0::2] = pre * even
-    amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
+    amps[1::2] = pre * (xi / math.sqrt(2.0 * eps)) * odd
     return _finalize(amps, "cs_amplitudes")
 
 
@@ -535,16 +479,20 @@ _FIRST_PASS = 32
 def _column_scale(log_k: float, epsilon: float) -> int:
     """The s of a state's columns 2^-s e_n, from log_k = ln |pre|^2, so that
     both factors of P_n = |2^-s e_n|^2 (4^s |pre|^2) stay in double range
-    wherever P_n does.  Where |pre|^2 > 1 (~ Gamma(eps), past double range
-    from eps ~ 171.6, while |e_n|^2 ~ 1/Gamma(eps)), 4^s |pre|^2 is in
-    (1/4, 1].  Below eps = 1 the even weight n!/Gamma(n+eps) grows like
-    n^(1-eps); 4^s takes it out up to n = 2 MAX_PAIRS, so |2^-s e_n|^2
-    overflows no sooner than the unweighted |(-zeta)^n L_n^alpha|^2."""
-    if log_k > 0.0:
+    wherever P_n does.  Where Gamma(eps) |pre|^2 > 1, 4^s |pre|^2 is in
+    (1/4, 1].  Elsewhere 2^s >= Gamma(eps)^(1/2), so the columns are no
+    larger than before normalization, sqrt(n!/Gamma(n+alpha+1)) M_n, and
+    overflow no sooner than those; below eps = 1 the even weight n!/(eps)_n
+    grows like n^(1-eps), and 4^s also takes that out up to n = 2 MAX_PAIRS,
+    so |2^-s e_n|^2 overflows no sooner than the unweighted
+    |(-zeta)^n L_n^alpha|^2."""
+    gamma = math.lgamma(epsilon)
+    if log_k + gamma > 0.0:
         return math.floor(-0.5 * log_k / _LN2)
+    s = math.ceil(0.5 * gamma / _LN2)
     if epsilon < 1.0:
-        return math.ceil(0.5 * (1.0 - epsilon) * math.log2(2 * MAX_PAIRS))
-    return 0
+        s += math.ceil(0.5 * (1.0 - epsilon) * math.log2(2 * MAX_PAIRS))
+    return s
 
 
 class _CsState:
@@ -553,11 +501,12 @@ class _CsState:
     column 2^-s e_n (s = ``scale``), which the truncation search, the
     amplitudes and the distribution all read, and the column of
     P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s |pre|^2 and
-    k_1 = |xi|^2/2 k_0.  Also the search's outcome ``pairs``: None before it
-    runs, then the pair count, or 0 when the masses overflow.  The inputs
-    are checked once, here."""
+    k_1 = |xi|^2/(2 eps) k_0.  Also the search's outcome ``pairs``: None
+    before it runs, then the pair count, or 0 when the masses overflow.  The
+    inputs are checked once, here, and converted to complex and float."""
 
-    def __init__(self, zeta: complex, xi: complex, epsilon: float):
+    def __init__(self, zeta, xi, epsilon):
+        zeta, xi, epsilon = complex(zeta), complex(xi), float(epsilon)
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=epsilon)
         # ln |pre|^2: theta enters only the logarithm's imaginary part
         log_k = 2.0 * _cs_log_prefactor(spec).real
@@ -567,8 +516,9 @@ class _CsState:
                          _LaguerreColumn(epsilon, zeta, x, self.scale))
         self.y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
         k = _scaled_exp(log_k, 2 * self.scale, np.exp)
-        # |xi|^2/2 as a factor rather than a log: xi = 0 closes the odd lines
-        self.factors = (k, 0.5 * abs(xi) ** 2 * k)
+        # |xi|^2/(2 eps) as a factor rather than a log: xi = 0 closes the odd
+        # lines
+        self.factors = (k, abs(xi) ** 2 / (2.0 * epsilon) * k)
         self.transitions = (array("d"), array("d"))
         self.pairs = None
 
@@ -602,8 +552,10 @@ class _CsState:
         return column
 
 
+# keyed on the caller's own numbers: equal values hash and compare equal,
+# whatever their type, so a cached read converts nothing
 @functools.lru_cache(maxsize=STATE_CACHE)
-def _cs_state(zeta: complex, xi: complex, epsilon: float) -> _CsState:
+def _cs_state(zeta, xi, epsilon) -> _CsState:
     return _CsState(zeta, xi, epsilon)
 
 
@@ -621,7 +573,7 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     the power of two s keeps both factors of P_n in range at every eps.
     """
     m, parity = divmod(check_index(n), 2)
-    state = _cs_state(complex(zeta), complex(xi), float(epsilon))
+    state = _cs_state(zeta, xi, epsilon)
     column = state.transitions[parity]
     if m >= len(column):
         column = state.extend_transitions(parity, m)
@@ -645,7 +597,9 @@ def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
     the normalization's own Bessel pair at complex z (at spec1 = spec2,
     z = y).  The product is assembled in log space and exponentiated once,
     so no truncation is chosen and displacements past the amplitudes' double
-    range (y ~ 700) still give finite overlaps.
+    range (y ~ 700) still give finite overlaps.  Its terms are of size y, so
+    the overlap carries about y 1e-16 relative error: <s|s> - 1 reaches
+    2.3e-10 at y = 1e6 and 3e-8 at y = 1e8.
     """
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("cs_overlap requires equal epsilon")
@@ -657,7 +611,7 @@ def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
                    + _cs_log_prefactor(spec2)
                    - eps * cmath.log(one_t)
                    - 0.5 * (x1 * x1 * z2 + x2 * x2 * z1) / one_t
-                   + _log_i_sum(eps, x1 * x2 / one_t))
+                   + log_pair(eps, x1 * x2 / one_t))
     return cmath.exp(log_overlap)
 
 
@@ -667,9 +621,10 @@ def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:
         (I_{eps-1}(y) - I_eps(y)) / (I_{eps-1}(y) + I_eps(y)),
 
     y = |xi|^2/(1-|zeta|^2): the normalization's Bessel pair at -y over the
-    same pair at y (each I_nu(y)/(y/2)^nu is even in y); exactly 1 at
-    xi = 0 (pure even state)."""
+    same pair at y (each Lambda_nu is even); exactly 1 at xi = 0 (pure even
+    state).  Both pairs come from the same two terms on one scale; the
+    numerator, I_{eps-1} - I_eps ~ I (eps - 1/2)/y, cancels, so the ratio
+    carries about y 1e-16 relative error (3.4e-11 at y = 1e6, eps = 2.5)."""
     _check_state_inputs(zeta, epsilon, xi)
-    y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-    eps = float(epsilon)
-    return math.exp(_log_i_sum(eps, -y) - _log_i_sum(eps, y))
+    _, a, b = pair(float(epsilon), abs(xi) ** 2 / (1.0 - abs(zeta) ** 2))
+    return float((a - b) / (a + b))

@@ -347,3 +347,30 @@ class TestDeterminism:
                          for n in sorted(os.listdir(out))}
         assert runs["again"] == runs["fresh"]
         assert runs["set"] != runs["fresh"]
+
+
+def test_figure_commands_leave_scipy_special_unloaded(tmp_path):
+    # on their configs the five figure commands evaluate Bessel functions
+    # only on the lattice eps = 2 ell + 1/2, where they are elementary, and
+    # no Jacobi rule, so neither the import nor a run loads scipy.special
+    # (about half of a cold command's time)
+    src = os.path.dirname(os.path.dirname(parabose.__file__))
+    configs = os.path.join(os.path.dirname(src), "configs")
+    probe = "\n".join([
+        "import os, sys",
+        "import parabose.cli",
+        "print('import' if 'scipy.special' in sys.modules else '')",
+        "for cmd, conf in [('svs-prob', 'svs_prob'), ('cs-prob', 'cs_prob'),",
+        "                  ('density', 'density'), ('weight', 'weight'),",
+        "                  ('oscillator', 'oscillator')]:",
+        f"    assert parabose.cli.main([cmd, '--config', os.path.join("
+        f"{configs!r}, 'fig_' + conf + '.conf'), '--out', "
+        f"os.path.join({str(tmp_path)!r}, cmd)]) == 0",
+        "    print(cmd if 'scipy.special' in sys.modules else '')",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []
+    assert sorted(os.listdir(tmp_path)) == ["cs-prob", "density",
+                                            "oscillator", "svs-prob", "weight"]

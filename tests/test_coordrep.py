@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from conftest import fock_basis_wavefunction
-from parabose import coordrep
+from parabose import bessel, coordrep
 from parabose.errors import DomainError, QuadratureError
 from parabose.fock import AlgebraParams, build_hamiltonian, build_ladder
 from parabose.states import CsSpec, cs_amplitudes
@@ -204,8 +204,9 @@ class TestDensity:
 
     @pytest.mark.parametrize("ell", [5, 6])
     def test_orders_past_the_elementary_cutoff(self, ell):
-        # ell = 6 takes both Bessel orders from ive, ell = 5 its odd one
-        assert 2 * ell > coordrep.ELEMENTARY_MAX_ORDER
+        # ell = 6 takes both Bessel orders from the general series and ive,
+        # ell = 5 its odd one
+        assert 2 * ell > bessel.ELEMENTARY_MAX_ORDER
         spec = CsSpec(zeta=0.45, xi=1j, epsilon=2 * ell + 0.5, theta=0.4)
         params = AlgebraParams.from_ell(ell)
         wg = coordrep.probability_density(spec, params)
@@ -338,10 +339,10 @@ class TestDensity:
     def test_norm_gate_fires(self, monkeypatch):
         # a normalization off by 1e-7 moves both density routes together, so
         # the two-route check (run first) passes and the norm gate must fire
-        log_i_sum = coordrep._log_i_sum
+        log_pair = coordrep.log_pair
         with monkeypatch.context() as m:
-            m.setattr(coordrep, "_log_i_sum",
-                      lambda eps, y: log_i_sum(eps, y) + 1e-7)
+            m.setattr(coordrep, "log_pair",
+                      lambda eps, y: log_pair(eps, y) + 1e-7)
             with pytest.raises(QuadratureError, match="misses 1"):
                 coordrep.probability_density(FIG_SPEC, FIG_PARAMS)
         monkeypatch.setattr(coordrep, "NORM_NODE_CAP", 100)

@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -285,16 +286,16 @@ class TestCsAmplitudes:
             cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
 
     def test_overflow_verdict_ignores_column_scale(self):
-        # below eps = 1 the columns are stored divided by 2^scale; the
-        # verdict tests the unscaled sum, so the overflow edge (y ~ 711.8 at
-        # eps = 0.75) is where the masses pass double range, not 4^scale
-        # further out
+        # below eps = 1 the columns are stored divided by 2^scale (3 for the
+        # even weight, 1 for Gamma(eps)^(1/2)); the verdict tests the
+        # unscaled sum, so the overflow edge (y ~ 711.8 at eps = 0.75) is
+        # where the masses pass double range, not 4^scale further out
         xi, eps = 26.69, 0.75
         assert cs_amplitudes(CsSpec(zeta=0.0, xi=26.6, epsilon=eps)) \
             .truncation == 940
         with pytest.raises(DomainError, match="y = .* = 712"):
             cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
-        assert states._cs_state(0j, complex(xi), eps).scale == 3
+        assert states._cs_state(0j, complex(xi), eps).scale == 4
 
     @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES, ids=LONG_IDS)
     def test_amplitudes_against_mpmath(self, zeta, xi, eps):
@@ -338,7 +339,8 @@ class TestCsAmplitudes:
                      for column in states._cs_state(
                          complex(spec.zeta), complex(spec.xi),
                          spec.epsilon).laguerre)
-        w = np.abs(even) ** 2 + 0.5 * abs(spec.xi) ** 2 * np.abs(odd) ** 2
+        w = np.abs(even) ** 2 + 0.5 * abs(spec.xi) ** 2 / spec.epsilon \
+            * np.abs(odd) ** 2
         assert np.sum(w[n_pairs:]) < states.CS_TAIL_BOUND * np.sum(w)
 
     def test_search_window_columns_reused(self, monkeypatch):
@@ -372,7 +374,7 @@ class TestCsAmplitudes:
                 pre = cmath.exp(states._cs_log_prefactor(spec))
                 amps = np.zeros(v.truncation, dtype=complex)
                 amps[0::2] = pre * even
-                amps[1::2] = pre * (xi / math.sqrt(2.0)) * odd
+                amps[1::2] = pre * (xi / math.sqrt(2.0 * eps)) * odd
                 assert np.array_equal(v.amplitudes,
                                       states._finalize(amps, "").amplitudes)
             assert len(searches) == 1
@@ -434,9 +436,9 @@ class TestCsTransition:
         # the O(n) per-call evaluation the cached columns must reproduce, on
         # the production primitives: a fresh column of one parity at the
         # state's power-of-two scale, and 4^scale |pre|^2 from the
-        # prefactor's logarithm, times |xi|^2/2 on the odd lines; one-entry
-        # arrays, since numpy's array loop for abs may round differently
-        # from its scalar one
+        # prefactor's logarithm, times |xi|^2/(2 eps) on the odd lines;
+        # one-entry arrays, since numpy's array loop for abs may round
+        # differently from its scalar one
         m, parity = divmod(n, 2)
         log_k = 2.0 * states._cs_log_prefactor(
             CsSpec(zeta=zeta, xi=xi, epsilon=eps)).real
@@ -445,7 +447,7 @@ class TestCsTransition:
                                      0.5 * xi * xi, scale).extend(m + 1)
         k = states._scaled_exp(log_k, 2 * scale, np.exp)
         if parity:
-            k = 0.5 * abs(xi) ** 2 * k
+            k = abs(xi) ** 2 / (2.0 * eps) * k
         p = np.abs(col[[m]]) ** 2 * k
         return min(float(p[0]), 1.0)
 
@@ -466,6 +468,18 @@ class TestCsTransition:
         mixed = [(cs_transition(*a, n), cs_transition(*b, n)) for n in ns]
         assert [p for p, _ in mixed] == want_a
         assert [q for _, q in mixed] == want_b
+
+    def test_cache_keyed_on_the_callers_numbers(self):
+        # equal values of any numeric type hash and compare equal, so they
+        # reach one cached state, which converts them once as it enters
+        states._cs_state.cache_clear()
+        lines = {cs_transition(zeta, xi, eps, 5)
+                 for zeta, xi, eps in ((0, 2, 3), (0.0, 2.0, 3.0),
+                                       (0j, 2 + 0j, 3.0 + 0j),
+                                       (np.float64(0.0), np.complex128(2.0),
+                                        np.float32(3.0)))}
+        assert len(lines) == 1
+        assert states._cs_state.cache_info().currsize == 1
 
     def test_cache_is_bounded(self):
         for k in range(20):
@@ -601,6 +615,25 @@ class TestCsTransition:
             assert 1e-46 < ref < 1.0
             assert cs_transition(zeta, xi, eps, n) == pytest.approx(
                 ref, rel=2e-13, abs=0.0)
+
+    @pytest.mark.parametrize("zeta, xi, eps", [
+        (0.3, 1.0, 170.5), (0.3, 1.0, 200.0), (0.5, 3.0, 400.0)])
+    def test_ive_underflow_states_against_mpmath(self, zeta, xi, eps):
+        # ive(eps, y) underflows here, and the normalization once took a
+        # three-term series far outside its range: every line was off by
+        # 9.1e-10, 5.6e-10 and 1.1e-4, and the lines of the last state summed
+        # to 1.000113.  The head, the peak and the tail now read within
+        # 1.2e-14 of 30-digit mpmath
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n_total = cs_amplitudes(CsSpec(zeta=zeta, xi=xi,
+                                           epsilon=eps)).truncation
+        p = [cs_transition(zeta, xi, eps, n) for n in range(n_total)]
+        peak = int(np.argmax(p))
+        for n in (0, 1, peak, peak + 1, n_total - 2, n_total - 1):
+            ref = abs(amplitude_mpmath(zeta, xi, eps, n)) ** 2
+            assert p[n] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert abs(math.fsum(p) - 1.0) <= 1e-12
 
     def test_even_weight_below_eps_one(self):
         # below eps = 1 the even column's weight sqrt(n!/Gamma(n+eps))
