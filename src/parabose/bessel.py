@@ -1,17 +1,14 @@
-"""The package's one modified Bessel function, normalized at the origin:
+"""The package's one modified Bessel function, normalized at the origin,
 
     Lambda_nu(z) = Gamma(nu+1) I_nu(z) / (z/2)^nu
                  = sum_k (z^2/4)^k / (k! (nu+1)_k)        (DLMF 10.25.2),
 
-entire and 1 at z = 0, for real nu > -1 and real or complex z, returned with
-the scale e^-|Re z|.  ``_rule`` picks the route from (nu, |z|) alone: below
-the order's radius the ascending series (exact-rational tables for the
-half-odd orders n + 1/2, n <= ELEMENTARY_MAX_ORDER; other orders are summed
-until a term no longer moves the sum; for real z every term is positive);
-above it the elementary form of those half-odd orders (DLMF 10.49(ii)), and
-scipy's ive (Amos) for the rest.  ``ratio`` (math/cmath scalars: the
-normalization) and ``ratio_array`` (numpy arrays: psi and the closed-form
-density) share the rule, the tables and, on real arguments, every rounding.
+for real nu > -1 and real or complex z, returned with the scale e^-|Re z|.
+By (nu, z) alone: the ascending series below the order's radius, the
+elementary form of the half-odd orders n + 1/2, n <= ELEMENTARY_MAX_ORDER
+(DLMF 10.49(ii)), and scipy's ive (Amos) for the rest where it is in range.
+``ratio`` (scalars: the normalization) and ``ratio_array`` (arrays: psi and
+the density) share the routes and, on real arguments, every rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DomainError
+
 # Half-odd orders n + 1/2 up to this n have an elementary form; past it, near
 # |z| ~ n, it and the series lose about 1e-13 to cancellation at any radius.
 # SERIES_RADIUS: the |z| below which the table series serves n = -1 .. 9,
@@ -30,31 +29,40 @@ import numpy as np
 # directions of z).
 ELEMENTARY_MAX_ORDER = 9
 SERIES_RADIUS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.25, 10.875, 12.125)
-# Other orders: the series serves |z|^2 < 8 (nu+1), where its terms stay
-# within about e^4 of the sum in every direction, and from nu ~ 150 on out
-# to where ive's leading term e^-|z| (|z|/2)^nu / Gamma(nu+1) reaches
-# e^-IVE_FLOOR (Amos returns 0 below about e^-700.9), but not past
-# SERIES_MAX_RADIUS, where e^-|z| Lambda_nu(z) >= e^-|z| is still a normal
-# double; it settles in under SERIES_TERMS terms.
-IVE_FLOOR = 690.0
+# Other orders: the summed series serves |z|^2 < 8 (nu+1), where its terms
+# stay within about e^4 of the sum in every direction, and, inside
+# SERIES_MAX_RADIUS, wherever ive falls below e^-IVE_FLOOR (Amos returns 0
+# below about e^-700.4 off the real axis, e^-700.9 on it): on the real axis
+# every term is positive; off it they cancel by about
+# e^((Im z)^2 / (2 (nu+1))), digits that no route here keeps.  It settles in
+# under SERIES_TERMS terms.
+IVE_FLOOR = 699.0
 SERIES_MAX_RADIUS = 700.0
 SERIES_TERMS = 1000
 
 
 @functools.lru_cache(maxsize=256)
 def _rule(nu: float) -> tuple[float, int | None]:
-    """The route of order nu: the series radius, and n when nu = n + 1/2
-    has an elementary form (else None)."""
+    """The series radius of order nu, and n when nu = n + 1/2 has an
+    elementary form (else None)."""
     n = float(nu) - 0.5
     if n.is_integer() and -1 <= n <= ELEMENTARY_MAX_ORDER:
         return SERIES_RADIUS[int(n) + 1], int(n)
-    r, gamma = math.sqrt(8.0 * (nu + 1.0)), math.lgamma(nu + 1.0)
-    # ive's leading term rises on (0, nu); it is e^-IVE_FLOOR where
-    # r = 2 exp((r + ln Gamma(nu+1) - IVE_FLOOR) / nu), climbed to from below
-    for _ in range(60 if nu > r else 0):
-        r = max(r, min(2.0 * math.exp((r + gamma - IVE_FLOOR) / nu),
-                       SERIES_MAX_RADIUS))
-    return min(r, SERIES_MAX_RADIUS), None
+    return math.sqrt(8.0 * (nu + 1.0)), None
+
+
+def _underflows(nu: float, w):
+    """Whether ive(nu, w) falls below e^-IVE_FLOOR inside SERIES_MAX_RADIUS
+    (w a scalar or an array), by the Debye form I_nu(nu t) ~ e^(nu eta) /
+    sqrt(2 pi nu s), s = sqrt(1 + t^2) (DLMF 10.41.3): within 1e-3 of
+    ln |ive| wherever that nears the floor (from nu ~ 395 on)."""
+    if nu <= 0.0:
+        return False
+    w = w * (1 - 2 * (w.real < 0.0))
+    s = np.sqrt(1.0 + (w / nu) ** 2)
+    lead = (nu * (s + np.log(w / nu) - np.log(1.0 + s))).real - w.real \
+        - 0.5 * np.log(2.0 * math.pi * nu * abs(s))
+    return (abs(w) < SERIES_MAX_RADIUS) & (lead < -IVE_FLOOR)
 
 
 @functools.cache
@@ -108,34 +116,34 @@ def _series(nu: float, n: int | None, q):
     return total
 
 
-def _ive(nu: float, w):
-    """scipy's ive(nu, w) = e^-|Re w| I_nu(w) (Amos, ACM TOMS 644),
-    Re w >= 0."""
+def _ive(nu: float, w, log):
+    """(s, v) with e^s v = e^-|Re w| Lambda_nu(w): v = ive(nu, +-w) (Amos,
+    ACM TOMS 644) on the side Re >= 0 (Lambda is even), s = ln Gamma(nu+1)
+    - nu ln(+-w/2)."""
     from scipy.special import ive
-    return ive(nu, w)
+    w = w * (1 - 2 * (w.real < 0.0))
+    return math.lgamma(nu + 1.0) - nu * log(0.5 * w), ive(nu, w)
 
 
 def _far(nu: float, n: int | None, w, exp, log):
-    """e^-|Re w| Lambda_nu(w) above the series radius.  The elementary form,
-    with t = 1/w and Q(t) = (2n+1)!!/2 t^(n+1) sum_k a_k(m + 1/2) t^k, is
+    """e^-|Re w| Lambda_nu(w) off the series.  The elementary form, with
+    t = 1/w and Q(t) = (2n+1)!!/2 t^(n+1) sum_k a_k(m + 1/2) t^k, is
 
         (-1)^(n+1) [e^(w - |Re w|) Q(-t) + e^(-w - |Re w|) Q(t)],
 
-    an integer power of w, so no branch is chosen.  Off the elementary
-    orders, ive at Re w >= 0 (Lambda is even)."""
-    if n is not None:
-        scale, coeffs, t = abs(w.real), _elementary_table(n), 1.0 / w
-        return (-1) ** (n + 1) * (
-            exp(w - scale) * _horner(coeffs, -t, n + 1)
-            + exp(-w - scale) * _horner(coeffs, t, n + 1))
-    w = w * (1 - 2 * (w.real < 0.0))
-    return _ive(nu, w) * exp(math.lgamma(nu + 1.0) - nu * log(0.5 * w))
+    an integer power of w, so no branch is chosen."""
+    if n is None:
+        shift, value = _ive(nu, w, log)
+        return value * exp(shift)
+    scale, coeffs, t = abs(w.real), _elementary_table(n), 1.0 / w
+    return (-1) ** (n + 1) * (exp(w - scale) * _horner(coeffs, -t, n + 1)
+                              + exp(-w - scale) * _horner(coeffs, t, n + 1))
 
 
 def ratio(nu: float, z):
     """e^-|Re z| Lambda_nu(z) for a real (float) or complex z."""
     radius, n = _rule(nu)
-    if abs(z) < radius:
+    if abs(z) < radius or (n is None and _underflows(nu, z)):
         return _series(nu, n, 0.25 * z * z) * float(np.exp(-abs(z.real)))
     if isinstance(z, complex):
         return _far(nu, n, z, cmath.exp, cmath.log)
@@ -149,6 +157,8 @@ def ratio_array(nu: float, w) -> np.ndarray:
     w = np.asarray(w, dtype=complex if np.iscomplexobj(w) else float)
     out = np.empty_like(w)
     near = np.abs(w) < radius
+    if n is None:
+        near[~near] = _underflows(nu, w[~near])
     if near.any():
         wn = w[near]
         out[near] = _series(nu, n, 0.25 * wn * wn) * np.exp(-np.abs(wn.real))
@@ -159,22 +169,25 @@ def ratio_array(nu: float, w) -> np.ndarray:
 
 def pair(epsilon: float, z):
     """(shift, a, b) with e^shift (a + b) = Lambda_{eps-1}(z) + z/(2 eps)
-    Lambda_eps(z) = Gamma(eps) (I_{eps-1}(z) + I_eps(z)) / (z/2)^(eps-1),
-    the Bessel pair of the coherent-state normalization (1 at z = 0), for
-    real or complex z; e^shift (a - b) is the pair at -z.  The shift is
-    |Re z|, and on ive's route, where both orders come from ive and the
-    scaled ratios may leave double range, also ln Gamma(eps) - (eps-1)
-    ln(w/2) at w = +-z, Re w >= 0.
-    """
+    Lambda_eps(z) = Gamma(eps) (I_{eps-1} + I_eps)(z) / (z/2)^(eps-1), the
+    normalization's Bessel pair (1 at z = 0); e^shift (a - b) is the pair
+    at -z.  shift = |Re z|, plus on ive's route (where ive of order eps is
+    in range) ``_ive``'s s of order eps - 1.  DomainError where both terms
+    underflow (past |z| = SERIES_MAX_RADIUS from eps ~ 1056)."""
     nu = epsilon - 1.0
     radius, n = _rule(nu)
-    if n is None and abs(z) >= radius:
-        sign = -1.0 if z.real < 0.0 else 1.0
-        w = sign * z
+    if n is not None or abs(z) < radius or _underflows(epsilon, z):
+        out = (abs(z.real), ratio(nu, z),
+               z / (2.0 * epsilon) * ratio(epsilon, z))
+    else:
         log = cmath.log if isinstance(z, complex) else math.log
-        return (w.real + math.lgamma(epsilon) - nu * log(0.5 * w),
-                _ive(nu, w), sign * _ive(epsilon, w))
-    return abs(z.real), ratio(nu, z), z / (2.0 * epsilon) * ratio(epsilon, z)
+        shift, a = _ive(nu, z, log)
+        sign = -1.0 if z.real < 0.0 else 1.0
+        out = abs(z.real) + shift, a, sign * _ive(epsilon, z, log)[1]
+    if out[1] == 0.0 and out[2] == 0.0:
+        raise DomainError(f"the Bessel pair of eps = {epsilon} at z = {z} "
+                          f"is below double range")
+    return out
 
 
 def log_pair(epsilon: float, z):

@@ -315,8 +315,10 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
             w = (np.abs(even.extend(guess)[:guess]) ** 2 + 0.5 * xi_abs ** 2
                  / epsilon * np.abs(odd.extend(guess)[:guess]) ** 2)
             total = float(np.sum(w))
-        # ln of the masses before normalization: 4^scale total / Gamma(eps)
-        if not (math.log(total) + 2 * state.scale * _LN2
+        # ln of the masses before normalization: 4^scale total / Gamma(eps);
+        # a zero total is a seed 2^-scale below double range (scale > 1074
+        # needs Gamma(eps) |pre|^2 <= 1 at eps > 315: masses past e^1489)
+        if not (total > 0.0 and math.log(total) + 2 * state.scale * _LN2
                 - math.lgamma(epsilon) < _LOG_MAX):
             state.release()
             return 0

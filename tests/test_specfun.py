@@ -6,8 +6,8 @@ and complex arguments) and of the half-line wavefunction, comes from
 ``bessel`` as Lambda_nu(z) = Gamma(nu+1) I_nu(z)/(z/2)^nu: the elementary
 closed form of the half-odd orders (DLMF 10.49(ii)), the ascending series
 (DLMF 10.25.2), and scipy's ``ive`` for other orders above their series
-radius.  sqrt(n!/(alpha+1)_n) (-zeta)^n L_n^alpha(x/zeta) comes from the
-package's own normalized recurrence.
+radius wherever it is in range.  sqrt(n!/(alpha+1)_n) (-zeta)^n
+L_n^alpha(x/zeta) comes from the package's own normalized recurrence.
 Expected values are frozen from mpmath (30 to 50 digits) and from the
 explicit binomial-coefficient Laguerre sum.
 """
@@ -360,33 +360,60 @@ class TestBesselRoutes:
     @pytest.mark.parametrize("nu", [-0.3, 0.7, 1.7, 10.5, 50.0, 169.5, 199.0,
                                     399.0, 599.0, 999.0])
     def test_general_orders_against_mpmath(self, nu):
-        # the summed series in every direction while |z|^2 < 8 (nu + 1), and
-        # on the real axis out to its radius (700 from nu ~ 950), where ive
-        # underflows past nu ~ 150: measured worst 7.9e-15.  Past the radius
-        # ive's value carries about nu ulps from the power and Gamma(nu+1)
-        # taken in log space (5.3e-13 at nu = 599), and the two sides meet
-        # to the same bound (measured 5.0e-13)
+        # all 16 directions out to |w| = 300, across the series radius, and
+        # the real axis out past where the series yields to ive.  The series
+        # keeps 1e-13 (measured worst 7.9e-15).  ive's value carries about nu
+        # ulps from the power and Gamma(nu+1) taken in log space (5.3e-13 at
+        # nu = 599), and Amos's own error grows with |w| where I_nu
+        # oscillates (1.1e-13 at nu = 50, w = 300i; the same ive as before
+        # the evaluator moved).  On the imaginary axis, where Lambda has its
+        # zeros, ive's error is read against |H^(1)_nu|, whose real part is
+        # J_nu (it is 1.7e-13 of Lambda at nu = -0.3, w = 17.8i, beside a
+        # zero).  Where ive underflows off the real axis (from
+        # nu ~ 395) the series serves, and its terms cancel by about
+        # e^((Im w)^2 / (2 (nu+1))): no route here keeps those digits, so
+        # that cancellation is their bound (measured at most 0.19 of it:
+        # 1.0e-10 at nu = 599, |w| = 148, and no digit left at nu = 999,
+        # w = 300i; the three-term fallback before was worse at each)
         radius = bessel._rule(nu)[0]
-        safe = min(radius, math.sqrt(8.0 * (nu + 1.0)))
-        moduli = [0.0, 1e-300, *np.geomspace(1e-8, safe * (1 - 2 ** -51), 9)]
-        real = np.geomspace(1e-3, radius * (1 - 2 ** -51), 9)
-        series = np.concatenate([np.outer(moduli, DIRECTIONS).ravel(),
-                                 real, -real])
-        exact = np.array([bessel_ratio_mpmath(nu, v) for v in series])
-        got = bessel.ratio_array(nu, series)
-        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
-        past = np.geomspace(radius * (1 + 2 ** -51), 4.0 * radius, 6)
-        past = np.concatenate([past, -past])
-        exact = np.array([bessel_ratio_mpmath(nu, v) for v in past])
+        moduli = [0.0, 1e-300, *np.geomspace(1e-8, 1.0, 5),
+                  *np.geomspace(1.5, 300.0, 16),
+                  radius * (1 - 2 ** -51), radius * (1 + 2 ** -51)]
+        real = np.geomspace(1e-3, 2000.0, 24)
+        w = np.concatenate([np.outer(moduli, DIRECTIONS).ravel(), real, -real])
+        exact = np.array([bessel_ratio_mpmath(nu, v) for v in w])
         normal = np.abs(exact) > 1e-290  # at nu = 999 it underflows past 800
-        got = bessel.ratio_array(nu, past[normal])
-        bound = max(1e-13, 1e-15 * nu)
-        assert np.max(np.abs(got - exact[normal]) / np.abs(exact[normal])) \
-            <= bound
-        sides = bessel.ratio_array(nu, radius * np.array(
-            [1 - 2 ** -51, 1 + 2 ** -51, -1 + 2 ** -51, -1 - 2 ** -51]))
-        assert abs(sides[1] - sides[0]) <= bound * sides[0]
-        assert abs(sides[3] - sides[2]) <= bound * sides[2]
+        w, exact = w[normal], exact[normal]
+        series = np.abs(w) < radius
+        series[~series] = bessel._underflows(nu, w[~series])
+        lost = (np.abs(w) >= radius) & (w.imag != 0.0) & (np.abs(ive(
+            nu, np.where(w.real < 0.0, -w, w))) < math.exp(-bessel.IVE_FLOOR))
+        assert np.all(series[lost])
+        bound = np.where(series, 1e-13, np.maximum(
+            max(1e-13, 1e-15 * nu), 1e-15 * np.abs(w)))
+        bound[lost] = 1e-15 * np.exp(w[lost].imag ** 2 / (2.0 * (nu + 1.0)))
+        scale = np.abs(exact)
+        axis = ~series & (w.real == 0.0)
+        with mpmath.workdps(30):
+            scale[axis] = [float(mpmath.gamma(nu + 1) * abs(mpmath.hankel1(
+                nu, abs(v.imag))) / mpmath.mpf(abs(v.imag) / 2) ** nu)
+                for v in w[axis]]
+        got = bessel.ratio_array(nu, w)
+        assert np.all(np.abs(got - exact) <= bound * scale)
+        # the two sides of each switch on the real axis meet to ive's bound
+        edges = [radius]
+        if bessel._underflows(nu, radius):  # the series' reach, by bisection
+            lo, hi = radius, bessel.SERIES_MAX_RADIUS
+            while hi - lo > 1e-9 * hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if bessel._underflows(nu, mid) else (lo, mid)
+            edges.append(hi)
+        for edge in edges:
+            sides = bessel.ratio_array(nu, edge * np.array(
+                [1 - 2 ** -51, 1 + 2 ** -51, -1 + 2 ** -51, -1 - 2 ** -51]))
+            bound = max(1e-13, 1e-15 * nu)
+            assert abs(sides[1] - sides[0]) <= bound * sides[0]
+            assert abs(sides[3] - sides[2]) <= bound * sides[2]
 
     def test_scalar_and_array_entries_agree(self):
         # on real arguments the scalar entry (the normalization) and the

@@ -268,14 +268,29 @@ class TestCsAmplitudes:
 
     def test_column_overflow_fails_loudly(self):
         # the pair masses peak near exp(y), y = |xi|^2/(1-|zeta|^2); past
-        # double range the truncation search once settled on 2 pairs
+        # double range the truncation search once settled on 2 pairs.  At
+        # eps = 400, y = 3000 the column scale is 1438: the seed 2^-scale is
+        # 0, every mass reads 0, and ln of their sum once raised a bare
+        # ValueError
         assert cs_amplitudes(CsSpec(zeta=0.0, xi=26j, epsilon=2.5)) \
             .truncation == 902
-        for xi, y in ((27j, "729"), (30j, "900")):
+        for xi, eps, y in ((27j, 2.5, "729"), (30j, 2.5, "900"),
+                           (math.sqrt(3000.0), 400.0, "3000")):
             start = time.perf_counter()
             with pytest.raises(DomainError, match=f"y = .* = {y}"):
-                cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
+                cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
             assert time.perf_counter() - start < 1.0
+
+    def test_bessel_pair_below_double_range_fails_loudly(self):
+        # past |z| = 700, from eps ~ 1056, ive underflows and the series'
+        # scale e^-|z| does too; the normalization then raised a bare
+        # OverflowError and the parity mean read NaN (the three-term
+        # fallback before read it 3% off, 0.600 for 0.618)
+        xi, eps = math.sqrt(750.0), 1500.0
+        with pytest.raises(DomainError, match="below double range"):
+            cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
+        with pytest.raises(DomainError, match="below double range"):
+            mean_reflection(0.0, xi, eps)
 
     @pytest.mark.parametrize("xi", [26.88, 26.9, 26.93])
     def test_mass_sum_overflow_fails_loudly(self, xi):
