@@ -33,6 +33,10 @@ as it enters.  The truncation search, the amplitudes and the distribution all
 read a state's Laguerre columns, which grow in place and are never
 recomputed: a state costs one recurrence pass and one search however it is
 used, and every entry is the same number whatever the order of the calls.
+The columns are stored times one power of two per state, chosen from
+P_0 = |pre|^2 so that every entry stays in double range; a state reads in
+full down to P_0 ~ e^-2125 (y ~ 2100 at zeta = 0) and raises DomainError
+below that.
 
 The overlap of two coherent states at one level sums both parity series by
 the Hille-Hardy formula (DLMF §18.18): with M_n = (-zeta)^n
@@ -188,7 +192,6 @@ def _arg_from_above(x: complex) -> float:
 
 _STEP_CHUNK = 4096
 _LN2 = math.log(2.0)
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _scaled_exp(t: float, shift: int, exp=math.exp) -> float:
@@ -204,7 +207,7 @@ class _LaguerreColumn:
     """2^-scale e_n, e_n = sqrt(n!/(alpha+1)_n) (-zeta)^n L_n^alpha(x / zeta),
     x = xi^2/2, grown in place: c_{2n} = pre e_n at alpha = eps - 1,
     c_{2n+1} = pre xi/sqrt(2 eps) e_n at alpha = eps.  The exact power of
-    two is chosen by ``_column_scale``.
+    two is chosen by ``_CsState``.
 
     Recurrence e_0 = 1, e_1 = (x - zeta (1+alpha)) / sqrt(alpha+1) and
 
@@ -270,26 +273,20 @@ def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
 
 
 def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
-    """Minimal pair count with relative tail mass below CS_TAIL_BOUND.
-
-    The search runs once per cached state, which keeps its count; a state
-    whose masses pass double range keeps that verdict instead, and every
-    call raises DomainError at once.
-    """
+    """Minimal pair count with relative tail mass below CS_TAIL_BOUND; the
+    search runs once per cached state, which keeps its count."""
     state = _cs_state(zeta, xi, epsilon)
     if state.pairs is None:
         state.pairs = _search_pairs(state, abs(zeta), abs(xi), epsilon)
-    if not state.pairs:
-        raise state.overflow()
     return state.pairs
 
 
 def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
                   epsilon: float) -> int:
-    """The truncation search behind ``_cs_pairs``; 0 for a state whose pair
-    masses pass double range, read on the column before normalization,
-    |e_n|^2 + |xi|^2/(2 eps) |o_n|^2 over Gamma(eps) (the amplitudes over
-    the prefactor).  It reads them divided by the exact 4^scale.
+    """The truncation search behind ``_cs_pairs``, on the pair masses
+    |2^-s e_n|^2 + |xi|^2/(2 eps) |2^-s o_n|^2 of the state's columns (the
+    amplitudes' pair masses over 4^s |pre|^2, which the scale rule of
+    ``_CsState`` keeps in double range, their sum too).
 
     Scans the true per-pair masses over a working window that keeps growing
     until the trailing decay is safely geometric (asymptotic ratio
@@ -298,11 +295,6 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
     factors oscillate through near-zeros.  The ratio is floored at |zeta|^2,
     so the acceptance threshold sits halfway between |zeta|^2 and 1 once
     |zeta|^2 passes 0.9.
-
-    The masses peak near exp(y), y = |xi|^2/(1-|zeta|^2), and pass double
-    range from y ~ 700; they are nonnegative, so their sum is finite only
-    when every mass is.  On overflow the state's columns are released, so
-    the cache keeps nothing of a state that cannot be used.
     """
     lam = 0.5 * xi_abs * xi_abs / max(1.0 - zeta_abs, 0.05)
     guess = 16 + _svs_pairs(zeta_abs, epsilon) \
@@ -311,17 +303,9 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
     even, odd = state.laguerre
     while True:
         guess = min(guess, MAX_PAIRS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = (np.abs(even.extend(guess)[:guess]) ** 2 + 0.5 * xi_abs ** 2
-                 / epsilon * np.abs(odd.extend(guess)[:guess]) ** 2)
-            total = float(np.sum(w))
-        # ln of the masses before normalization: 4^scale total / Gamma(eps);
-        # a zero total is a seed 2^-scale below double range (scale > 1074
-        # needs Gamma(eps) |pre|^2 <= 1 at eps > 315: masses past e^1489)
-        if not (total > 0.0 and math.log(total) + 2 * state.scale * _LN2
-                - math.lgamma(epsilon) < _LOG_MAX):
-            state.release()
-            return 0
+        w = (np.abs(even.extend(guess)[:guess]) ** 2 + 0.5 * xi_abs ** 2
+             / epsilon * np.abs(odd.extend(guess)[:guess]) ** 2)
+        total = float(np.sum(w))
         tip = max(float(np.max(w[-8:])), 1e-320)
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
         ratio = max(ratio, zeta_abs**2)
@@ -478,63 +462,45 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
 _FIRST_PASS = 32
 
 
-def _column_scale(log_k: float, epsilon: float) -> int:
-    """The s of a state's columns 2^-s e_n, from log_k = ln |pre|^2, so that
-    both factors of P_n = |2^-s e_n|^2 (4^s |pre|^2) stay in double range
-    wherever P_n does.  Where Gamma(eps) |pre|^2 > 1, 4^s |pre|^2 is in
-    (1/4, 1].  Elsewhere 2^s >= Gamma(eps)^(1/2), so the columns are no
-    larger than before normalization, sqrt(n!/Gamma(n+alpha+1)) M_n, and
-    overflow no sooner than those; below eps = 1 the even weight n!/(eps)_n
-    grows like n^(1-eps), and 4^s also takes that out up to n = 2 MAX_PAIRS,
-    so |2^-s e_n|^2 overflows no sooner than the unweighted
-    |(-zeta)^n L_n^alpha|^2."""
-    gamma = math.lgamma(epsilon)
-    if log_k + gamma > 0.0:
-        return math.floor(-0.5 * log_k / _LN2)
-    s = math.ceil(0.5 * gamma / _LN2)
-    if epsilon < 1.0:
-        s += math.ceil(0.5 * (1.0 - epsilon) * math.log2(2 * MAX_PAIRS))
-    return s
-
-
 class _CsState:
     """One coherent state's n-dependent columns, each grown in place and
     never recomputed.  Per parity (alpha = eps - 1 and eps): the Laguerre
     column 2^-s e_n (s = ``scale``), which the truncation search, the
     amplitudes and the distribution all read, and the column of
-    P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s |pre|^2 and
-    k_1 = |xi|^2/(2 eps) k_0.  Also the search's outcome ``pairs``: None
-    before it runs, then the pair count, or 0 when the masses overflow.  The
-    inputs are checked once, here, and converted to complex and float."""
+    P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k and
+    k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also the search's pair
+    count ``pairs``, None before it runs.  The inputs are checked once,
+    here, and converted to complex and float.
+
+    One scale rule, s = min(floor(-log_4 k), 1022), keeps the seed 2^-s a
+    normal double and 4^s k in (1/4, 1] below the cap.  Every P_n <= 1, so
+    |2^-s e_n|^2 <= P_n / (4^s k): every column entry, search mass, mass sum
+    and P_n factor stays in double range.  A state with 4^s k < 2^-1022,
+    ln P_0 below -3066 ln 2 ~ -2125 (y ~ 2100 at zeta = 0), raises
+    DomainError here, before any column is built, and the cache keeps
+    nothing of it."""
 
     def __init__(self, zeta, xi, epsilon):
         zeta, xi, epsilon = complex(zeta), complex(xi), float(epsilon)
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=epsilon)
         # ln |pre|^2: theta enters only the logarithm's imaginary part
         log_k = 2.0 * _cs_log_prefactor(spec).real
-        self.scale = _column_scale(log_k, epsilon)
+        self.scale = min(math.floor(-0.5 * log_k / _LN2), 1022)
+        k = _scaled_exp(log_k, 2 * self.scale, np.exp)
+        if not k >= 2.0 ** -1022:  # ln P_0 < -3066 ln 2
+            y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+            raise DomainError(
+                f"coherent state at y = |xi|^2/(1-|zeta|^2) = {y:.6g} has "
+                f"ln P_0 = {log_k:.6g}, below the -2125.19 that its "
+                f"double-precision columns reach")
         x = 0.5 * xi * xi
         self.laguerre = (_LaguerreColumn(epsilon - 1.0, zeta, x, self.scale),
                          _LaguerreColumn(epsilon, zeta, x, self.scale))
-        self.y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-        k = _scaled_exp(log_k, 2 * self.scale, np.exp)
         # |xi|^2/(2 eps) as a factor rather than a log: xi = 0 closes the odd
         # lines
         self.factors = (k, abs(xi) ** 2 / (2.0 * epsilon) * k)
         self.transitions = (array("d"), array("d"))
         self.pairs = None
-
-    def overflow(self) -> DomainError:
-        return DomainError(
-            f"coherent-state columns overflow at y = |xi|^2/(1-|zeta|^2) "
-            f"= {self.y:.6g}; the state is not representable in double "
-            f"precision")
-
-    def release(self) -> None:
-        """Drop the Laguerre columns; the P_n lines still read, from
-        columns grown again."""
-        for column in self.laguerre:
-            column.values = column.values[:2].copy()
 
     def extend_transitions(self, parity: int, m: int) -> array:
         """The column of P_{2k + parity}, through k = m and every Laguerre
@@ -544,13 +510,9 @@ class _CsState:
         column, laguerre = self.transitions[parity], self.laguerre[parity]
         if m >= len(laguerre.values):
             laguerre.extend(max(m + 1, 2 * len(laguerre.values), _FIRST_PASS))
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.abs(laguerre.values[len(column):]) ** 2 \
-                * self.factors[parity]
-        # probabilities may poke past 1 by round-off; a P past double range
-        # (from y ~ 700) is kept as NaN and raises when it is read
-        column.frombytes(np.where(np.isfinite(p), np.minimum(p, 1.0),
-                                  np.nan).tobytes())
+        p = np.abs(laguerre.values[len(column):]) ** 2 * self.factors[parity]
+        # probabilities may poke past 1 by round-off
+        column.frombytes(np.minimum(p, 1.0).tobytes())
         return column
 
 
@@ -569,20 +531,15 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     column reaches, in one numpy pass over the column its amplitudes read,
     so a whole distribution P_0 .. P_N costs O(N) and each further line is
     one lookup.  Each line is computed entry by entry, so P_n is the same
-    number whatever the order of the calls.  A P_n that is not finite in
-    double precision raises DomainError: the stored |2^-s e_n|^2 overflows
-    from y ~ 700, where the amplitudes' truncation search overflows too;
-    the power of two s keeps both factors of P_n in range at every eps.
+    number whatever the order of the calls.  Every line of a state reads,
+    and a state whose P_0 is below e^-2125 raises DomainError (``_CsState``).
     """
     m, parity = divmod(check_index(n), 2)
     state = _cs_state(zeta, xi, epsilon)
     column = state.transitions[parity]
     if m >= len(column):
         column = state.extend_transitions(parity, m)
-    p = column[m]
-    if p != p:  # NaN marks a line past double range
-        raise state.overflow()
-    return p
+    return column[m]
 
 
 def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
@@ -598,10 +555,10 @@ def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
 
     the normalization's own Bessel pair at complex z (at spec1 = spec2,
     z = y).  The product is assembled in log space and exponentiated once,
-    so no truncation is chosen and displacements past the amplitudes' double
-    range (y ~ 700) still give finite overlaps.  Its terms are of size y, so
-    the overlap carries about y 1e-16 relative error: <s|s> - 1 reaches
-    2.3e-10 at y = 1e6 and 3e-8 at y = 1e8.
+    so no truncation is chosen and displacements past the columns' double
+    range (P_0 below e^-2125) still give finite overlaps.  Its terms are of
+    size y, so the overlap carries about y 1e-16 relative error: <s|s> - 1
+    reaches 2.3e-10 at y = 1e6 and 3e-8 at y = 1e8.
     """
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("cs_overlap requires equal epsilon")

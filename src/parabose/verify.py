@@ -10,7 +10,9 @@ To add a row, decorate one function of a seeded generator with
 ``@check(name, tolerance, note)`` and return its residual (or ``(residual,
 note)`` when the note is measured).  The decorator appends it to
 ``ALL_CHECKS`` in definition order, and ``_row`` alone decides the status:
-pass when residual <= tolerance, so a NaN residual fails.
+pass when residual <= tolerance, so a NaN residual fails.  A row whose
+measurement raises a ``ParaBoseError`` is still a row: its residual is NaN
+and its note the error, and the other rows run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import completeness, coordrep, observables, oscillator, states
 from .dynamics import apply_A, solve_fg, solve_zeta_xi
-from .errors import DomainError
+from .errors import DomainError, ParaBoseError
 from .fock import AlgebraParams, build_hamiltonian, build_ladder, \
     evolve_trajectory, ladder_products
 from .schedules import constant_schedule, sinusoidal_schedule
@@ -70,7 +72,10 @@ class Check:
     measure: Callable
 
     def __call__(self, rng) -> CheckResult:
-        out = self.measure(rng)
+        try:
+            out = self.measure(rng)
+        except ParaBoseError as exc:
+            out = math.nan, f"{type(exc).__name__}: {exc}"
         residual, note = out if isinstance(out, tuple) else (out, self.note)
         return _row(self.name, residual, self.tolerance, note)
 
@@ -882,7 +887,8 @@ def run_all(seed: int, epsilon: float) -> list[CheckResult]:
     processes.  Their results come back in declaration order, so the report
     is byte-identical to the in-process map that runs with one usable CPU or
     without the fork start method.  The workers ignore SIGINT: on an
-    interrupt, or an exception from a row, the pending rows are cancelled,
+    interrupt, or an exception from a row that is not a ``ParaBoseError``
+    (that one is a failed row), the pending rows are cancelled,
     the running ones finish, and no worker outlives the call.  A worker
     whose parent is killed outright exits within 0.2 s.
     """

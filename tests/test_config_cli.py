@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -115,6 +116,34 @@ class TestCommands:
         rows = read(os.path.join(out, "cs_prob_eps200.csv")).splitlines()[1:]
         p = [float(r.split(",")[1]) for r in rows]
         assert len(p) == 301 and all(0.0 < v < 1.0 for v in p)
+
+    def test_cs_prob_past_y_700(self, tmp_path, capsys):
+        # y = 900: lines 402-1510 once raised (exit 2) and the lines on
+        # either side read 0.0; y = 2500 is past the columns' reach, and
+        # the error names y
+        out = str(tmp_path / "y")
+        assert main(["cs-prob", "--out", out, "--set", "state.xi_re=30",
+                     "--set", "figure.n_max=1000",
+                     "--set", "figure.epsilons=2.5"]) == 0
+        rows = read(os.path.join(out, "cs_prob_eps2.5.csv")).splitlines()[1:]
+        with mpmath.workdps(40):
+            # zeta = 0: P_n = (y/2)^(n+eps-1) / (m! Gamma(m+eps+parity)
+            # (I_{eps-1}(y) + I_eps(y))), n = 2m + parity
+            y, eps = mpmath.mpf(900), mpmath.mpf(2.5)
+            norm = mpmath.besseli(eps - 1, y) + mpmath.besseli(eps, y)
+            for n in (401, 900):
+                m, parity = divmod(n, 2)
+                ref = (y / 2) ** (n + eps - 1) / (
+                    mpmath.factorial(m) * mpmath.gamma(m + eps + parity)
+                    * norm)
+                assert rows[n].startswith(f"{n},")
+                assert float(rows[n].split(",")[1]) == pytest.approx(
+                    float(ref), rel=1e-11, abs=0.0)  # 12 printed digits
+        capsys.readouterr()
+        assert main(["cs-prob", "--out", str(tmp_path / "z"),
+                     "--set", "state.xi_re=50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "y = |xi|^2/(1-|zeta|^2)" in err
 
     def test_weight_start_value(self, tmp_path):
         out = str(tmp_path / "c")
@@ -270,8 +299,9 @@ class TestCommands:
         ("oscillator", ["algebra.ell=1", "run.t_final=nan"]),
         ("evolve", ["run.t_final=nan", "run.samples=1"]),
         ("evolve", ["run.t_final=inf"]),
-        # P_n past double range from n = 388 on: once 613 nan rows, exit 0
-        ("cs-prob", ["state.xi_re=30", "figure.n_max=1000",
+        # P_0 = e^-2500, past the coherent columns' reach (at xi_re = 30
+        # once 613 nan rows and exit 0, then exit 2; now it reads)
+        ("cs-prob", ["state.xi_re=50", "figure.n_max=1000",
                      "figure.epsilons=2.5"]),
         # |xi|^2 past double range: once a bare OverflowError, exit 1
         ("cs-prob", ["state.xi_re=1e200"]),

@@ -36,10 +36,11 @@ LONG_STATES = [
 LONG_IDS = ["eps2.5", "eps4.5", "eps1.5"]
 
 
-def amplitude_mpmath(zeta, xi, eps, n):
-    """c_n of the coherent state (theta = 0) from the closed form at 30
-    digits, with mpmath's Laguerre function and Gamma."""
-    with mpmath.workdps(30):
+def amplitude_mpmath(zeta, xi, eps, n, dps=30):
+    """c_n of the coherent state (theta = 0) from the closed form at dps
+    digits, with mpmath's Laguerre function and Gamma; at zeta = 0,
+    (-zeta)^m L_m^alpha(xi^2/(2 zeta)) is its limit (xi^2/2)^m / m!."""
+    with mpmath.workdps(dps):
         z, x, e = mpmath.mpc(zeta), mpmath.mpc(xi), mpmath.mpf(eps)
         one = 1 - abs(z) ** 2
         m, parity = divmod(n, 2)
@@ -48,8 +49,12 @@ def amplitude_mpmath(zeta, xi, eps, n):
                * mpmath.sqrt(one / (mpmath.besseli(e - 1, y)
                                     + mpmath.besseli(e, y)))
                * mpmath.exp(mpmath.conj(z) * x * x / (2 * one)))
-        c = (pre * (-z) ** m
-             * mpmath.laguerre(m, e - 1 + parity, x * x / (2 * z))
+        if z:
+            lag = (-z) ** m * mpmath.laguerre(m, e - 1 + parity,
+                                              x * x / (2 * z))
+        else:
+            lag = (x * x / 2) ** m / mpmath.factorial(m)
+        c = (pre * lag
              * mpmath.sqrt(mpmath.factorial(m) / mpmath.gamma(m + e + parity)))
         if parity:
             c *= x / mpmath.sqrt(2)
@@ -267,19 +272,34 @@ class TestCsAmplitudes:
         assert np.linalg.norm(op @ v.amplitudes) <= 1e-8
 
     def test_column_overflow_fails_loudly(self):
-        # the pair masses peak near exp(y), y = |xi|^2/(1-|zeta|^2); past
-        # double range the truncation search once settled on 2 pairs.  At
-        # eps = 400, y = 3000 the column scale is 1438: the seed 2^-scale is
-        # 0, every mass reads 0, and ln of their sum once raised a bare
-        # ValueError
+        # the pair masses before normalization peak near exp(y), y =
+        # |xi|^2/(1-|zeta|^2): the truncation search once settled on 2
+        # pairs past double range, and then raised DomainError from y ~ 722
+        # (at eps = 400, y = 3000, a bare ValueError first).  The columns
+        # are now scaled by P_0 = |pre|^2, so these states read, and a state
+        # whose P_0 is below e^-2125 raises at once, naming y and the bound,
+        # and leaves nothing in the cache
         assert cs_amplitudes(CsSpec(zeta=0.0, xi=26j, epsilon=2.5)) \
             .truncation == 902
-        for xi, eps, y in ((27j, 2.5, "729"), (30j, 2.5, "900"),
-                           (math.sqrt(3000.0), 400.0, "3000")):
+        for xi, eps in ((27j, 2.5), (30j, 2.5), (math.sqrt(3000.0), 400.0)):
             start = time.perf_counter()
-            with pytest.raises(DomainError, match=f"y = .* = {y}"):
-                cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
             assert time.perf_counter() - start < 1.0
+            assert abs(v.norm_sq() - 1.0) <= 1e-12
+        # ln P_0 = -2286 at y = 1758, and -2485 at y = 2500
+        for zeta, xi, eps, y in ((-0.3, 40.0, 0.5, "1758.24"),
+                                 (0.0, 50.0, 2.5, "2500")):
+            size = states._cs_state.cache_info().currsize
+            start = time.perf_counter()
+            with pytest.raises(DomainError,
+                               match=f"y = .* = {y} .* below the -2125"):
+                cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+            with pytest.raises(DomainError, match=f"y = .* = {y} "):
+                cs_transition(zeta, xi, eps, 3)
+            assert time.perf_counter() - start < 1.0
+            assert states._cs_state.cache_info().currsize == size
 
     def test_bessel_pair_below_double_range_fails_loudly(self):
         # past |z| = 700, from eps ~ 1056, ive underflows and the series'
@@ -294,23 +314,35 @@ class TestCsAmplitudes:
 
     @pytest.mark.parametrize("xi", [26.88, 26.9, 26.93])
     def test_mass_sum_overflow_fails_loudly(self, xi):
-        # y ~ 722-725: every pair mass is finite but their sum is not; the
-        # search once read the inf total as a converged tail and returned a
-        # 4-entry vector of norm 0
-        with pytest.raises(DomainError, match="y = .* = 72"):
-            cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
+        # y ~ 722-725: every pair mass before normalization is finite but
+        # their sum is not; the search once read the inf total as a
+        # converged tail and returned a 4-entry vector of norm 0, and then
+        # raised DomainError.  Scaled by P_0 the sum is about 1, and the
+        # state reads whole
+        v = cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=2.5))
+        assert v.truncation > 900
+        assert abs(v.norm_sq() - 1.0) <= 1e-12
+        peak = int(np.argmax(np.abs(v.amplitudes)))
+        assert abs(v.amplitudes[peak]) == pytest.approx(
+            abs(amplitude_mpmath(0.0, xi, 2.5, peak, dps=40)),
+            rel=1e-12, abs=0.0)
 
     def test_overflow_verdict_ignores_column_scale(self):
-        # below eps = 1 the columns are stored divided by 2^scale (3 for the
-        # even weight, 1 for Gamma(eps)^(1/2)); the verdict tests the
-        # unscaled sum, so the overflow edge (y ~ 711.8 at eps = 0.75) is
-        # where the masses pass double range, not 4^scale further out
+        # below eps = 1 the scale once had two more branches (3 for the even
+        # weight, 1 for Gamma(eps)^(1/2)), and an overflow verdict on the
+        # unscaled sum raised from y ~ 711.8 at eps = 0.75.  One rule now
+        # holds at every eps: s = floor(-log_4 P_0), so the even lines'
+        # factor 4^s P_0 is in (1/4, 1], and the state past the old edge
+        # reads whole
         xi, eps = 26.69, 0.75
         assert cs_amplitudes(CsSpec(zeta=0.0, xi=26.6, epsilon=eps)) \
             .truncation == 940
-        with pytest.raises(DomainError, match="y = .* = 712"):
-            cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
-        assert states._cs_state(0j, complex(xi), eps).scale == 4
+        v = cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
+        assert abs(v.norm_sq() - 1.0) <= 1e-12
+        state = states._cs_state(0j, complex(xi), eps)
+        log_p0 = 2.0 * math.log(abs(v.amplitudes[0]))
+        assert state.scale == math.floor(-0.5 * log_p0 / math.log(2.0))
+        assert 0.25 < state.factors[0] <= 1.0
 
     @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES, ids=LONG_IDS)
     def test_amplitudes_against_mpmath(self, zeta, xi, eps):
@@ -450,14 +482,14 @@ class TestCsTransition:
     def _per_n(zeta, xi, eps, n):
         # the O(n) per-call evaluation the cached columns must reproduce, on
         # the production primitives: a fresh column of one parity at the
-        # state's power-of-two scale, and 4^scale |pre|^2 from the
+        # scale rule's power of two, and 4^scale |pre|^2 from the
         # prefactor's logarithm, times |xi|^2/(2 eps) on the odd lines;
         # one-entry arrays, since numpy's array loop for abs may round
         # differently from its scalar one
         m, parity = divmod(n, 2)
         log_k = 2.0 * states._cs_log_prefactor(
             CsSpec(zeta=zeta, xi=xi, epsilon=eps)).real
-        scale = states._column_scale(log_k, eps)
+        scale = min(math.floor(-0.5 * log_k / math.log(2.0)), 1022)
         col = states._LaguerreColumn((eps - 1.0, eps)[parity], zeta,
                                      0.5 * xi * xi, scale).extend(m + 1)
         k = states._scaled_exp(log_k, 2 * scale, np.exp)
@@ -550,52 +582,51 @@ class TestCsTransition:
 
     def test_overflow_fails_loudly(self):
         # |e_n|^2 past double range: min(P, 1) once turned inf into 1.0 and
-        # inf * 0 into NaN (xi = 30); the odd column peaks at |e|^2 ~ 6.8e306,
-        # so P_729 reads (30-digit mpmath: 0.0146933982536429), while the
-        # even column's peak, near P_728, overflows
+        # inf * 0 into NaN (xi = 30), and then the lines of the overflow
+        # window raised: the even column's peak near P_728 at xi = 27, P_500
+        # at xi = 30.  Scaled by P_0 every line reads, equal to |c_n|^2 of
+        # the amplitudes, whatever the order of the calls
         p100 = cs_transition(0.0, 27.0, 2.5, 100)
-        with pytest.raises(DomainError, match="y = .* = 729"):
-            cs_transition(0.0, 27.0, 2.5, 728)
+        amps = cs_amplitudes(CsSpec(zeta=0.0, xi=27.0, epsilon=2.5)).amplitudes
+        assert cs_transition(0.0, 27.0, 2.5, 728) == pytest.approx(
+            abs(amps[728]) ** 2, rel=1e-13, abs=0.0)
         assert cs_transition(0.0, 27.0, 2.5, 729) == pytest.approx(
             0.0146933982536429186, rel=1e-13, abs=0.0)
         assert cs_transition(0.0, 27.0, 2.5, 100) == p100 > 0.0
-        # past the window where |e_n|^2 overflows the lines read again
         assert cs_transition(0.0, 27.0, 2.5, 1000) == pytest.approx(
             1.76652066726395e-22, rel=1e-8, abs=0.0)  # 50-digit mpmath
-        with pytest.raises(DomainError, match="y = .* = 900"):
-            cs_transition(0.0, 30.0, 2.5, 500)
+        assert cs_transition(0.0, 30.0, 2.5, 500) == pytest.approx(
+            abs(amplitude_mpmath(0.0, 30.0, 2.5, 500, dps=40)) ** 2,
+            rel=1e-12, abs=0.0)
 
     def test_overflowed_state_keeps_no_columns(self, monkeypatch):
         # at y = 3e4 the search's first window is ~21,000 pairs; the cache
         # once kept both of its Laguerre columns (0.68 MB) for a state that
-        # raises on every use, and then rebuilt that window on every call
+        # raises on every use, and then rebuilt that window on every call.
+        # The state is refused as it enters (ln P_0 = -20981): no column is
+        # built, no search runs and the cache keeps nothing, on every call;
+        # its lines, once a mix of raises and 0.0, raise too
         zeta, eps = 0.3, 2.5
         xi = math.sqrt(3e4 * (1.0 - zeta**2))
         states._cs_state.cache_clear()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            with pytest.raises(DomainError, match="y = .* = 30000"):
-                cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained < 0.5e6
-        state = states._cs_state(complex(zeta), complex(xi), eps)
-        assert [len(c.values) for c in state.laguerre] == [2, 2]
-        # a repeat call raises from the kept verdict, with no window built
         searches = []
         search = states._search_pairs
         monkeypatch.setattr(states, "_search_pairs",
                             lambda *args: searches.append(args) or search(*args))
-        with pytest.raises(DomainError, match="y = .* = 30000"):
-            cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                with pytest.raises(DomainError, match="y = .* = 30000"):
+                    cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+                with pytest.raises(DomainError, match="y = .* = 30000"):
+                    cs_transition(zeta, xi, eps, 3)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5e6
         assert searches == []
-        assert [len(c.values) for c in state.laguerre] == [2, 2]
-        # the lines still read, from columns grown again as far as needed
-        assert cs_transition(zeta, xi, eps, 3) == 0.0
-        with pytest.raises(DomainError, match="y = .* = 30000"):
-            cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+        assert states._cs_state.cache_info().currsize == 0
 
     @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES + [
         (-0.7701509910417981 - 0.36074694507234856j,
@@ -631,23 +662,43 @@ class TestCsTransition:
             assert cs_transition(zeta, xi, eps, n) == pytest.approx(
                 ref, rel=2e-13, abs=0.0)
 
-    @pytest.mark.parametrize("zeta, xi, eps", [
-        (0.3, 1.0, 170.5), (0.3, 1.0, 200.0), (0.5, 3.0, 400.0)])
-    def test_ive_underflow_states_against_mpmath(self, zeta, xi, eps):
-        # ive(eps, y) underflows here, and the normalization once took a
-        # three-term series far outside its range: every line was off by
-        # 9.1e-10, 5.6e-10 and 1.1e-4, and the lines of the last state summed
-        # to 1.000113.  The head, the peak and the tail now read within
-        # 1.2e-14 of 30-digit mpmath
+    @pytest.mark.parametrize("zeta, xi, eps, lines, rel", [
+        pytest.param(0.3, 1.0, 170.5, (), 1e-13, id="0.3-1.0-170.5"),
+        pytest.param(0.3, 1.0, 200.0, (), 1e-13, id="0.3-1.0-200.0"),
+        pytest.param(0.5, 3.0, 400.0, (), 1e-13, id="0.5-3.0-400.0"),
+        pytest.param(0.026820996453728783 - 0.12629925689098528j,
+                     -19.1819147698663 - 16.882265784250247j,
+                     1.0421952356432294, (1127,), 1e-12, id="y664"),
+        pytest.param(0.01214 - 5.05e-5j, -11.93 - 24.75j, 0.598, (516,),
+                     1e-12, id="y755"),
+        pytest.param(0.0, 27.0, 2.5, (728, 729, 1000), 1e-12, id="y729"),
+        pytest.param(0.0, 30.0, 2.5, (401, 900, 1511), 1e-12, id="y900"),
+        pytest.param(0.5j, 25.0 + 10.0j, 4.5, (), 1e-12, id="y967"),
+        pytest.param(0.0, math.sqrt(2100.0), 2.5, (), 1e-12, id="y2100"),
+    ])
+    def test_ive_underflow_states_against_mpmath(self, zeta, xi, eps, lines,
+                                                 rel):
+        # ive(eps, y) underflows in the first three, and the normalization
+        # once took a three-term series far outside its range: every line
+        # was off by 9.1e-10, 5.6e-10 and 1.1e-4, and the lines of the last
+        # state summed to 1.000113.  In the others 4^s |pre|^2 was once
+        # subnormal or 0 (y664: P_1127 off 4.7e-3; y755: P_516 read 0.0),
+        # or the columns overflowed and the lines raised or read 0.0.  The
+        # head (the first line in normal range), the peak, the tail and the
+        # named lines read within 1.2e-14 (the first three) and 3e-13 of
+        # 40-digit mpmath
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             n_total = cs_amplitudes(CsSpec(zeta=zeta, xi=xi,
                                            epsilon=eps)).truncation
         p = [cs_transition(zeta, xi, eps, n) for n in range(n_total)]
+        head = next(n for n, v in enumerate(p) if v >= 1e-300)
         peak = int(np.argmax(p))
-        for n in (0, 1, peak, peak + 1, n_total - 2, n_total - 1):
-            ref = abs(amplitude_mpmath(zeta, xi, eps, n)) ** 2
-            assert p[n] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        for n in (head, head + 1, peak, peak + 1, n_total - 2, n_total - 1,
+                  *lines):
+            ref = abs(amplitude_mpmath(zeta, xi, eps, n, dps=40)) ** 2
+            assert cs_transition(zeta, xi, eps, n) == pytest.approx(
+                ref, rel=rel, abs=0.0)
         assert abs(math.fsum(p) - 1.0) <= 1e-12
 
     def test_even_weight_below_eps_one(self):
@@ -675,7 +726,9 @@ class TestCsTransition:
         # just inside y = |xi|^2/(1-|zeta|^2) = 1e9 the numbers are finite
         xi_max = 0.999 * math.sqrt(1e9 * (1.0 - 0.99 ** 2)) * 1j
         assert 0.0 < mean_reflection(0.99, xi_max, 2.5) < 1e-8
-        assert cs_transition(0.99, xi_max, 2.5, 0) == 0.0
+        # P_0 = e^-2e9 there, past the columns' reach
+        with pytest.raises(DomainError, match="y = .* = 9.98001e"):
+            cs_transition(0.99, xi_max, 2.5, 0)
 
 
 class TestCsOverlap:
@@ -741,11 +794,11 @@ class TestCsOverlap:
     @pytest.mark.parametrize("y", [800.0, 1200.0])
     @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.3 + 0.6j])
     def test_unit_norm_past_amplitude_range(self, y, zeta):
-        # the columns overflow past y ~ 700, the log-space closed form not
+        # the columns once overflowed past y ~ 700, the log-space closed
+        # form not; both now read, and agree
         xi = math.sqrt(y * (1.0 - abs(zeta) ** 2)) * np.exp(2.0j)
         s = CsSpec(zeta=zeta, xi=xi, epsilon=2.5, theta=0.3)
-        with pytest.raises(DomainError):
-            cs_amplitudes(s)
+        assert abs(cs_amplitudes(s).norm_sq() - 1.0) <= 1e-12
         assert abs(cs_overlap(s, s) - 1.0) <= 1e-12
 
     def test_no_truncation_search(self, monkeypatch):

@@ -236,9 +236,15 @@ def test_row_error_exits_2_through_the_pool(pool, monkeypatch, tmp_path,
     def raises(rng):
         raise DomainError("planted row error")
 
-    assert cli.main(["verify", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: planted row error")
-    assert not (tmp_path / "verify_report.txt").exists()
+    # a raising row once ended the pass with exit 2 and no report; it is
+    # now a failed row with the error as its note, and the others still run
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+    report = (tmp_path / "verify_report.txt").read_text().splitlines()
+    assert report[1].startswith("PASS probe.pass ")
+    assert report[2].split() == ["FAIL", "probe.raises", "residual", "nan",
+                                 "tolerance", "1", "[DomainError:",
+                                 "planted", "row", "error]"]
+    assert report[-1] == "checks 3 failed 1 excluded 1"
 
 
 def test_interrupt_cancels_the_pending_rows(pool, monkeypatch, tmp_path):
