@@ -167,6 +167,10 @@ def ratio_array(nu: float, w) -> np.ndarray:
     return out
 
 
+# a state's normalization, amplitudes, parity mean, moments and overlaps
+# all read its pair; typed, because a float and a complex z of equal value
+# take different routes (math and numpy against cmath)
+@functools.lru_cache(maxsize=64, typed=True)
 def pair(epsilon: float, z):
     """(shift, a, b) with e^shift (a + b) = Lambda_{eps-1}(z) + z/(2 eps)
     Lambda_eps(z) = Gamma(eps) (I_{eps-1} + I_eps)(z) / (z/2)^(eps-1), the

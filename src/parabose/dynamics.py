@@ -166,8 +166,10 @@ def solve_fg(
         raise DomainError("|f0| = |g0| makes the inverse Bogoliubov map singular")
     times = _output_grid(t_final, dt)
 
+    # unpacked to Python complex, whose arithmetic costs a fraction of
+    # numpy scalars' (same roundings)
     def deriv(alpha, beta, delta, y):
-        f, g = y
+        f, g = y.tolist()
         return np.array([1j * (beta * f - alpha.conjugate() * g),
                          1j * (alpha * f - beta * g)])
 
@@ -208,7 +210,7 @@ def solve_zeta_xi(
     times = _output_grid(t_final, dt)
 
     def deriv(alpha, beta, delta, y):
-        zeta, xi = y[0], y[1]
+        zeta, xi = y[:2].tolist()
         ac = alpha.conjugate()
         dzeta = 1j * ac * zeta * zeta - 2j * beta * zeta + 1j * alpha
         dxi = 1j * (ac * zeta - beta) * xi

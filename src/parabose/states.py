@@ -29,10 +29,13 @@ Laguerre polynomials, DLMF §18.9, scaled by (-zeta)^n), exact for every
 ``cs_transition``'s P_n = |c_n|^2 is the paper's parity-split closed form.
 
 A bounded cache keeps the last STATE_CACHE coherent states, each checked once
-as it enters.  The truncation search, the amplitudes and the distribution all
-read a state's Laguerre columns, which grow in place and are never
-recomputed: a state costs one recurrence pass and one search however it is
-used, and every entry is the same number whatever the order of the calls.
+as it enters, and a read that repeats the last one's three numbers (the same
+objects) skips even the cache's hash.  The truncation search, the amplitudes
+and the distribution all read a state's Laguerre columns, which grow in
+place and are never recomputed, and the distribution's lines P_0, P_1, ...
+sit in one column per state: a state costs one recurrence pass and one
+search however it is used, a line read is one lookup, and every entry is the
+same number whatever the order of the calls.
 The columns are stored times one power of two per state, chosen from
 P_0 = |pre|^2 so that every entry stays in double range; a state reads in
 full down to P_0 ~ e^-2125 (y ~ 2100 at zeta = 0) and raises DomainError
@@ -464,11 +467,11 @@ _FIRST_PASS = 32
 
 class _CsState:
     """One coherent state's n-dependent columns, each grown in place and
-    never recomputed.  Per parity (alpha = eps - 1 and eps): the Laguerre
+    never recomputed.  Per parity (alpha = eps - 1 and eps) the Laguerre
     column 2^-s e_n (s = ``scale``), which the truncation search, the
-    amplitudes and the distribution all read, and the column of
-    P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k and
-    k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also the search's pair
+    amplitudes and the distribution all read; and one column ``lines`` of
+    P_0, P_1, P_2, ..., P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k
+    and k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also the search's pair
     count ``pairs``, None before it runs.  The inputs are checked once,
     here, and converted to complex and float.
 
@@ -499,47 +502,79 @@ class _CsState:
         # |xi|^2/(2 eps) as a factor rather than a log: xi = 0 closes the odd
         # lines
         self.factors = (k, abs(xi) ** 2 / (2.0 * epsilon) * k)
-        self.transitions = (array("d"), array("d"))
+        self.lines = array("d")
         self.pairs = None
 
-    def extend_transitions(self, parity: int, m: int) -> array:
-        """The column of P_{2k + parity}, through k = m and every Laguerre
-        entry the state holds; a short Laguerre column first grows through m,
-        to at least twice its length and to _FIRST_PASS entries, so a sweep
-        over n extends it O(log n) times."""
-        column, laguerre = self.transitions[parity], self.laguerre[parity]
-        if m >= len(laguerre.values):
-            laguerre.extend(max(m + 1, 2 * len(laguerre.values), _FIRST_PASS))
-        p = np.abs(laguerre.values[len(column):]) ** 2 * self.factors[parity]
+    def extend_lines(self, n: int) -> array:
+        """The column of P_0, P_1, ..., through P_n and every line the
+        Laguerre columns reach.  The two columns always grow together (here,
+        in the search and in the amplitudes); short, they first grow through
+        n // 2, to at least twice their length and to _FIRST_PASS entries,
+        so a sweep over n extends them O(log n) times."""
+        even, odd = self.laguerre
+        if n // 2 >= len(even.values):
+            length = max(n // 2 + 1, 2 * len(even.values), _FIRST_PASS)
+            even.extend(length)
+            odd.extend(length)
+        start = len(self.lines) // 2
+        # row m holds (P_2m, P_2m+1), so the rows' bytes are the lines
+        p = np.abs(np.stack((even.values[start:], odd.values[start:]),
+                            axis=1)) ** 2 * self.factors
         # probabilities may poke past 1 by round-off
-        column.frombytes(np.minimum(p, 1.0).tobytes())
-        return column
+        self.lines.frombytes(np.minimum(p, 1.0).tobytes())
+        return self.lines
 
 
 # keyed on the caller's own numbers: equal values hash and compare equal,
 # whatever their type, so a cached read converts nothing
-@functools.lru_cache(maxsize=STATE_CACHE)
+_cs_lookup = functools.lru_cache(maxsize=STATE_CACHE)(_CsState)
+# the last read: the caller's three numbers (held, so that no other object
+# takes their ids) and their state, rebound as one tuple so that concurrent
+# readers never pair one state's numbers with another state
+_NO_STATE = (object(),) * 3 + (None,)
+_last_state = _NO_STATE
+
+
 def _cs_state(zeta, xi, epsilon) -> _CsState:
-    return _CsState(zeta, xi, epsilon)
+    global _last_state
+    last = _last_state
+    if zeta is last[0] and xi is last[1] and epsilon is last[2]:
+        return last[3]
+    state = _cs_lookup(zeta, xi, epsilon)
+    _last_state = (zeta, xi, epsilon, state)
+    return state
+
+
+def _cs_state_cache_clear() -> None:
+    global _last_state
+    _cs_lookup.cache_clear()
+    _last_state = _NO_STATE
+
+
+_cs_state.cache_clear = _cs_state_cache_clear
+_cs_state.cache_info = _cs_lookup.cache_info
 
 
 def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     """P_n = |c_n|^2 of the coherent state, parity split in closed form.
 
-    The columns of the last STATE_CACHE states are kept: the first line
-    read past a column's end fills in every line the state's Laguerre
-    column reaches, in one numpy pass over the column its amplitudes read,
-    so a whole distribution P_0 .. P_N costs O(N) and each further line is
-    one lookup.  Each line is computed entry by entry, so P_n is the same
-    number whatever the order of the calls.  Every line of a state reads,
-    and a state whose P_0 is below e^-2125 raises DomainError (``_CsState``).
+    The lines of the last STATE_CACHE states are kept in one column per
+    state: the first line read past its end fills in every line the
+    state's Laguerre columns reach, in one numpy pass over the columns its
+    amplitudes read, so a whole distribution P_0 .. P_N costs O(N) and
+    each further line is one lookup (by the caller's three numbers, and by
+    their identity when they repeat the last call's).  Each line is
+    computed entry by entry, so P_n is the same number whatever the order
+    of the calls.  Every line of a state reads, and a state whose P_0 is
+    below e^-2125 raises DomainError (``_CsState``).
     """
-    m, parity = divmod(check_index(n), 2)
+    if not (type(n) is int and n >= 0):
+        n = check_index(n)
     state = _cs_state(zeta, xi, epsilon)
-    column = state.transitions[parity]
-    if m >= len(column):
-        column = state.extend_transitions(parity, m)
-    return column[m]
+    lines = state.lines
+    if n >= len(lines):
+        lines = state.extend_lines(n)
+    return lines[n]
 
 
 def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:

@@ -318,6 +318,25 @@ class TestBesselI:
                 <= 1e-15 + 1e-12 * abs(ratio)
 
 
+def test_pair_cache_is_typed_and_exact():
+    # a float and a complex z of equal value take different routes, so
+    # they keep separate entries; a pair out of double range raises on
+    # every call, since an exception is not cached
+    for order in ((3 + 0j, 3.0, np.float64(3.0)), (3.0, 3 + 0j)):
+        bessel.pair.cache_clear()
+        for z in order:
+            got = bessel.pair(2.5, z)
+            assert got == bessel.pair.__wrapped__(2.5, z)
+            assert bessel.pair(2.5, z) == got
+            assert all(isinstance(v, complex) == isinstance(z, complex)
+                       for v in got[1:])
+    size = bessel.pair.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(DomainError, match="below double range"):
+            bessel.pair(1500.0, 750.0)
+    assert bessel.pair.cache_info().currsize == size
+
+
 class TestHalfOddBesselRatio:
     """``bessel.ratio_array`` at the half-odd orders n + 1/2: series below
     the order's radius, the elementary form above it up to

@@ -528,6 +528,51 @@ class TestCsTransition:
         assert len(lines) == 1
         assert states._cs_state.cache_info().currsize == 1
 
+    def test_cache_clear_drops_the_last_state(self, monkeypatch):
+        # a read that repeats the last call's three objects skips the
+        # cache's lookup; cache_clear drops that entry too, so the next read
+        # builds a fresh state, and equal numbers that are other objects
+        # reach the one cached state without building another
+        built = []
+        init = states._CsState.__init__
+        monkeypatch.setattr(states._CsState, "__init__",
+                            lambda self, *args: built.append(args)
+                            or init(self, *args))
+        zeta, xi, eps = 0.3j, 1.5 - 0.5j, 2.5
+        states._cs_state.cache_clear()
+        first = [cs_transition(zeta, xi, eps, n) for n in range(9)]
+        assert len(built) == 1
+        assert states._cs_state.cache_info().hits == 0
+        states._cs_state.cache_clear()
+        assert [cs_transition(zeta, xi, eps, n) for n in range(9)] == first
+        assert len(built) == 2
+        hits = states._cs_state.cache_info().hits
+        assert cs_transition(complex(zeta.real, zeta.imag),
+                             xi + 0.0, float("2.5"), 4) == first[4]
+        assert len(built) == 2
+        assert states._cs_state.cache_info().hits == hits + 1
+        assert states._cs_state.cache_info().currsize == 1
+
+    def test_index_forms_read_their_line(self):
+        # the plain-int fast path and check_index's rule read one line
+        zeta, xi, eps = 0.4 - 0.2j, 2.0 + 1.0j, 1.5
+        lines = [cs_transition(zeta, xi, eps, n) for n in range(6)]
+        assert cs_transition(zeta, xi, eps, True) == lines[1]
+        assert cs_transition(zeta, xi, eps, 4.0) == lines[4]
+        assert cs_transition(zeta, xi, eps, np.int64(4)) == lines[4]
+
+    @pytest.mark.parametrize("zeta, xi, eps", [
+        (0.5, 20.0, 2.5), (0.3 + 0.2j, 4.0 - 3.0j, 1.5), (0.6, 3.0j, 4.5)])
+    def test_lines_past_the_truncation(self, zeta, xi, eps):
+        # the first read past the automatic truncation grows the columns
+        # the search left; measured gap to the amplitudes 2.6e-16 at most
+        states._cs_state.cache_clear()
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
+        n = cs_amplitudes(spec).truncation + 37
+        line = cs_transition(zeta, xi, eps, n)
+        amps = cs_amplitudes(spec, truncation=n + 63).amplitudes
+        assert line == pytest.approx(abs(amps[n]) ** 2, rel=1e-15, abs=0.0)
+
     def test_cache_is_bounded(self):
         for k in range(20):
             cs_transition(0.01 * k, 1.0, 2.5, 40)
@@ -897,7 +942,7 @@ def test_squeezed_spec_needs_a_trajectory_solved_with_epsilon():
     assert math.isfinite(states.svs_spec_from_params(solved.at(0.5), 2.5).theta)
 
 
-@pytest.mark.parametrize("n", [math.nan, math.inf, -1, 1.5])
+@pytest.mark.parametrize("n", [math.nan, math.inf, -1, 1.5, 2.5])
 @pytest.mark.parametrize("call", [
     lambda n: svs_transition(0.3, 2.5, n),
     lambda n: cs_transition(0.3, 1.0, 2.5, n),
