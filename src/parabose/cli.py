@@ -153,17 +153,17 @@ def cmd_oscillator(cfg: ScenarioConfig, args) -> int:
                             hbar=cfg["algebra.hbar"])
     params = base.algebra_params()
     times = np.linspace(0.0, cfg["run.t_final"], cfg["run.samples"] + 1)
+    x_mean, p_mean = mean_trajectories(base, times)
     rows = []
-    for t in times:
-        x_m, p_m = mean_trajectories(base, float(t))
-        p = closed_form_parameters(base, float(t))
+    for t in times.tolist():
+        p = closed_form_parameters(base, t)
         m = cs_moments(CsSpec(zeta=p.zeta, xi=p.xi, epsilon=params.epsilon),
                        params)
-        rows.append((float(t), x_m, p_m, m.sigma_x, m.sigma_p,
+        rows.append((m.sigma_x, m.sigma_p,
                      *uncertainty_products(p.zeta, m.mean_r, params)))
     _emit(cfg, args, "oscillator_trajectory", dict(zip(
         ("t", "x_mean", "p_mean", "sigma_x", "sigma_p", "heis", "sr"),
-        zip(*rows))))
+        (times, x_mean, p_mean, *zip(*rows)))))
     ns = range(cfg["figure.n_max"] + 1)
     for z0 in cfg["figure.zetas"]:
         sweep = OscillatorConfig(omega0=omega0, ell=ell, zeta0=z0,

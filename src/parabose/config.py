@@ -3,7 +3,8 @@
 A scenario file is ``key = value`` lines with ``#`` comments; the key set is
 a closed schema and unknown keys are hard errors carrying the line number.
 All numeric parsing is locale-independent (plain ``float``/``int``), and
-every number must be finite: ``nan`` and ``inf`` are rejected by key.
+every number must be finite: ``nan`` and ``inf`` are rejected by key, and
+a count (samples, nodes, points, n_max) below its least value as well.
 
 Sections:
   algebra.*   level (epsilon or ell), length scale, hbar
@@ -46,6 +47,16 @@ def _parse_int(text: str) -> int:
     return int(v)
 
 
+def _parse_count(least: int):
+    """Parser of an integer count of at least ``least``."""
+    def parse(text: str) -> int:
+        v = _parse_int(text)
+        if v < least:
+            raise ValueError(f"expected an integer >= {least}, got {text!r}")
+        return v
+    return parse
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in text.split(",") if p.strip())
 
@@ -80,16 +91,16 @@ KEYS = {
     "state.xi_arg": (_parse_float, 0.0),
     "run.t_final": (_parse_float, 2.0 * math.pi),
     "run.truncation": (_parse_int, None),
-    "run.samples": (_parse_int, 32),
+    "run.samples": (_parse_count(1), 32),
     "output.dir": (str, "out"),
     "output.digits": (_parse_int, 12),
     "figure.epsilons": (_parse_floats, (0.5, 2.5, 4.5, 6.5)),
     "figure.ells": (_parse_ints, (0, 1, 2, 3)),
     "figure.zetas": (_parse_floats, (0.0, 0.25, 0.5, 0.75)),
-    "figure.n_max": (_parse_int, 40),
+    "figure.n_max": (_parse_count(0), 40),
     "figure.r_max": (_parse_float, 0.99),
-    "figure.nodes": (_parse_int, 400),
-    "figure.points": (_parse_int, 2048),
+    "figure.nodes": (_parse_count(1), 400),
+    "figure.points": (_parse_count(1), 2048),
 }
 
 _FAMILIES = ("constant", "sinusoidal", "tabulated")

@@ -28,11 +28,13 @@ Lambda_nu(w) = Gamma(nu+1) I_nu(w)/(w/2)^nu (``bessel``): the elementary
 form, the ascending series at small |w|, and scipy's ive only for orders
 past ELEMENTARY_MAX_ORDER + 1/2 (ell >= 5).  psi, the closed-form density
 and the normalization share it, so the density check tests the two
-formulas, not two Bessel evaluations.
+formulas, not two Bessel evaluations; ``probability_density`` evaluates the
+two Bessel terms once on its grid and hands the same arrays to both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,6 +111,17 @@ def _direction(spec: CsSpec, params: AlgebraParams) -> complex:
             / ((1.0 - zeta) * params.length_scale))
 
 
+def _bessel_terms(spec: CsSpec, params: AlgebraParams, x):
+    """(x, w, exp(-|Re w|) Lambda_nu(w), exp(-|Re w|) Lambda_eps(w)) on the
+    half-line points x, nu = eps - 1 and w = sqrt(2y) x u: the one Bessel
+    evaluation that psi's parity parts and the closed-form density share."""
+    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
+    x_arr = _half_line(x)
+    y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+    w = math.sqrt(2.0 * y) * x_arr * _direction(spec, params)
+    return x_arr, w, ratio_array(eps - 1.0, w), ratio_array(eps, w)
+
+
 def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     """(even, odd) parity components of the coherent-state wavefunction.
 
@@ -126,14 +139,18 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     I_eps(w)/(w/2)^nu = (w/2) Lambda_eps(w)/Gamma(eps+1).
     """
     ell = _spec_ell(spec, params)
+    return _parity_parts(spec, params, ell, _bessel_terms(spec, params, x))
+
+
+def _parity_parts(spec: CsSpec, params: AlgebraParams, ell: int, terms):
+    """wavefunction_parity_parts on the Bessel terms of ``_bessel_terms``."""
+    x_arr, w, lam_nu, lam_eps = terms
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
-    x_arr = _half_line(x)
     nu = eps - 1.0
     one = 1.0 - abs(zeta) ** 2
     y = abs(xi) ** 2 / one
     u = _direction(spec, params)
-    w = math.sqrt(2.0 * y) * x_arr * u
     log_const = (-0.5 * (log_pair(eps, y) + math.lgamma(eps))
                  - (1.0 - np.conj(zeta)) * xi * xi / (2.0 * (1.0 - zeta) * one)
                  + 1j * spec.theta)
@@ -142,8 +159,8 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
             * np.exp(log_const
                      - (1.0 + zeta) / (1.0 - zeta) * x_arr ** 2 / (2.0 * l * l)
                      + np.abs(w.real)))
-    even = root * ratio_array(nu, w)
-    odd = root * w / (2.0 * eps) * ratio_array(eps, w)
+    even = root * lam_nu
+    odd = root * w / (2.0 * eps) * lam_eps
     return even, odd
 
 
@@ -195,20 +212,24 @@ def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
     ``bessel.ratio_array`` (the evaluator psi uses too), L = ``log_pair``
     the normalization's Bessel pair at y and |u|^(2 nu) = (q/l^2)^nu."""
     ell = _spec_ell(spec, params)
+    rho = _density(spec, params, ell, _bessel_terms(spec, params, x))
+    return rho if np.ndim(x) else float(rho[0])
+
+
+def _density(spec: CsSpec, params: AlgebraParams, ell: int, terms):
+    """density_closed_form on the Bessel terms of ``_bessel_terms``."""
+    x_arr, w, lam_nu, lam_eps = terms
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
     l = params.length_scale
-    x_arr = _half_line(x)
     nu = eps - 1.0
     one = 1.0 - abs(zeta) ** 2
     q = one / abs(1.0 - zeta) ** 2
     y = abs(xi) ** 2 / one
-    w = math.sqrt(2.0 * y) * x_arr * _direction(spec, params)
-    bsum = ratio_array(nu, w) + w / (2.0 * eps) * ratio_array(eps, w)
+    bsum = lam_nu + w / (2.0 * eps) * lam_eps
     shift = (((1.0 - np.conj(zeta)) / (1.0 - zeta)) * xi * xi).real / one
-    rho = ((q / (l * l)) ** (nu + 1.0) * x_arr ** (4 * ell) * np.abs(bsum) ** 2
-           * np.exp(2.0 * np.abs(w.real) - log_pair(eps, y) - math.lgamma(eps)
-                    - q * x_arr ** 2 / (l * l) - shift))
-    return rho if np.ndim(x) else float(rho[0])
+    return ((q / (l * l)) ** (nu + 1.0) * x_arr ** (4 * ell) * np.abs(bsum) ** 2
+            * np.exp(2.0 * np.abs(w.real) - log_pair(eps, y) - math.lgamma(eps)
+                     - q * x_arr ** 2 / (l * l) - shift))
 
 
 @dataclass(frozen=True)
@@ -250,9 +271,17 @@ def default_grid(params: AlgebraParams, spec: CsSpec,
     """
     x_max = max(10.0, _extent(spec, _spec_ell(spec, params)))
     n_log = points // 4
-    log_part = np.geomspace(1e-3, 0.2, n_log, endpoint=False)
     lin_part = np.linspace(0.2, x_max, points - n_log)
-    return params.length_scale * np.concatenate([log_part, lin_part])
+    # concatenate copies the shared log part
+    return params.length_scale * np.concatenate([_log_part(n_log), lin_part])
+
+
+@functools.lru_cache(maxsize=8)
+def _log_part(n_log: int) -> np.ndarray:
+    """The state-independent head of ``default_grid``, kept read-only."""
+    part = np.geomspace(1e-3, 0.2, n_log, endpoint=False)
+    part.flags.writeable = False
+    return part
 
 
 def _half_line_sums(spec: CsSpec, params: AlgebraParams,
@@ -302,9 +331,11 @@ def probability_density(spec: CsSpec, params: AlgebraParams,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 16 or not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be an increasing 1-d array, >= 16 points")
-    even, odd = wavefunction_parity_parts(spec, params, grid)
+    # psi and the closed form read one evaluation of the Bessel terms
+    terms = _bessel_terms(spec, params, grid)
+    even, odd = _parity_parts(spec, params, ell, terms)
     psi = even + odd
-    rho = density_closed_form(spec, params, grid)
+    rho = _density(spec, params, ell, terms)
     peak = float(np.max(rho))
     residual = float(np.max(np.abs(rho - np.abs(psi) ** 2))) / peak
     if residual > TWO_ROUTE_TOL:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,16 +49,19 @@ class OscillatorConfig:
     xi0: complex
     l: float = 1.0
     hbar: float = 1.0
+    # the level's AlgebraParams, built once, as the fields are checked
+    _params: AlgebraParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.omega0 > 0:
             raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
-        self.algebra_params()
+        object.__setattr__(self, "_params", AlgebraParams.from_ell(
+            self.ell, length_scale=self.l, hbar=self.hbar))
         check_squeeze(self.zeta0)
 
     @property
     def epsilon(self) -> float:
-        return self.algebra_params().epsilon
+        return self._params.epsilon
 
     @property
     def mass(self) -> float:
@@ -70,8 +73,7 @@ class OscillatorConfig:
         return 2.0 * math.pi / self.omega0
 
     def algebra_params(self) -> AlgebraParams:
-        return AlgebraParams.from_ell(self.ell, length_scale=self.l,
-                                      hbar=self.hbar)
+        return self._params
 
     def mean_r(self) -> float:
         """Parity mean, constant along the trajectory."""

@@ -510,10 +510,12 @@ class _CsState:
         Laguerre columns reach.  The two columns always grow together (here,
         in the search and in the amplitudes); short, they first grow through
         n // 2, to at least twice their length and to _FIRST_PASS entries,
-        so a sweep over n extends them O(log n) times."""
+        but not past MAX_PAIRS (n < 2 MAX_PAIRS, ``cs_transition``), so a
+        sweep over n extends them O(log n) times."""
         even, odd = self.laguerre
         if n // 2 >= len(even.values):
-            length = max(n // 2 + 1, 2 * len(even.values), _FIRST_PASS)
+            length = min(max(n // 2 + 1, 2 * len(even.values), _FIRST_PASS),
+                         MAX_PAIRS)
             even.extend(length)
             odd.extend(length)
         start = len(self.lines) // 2
@@ -565,14 +567,20 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     each further line is one lookup (by the caller's three numbers, and by
     their identity when they repeat the last call's).  Each line is
     computed entry by entry, so P_n is the same number whatever the order
-    of the calls.  Every line of a state reads, and a state whose P_0 is
-    below e^-2125 raises DomainError (``_CsState``).
+    of the calls.  Every line below n = 2 MAX_PAIRS of a state reads; a
+    line past that, which the column would have to reach entry by entry,
+    raises DomainError before the column grows, and so does a state whose
+    P_0 is below e^-2125 (``_CsState``).
     """
     if not (type(n) is int and n >= 0):
         n = check_index(n)
     state = _cs_state(zeta, xi, epsilon)
     lines = state.lines
     if n >= len(lines):
+        if n >= 2 * MAX_PAIRS:
+            raise DomainError(
+                f"P_n is computed only for n < 2 MAX_PAIRS = {2 * MAX_PAIRS},"
+                f" got n = {n}")
         lines = state.extend_lines(n)
     return lines[n]
 

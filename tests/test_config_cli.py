@@ -48,6 +48,15 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="inline:2"):
             parse_scenario("\nalgebra.l = fast\n", source="inline")
 
+    @pytest.mark.parametrize("key,least", [
+        ("run.samples", 1), ("figure.nodes", 1), ("figure.points", 1),
+        ("figure.n_max", 0)])
+    def test_counts_have_a_least_value(self, key, least):
+        cfg = ScenarioConfig().with_overrides([f"{key}={least}"])
+        assert cfg[key] == least
+        with pytest.raises(ConfigError, match=f"'{key}'.*>= {least}"):
+            ScenarioConfig().with_overrides([f"{key}={least - 1}"])
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="inline:1"):
             parse_scenario("algebra.ell 1", source="inline")
@@ -305,6 +314,13 @@ class TestCommands:
                      "figure.epsilons=2.5"]),
         # |xi|^2 past double range: once a bare OverflowError, exit 1
         ("cs-prob", ["state.xi_re=1e200"]),
+        # counts below their least value: once a bare numpy ValueError
+        # (exit 1) or a header-only CSV (exit 0)
+        ("oscillator", ["run.samples=-5"]),
+        ("weight", ["figure.nodes=-3"]),
+        ("density", ["figure.points=-5"]),
+        ("weight", ["figure.nodes=0"]),
+        ("cs-prob", ["figure.n_max=-2"]),
     ])
     def test_nan_input_fails_loudly(self, tmp_path, capsys, command, overrides):
         out = tmp_path / "nan"
@@ -350,6 +366,13 @@ class TestDeterminism:
             ("svs-prob", ["--set", "state.zeta_abs=0.3",
                           "--set", "figure.epsilons=2.5"]),
             ("weight", ["--set", "figure.epsilons=2"]),
+            ("density", ["--set", "figure.ells=0,1", "--set", "state.xi_im=1",
+                         "--set", "state.zeta_re=0.45",
+                         "--set", "figure.points=256"]),
+            ("oscillator", ["--set", "algebra.ell=2", "--set", "state.xi_im=1",
+                            "--set", "run.samples=16",
+                            "--set", "figure.zetas=0.5",
+                            "--set", "figure.n_max=10"]),
         ):
             outs = []
             for tag in ("r1", "r2"):

@@ -328,6 +328,35 @@ class TestDensity:
             coordrep._half_line_sums(spec, AlgebraParams.from_ell(ell), ell)
         assert len(calls) == 8
 
+    def test_density_evaluates_its_grid_terms_once(self, monkeypatch):
+        # psi and the closed form share one Bessel pair on the grid, and each
+        # of the two half-line sums (the figure family settles after two)
+        # evaluates its own pair on its own nodes
+        ratio, parts = coordrep.ratio_array, coordrep.wavefunction_parity_parts
+        ratios, sums = [], []
+        monkeypatch.setattr(coordrep, "ratio_array",
+                            lambda *a: ratios.append(a) or ratio(*a))
+        monkeypatch.setattr(coordrep, "wavefunction_parity_parts",
+                            lambda *a: sums.append(a) or parts(*a))
+        grid = coordrep.default_grid(FIG_PARAMS, FIG_SPEC)
+        wg = coordrep.probability_density(FIG_SPEC, FIG_PARAMS, grid)
+        assert len(sums) == 2 and len(ratios) == 2 + 2 * len(sums)
+        monkeypatch.undo()
+        even, odd = coordrep.wavefunction_parity_parts(FIG_SPEC, FIG_PARAMS,
+                                                       grid)
+        assert np.array_equal(wg.psi_values, even + odd)
+        assert np.array_equal(
+            wg.rho_values,
+            coordrep.density_closed_form(FIG_SPEC, FIG_PARAMS, grid))
+
+    def test_default_grid_head_is_not_shared(self):
+        first = coordrep.default_grid(FIG_PARAMS, FIG_SPEC, points=64)
+        head = first[:16].copy()
+        first[:16] = -1.0
+        again = coordrep.default_grid(FIG_PARAMS, FIG_SPEC, points=64)
+        assert np.array_equal(again[:16], head)
+        assert np.array_equal(head, np.geomspace(1e-3, 0.2, 16, endpoint=False))
+
     def test_norm_independent_of_grid(self):
         grids = (None, coordrep.default_grid(FIG_PARAMS, FIG_SPEC, points=512),
                  np.linspace(0.1, 1.0, 64))

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
+from parabose.config import parse_scenario
 from parabose.dynamics import solve_zeta_xi
 from parabose.errors import DomainError
 from parabose.fock import evolve_trajectory
@@ -117,6 +119,22 @@ class TestMeanTrajectories:
                       * (1.0 + z0) / (1.0 - z0**2))
             assert abs(x0) <= 1e-15
             assert p0 == pytest.approx(expect, rel=1e-13)
+
+    def test_array_call_equals_scalar_calls(self):
+        # the oscillator command takes its means from one array call
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "configs", "fig_oscillator.conf"),
+                  encoding="utf-8") as fh:
+            conf = parse_scenario(fh.read())
+        cfg = OscillatorConfig(omega0=conf["schedule.beta"],
+                               ell=conf["algebra.ell"], zeta0=conf.zeta0(),
+                               xi0=conf.xi0(), l=conf["algebra.l"],
+                               hbar=conf["algebra.hbar"])
+        times = np.linspace(0.0, conf["run.t_final"], conf["run.samples"] + 1)
+        assert len(times) == 129
+        x, p = mean_trajectories(cfg, times)
+        for i, t in enumerate(times.tolist()):
+            assert mean_trajectories(cfg, t) == (x[i], p[i])
 
     def test_energy_invariant(self):
         cfg = OscillatorConfig(omega0=1.4, ell=1, zeta0=0.4 * np.exp(1.1j),

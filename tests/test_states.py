@@ -444,6 +444,31 @@ class TestCsAmplitudes:
 
 
 class TestCsTransition:
+    def test_far_line_raises_before_the_column_grows(self):
+        # P_4,000,000 of this state once took 1.5 s and 214 MB, then stayed
+        # cached at that size
+        cs_transition(0.3, 1.0, 2.5, 40)
+        state = states._cs_state(0.3, 1.0, 2.5)
+        lengths = (len(state.lines), len(state.laguerre[0].values),
+                   len(state.laguerre[1].values))
+        for n in (4_000_000, 2 * states.MAX_PAIRS):
+            with pytest.raises(DomainError, match="400000"):
+                cs_transition(0.3, 1.0, 2.5, n)
+        assert (len(state.lines), len(state.laguerre[0].values),
+                len(state.laguerre[1].values)) == lengths
+
+    def test_lines_read_up_to_the_bound(self, monkeypatch):
+        monkeypatch.setattr(states, "MAX_PAIRS", 100)
+        states._cs_state.cache_clear()
+        try:
+            assert 0.0 <= cs_transition(0.3, 1.0, 2.5, 199) < 1e-100
+            state = states._cs_state(0.3, 1.0, 2.5)
+            assert len(state.laguerre[0].values) == 100
+            with pytest.raises(DomainError, match="< 2 MAX_PAIRS = 200,"):
+                cs_transition(0.3, 1.0, 2.5, 200)
+        finally:
+            states._cs_state.cache_clear()
+
     def test_odd_lines_gated_by_displacement(self):
         for n in (1, 3, 9):
             assert cs_transition(0.45, 0.0, 2.5, n) == 0.0
