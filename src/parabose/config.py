@@ -100,7 +100,7 @@ KEYS = {
     "figure.n_max": (_parse_count(0), 40),
     "figure.r_max": (_parse_float, 0.99),
     "figure.nodes": (_parse_count(1), 400),
-    "figure.points": (_parse_count(1), 2048),
+    "figure.points": (_parse_count(16), 2048),
 }
 
 _FAMILIES = ("constant", "sinusoidal", "tabulated")

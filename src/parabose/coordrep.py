@@ -28,13 +28,13 @@ Lambda_nu(w) = Gamma(nu+1) I_nu(w)/(w/2)^nu (``bessel``): the elementary
 form, the ascending series at small |w|, and scipy's ive only for orders
 past ELEMENTARY_MAX_ORDER + 1/2 (ell >= 5).  psi, the closed-form density
 and the normalization share it, so the density check tests the two
-formulas, not two Bessel evaluations; ``probability_density`` evaluates the
-two Bessel terms once on its grid and hands the same arrays to both.
+formulas, not two Bessel evaluations.  One private evaluator writes both
+formulas over the same two Bessel terms, so psi, the closed-form density
+and ``probability_density`` each evaluate them once per grid.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,31 +95,45 @@ def _spec_ell(spec: CsSpec, params: AlgebraParams) -> int:
     return ell_from_epsilon(spec.epsilon)
 
 
-def _half_line(x) -> np.ndarray:
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
+def _fields(spec: CsSpec, params: AlgebraParams, x):
+    """(even, odd, rho) on the half-line points x: psi's parity parts and
+    the closed-form density, two formulas over one evaluation of the Bessel
+    terms exp(-|Re w|) Lambda_k(w), k = nu, eps, at w = sqrt(2y) x u.
+
+    u = (xi/|xi|) sqrt(1-|zeta|^2) / ((1-zeta) l), xi -> 0 taken along the
+    positive real axis.
+    """
+    ell = _spec_ell(spec, params)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0):
         raise DomainError("coordinate representation lives on x >= 0")
-    return x_arr
-
-
-def _direction(spec: CsSpec, params: AlgebraParams) -> complex:
-    """u with w = sqrt(2y) x u: (xi/|xi|) sqrt(1-|zeta|^2) / ((1-zeta) l),
-    xi -> 0 taken along the positive real axis."""
-    zeta, xi = complex(spec.zeta), complex(spec.xi)
-    unit = xi / abs(xi) if xi else 1.0
-    return (unit * math.sqrt(1.0 - abs(zeta) ** 2)
-            / ((1.0 - zeta) * params.length_scale))
-
-
-def _bessel_terms(spec: CsSpec, params: AlgebraParams, x):
-    """(x, w, exp(-|Re w|) Lambda_nu(w), exp(-|Re w|) Lambda_eps(w)) on the
-    half-line points x, nu = eps - 1 and w = sqrt(2y) x u: the one Bessel
-    evaluation that psi's parity parts and the closed-form density share."""
     zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    x_arr = _half_line(x)
-    y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-    w = math.sqrt(2.0 * y) * x_arr * _direction(spec, params)
-    return x_arr, w, ratio_array(eps - 1.0, w), ratio_array(eps, w)
+    l = params.length_scale
+    nu = eps - 1.0
+    one = 1.0 - abs(zeta) ** 2
+    q = one / abs(1.0 - zeta) ** 2
+    y = abs(xi) ** 2 / one
+    u = (xi / abs(xi) if xi else 1.0) * math.sqrt(one) / ((1.0 - zeta) * l)
+    w = math.sqrt(2.0 * y) * x * u
+    lam_nu, lam_eps = ratio_array(nu, w), ratio_array(eps, w)
+    growth = np.abs(w.real)
+    log_norm, log_gamma = log_pair(eps, y), math.lgamma(eps)
+    log_const = (-0.5 * (log_norm + log_gamma)
+                 - (1.0 - np.conj(zeta)) * xi * xi / (2.0 * (1.0 - zeta) * one)
+                 + 1j * spec.theta)
+    # the Bessel ratios carry exp(-|Re w|): the growth joins the Gaussian
+    root = (math.sqrt(one) / ((1.0 - zeta) * l) * u ** nu * x ** (2 * ell)
+            * np.exp(log_const
+                     - (1.0 + zeta) / (1.0 - zeta) * x ** 2 / (2.0 * l * l)
+                     + growth))
+    even = root * lam_nu
+    odd = root * w / (2.0 * eps) * lam_eps
+    bsum = lam_nu + w / (2.0 * eps) * lam_eps
+    shift = (((1.0 - np.conj(zeta)) / (1.0 - zeta)) * xi * xi).real / one
+    rho = ((q / (l * l)) ** (nu + 1.0) * x ** (4 * ell) * np.abs(bsum) ** 2
+           * np.exp(2.0 * growth - log_norm - log_gamma
+                    - q * x ** 2 / (l * l) - shift))
+    return even, odd, rho
 
 
 def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
@@ -138,29 +152,7 @@ def wavefunction_parity_parts(spec: CsSpec, params: AlgebraParams, x):
     is Lambda(w)/Gamma(nu+1), and the odd one has a factor w/(2 eps):
     I_eps(w)/(w/2)^nu = (w/2) Lambda_eps(w)/Gamma(eps+1).
     """
-    ell = _spec_ell(spec, params)
-    return _parity_parts(spec, params, ell, _bessel_terms(spec, params, x))
-
-
-def _parity_parts(spec: CsSpec, params: AlgebraParams, ell: int, terms):
-    """wavefunction_parity_parts on the Bessel terms of ``_bessel_terms``."""
-    x_arr, w, lam_nu, lam_eps = terms
-    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    l = params.length_scale
-    nu = eps - 1.0
-    one = 1.0 - abs(zeta) ** 2
-    y = abs(xi) ** 2 / one
-    u = _direction(spec, params)
-    log_const = (-0.5 * (log_pair(eps, y) + math.lgamma(eps))
-                 - (1.0 - np.conj(zeta)) * xi * xi / (2.0 * (1.0 - zeta) * one)
-                 + 1j * spec.theta)
-    # the Bessel ratios carry exp(-|Re w|): the growth joins the Gaussian
-    root = (math.sqrt(one) / ((1.0 - zeta) * l) * u ** nu * x_arr ** (2 * ell)
-            * np.exp(log_const
-                     - (1.0 + zeta) / (1.0 - zeta) * x_arr ** 2 / (2.0 * l * l)
-                     + np.abs(w.real)))
-    even = root * lam_nu
-    odd = root * w / (2.0 * eps) * lam_eps
+    even, odd, _ = _fields(spec, params, x)
     return even, odd
 
 
@@ -211,25 +203,8 @@ def density_closed_form(spec: CsSpec, params: AlgebraParams, x) -> np.ndarray:
     q = (1-|zeta|^2)/|1-zeta|^2, exp(-|Re w|) Lambda_k(w) from
     ``bessel.ratio_array`` (the evaluator psi uses too), L = ``log_pair``
     the normalization's Bessel pair at y and |u|^(2 nu) = (q/l^2)^nu."""
-    ell = _spec_ell(spec, params)
-    rho = _density(spec, params, ell, _bessel_terms(spec, params, x))
+    rho = _fields(spec, params, x)[2]
     return rho if np.ndim(x) else float(rho[0])
-
-
-def _density(spec: CsSpec, params: AlgebraParams, ell: int, terms):
-    """density_closed_form on the Bessel terms of ``_bessel_terms``."""
-    x_arr, w, lam_nu, lam_eps = terms
-    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    l = params.length_scale
-    nu = eps - 1.0
-    one = 1.0 - abs(zeta) ** 2
-    q = one / abs(1.0 - zeta) ** 2
-    y = abs(xi) ** 2 / one
-    bsum = lam_nu + w / (2.0 * eps) * lam_eps
-    shift = (((1.0 - np.conj(zeta)) / (1.0 - zeta)) * xi * xi).real / one
-    return ((q / (l * l)) ** (nu + 1.0) * x_arr ** (4 * ell) * np.abs(bsum) ** 2
-            * np.exp(2.0 * np.abs(w.real) - log_pair(eps, y) - math.lgamma(eps)
-                     - q * x_arr ** 2 / (l * l) - shift))
 
 
 @dataclass(frozen=True)
@@ -247,8 +222,6 @@ class WavefunctionGrid:
     x_values: np.ndarray = field(repr=False)
     psi_values: np.ndarray = field(repr=False)
     rho_values: np.ndarray = field(repr=False)
-    ell: int
-    params: AlgebraParams
     two_route_residual: float
     integral: float
     parity_norm: float
@@ -271,17 +244,9 @@ def default_grid(params: AlgebraParams, spec: CsSpec,
     """
     x_max = max(10.0, _extent(spec, _spec_ell(spec, params)))
     n_log = points // 4
-    lin_part = np.linspace(0.2, x_max, points - n_log)
-    # concatenate copies the shared log part
-    return params.length_scale * np.concatenate([_log_part(n_log), lin_part])
-
-
-@functools.lru_cache(maxsize=8)
-def _log_part(n_log: int) -> np.ndarray:
-    """The state-independent head of ``default_grid``, kept read-only."""
-    part = np.geomspace(1e-3, 0.2, n_log, endpoint=False)
-    part.flags.writeable = False
-    return part
+    return params.length_scale * np.concatenate([
+        np.geomspace(1e-3, 0.2, n_log, endpoint=False),
+        np.linspace(0.2, x_max, points - n_log)])
 
 
 def _half_line_sums(spec: CsSpec, params: AlgebraParams,
@@ -331,11 +296,8 @@ def probability_density(spec: CsSpec, params: AlgebraParams,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 16 or not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be an increasing 1-d array, >= 16 points")
-    # psi and the closed form read one evaluation of the Bessel terms
-    terms = _bessel_terms(spec, params, grid)
-    even, odd = _parity_parts(spec, params, ell, terms)
+    even, odd, rho = _fields(spec, params, grid)
     psi = even + odd
-    rho = _density(spec, params, ell, terms)
     peak = float(np.max(rho))
     residual = float(np.max(np.abs(rho - np.abs(psi) ** 2))) / peak
     if residual > TWO_ROUTE_TOL:
@@ -349,10 +311,9 @@ def probability_density(spec: CsSpec, params: AlgebraParams,
             f"parity-resolved half-line norm {parity_norm:.12f} misses 1 by "
             f"more than {NORMALIZATION_TOL}"
         )
-    return WavefunctionGrid(x_values=grid, psi_values=np.atleast_1d(psi),
-                            rho_values=np.atleast_1d(rho), ell=ell,
-                            params=params, two_route_residual=residual,
-                            integral=integral, parity_norm=parity_norm)
+    return WavefunctionGrid(x_values=grid, psi_values=psi, rho_values=rho,
+                            two_route_residual=residual, integral=integral,
+                            parity_norm=parity_norm)
 
 
 @dataclass(frozen=True)

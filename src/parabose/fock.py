@@ -49,7 +49,6 @@ __all__ = [
     "build_hamiltonian",
     "evolve_trajectory",
     "integrate_verified",
-    "vacuum_state",
 ]
 
 NORM_TOL = 1e-8
@@ -147,12 +146,6 @@ class FockVector:
         n = min(self.truncation, other.truncation)
         val = complex(np.vdot(self.amplitudes[:n], other.amplitudes[:n]))
         return val
-
-
-def vacuum_state(truncation: int) -> FockVector:
-    amps = np.zeros(truncation, dtype=complex)
-    amps[0] = 1.0
-    return FockVector(amps)
 
 
 def _ladder_diagonal(params: AlgebraParams, truncation: int) -> np.ndarray:

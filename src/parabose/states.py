@@ -331,13 +331,17 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
 
 
 def _resolve_pairs(auto_pairs: int, truncation: int | None) -> tuple[int, int]:
-    """(n_pairs, N) honoring an upward-only truncation override."""
+    """(n_pairs, N) honoring an upward-only truncation override of at most
+    2 MAX_PAIRS, checked before any amplitude is built."""
     n_auto = min(auto_pairs, MAX_PAIRS)
     if truncation is None:
         n_pairs = n_auto
         return n_pairs, 2 * n_pairs
     if truncation % 2 != 0:
         raise ConfigError(f"truncation must be even, got {truncation}")
+    if truncation > 2 * MAX_PAIRS:
+        raise DomainError(
+            f"truncation {truncation} exceeds 2 MAX_PAIRS = {2 * MAX_PAIRS}")
     if truncation < 2 * n_auto:
         raise TruncationError(
             f"requested truncation {truncation} is below the analytic tail "

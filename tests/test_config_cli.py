@@ -1,6 +1,7 @@
 """Scenario parsing, schema enforcement, CLI commands and emission format."""
 
 import argparse
+import hashlib
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import scipy
 
 import parabose
 from parabose.cli import _COMMANDS, _build_parser, _emit, main
@@ -49,7 +51,7 @@ class TestScenarioParsing:
             parse_scenario("\nalgebra.l = fast\n", source="inline")
 
     @pytest.mark.parametrize("key,least", [
-        ("run.samples", 1), ("figure.nodes", 1), ("figure.points", 1),
+        ("run.samples", 1), ("figure.nodes", 1), ("figure.points", 16),
         ("figure.n_max", 0)])
     def test_counts_have_a_least_value(self, key, least):
         cfg = ScenarioConfig().with_overrides([f"{key}={least}"])
@@ -321,6 +323,8 @@ class TestCommands:
         ("density", ["figure.points=-5"]),
         ("weight", ["figure.nodes=0"]),
         ("cs-prob", ["figure.n_max=-2"]),
+        # past 2 MAX_PAIRS levels: once built whatever it was given
+        ("evolve", ["run.truncation=400002"]),
     ])
     def test_nan_input_fails_loudly(self, tmp_path, capsys, command, overrides):
         out = tmp_path / "nan"
@@ -331,6 +335,15 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: ") for line in err)
         assert not list(out.glob("*.csv"))
+
+    def test_density_points_below_the_grid_rule(self, tmp_path, capsys):
+        # once rejected by probability_density's grid rule, key unnamed
+        assert main(["density", "--out", str(tmp_path),
+                     "--set", "figure.points=8"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") and "'figure.points'" in line
+                   and ">= 16" in line for line in err)
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_near_lattice_epsilon_reads_as_its_level(self, tmp_path):
         # 1e-13 off eps = 2 ell + 1/2 is level ell = 1, as in coordrep
@@ -360,7 +373,74 @@ class TestSurface:
         assert "error: unrecognized arguments: --sabotage" in err
 
 
+# SHA-256 of the 21 CSVs the five figure commands write on configs/fig_*.conf,
+# pinned on these numpy and scipy versions: the last digits are promised only
+# on one host's libraries
+FIGURE_LIBRARIES = {"numpy": "2.4.6", "scipy": "1.17.1"}
+FIGURE_SHA256 = {
+    "cs_prob/cs_prob_eps0.5.csv":
+        "510f795a3381850ce31483a304975724e1930fbbdd5e04effae9aca0f7ce2829",
+    "cs_prob/cs_prob_eps2.5.csv":
+        "3ffc87945993512651ab8ea9d2796dbc56105eefee762401e29ac66f98a54600",
+    "cs_prob/cs_prob_eps4.5.csv":
+        "391457542a4bb3a208a0a3f70a9dab855e8342a07257f0bf3e4fa7e508e432aa",
+    "cs_prob/cs_prob_eps6.5.csv":
+        "49a5638ee10364d6d53d1ad9474c324e40b96476f2972c9d914c895e0aaa353a",
+    "density/density_ell0.csv":
+        "62154d25d273cff825a7ec9e34d29a2689ac8f34bbf54db02cd7ea0465e46492",
+    "density/density_ell1.csv":
+        "7af82853c5360d9443760ffd61efad9c9ab66a452a0679fcf13ba0533a093ea9",
+    "density/density_ell2.csv":
+        "1cba699ea5ce1f2f06fec49927228ed2ed28e81924e819264284f6b88a5f3284",
+    "density/density_ell3.csv":
+        "e4dea19d2485369c4127954113c360296a436ad822fa7b489e7e40d85d4193f4",
+    "oscillator/oscillator_prob_zeta0.25.csv":
+        "84bfffb769a411753b4aae6382621352290145ce5543db275735785972dbf3f1",
+    "oscillator/oscillator_prob_zeta0.5.csv":
+        "4929076fe4eef1961fe07b5c56c444a34cc30517e185911f88696dead5f55188",
+    "oscillator/oscillator_prob_zeta0.75.csv":
+        "7f3b439b2b502ecb973d1b96ccb118bf9112195f0e30ad5b4c3cc105a7e86912",
+    "oscillator/oscillator_prob_zeta0.csv":
+        "cadb13fc5ed733e5039cab115be7c0f62abc6783021636790ccf972ea0eea682",
+    "oscillator/oscillator_trajectory.csv":
+        "ec11f386f9d4684ba184bc7cf52add81776e1f16668850a1784b534eb247e46b",
+    "svs_prob/svs_prob_eps0.5.csv":
+        "63c2e0c26f14762b3e87db2a53019aeba9e84b29e6dda38f76f256ba93a68f7d",
+    "svs_prob/svs_prob_eps2.5.csv":
+        "dae2b59469188a47fbd528d51ea5d48a58e42b9e8c2ee06c2031431103782bdd",
+    "svs_prob/svs_prob_eps4.5.csv":
+        "0039e4176ad50cb0c5ed0594425abaadc35a1a3658a7a5069fa14eb88f4b122a",
+    "svs_prob/svs_prob_eps6.5.csv":
+        "9d5d993318b8c6ef59e214d0072f2eafa38fe1bd181324ce78a0894ee42b3113",
+    "weight/weight_eps1.5.csv":
+        "7949828d1bb682d19fa18978d12af27fbc755724d4fd32fcb63c945ddd16ad4a",
+    "weight/weight_eps2.csv":
+        "9dc1f3a8fcb719155494a1f5a6bebd67cde0a689bc414fc3107e477f027b7bc3",
+    "weight/weight_eps3.csv":
+        "5a017a19fd3ed423619aeb6e2ed49cc474f354ba56d9ca7a8d1c2b0386206b05",
+    "weight/weight_eps5.csv":
+        "18fb962b989f062534ec50335e9ed5314c2b31cf6ee26f666287c4f37e870cb6",
+}
+
+
 class TestDeterminism:
+    def test_figure_bytes_pinned(self, tmp_path):
+        found = {"numpy": np.__version__, "scipy": scipy.__version__}
+        if found != FIGURE_LIBRARIES:
+            pytest.skip(f"figure bytes pinned on {FIGURE_LIBRARIES}, "
+                        f"found {found}")
+        src = os.path.dirname(os.path.dirname(parabose.__file__))
+        configs = os.path.join(os.path.dirname(src), "configs")
+        written = {}
+        for stem in ("svs_prob", "cs_prob", "density", "weight", "oscillator"):
+            out = tmp_path / stem
+            assert main([stem.replace("_", "-"), "--out", str(out), "--config",
+                         os.path.join(configs, f"fig_{stem}.conf")]) == 0
+            for path in out.iterdir():
+                written[f"{stem}/{path.name}"] = \
+                    hashlib.sha256(path.read_bytes()).hexdigest()
+        assert written == FIGURE_SHA256
+
     def test_figure_commands_byte_identical(self, tmp_path):
         for cmd, extra in (
             ("svs-prob", ["--set", "state.zeta_abs=0.3",

@@ -10,8 +10,8 @@ import pytest
 from parabose.dynamics import _grid_index, _output_grid, apply_A, solve_fg, \
     solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError
-from parabose.fock import AlgebraParams, build_ladder, evolve_trajectory, \
-    vacuum_state
+from parabose.fock import AlgebraParams, FockVector, build_ladder, \
+    evolve_trajectory
 from parabose.oscillator import OscillatorConfig, cs_state
 from parabose.schedules import constant_schedule, sinusoidal_schedule, \
     tabulated_schedule
@@ -241,8 +241,8 @@ def test_negative_horizon_rejected():
     with pytest.raises(ConfigError, match="positive"):
         solve_fg(sched, 1.0, 0.3, 0.0, t_final=-1.0)
     with pytest.raises(ConfigError, match="positive"):
-        evolve_trajectory(vacuum_state(16), sched, -1.0, 0.01,
-                          AlgebraParams(epsilon=0.5))
+        evolve_trajectory(FockVector(np.eye(16, dtype=complex)[0]), sched,
+                          -1.0, 0.01, AlgebraParams(epsilon=0.5))
 
 
 @pytest.mark.parametrize("solve", [

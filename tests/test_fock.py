@@ -15,12 +15,16 @@ from parabose.errors import ConfigError, DomainError, IntegrationError, \
     TruncationError
 from parabose.fock import AlgebraParams, FockVector, build_hamiltonian, \
     build_ladder, evolve_trajectory, integrate_verified, ladder_products, \
-    vacuum_state, _schrodinger_deriv
+    _schrodinger_deriv
 from parabose.oscillator import OscillatorConfig, cs_state
 from parabose.schedules import CoefficientSchedule, constant_schedule, \
     sinusoidal_schedule, tabulated_schedule
 
 N = 96
+
+
+def _vacuum(truncation):
+    return FockVector(np.eye(truncation, dtype=complex)[0])
 
 
 def evolve_final(psi0, schedule, t_final, dt, params):
@@ -142,7 +146,7 @@ class TestFockVector:
     def test_validation(self):
         with pytest.raises(ConfigError):
             FockVector(np.array([1.0]))
-        v = vacuum_state(8)
+        v = _vacuum(8)
         assert v.is_normalized() and v.truncation == 8
 
 
@@ -150,7 +154,7 @@ class TestEvolution:
     def test_stationary_vacuum(self):
         # alpha = 0 leaves the vacuum invariant up to a phase
         params = AlgebraParams.from_ell(1)
-        psi = evolve_final(vacuum_state(24), constant_schedule(0, 1, 0),
+        psi = evolve_final(_vacuum(24), constant_schedule(0, 1, 0),
                            3.0, 3.0 / 1024, params)
         assert abs(abs(psi.amplitudes[0]) - 1.0) < 1e-10
 
@@ -188,7 +192,7 @@ class TestEvolution:
     def test_nan_horizon_rejected_at_once(self):
         # a NaN horizon used to start an integration that never returned
         with pytest.raises(ConfigError, match="finite"):
-            evolve_trajectory(vacuum_state(16), constant_schedule(), math.nan,
+            evolve_trajectory(_vacuum(16), constant_schedule(), math.nan,
                               0.1, AlgebraParams(epsilon=0.5))
 
     def test_step_halving_guard(self, monkeypatch):
@@ -221,7 +225,7 @@ class TestEvolution:
         with pytest.raises(IntegrationError, match="derivative-call budget"):
             solve_fg(constant_schedule(), 1.0, 0.1, t_final=1e9)
         with pytest.raises(IntegrationError, match="derivative-call budget"):
-            evolve_final(vacuum_state(16), constant_schedule(0.3, 1.0, 0.0),
+            evolve_final(_vacuum(16), constant_schedule(0.3, 1.0, 0.0),
                          1e9, 1e9, AlgebraParams(epsilon=0.5))
 
     def test_positivity_gated_between_output_samples(self):
@@ -232,7 +236,7 @@ class TestEvolution:
         for t in (0.0, 1.0):
             dip.check_positive_definite(t)
         with pytest.raises(DomainError, match="violates beta"):
-            evolve_final(vacuum_state(24), dip, 1.0, 1.0,
+            evolve_final(_vacuum(24), dip, 1.0, 1.0,
                          AlgebraParams(epsilon=0.5))
         with pytest.raises(DomainError, match="violates beta"):
             solve_zeta_xi(dip, 0.0, 0.5, t_final=1.0, dt=1.0)
@@ -241,7 +245,7 @@ class TestEvolution:
         # squeezing the vacuum at N = 16 carries ~0.13 of the probability
         # into the last TAIL_WIDTH levels by t = 3
         with pytest.raises(TruncationError, match="leaked"):
-            evolve_final(vacuum_state(16), constant_schedule(0.9, 1.0, 0.0),
+            evolve_final(_vacuum(16), constant_schedule(0.9, 1.0, 0.0),
                          3.0, 3.0, AlgebraParams(epsilon=0.5))
 
     def test_solver_failure_raises(self):

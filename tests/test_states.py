@@ -426,6 +426,36 @@ class TestCsAmplitudes:
                                       states._finalize(amps, "").amplitudes)
             assert len(searches) == 1
 
+    def test_explicit_truncation_reads_up_to_the_bound(self, monkeypatch):
+        # truncation 400,002 once built its amplitudes (0.2 s), and
+        # 2,000,000 took 1.0 s and 107 MB
+        monkeypatch.setattr(states, "MAX_PAIRS", 100)
+        states._cs_state.cache_clear()
+        try:
+            for build, spec in ((svs_amplitudes, SvsSpec(zeta=0.3, epsilon=2.5)),
+                                (cs_amplitudes, CsSpec(zeta=0.3, xi=1.0,
+                                                       epsilon=2.5))):
+                assert build(spec, truncation=200).truncation == 200
+                with pytest.raises(DomainError, match="2 MAX_PAIRS = 200$"):
+                    build(spec, truncation=202)
+        finally:
+            states._cs_state.cache_clear()
+
+    def test_over_bound_truncation_leaves_the_columns(self):
+        # the cached state keeps the columns its truncation search grew
+        spec = CsSpec(zeta=0.3, xi=1.0, epsilon=2.5)
+        states._cs_state.cache_clear()
+        try:
+            cs_amplitudes(spec)
+            state = states._cs_state(complex(spec.zeta), complex(spec.xi),
+                                     spec.epsilon)
+            lengths = [len(column.values) for column in state.laguerre]
+            with pytest.raises(DomainError, match="400000"):
+                cs_amplitudes(spec, truncation=2 * states.MAX_PAIRS + 2)
+            assert [len(c.values) for c in state.laguerre] == lengths
+        finally:
+            states._cs_state.cache_clear()
+
     def test_schrodinger_property_constant_schedule(self):
         # analytic parameters propagated by the ODE solver keep the state on
         # the closed form (fidelity against the frozen-time constructor)
