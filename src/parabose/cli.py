@@ -183,14 +183,15 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
         raise ConfigError("run.samples must be >= 1")
     # parameter grids at least DEFAULT_STEPS fine that hold every oracle sample
     dt = t_final / (n_samples * math.ceil(DEFAULT_STEPS / n_samples))
-    traj = solve_zeta_xi(sched, zeta0, xi0, t_final=t_final, dt=dt,
-                         epsilon=params.epsilon)
+    # psi0 first: a truncation it rejects fails before the parameter solve
     spec0 = CsSpec(zeta=zeta0, xi=xi0, epsilon=params.epsilon)
     truncation = cfg["run.truncation"]
     if truncation is None:
         # room beyond the analytic tail for the oracle's boundary check
         truncation = cs_amplitudes(spec0).truncation + 2 * TAIL_WIDTH
     psi0 = cs_amplitudes(spec0, truncation=truncation)
+    traj = solve_zeta_xi(sched, zeta0, xi0, t_final=t_final, dt=dt,
+                         epsilon=params.epsilon)
     times, psis = evolve_trajectory(psi0, sched, t_final, dt, params,
                                     n_samples=n_samples)
     mi = solve_fg(sched, 1.0, zeta0, 0.0, t_final=t_final, dt=dt)

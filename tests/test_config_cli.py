@@ -345,6 +345,20 @@ class TestCommands:
                    and ">= 16" in line for line in err)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("truncation", ["400002", "3"])
+    def test_rejected_truncation_fails_before_the_parameter_solve(
+            self, tmp_path, capsys, monkeypatch, truncation):
+        # psi0 was built after solve_zeta_xi, so a truncation it rejects
+        # failed only after the ODE solve (0.56 s against 0.04 s for a run)
+        calls = []
+        monkeypatch.setattr("parabose.cli.solve_zeta_xi",
+                            lambda *a, **k: calls.append(a))
+        assert main(["evolve", "--out", str(tmp_path),
+                     "--set", f"run.truncation={truncation}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") for line in err)
+        assert calls == []
+
     def test_near_lattice_epsilon_reads_as_its_level(self, tmp_path):
         # 1e-13 off eps = 2 ell + 1/2 is level ell = 1, as in coordrep
         assert main(["evolve", "--out", str(tmp_path),

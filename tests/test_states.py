@@ -1,6 +1,7 @@
 """State constructors: normalization, reductions, transitions, overlaps."""
 
 import cmath
+import hashlib
 import math
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import parabose.states as states
@@ -38,8 +40,15 @@ LONG_IDS = ["eps2.5", "eps4.5", "eps1.5"]
 
 def amplitude_mpmath(zeta, xi, eps, n, dps=30):
     """c_n of the coherent state (theta = 0) from the closed form at dps
-    digits, with mpmath's Laguerre function and Gamma; at zeta = 0,
-    (-zeta)^m L_m^alpha(xi^2/(2 zeta)) is its limit (xi^2/2)^m / m!."""
+    digits, as a Python complex."""
+    return complex(amplitude_mp(zeta, xi, eps, n, dps))
+
+
+def amplitude_mp(zeta, xi, eps, n, dps=30):
+    """c_n of the coherent state (theta = 0) from the closed form at dps
+    digits, with mpmath's Laguerre function and Gamma, as an mpc; at
+    zeta = 0, (-zeta)^m L_m^alpha(xi^2/(2 zeta)) is its limit
+    (xi^2/2)^m / m!."""
     with mpmath.workdps(dps):
         z, x, e = mpmath.mpc(zeta), mpmath.mpc(xi), mpmath.mpf(eps)
         one = 1 - abs(z) ** 2
@@ -58,7 +67,7 @@ def amplitude_mpmath(zeta, xi, eps, n, dps=30):
              * mpmath.sqrt(mpmath.factorial(m) / mpmath.gamma(m + e + parity)))
         if parity:
             c *= x / mpmath.sqrt(2)
-        return complex(c)
+        return c
 
 
 class TestSvsAmplitudes:
@@ -152,6 +161,54 @@ class TestSvsTransition:
             set_sabotage(False)
         total = sum(svs_transition(0.3, 2.5, n) for n in range(60))
         assert abs(total - 1.0) < 1e-12
+
+    def test_line_column_checks_its_state_once(self, monkeypatch):
+        check = states._check_state_inputs
+        calls = []
+        monkeypatch.setattr(states, "_check_state_inputs",
+                            lambda *a: calls.append(a) or check(*a))
+        zeta, eps = 0.41 - 0.23j, 3.3
+        column = [svs_transition(zeta, eps, n) for n in range(30)]
+        assert len(calls) == 1
+        assert column[29] == svs_transition(complex(zeta), eps, 29.0)
+        assert len(calls) == 1
+        for _ in range(2):
+            with pytest.raises(DomainError, match="zeta"):
+                svs_transition(1.0, eps, 0)
+        assert len(calls) == 3
+
+    def test_sabotage_flag_is_part_of_the_key(self, monkeypatch):
+        # the same constant objects before and after a flip of the flag
+        # itself, not through set_sabotage
+        zeta, eps = 0.3, 2.5
+        clean = sum(svs_transition(zeta, eps, n) for n in range(60))
+        monkeypatch.setattr(states, "_SABOTAGE_TRANSITION", True)
+        broken = sum(svs_transition(zeta, eps, n) for n in range(60))
+        assert abs(broken - clean) > 1e-3
+        monkeypatch.setattr(states, "_SABOTAGE_TRANSITION", False)
+        assert sum(svs_transition(zeta, eps, n) for n in range(60)) == clean
+
+    def test_mutated_array_reads_its_new_value(self):
+        want = svs_transition(0.5, 2.5, 4)
+        zeta, eps = np.array(0.3), np.array(2.5)
+        assert svs_transition(zeta, eps, 4) != want
+        zeta[()] = 0.5
+        assert svs_transition(zeta, eps, 4) == want
+        eps[()] = 4.5
+        assert svs_transition(zeta, eps, 4) == svs_transition(0.5, 4.5, 4)
+
+    def test_equal_numbers_share_a_state(self, monkeypatch):
+        check = states._check_state_inputs
+        calls = []
+        monkeypatch.setattr(states, "_check_state_inputs",
+                            lambda *a: calls.append(a) or check(*a))
+        svs_transition(0.1, 1.5, 0)
+        calls.clear()
+        lines = {svs_transition(zeta, eps, 7)
+                 for zeta, eps in ((0.35, 1.5), (np.float64(0.35), 1.5),
+                                   (0.35 + 0j, np.float64(1.5)),
+                                   (np.complex128(0.35), np.float32(1.5)))}
+        assert len(lines) == 1 and len(calls) == 1
 
 
 class TestSvsOverlap:
@@ -583,6 +640,20 @@ class TestCsTransition:
         assert len(lines) == 1
         assert states._cs_state.cache_info().currsize == 1
 
+    def test_state_forms_its_prefactor_once(self, monkeypatch):
+        # the state keeps ln pre at theta = 0, and each read adds its phase
+        prefactor = states._cs_log_prefactor
+        calls = []
+        monkeypatch.setattr(states, "_cs_log_prefactor",
+                            lambda spec: calls.append(spec) or prefactor(spec))
+        zeta, xi, eps = 0.45 + 0.15j, -1.5 + 2.0j, 3.5
+        states._cs_state.cache_clear()
+        first = cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
+        cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps, theta=0.8))
+        for n in range(first.truncation):
+            cs_transition(zeta, xi, eps, n)
+        assert len(calls) == 1
+
     def test_cache_clear_drops_the_last_state(self, monkeypatch):
         # a read that repeats the last call's three objects skips the
         # cache's lookup; cache_clear drops that entry too, so the next read
@@ -748,6 +819,23 @@ class TestCsTransition:
                       for n in range(len(amps))])
         keep = p >= 1e-300
         assert np.max(np.abs(p - np.abs(amps) ** 2)[keep] / p[keep]) < 1e-13
+
+    def test_lines_within_the_stated_envelope(self):
+        # y ~ 1973 and N = 8840, P_0 ~ e^-2099: the references stay mpf,
+        # since complex() would underflow; the peak, a middle line and the
+        # last line, against the docstring's 4 (y + n) 1e-16 (they read
+        # 3.9e-13, 1.3e-13 and 3.4e-13 relative)
+        zeta, xi, eps = 0.6394 - 0.3473j, -25.381 - 16.854j, 3.137
+        y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+        n_total = cs_amplitudes(CsSpec(zeta=zeta, xi=xi,
+                                       epsilon=eps)).truncation
+        p = [cs_transition(zeta, xi, eps, n) for n in range(n_total)]
+        assert n_total == 8840 and int(np.argmax(p)) == 7010
+        for n in (7010, 5000, 8839):
+            with mpmath.workdps(40):
+                ref = abs(amplitude_mp(zeta, xi, eps, n, dps=40)) ** 2
+                rel = abs(mpmath.mpf(p[n]) - ref) / ref
+            assert rel <= 4 * (y + n) * 1e-16
 
     @pytest.mark.parametrize("eps", [170.5, 200.0])
     def test_large_epsilon_against_mpmath(self, eps):
@@ -1022,3 +1110,62 @@ def test_index_verdicts(n, index):
     else:
         got = states.check_index(n)
         assert type(got) is int and got == index
+
+
+# SHA-256 over the state layer's outputs on PIN_STATES, pinned on these numpy
+# and scipy versions, as the figure bytes are: every truncation, amplitude
+# and P_n of a state is computed once per state and must not move by an ulp
+STATE_LIBRARIES = {"numpy": "2.4.6", "scipy": "1.17.1"}
+STATE_SHA256 = \
+    "da849edb3972d3e45f57dfe4c7563da764452a99f5e8588731c24684a3e53a41"
+
+
+def pin_states():
+    """60 seeded (zeta, xi, eps, theta): |zeta| <= 0.85, |xi| <= 6, eps in
+    [0.5, 6.5], every tenth with xi = 0."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for k in range(60):
+        zeta = complex(0.85 * rng.uniform() * cmath.exp(2j * math.pi
+                                                        * rng.uniform()))
+        xi = complex(6.0 * rng.uniform() * cmath.exp(2j * math.pi
+                                                     * rng.uniform()))
+        out.append((zeta, 0j if k % 10 == 3 else xi,
+                    float(rng.uniform(0.5, 6.5)),
+                    float(rng.uniform(-math.pi, math.pi))))
+    return out
+
+
+def state_digest():
+    """One SHA-256 over each pinned state's coherent truncation, amplitudes
+    (at its phase) and P_n for n < N, its squeezed-vacuum amplitudes and P_2n for n < 40,
+    its mean reflection and its overlap with the previous state's (zeta, xi)
+    at its own level."""
+    digest = hashlib.sha256()
+    previous = None
+    for zeta, xi, eps, theta in pin_states():
+        spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps, theta=theta)
+        amps = cs_amplitudes(spec).amplitudes
+        lines = [cs_transition(zeta, xi, eps, n) for n in range(len(amps))]
+        svs = svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps,
+                                     theta=theta)).amplitudes
+        svs_lines = [svs_transition(zeta, eps, n) for n in range(40)]
+        overlap = 0j if previous is None else cs_overlap(
+            CsSpec(zeta=previous[0], xi=previous[1], epsilon=eps), spec)
+        for part in (np.array([len(amps)]), amps, np.array(lines), svs,
+                     np.array(svs_lines), np.array([
+                         mean_reflection(zeta, xi, eps)]),
+                     np.array([overlap])):
+            digest.update(part.tobytes())
+        previous = (zeta, xi)
+    return digest.hexdigest()
+
+
+class TestStateBytes:
+    def test_state_bytes_pinned(self):
+        found = {"numpy": np.__version__, "scipy": scipy.__version__}
+        if found != STATE_LIBRARIES:
+            pytest.skip(f"state bytes pinned on {STATE_LIBRARIES}, "
+                        f"found {found}")
+        states._cs_state.cache_clear()
+        assert state_digest() == STATE_SHA256
