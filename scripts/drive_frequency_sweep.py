@@ -8,10 +8,12 @@ Bogoliubov integration.  The resonance at w = 2 beta shows up as a sharp
 peak in max |zeta|; runs that squeeze past the series-convergence guard are
 reported as saturated.
 
-Writes sweep rows to stdout or --out as CSV: w,max_abs_zeta,mu_drift,status.
+Writes sweep rows to stdout or --out as CSV: w,max_abs_zeta,mu_drift,status,
+once the whole sweep has run, so an error mid-sweep leaves no partial file.
 """
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -43,12 +45,12 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=41)
     parser.add_argument("--out", default="-")
     args = parser.parse_args()
-    fh = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    fh.write("w,max_abs_zeta,mu_drift,status\n")
-    for w, z, drift, status in sweep(args.amplitude, args.periods, args.points):
-        fh.write(f"{w:.12g},{z:.12g},{drift:.12g},{status}\n")
-    if fh is not sys.stdout:
-        fh.close()
+    rows = list(sweep(args.amplitude, args.periods, args.points))
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8")) as fh:
+        fh.write("w,max_abs_zeta,mu_drift,status\n")
+        for w, z, drift, status in rows:
+            fh.write(f"{w:.12g},{z:.12g},{drift:.12g},{status}\n")
     return 0
 
 

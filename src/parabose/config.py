@@ -4,7 +4,7 @@ A scenario file is ``key = value`` lines with ``#`` comments; the key set is
 a closed schema and unknown keys are hard errors carrying the line number.
 All numeric parsing is locale-independent (plain ``float``/``int``), and
 every number must be finite: ``nan`` and ``inf`` are rejected by key, and
-a count (samples, nodes, points, n_max) below its least value as well.
+a count (samples, digits, nodes, points, n_max) below its least value as well.
 
 Sections:
   algebra.*   level (epsilon or ell), length scale, hbar
@@ -93,7 +93,7 @@ KEYS = {
     "run.truncation": (_parse_int, None),
     "run.samples": (_parse_count(1), 32),
     "output.dir": (str, "out"),
-    "output.digits": (_parse_int, 12),
+    "output.digits": (_parse_count(1), 12),
     "figure.epsilons": (_parse_floats, (0.5, 2.5, 4.5, 6.5)),
     "figure.ells": (_parse_ints, (0, 1, 2, 3)),
     "figure.zetas": (_parse_floats, (0.0, 0.25, 0.5, 0.75)),

@@ -43,7 +43,7 @@ import numpy as np
 from .bessel import log_pair, ratio_array
 from .errors import DomainError, QuadratureError
 from .fock import AlgebraParams
-from .states import CsSpec
+from .states import CsSpec, squeeze_gap
 
 __all__ = [
     "WavefunctionGrid",
@@ -107,10 +107,10 @@ def _fields(spec: CsSpec, params: AlgebraParams, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
         raise DomainError("coordinate representation lives on x >= 0")
-    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
+    zeta, xi, eps = spec.zeta, spec.xi, spec.epsilon
     l = params.length_scale
     nu = eps - 1.0
-    one = 1.0 - abs(zeta) ** 2
+    one = squeeze_gap(zeta)
     q = one / abs(1.0 - zeta) ** 2
     y = abs(xi) ** 2 / one
     u = (xi / abs(xi) if xi else 1.0) * math.sqrt(one) / ((1.0 - zeta) * l)
@@ -178,10 +178,10 @@ def cs_wavefunction_gaussian(spec: CsSpec, params: AlgebraParams, x):
     """
     if _spec_ell(spec, params) != 0:
         raise DomainError("the Gaussian closed form exists only for ell = 0")
-    zeta, xi = complex(spec.zeta), complex(spec.xi)
+    zeta, xi = spec.zeta, spec.xi
     l = params.length_scale
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    one = 1.0 - abs(zeta) ** 2
+    one = squeeze_gap(zeta)
     rho_phase = 0.5 * spec.theta
     pref = one ** 0.25 / np.sqrt(math.sqrt(math.pi) * l * (1.0 - zeta))
     shift = x_arr - math.sqrt(2.0) * l * xi / (1.0 + zeta)
@@ -229,10 +229,9 @@ class WavefunctionGrid:
 
 def _extent(spec: CsSpec, ell: int) -> float:
     """The state's length in units of l: envelope plus displacement shift."""
-    zeta, xi = complex(spec.zeta), complex(spec.xi)
-    q = (1.0 - abs(zeta) ** 2) / abs(1.0 - zeta) ** 2
+    q = squeeze_gap(spec.zeta) / abs(1.0 - spec.zeta) ** 2
     return (math.sqrt((60.0 + 4.0 * ell) / q)
-            + math.sqrt(2.0) * abs(xi) / (q * abs(1.0 - zeta)))
+            + math.sqrt(2.0) * abs(spec.xi) / (q * abs(1.0 - spec.zeta)))
 
 
 def default_grid(params: AlgebraParams, spec: CsSpec,
@@ -259,7 +258,7 @@ def _half_line_sums(spec: CsSpec, params: AlgebraParams,
     odd-in-x interference, whose sums carry the h^2, h^4, ... end terms of
     Euler-Maclaurin at x = 0; it settles on the Romberg diagonal of the
     same halvings."""
-    width = abs(1.0 - spec.zeta) / math.sqrt(2.0 * (1.0 - abs(spec.zeta) ** 2))
+    width = abs(1.0 - spec.zeta) / math.sqrt(2.0 * squeeze_gap(spec.zeta))
     extent = _extent(spec, ell)
     intervals = math.ceil(4.0 * extent / width)
     previous, romberg = math.inf, []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import AlgebraParams
-from .states import CsSpec, mean_reflection
+from .states import CsSpec, mean_reflection, squeeze_gap
 
 __all__ = ["Moments", "cs_moments", "uncertainty_products", "xi_from_means"]
 
@@ -50,9 +50,9 @@ def cs_moments(spec: CsSpec, params: AlgebraParams) -> Moments:
     """All six moment fields of the coherent state in one shot."""
     if params.epsilon != spec.epsilon:
         raise DomainError("spec and algebra parameters disagree on epsilon")
-    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
+    zeta, xi, eps = spec.zeta, spec.xi, spec.epsilon
     l, hbar = params.length_scale, params.hbar
-    one = 1.0 - abs(zeta) ** 2
+    one = squeeze_gap(zeta)
     r_bar = mean_reflection(zeta, xi, eps)
     parity_weight = 1.0 + (2.0 * eps - 1.0) * r_bar
     mean_x = math.sqrt(2.0) * l * ((1.0 - np.conj(zeta)) * xi).real / one
@@ -78,7 +78,7 @@ def uncertainty_products(
     """
     zeta = complex(zeta)
     hbar = params.hbar
-    one = 1.0 - abs(zeta) ** 2
+    one = squeeze_gap(zeta)
     parity_weight = 1.0 + params.nu * mean_r
     heisenberg = (hbar * math.sqrt(1.0 + 4.0 * zeta.imag ** 2 / one ** 2)
                   * parity_weight / 2.0)

@@ -25,7 +25,7 @@ from .errors import DomainError
 from .fock import AlgebraParams, FockVector
 from .observables import uncertainty_products
 from .states import check_squeeze, cs_amplitudes, cs_spec_from_params, \
-    cs_transition, mean_reflection
+    cs_transition, mean_reflection, squeeze_gap
 
 __all__ = [
     "OscillatorConfig",
@@ -115,7 +115,7 @@ def cs_state(cfg: OscillatorConfig, t: float,
 def _initial_means(cfg: OscillatorConfig) -> tuple[float, float]:
     z_abs, z_arg = abs(cfg.zeta0), cmath.phase(complex(cfg.zeta0))
     x_abs, x_arg = abs(cfg.xi0), cmath.phase(complex(cfg.xi0))
-    one = 1.0 - z_abs**2
+    one = squeeze_gap(cfg.zeta0)
     x0 = (math.sqrt(2.0) * cfg.l * x_abs
           * (math.cos(x_arg) - z_abs * math.cos(x_arg - z_arg)) / one)
     p0 = (math.sqrt(2.0) * cfg.l * cfg.mass * cfg.omega0 * x_abs
@@ -217,7 +217,7 @@ def asymptotic_uncertainties(
     y = |xi0|^2/(1-|zeta0|^2) >= large_y_min; the two thresholds default to
     desk-scale values and may be overridden by the caller.
     """
-    one = 1.0 - abs(cfg.zeta0) ** 2
+    one = squeeze_gap(cfg.zeta0)
     x_abs = abs(cfg.xi0)
     if regime == "small":
         if x_abs > small_xi_max or abs(cfg.zeta0) > 0.9:

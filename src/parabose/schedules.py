@@ -4,7 +4,9 @@ A schedule is one function ``coefficients(t) -> (alpha, beta, delta)`` of a
 scalar time, alpha complex, beta and delta real.  Positive definiteness of
 the Hamiltonian requires beta(t) > |alpha(t)|; each constructor checks it,
 and the solvers check it at every time they evaluate and treat a violation
-as a hard error.
+as a hard error.  Each constructor also rejects a non-finite coefficient,
+which that gate need not meet (it never reads delta), before any
+integration.
 
 Three families are supported: constant, sinusoidal (mean plus a sine
 modulation at a common frequency) and tabulated (piecewise-linear between
@@ -51,10 +53,21 @@ class CoefficientSchedule:
             )
 
 
+def _check_finite(**coefficients) -> None:
+    """Each coefficient, a number or a tabulated column, is finite."""
+    for name, value in coefficients.items():
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            where = f" at sample {bad[0]}" if np.ndim(value) else ""
+            raise DomainError(f"schedule {name} must be finite, got "
+                              f"{np.ravel(value)[bad[0]]}{where}")
+
+
 def constant_schedule(
     alpha: complex = 0.0, beta: float = 1.0, delta: float = 0.0
 ) -> CoefficientSchedule:
     values = (complex(alpha), float(beta), float(delta))
+    _check_finite(alpha=values[0], beta=values[1], delta=values[2])
     sched = CoefficientSchedule(lambda t: values)
     sched.check_positive_definite(0.0)
     return sched
@@ -75,6 +88,8 @@ def sinusoidal_schedule(
     beta_amp = float(beta_amp)
     delta0 = float(delta0)
     omega = float(omega)
+    _check_finite(alpha0=alpha0, alpha_amp=alpha_amp, beta0=beta0,
+                  beta_amp=beta_amp, delta0=delta0, omega=omega)
 
     def coefficients(t):
         s = math.sin(omega * t)
@@ -108,6 +123,7 @@ def tabulated_schedule(
         raise ConfigError("tabulated schedule times must be strictly increasing")
     if not (len(alpha) == len(beta) == len(delta) == len(times)):
         raise ConfigError("tabulated schedule columns must share the time length")
+    _check_finite(t=times, alpha=alpha, beta=beta, delta=delta)
     knots = tuple(times.tolist())
     t0, t1 = knots[0], knots[-1]
     columns = np.column_stack([alpha.real, alpha.imag, beta, delta])

@@ -83,6 +83,7 @@ __all__ = [
     "mean_reflection",
     "check_squeeze",
     "check_index",
+    "squeeze_gap",
 ]
 
 SVS_TAIL_BOUND = 1e-14
@@ -113,6 +114,12 @@ def check_squeeze(zeta: complex) -> None:
         raise DomainError(f"|zeta| must stay below 1 - 1e-6, got {abs(zeta)}")
 
 
+def squeeze_gap(zeta: complex) -> float:
+    """The gap 1 - |zeta|^2 through which every closed form reads the
+    squeeze (normalization, y, moments, psi's Gaussian)."""
+    return 1.0 - abs(zeta) ** 2
+
+
 def check_index(n) -> int:
     """A number-state index as int: a nonnegative integer (NaN, inf fail)."""
     if type(n) is int and n >= 0:
@@ -124,20 +131,29 @@ def check_index(n) -> int:
 
 def _check_state_inputs(zeta: complex, epsilon: float,
                         xi: complex | None = None, theta: float = 0.0):
-    """The state domain; xi is None for the squeezed vacuum."""
+    """The one conversion of a state's numbers: zeta and xi to complex, eps
+    and theta to float, checked on the state domain and returned in the
+    spec's field order (xi None, the squeezed vacuum's, is left out)."""
+    try:  # unary plus refuses the strings that complex() and float() parse
+        epsilon, zeta, theta = float(+epsilon), complex(+zeta), float(+theta)
+        xi = xi if xi is None else complex(+xi)
+    except TypeError:
+        for name, value in (("zeta", zeta), ("epsilon", epsilon), ("xi", xi),
+                            ("theta", theta)):
+            if isinstance(value, (str, bytes)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+        raise
     check_epsilon(epsilon)
     check_squeeze(zeta)
     if xi is not None:
-        try:
-            y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
-        except OverflowError:  # |xi|^2 past double range, on Python floats
-            y = math.inf
+        y = abs(xi) * abs(xi) / squeeze_gap(zeta)  # inf, where ** 2 raises
         if not y <= Y_LIMIT:
             raise DomainError(
                 f"xi must be finite with y = |xi|^2/(1-|zeta|^2) <= "
                 f"{Y_LIMIT:g}, got {xi!r}")
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
+    return (zeta, epsilon, theta) if xi is None else (zeta, xi, epsilon, theta)
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,9 @@ class SvsSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_state_inputs(self.zeta, self.epsilon, theta=self.theta)
+        checked = _check_state_inputs(self.zeta, self.epsilon, theta=self.theta)
+        for name, value in zip(("zeta", "epsilon", "theta"), checked):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -162,7 +180,9 @@ class CsSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_state_inputs(self.zeta, self.epsilon, self.xi, self.theta)
+        checked = _check_state_inputs(self.zeta, self.epsilon, self.xi, self.theta)
+        for name, value in zip(("zeta", "xi", "epsilon", "theta"), checked):
+            object.__setattr__(self, name, value)
 
 
 def svs_spec_from_params(params, epsilon: float) -> SvsSpec:
@@ -385,10 +405,10 @@ def _svs_coefficient_column(zeta: complex, epsilon: float,
 
 def svs_amplitudes(spec: SvsSpec, truncation: int | None = None) -> FockVector:
     """Amplitude vector of the squeezed-vacuum state; odd entries vanish."""
-    zeta, eps = complex(spec.zeta), float(spec.epsilon)
+    zeta, eps = spec.zeta, spec.epsilon
     n_pairs, n_total = _resolve_pairs(_svs_pairs(abs(zeta), eps), truncation)
     amps = np.zeros(n_total, dtype=complex)
-    pref = (1.0 - abs(zeta) ** 2) ** (eps / 2.0) * np.exp(1j * spec.theta)
+    pref = squeeze_gap(zeta) ** (eps / 2.0) * np.exp(1j * spec.theta)
     amps[0:2 * n_pairs:2] = pref * _svs_coefficient_column(zeta, eps, n_pairs)
     return _finalize(amps, "svs_amplitudes")
 
@@ -402,14 +422,18 @@ def svs_transition(zeta: complex, epsilon: float, n: int) -> float:
     """P_{2n} = (1-|zeta|^2)^eps Gamma(n+eps) |zeta|^(2n) / (n! Gamma(eps));
     the lines of one state check and form its n-free terms once."""
     global _last_svs
-    key = (complex(zeta), float(epsilon), _SABOTAGE_TRANSITION)
+    try:  # as in the rule, unary plus refuses strings
+        key = (complex(+zeta), float(+epsilon), _SABOTAGE_TRANSITION)
+    except TypeError:  # which the rule then names
+        _check_state_inputs(zeta, epsilon)
+        raise
     last = _last_svs
     if key != last[0]:
-        _check_state_inputs(zeta, epsilon)
-        q = abs(key[0]) ** 2
-        sign = +1.0 if not _SABOTAGE_TRANSITION else -1.0
-        last = _last_svs = (key, q, (1.0 - sign * q) ** key[1],
-                            math.lgamma(key[1]), math.log(q) if q else None)
+        zeta, epsilon, _ = _check_state_inputs(zeta, epsilon)
+        q = abs(zeta) ** 2
+        gap = squeeze_gap(zeta) if not _SABOTAGE_TRANSITION else 1.0 + q
+        last = _last_svs = (key, q, gap ** epsilon, math.lgamma(epsilon),
+                            math.log(q) if q else None)
     _, q, base, log_gamma_eps, log_q = last
     if not (type(n) is int and n >= 0):
         n = check_index(n)
@@ -426,10 +450,8 @@ def svs_overlap(spec1: SvsSpec, spec2: SvsSpec) -> complex:
     from the stored state phases."""
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("svs_overlap requires equal epsilon")
-    eps = spec1.epsilon
-    z1, z2 = complex(spec1.zeta), complex(spec2.zeta)
-    base = ((1.0 - abs(z1) ** 2) ** (eps / 2.0)
-            * (1.0 - abs(z2) ** 2) ** (eps / 2.0)
+    eps, z1, z2 = spec1.epsilon, spec1.zeta, spec2.zeta
+    base = (squeeze_gap(z1) ** (eps / 2.0) * squeeze_gap(z2) ** (eps / 2.0)
             * (1.0 - np.conj(z1) * z2) ** (-eps))
     return complex(base * np.exp(1j * (spec2.theta - spec1.theta)))
 
@@ -445,8 +467,8 @@ def _cs_log_prefactor(spec: CsSpec) -> complex:
     (1-|zeta|^2)^(eps/2) exp(-L/2 + Re w), L = ``log_pair``(eps, y),
     regular at xi = 0.
     """
-    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
-    one = 1.0 - abs(zeta) ** 2
+    zeta, xi, eps = spec.zeta, spec.xi, spec.epsilon
+    one = squeeze_gap(zeta)
     y = abs(xi) ** 2 / one
     w = np.conj(zeta) * xi * xi / (2.0 * one)
     log_mag = 0.5 * eps * math.log(one) - 0.5 * log_pair(eps, y) + w.real
@@ -462,7 +484,7 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     are the squeezed-vacuum series (with the coherent-family phase); the
     xi -> 0 limit is taken along the positive real axis.
     """
-    zeta, xi, eps = complex(spec.zeta), complex(spec.xi), float(spec.epsilon)
+    zeta, xi, eps = spec.zeta, spec.xi, spec.epsilon
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps), truncation)
     state = _cs_state(zeta, xi, eps)
     even, odd = (column.extend(n_pairs)[:n_pairs] for column in state.laguerre)
@@ -490,8 +512,8 @@ class _CsState:
     P_0, P_1, P_2, ..., P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k
     and k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also ``log_pre``, ln pre
     at theta = 0, and the search's pair count ``pairs``, None before it
-    runs.  The inputs are checked once, here, and converted to complex and
-    float.
+    runs.  The inputs are checked once, here, and read back from the spec
+    that their check builds, as complex and float.
 
     One scale rule, s = min(floor(-log_4 k), 1022), keeps the seed 2^-s a
     normal double and 4^s k in (1/4, 1] below the cap.  Every P_n <= 1, so
@@ -502,15 +524,15 @@ class _CsState:
     nothing of it."""
 
     def __init__(self, zeta, xi, epsilon):
-        zeta, xi, epsilon = complex(zeta), complex(xi), float(epsilon)
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=epsilon)
+        zeta, xi, epsilon = spec.zeta, spec.xi, spec.epsilon
         # theta enters only the logarithm's imaginary part, as its last term
         self.log_pre = _cs_log_prefactor(spec)
         log_k = 2.0 * self.log_pre.real
         self.scale = min(math.floor(-0.5 * log_k / _LN2), 1022)
         k = _scaled_exp(log_k, 2 * self.scale, np.exp)
         if not k >= 2.0 ** -1022:  # ln P_0 < -3066 ln 2
-            y = abs(xi) ** 2 / (1.0 - abs(zeta) ** 2)
+            y = abs(xi) ** 2 / squeeze_gap(zeta)
             raise DomainError(
                 f"coherent state at y = |xi|^2/(1-|zeta|^2) = {y:.6g} has "
                 f"ln P_0 = {log_k:.6g}, below the -2125.19 that its "
@@ -630,9 +652,8 @@ def cs_overlap(spec1: CsSpec, spec2: CsSpec) -> complex:
     """
     if spec1.epsilon != spec2.epsilon:
         raise DomainError("cs_overlap requires equal epsilon")
-    eps = float(spec1.epsilon)
-    z1, x1 = complex(spec1.zeta).conjugate(), complex(spec1.xi).conjugate()
-    z2, x2 = complex(spec2.zeta), complex(spec2.xi)
+    eps, z2, x2 = spec1.epsilon, spec2.zeta, spec2.xi
+    z1, x1 = spec1.zeta.conjugate(), spec1.xi.conjugate()
     one_t = 1.0 - z1 * z2
     log_overlap = (_cs_log_prefactor(spec1).conjugate()
                    + _cs_log_prefactor(spec2)
@@ -652,6 +673,6 @@ def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:
     state).  Both pairs come from the same two terms on one scale; the
     numerator, I_{eps-1} - I_eps ~ I (eps - 1/2)/y, cancels, so the ratio
     carries about y 1e-16 relative error (3.4e-11 at y = 1e6, eps = 2.5)."""
-    _check_state_inputs(zeta, epsilon, xi)
-    _, a, b = pair(float(epsilon), abs(xi) ** 2 / (1.0 - abs(zeta) ** 2))
+    zeta, xi, epsilon, _ = _check_state_inputs(zeta, epsilon, xi)
+    _, a, b = pair(epsilon, abs(xi) ** 2 / squeeze_gap(zeta))
     return float((a - b) / (a + b))

@@ -52,7 +52,7 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("key,least", [
         ("run.samples", 1), ("figure.nodes", 1), ("figure.points", 16),
-        ("figure.n_max", 0)])
+        ("figure.n_max", 0), ("output.digits", 1)])
     def test_counts_have_a_least_value(self, key, least):
         cfg = ScenarioConfig().with_overrides([f"{key}={least}"])
         assert cfg[key] == least

@@ -69,6 +69,32 @@ def test_tabulated_bad_sample_rejected_at_construction():
         tabulated_schedule(t, np.full(5, 0.3j), beta, np.zeros(5))
 
 
+def _csv_with_nan_delta(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("t,alpha_re,alpha_im,beta,delta\n0,0,0,1,0\n1,0,0,1,nan\n")
+    return load_schedule_csv(path)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda tmp: constant_schedule(0.0, 1.0, np.nan), "delta must be finite, got nan"),
+    (lambda tmp: sinusoidal_schedule(beta0=1.0, delta0=np.inf),
+     "delta0 must be finite, got inf"),
+    (lambda tmp: tabulated_schedule(np.arange(3.0), np.zeros(3), np.ones(3),
+                                    np.array([0.0, -np.inf, 0.0])),
+     "delta must be finite, got -inf at sample 1"),
+    (lambda tmp: tabulated_schedule(np.array([0.0, np.inf]), np.zeros(2),
+                                    np.ones(2), np.zeros(2)),
+     "t must be finite, got inf at sample 1"),
+    (_csv_with_nan_delta, "delta must be finite, got nan at sample 1"),
+], ids=["constant", "sinusoidal", "tabulated", "tabulated-times", "csv"])
+def test_non_finite_coefficient_rejected_at_construction(build, message,
+                                                         tmp_path):
+    # the beta > |alpha| gate never reads delta; a non-finite delta used to
+    # reach the solver, which then failed inside its step control
+    with pytest.raises(DomainError, match=message):
+        build(tmp_path)
+
+
 def test_positivity_gate_names_first_bad_time():
     sched = constant_schedule(0.3j, 1.0, 0.2)
     assert all(sched.coefficients(t) == (0.3j, 1.0, 0.2)

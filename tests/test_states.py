@@ -2,7 +2,10 @@
 
 import cmath
 import hashlib
+import inspect
 import math
+import pathlib
+import re
 import time
 import tracemalloc
 import warnings
@@ -1110,6 +1113,78 @@ def test_index_verdicts(n, index):
     else:
         got = states.check_index(n)
         assert type(got) is int and got == index
+
+
+STATE_NUMBERS = {"zeta": 0.3, "xi": 1.0, "epsilon": 2.5, "theta": 0.0}
+STATE_ENTRIES = [
+    ("CsSpec", lambda a: CsSpec(a["zeta"], a["xi"], a["epsilon"], a["theta"]),
+     ("zeta", "xi", "epsilon", "theta")),
+    ("SvsSpec", lambda a: SvsSpec(a["zeta"], a["epsilon"], a["theta"]),
+     ("zeta", "epsilon", "theta")),
+    ("cs_transition", lambda a: cs_transition(a["zeta"], a["xi"],
+                                              a["epsilon"], 3),
+     ("zeta", "xi", "epsilon")),
+    ("svs_transition", lambda a: svs_transition(a["zeta"], a["epsilon"], 3),
+     ("zeta", "epsilon")),
+    ("mean_reflection", lambda a: mean_reflection(a["zeta"], a["xi"],
+                                                  a["epsilon"]),
+     ("zeta", "xi", "epsilon")),
+]
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(call, name, id=f"{entry}-{name}")
+    for entry, call, names in STATE_ENTRIES for name in names])
+def test_numeric_strings_refused_by_every_entry(call, name):
+    # cs_transition('0.3', '1.0', '2.5', 3) used to return 0.0139: complex()
+    # and float() parse strings, and it converted before it checked
+    states._cs_state.cache_clear()
+    numbers = dict(STATE_NUMBERS, **{name: str(STATE_NUMBERS[name])})
+    with pytest.raises(DomainError, match=f"{name} must be a number"):
+        call(numbers)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_svs_transition_refuses_strings_in_either_memo(monkeypatch, warm):
+    # svs_transition('0.3', 2.5, 3) raised TypeError on a fresh memo and
+    # returned 0.00378 right after a read of (0.3, 2.5)
+    monkeypatch.setattr(states, "_last_svs", (None,) * 5)
+    if warm:
+        svs_transition(0.3, 2.5, 3)
+    for zeta, eps in (("0.3", 2.5), (0.3, "2.5"), (0.3, b"2.5")):
+        with pytest.raises(DomainError, match="must be a number"):
+            svs_transition(zeta, eps, 3)
+    assert svs_transition(0.3, 2.5, 3) == svs_transition(0.3 + 0j, 2.5, 3.0)
+
+
+def test_specs_hold_python_complex_and_float():
+    spec = CsSpec(np.float64(0.3), 1, 2.5)
+    assert type(spec.zeta) is complex and type(spec.xi) is complex
+    assert type(spec.epsilon) is float and type(spec.theta) is float
+    assert spec == CsSpec(0.3 + 0j, 1.0 + 0j, 2.5, 0.0)
+    # numpy scalars and 0-d arrays read the doubles complex() and float() do
+    svs = SvsSpec(np.float32(0.35), np.array(2.5), np.float32(0.1))
+    assert (svs.zeta, svs.epsilon, svs.theta) == (
+        complex(np.float32(0.35)), 2.5, float(np.float32(0.1)))
+    assert (type(svs.zeta), type(svs.epsilon), type(svs.theta)) == (
+        complex, float, float)
+
+
+def test_squeeze_gap_written_once():
+    # 1 - |zeta|^2 is formed by states.squeeze_gap alone, and no module
+    # converts a spec's numbers again
+    gap = re.compile(r"1(\.0)?\s*-\s*(abs\(.*?\)|z_abs)\s*\*\*\s*2")
+    hits, conversions = [], []
+    for path in sorted(pathlib.Path(states.__file__).parent.glob("*.py")):
+        for line in path.read_text().splitlines():
+            if gap.search(line):
+                hits.append((path.name, line.strip()))
+            if re.search(r"(complex|float)\(spec", line):
+                conversions.append((path.name, line.strip()))
+    inside = inspect.getsource(states.squeeze_gap)
+    assert [hit for hit in hits
+            if hit[0] != "states.py" or hit[1] not in inside] == []
+    assert conversions == []
 
 
 # SHA-256 over the state layer's outputs on PIN_STATES, pinned on these numpy
