@@ -28,10 +28,11 @@ Laguerre polynomials, DLMF §18.9, scaled by (-zeta)^n), exact for every
 |zeta| < 1 and termwise (xi^2/2)^n / sqrt(n! (alpha+1)_n) at zeta = 0.
 ``cs_transition``'s P_n = |c_n|^2 is the paper's parity-split closed form.
 
-A bounded cache keeps the last STATE_CACHE coherent states, each checked once
-as it enters, and a read that repeats the last one's three numbers (the same
-objects) skips even the cache's hash.  The truncation search, the amplitudes
-and the distribution all read a state's Laguerre columns, which grow in
+One bounded table keeps the last STATE_CACHE states of either family, each
+checked once as it enters, and a read that repeats the last one's three
+numbers (the same objects) skips even the table's hash.  A squeezed vacuum
+keeps the n-free terms of its lines.  A coherent state's truncation search,
+amplitudes and distribution all read its Laguerre columns, which grow in
 place and are never recomputed, and the distribution's lines P_0, P_1, ...
 sit in one column per state: a state costs one recurrence pass and one
 search however it is used, a line read is one lookup, and every entry is the
@@ -124,16 +125,17 @@ def check_index(n) -> int:
     """A number-state index as int: a nonnegative integer (NaN, inf fail)."""
     if type(n) is int and n >= 0:
         return n
-    if not (float(n).is_integer() and n >= 0):
+    # float() parses strings, which would then fail the comparison
+    if isinstance(n, (str, bytes)) or not (float(n).is_integer() and n >= 0):
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     return int(n)
 
 
-def _check_state_inputs(zeta: complex, epsilon: float,
-                        xi: complex | None = None, theta: float = 0.0):
+def _check_state_inputs(zeta: complex, xi: complex | None, epsilon: float,
+                        theta: float = 0.0):
     """The one conversion of a state's numbers: zeta and xi to complex, eps
     and theta to float, checked on the state domain and returned in the
-    spec's field order (xi None, the squeezed vacuum's, is left out)."""
+    order they came (xi None, the squeezed vacuum's, is kept)."""
     try:  # unary plus refuses the strings that complex() and float() parse
         epsilon, zeta, theta = float(+epsilon), complex(+zeta), float(+theta)
         xi = xi if xi is None else complex(+xi)
@@ -153,10 +155,12 @@ def _check_state_inputs(zeta: complex, epsilon: float,
                 f"{Y_LIMIT:g}, got {xi!r}")
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
-    return (zeta, epsilon, theta) if xi is None else (zeta, xi, epsilon, theta)
+    return zeta, xi, epsilon, theta
 
 
-@dataclass(frozen=True)
+# each spec stores the rule's numbers once, as the frozen dataclass's own
+# __init__ would store the arguments
+@dataclass(frozen=True, init=False)
 class SvsSpec:
     """Squeezed-vacuum state data: squeeze zeta, level eps, phase theta."""
 
@@ -164,13 +168,12 @@ class SvsSpec:
     epsilon: float
     theta: float = 0.0
 
-    def __post_init__(self):
-        checked = _check_state_inputs(self.zeta, self.epsilon, theta=self.theta)
-        for name, value in zip(("zeta", "epsilon", "theta"), checked):
-            object.__setattr__(self, name, value)
+    def __init__(self, zeta: complex, epsilon: float, theta: float = 0.0):
+        zeta, _, epsilon, theta = _check_state_inputs(zeta, None, epsilon, theta)
+        vars(self).update(zeta=zeta, epsilon=epsilon, theta=theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CsSpec:
     """Coherent state data: squeeze zeta, displacement xi, level eps, phase."""
 
@@ -179,10 +182,12 @@ class CsSpec:
     epsilon: float
     theta: float = 0.0
 
-    def __post_init__(self):
-        checked = _check_state_inputs(self.zeta, self.epsilon, self.xi, self.theta)
-        for name, value in zip(("zeta", "xi", "epsilon", "theta"), checked):
-            object.__setattr__(self, name, value)
+    def __init__(self, zeta: complex, xi: complex, epsilon: float,
+                 theta: float = 0.0):
+        if xi is None:  # the rule's squeezed vacuum
+            raise DomainError("xi must be a number, got None")
+        zeta, xi, epsilon, theta = _check_state_inputs(zeta, xi, epsilon, theta)
+        vars(self).update(zeta=zeta, xi=xi, epsilon=epsilon, theta=theta)
 
 
 def svs_spec_from_params(params, epsilon: float) -> SvsSpec:
@@ -298,7 +303,7 @@ def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
 def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
     """Minimal pair count with relative tail mass below CS_TAIL_BOUND; the
     search runs once per cached state, which keeps its count."""
-    state = _cs_state(zeta, xi, epsilon)
+    state = _state(zeta, xi, epsilon)
     if state.pairs is None:
         state.pairs = _search_pairs(state, abs(zeta), abs(xi), epsilon)
     return state.pairs
@@ -413,36 +418,28 @@ def svs_amplitudes(spec: SvsSpec, truncation: int | None = None) -> FockVector:
     return _finalize(amps, "svs_amplitudes")
 
 
-# the last squeezed vacuum read, rebound as one tuple: its key, the converted
-# (zeta, eps) and the sabotage flag, then q, (1 - q)^eps, ln Gamma(eps), ln q
-_last_svs = (None,) * 5
+def _svs_state(spec: SvsSpec) -> tuple:
+    """A squeezed vacuum's n-free numbers in the state table: eps,
+    q = |zeta|^2, (1 - q)^eps, ln Gamma(eps) and ln q (None at q = 0)."""
+    q = abs(spec.zeta) ** 2
+    return (spec.epsilon, q, squeeze_gap(spec.zeta) ** spec.epsilon,
+            math.lgamma(spec.epsilon), math.log(q) if q else None)
 
 
 def svs_transition(zeta: complex, epsilon: float, n: int) -> float:
     """P_{2n} = (1-|zeta|^2)^eps Gamma(n+eps) |zeta|^(2n) / (n! Gamma(eps));
-    the lines of one state check and form its n-free terms once."""
-    global _last_svs
-    try:  # as in the rule, unary plus refuses strings
-        key = (complex(+zeta), float(+epsilon), _SABOTAGE_TRANSITION)
-    except TypeError:  # which the rule then names
-        _check_state_inputs(zeta, epsilon)
-        raise
-    last = _last_svs
-    if key != last[0]:
-        zeta, epsilon, _ = _check_state_inputs(zeta, epsilon)
-        q = abs(zeta) ** 2
-        gap = squeeze_gap(zeta) if not _SABOTAGE_TRANSITION else 1.0 + q
-        last = _last_svs = (key, q, gap ** epsilon, math.lgamma(epsilon),
-                            math.log(q) if q else None)
-    _, q, base, log_gamma_eps, log_q = last
+    a state's n-free terms are checked and formed once, in the state table."""
+    epsilon, q, base, log_gamma_eps, log_q = _state(zeta, None, epsilon)
     if not (type(n) is int and n >= 0):
         n = check_index(n)
+    if _SABOTAGE_TRANSITION:
+        base = (1.0 + q) ** epsilon
     if q == 0.0:
-        return float(base) if n == 0 else 0.0
-    log_term = (math.lgamma(n + key[1]) - math.lgamma(n + 1.0)
+        return base if n == 0 else 0.0
+    log_term = (math.lgamma(n + epsilon) - math.lgamma(n + 1.0)
                 - log_gamma_eps + n * log_q)
     # probabilities may poke past 1 by an ulp of the log-gamma evaluation
-    return min(float(base * math.exp(log_term)), 1.0)
+    return min(base * math.exp(log_term), 1.0)
 
 
 def svs_overlap(spec1: SvsSpec, spec2: SvsSpec) -> complex:
@@ -486,7 +483,7 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     """
     zeta, xi, eps = spec.zeta, spec.xi, spec.epsilon
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps), truncation)
-    state = _cs_state(zeta, xi, eps)
+    state = _state(zeta, xi, eps)
     even, odd = (column.extend(n_pairs)[:n_pairs] for column in state.laguerre)
     # pre 2^s times 2^-s e_n, exactly; |pre| alone may pass double range
     log_pre = state.log_pre
@@ -512,19 +509,18 @@ class _CsState:
     P_0, P_1, P_2, ..., P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k
     and k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also ``log_pre``, ln pre
     at theta = 0, and the search's pair count ``pairs``, None before it
-    runs.  The inputs are checked once, here, and read back from the spec
-    that their check builds, as complex and float.
+    runs.  It is built from the spec that checks the state's numbers as
+    it enters the state table (``_state``), and reads them back from it.
 
     One scale rule, s = min(floor(-log_4 k), 1022), keeps the seed 2^-s a
     normal double and 4^s k in (1/4, 1] below the cap.  Every P_n <= 1, so
     |2^-s e_n|^2 <= P_n / (4^s k): every column entry, search mass, mass sum
     and P_n factor stays in double range.  A state with 4^s k < 2^-1022,
     ln P_0 below -3066 ln 2 ~ -2125 (y ~ 2100 at zeta = 0), raises
-    DomainError here, before any column is built, and the cache keeps
+    DomainError here, before any column is built, and the table keeps
     nothing of it."""
 
-    def __init__(self, zeta, xi, epsilon):
-        spec = CsSpec(zeta=zeta, xi=xi, epsilon=epsilon)
+    def __init__(self, spec: CsSpec):
         zeta, xi, epsilon = spec.zeta, spec.xi, spec.epsilon
         # theta enters only the logarithm's imaginary part, as its last term
         self.log_pre = _cs_log_prefactor(spec)
@@ -568,45 +564,54 @@ class _CsState:
         return self.lines
 
 
-# keyed on the caller's own numbers: equal values hash and compare equal,
-# whatever their type, so a cached read converts nothing
-_cs_lookup = functools.lru_cache(maxsize=STATE_CACHE)(_CsState)
+# keyed on the caller's own numbers, xi None for a squeezed vacuum: equal
+# values hash and compare equal, whatever their type, so a cached read
+# converts nothing, and the spec checks them once as the state enters
+_table = functools.lru_cache(maxsize=STATE_CACHE)(
+    lambda zeta, xi, epsilon: _svs_state(SvsSpec(zeta, epsilon)) if xi is None
+    else _CsState(CsSpec(zeta, xi, epsilon)))
 # the last read: the caller's three numbers (held, so that no other object
 # takes their ids) and their state, rebound as one tuple so that concurrent
 # readers never pair one state's numbers with another state
-_NO_STATE = (object(),) * 3 + (None,)
-_last_state = _NO_STATE
+_last_state = _NO_STATE = (object(),) * 3 + (None,)
 
 
-def _cs_state(zeta, xi, epsilon) -> _CsState:
+def _state(zeta, xi, epsilon):
+    """The table's state, or the last read's for its own objects; a 0-d
+    array is keyed on its value by the rule and never held (it may change)."""
     global _last_state
     last = _last_state
     if zeta is last[0] and xi is last[1] and epsilon is last[2]:
         return last[3]
-    state = _cs_lookup(zeta, xi, epsilon)
+    try:
+        state = _table(zeta, xi, epsilon)
+    except TypeError:  # unhashable; or a type the rule refuses, once more
+        return _table(*_check_state_inputs(zeta, xi, epsilon)[:3])
     _last_state = (zeta, xi, epsilon, state)
     return state
 
 
-def _cs_state_cache_clear() -> None:
+def _clear_states() -> None:
     global _last_state
-    _cs_lookup.cache_clear()
+    _table.cache_clear()
     _last_state = _NO_STATE
 
 
-_cs_state.cache_clear = _cs_state_cache_clear
-_cs_state.cache_info = _cs_lookup.cache_info
+_state.cache_clear, _state.cache_info = _clear_states, _table.cache_info
 
 
 def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     """P_n = |c_n|^2 of the coherent state, parity split in closed form.
 
-    The lines of the last STATE_CACHE states are kept in one column per
+    The lines of each coherent state in the state table (the last
+    STATE_CACHE states of either family) are kept in one column per
     state: the first line read past its end fills in every line the
     state's Laguerre columns reach, in one numpy pass over the columns its
     amplitudes read, so a whole distribution P_0 .. P_N costs O(N) and
     each further line is one lookup (by the caller's three numbers, and by
-    their identity when they repeat the last call's).  Each line is
+    their identity when they repeat the last call's; a 0-d array reads the
+    value it holds, and xi None, the table's squeezed vacuum, raises
+    DomainError).  Each line is
     computed entry by entry, so P_n is the same number whatever the order
     of the calls.  Every line below n = 2 MAX_PAIRS of a state reads; a
     line past that, which the column would have to reach entry by entry,
@@ -619,9 +624,11 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     """
     if not (type(n) is int and n >= 0):
         n = check_index(n)
+    if xi is None:  # the table's squeezed vacuum
+        raise DomainError("xi must be a number, got None")
     last = _last_state
     state = (last[3] if zeta is last[0] and xi is last[1]
-             and epsilon is last[2] else _cs_state(zeta, xi, epsilon))
+             and epsilon is last[2] else _state(zeta, xi, epsilon))
     lines = state.lines
     if n >= len(lines):
         if n >= 2 * MAX_PAIRS:
@@ -673,6 +680,8 @@ def mean_reflection(zeta: complex, xi: complex, epsilon: float) -> float:
     state).  Both pairs come from the same two terms on one scale; the
     numerator, I_{eps-1} - I_eps ~ I (eps - 1/2)/y, cancels, so the ratio
     carries about y 1e-16 relative error (3.4e-11 at y = 1e6, eps = 2.5)."""
-    zeta, xi, epsilon, _ = _check_state_inputs(zeta, epsilon, xi)
+    if xi is None:  # the rule's squeezed vacuum
+        raise DomainError("xi must be a number, got None")
+    zeta, xi, epsilon, _ = _check_state_inputs(zeta, xi, epsilon)
     _, a, b = pair(epsilon, abs(xi) ** 2 / squeeze_gap(zeta))
     return float((a - b) / (a + b))

@@ -1,6 +1,7 @@
 """State constructors: normalization, reductions, transitions, overlaps."""
 
 import cmath
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -199,6 +200,12 @@ class TestSvsTransition:
         assert svs_transition(zeta, eps, 4) == want
         eps[()] = 4.5
         assert svs_transition(zeta, eps, 4) == svs_transition(0.5, 4.5, 4)
+        # the coherent family reads the same table
+        want = cs_transition(0.5, 1.0, 2.5, 4)
+        zeta = np.array(0.3)
+        assert cs_transition(zeta, 1.0, 2.5, 4) != want
+        zeta[()] = 0.5
+        assert cs_transition(zeta, 1.0, 2.5, 4) == want
 
     def test_equal_numbers_share_a_state(self, monkeypatch):
         check = states._check_state_inputs
@@ -351,7 +358,7 @@ class TestCsAmplitudes:
         # ln P_0 = -2286 at y = 1758, and -2485 at y = 2500
         for zeta, xi, eps, y in ((-0.3, 40.0, 0.5, "1758.24"),
                                  (0.0, 50.0, 2.5, "2500")):
-            size = states._cs_state.cache_info().currsize
+            size = states._state.cache_info().currsize
             start = time.perf_counter()
             with pytest.raises(DomainError,
                                match=f"y = .* = {y} .* below the -2125"):
@@ -359,7 +366,7 @@ class TestCsAmplitudes:
             with pytest.raises(DomainError, match=f"y = .* = {y} "):
                 cs_transition(zeta, xi, eps, 3)
             assert time.perf_counter() - start < 1.0
-            assert states._cs_state.cache_info().currsize == size
+            assert states._state.cache_info().currsize == size
 
     def test_bessel_pair_below_double_range_fails_loudly(self):
         # past |z| = 700, from eps ~ 1056, ive underflows and the series'
@@ -399,7 +406,7 @@ class TestCsAmplitudes:
             .truncation == 940
         v = cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps))
         assert abs(v.norm_sq() - 1.0) <= 1e-12
-        state = states._cs_state(0j, complex(xi), eps)
+        state = states._state(0j, complex(xi), eps)
         log_p0 = 2.0 * math.log(abs(v.amplitudes[0]))
         assert state.scale == math.floor(-0.5 * log_p0 / math.log(2.0))
         assert 0.25 < state.factors[0] <= 1.0
@@ -443,7 +450,7 @@ class TestCsAmplitudes:
         # the pair masses |c_2n|^2 + |c_{2n+1}|^2 over |pre|^2, eight times
         # further out
         even, odd = (column.extend(8 * n_pairs)[:8 * n_pairs]
-                     for column in states._cs_state(
+                     for column in states._state(
                          complex(spec.zeta), complex(spec.xi),
                          spec.epsilon).laguerre)
         w = np.abs(even) ** 2 + 0.5 * abs(spec.xi) ** 2 / spec.epsilon \
@@ -468,7 +475,7 @@ class TestCsAmplitudes:
             spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
             searches.clear()
             states._cs_pairs(zeta, xi, eps)
-            state = states._cs_state(zeta, xi, eps)
+            state = states._state(zeta, xi, eps)
             window = len(state.laguerre[0].values)
             for truncation in (None, 2 * window, 2 * window + 64):
                 v = cs_amplitudes(spec, truncation=truncation)
@@ -490,7 +497,7 @@ class TestCsAmplitudes:
         # truncation 400,002 once built its amplitudes (0.2 s), and
         # 2,000,000 took 1.0 s and 107 MB
         monkeypatch.setattr(states, "MAX_PAIRS", 100)
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         try:
             for build, spec in ((svs_amplitudes, SvsSpec(zeta=0.3, epsilon=2.5)),
                                 (cs_amplitudes, CsSpec(zeta=0.3, xi=1.0,
@@ -499,22 +506,22 @@ class TestCsAmplitudes:
                 with pytest.raises(DomainError, match="2 MAX_PAIRS = 200$"):
                     build(spec, truncation=202)
         finally:
-            states._cs_state.cache_clear()
+            states._state.cache_clear()
 
     def test_over_bound_truncation_leaves_the_columns(self):
         # the cached state keeps the columns its truncation search grew
         spec = CsSpec(zeta=0.3, xi=1.0, epsilon=2.5)
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         try:
             cs_amplitudes(spec)
-            state = states._cs_state(complex(spec.zeta), complex(spec.xi),
+            state = states._state(complex(spec.zeta), complex(spec.xi),
                                      spec.epsilon)
             lengths = [len(column.values) for column in state.laguerre]
             with pytest.raises(DomainError, match="400000"):
                 cs_amplitudes(spec, truncation=2 * states.MAX_PAIRS + 2)
             assert [len(c.values) for c in state.laguerre] == lengths
         finally:
-            states._cs_state.cache_clear()
+            states._state.cache_clear()
 
     def test_schrodinger_property_constant_schedule(self):
         # analytic parameters propagated by the ODE solver keep the state on
@@ -538,7 +545,7 @@ class TestCsTransition:
         # P_4,000,000 of this state once took 1.5 s and 214 MB, then stayed
         # cached at that size
         cs_transition(0.3, 1.0, 2.5, 40)
-        state = states._cs_state(0.3, 1.0, 2.5)
+        state = states._state(0.3, 1.0, 2.5)
         lengths = (len(state.lines), len(state.laguerre[0].values),
                    len(state.laguerre[1].values))
         for n in (4_000_000, 2 * states.MAX_PAIRS):
@@ -549,15 +556,15 @@ class TestCsTransition:
 
     def test_lines_read_up_to_the_bound(self, monkeypatch):
         monkeypatch.setattr(states, "MAX_PAIRS", 100)
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         try:
             assert 0.0 <= cs_transition(0.3, 1.0, 2.5, 199) < 1e-100
-            state = states._cs_state(0.3, 1.0, 2.5)
+            state = states._state(0.3, 1.0, 2.5)
             assert len(state.laguerre[0].values) == 100
             with pytest.raises(DomainError, match="< 2 MAX_PAIRS = 200,"):
                 cs_transition(0.3, 1.0, 2.5, 200)
         finally:
-            states._cs_state.cache_clear()
+            states._state.cache_clear()
 
     def test_odd_lines_gated_by_displacement(self):
         for n in (1, 3, 9):
@@ -618,15 +625,15 @@ class TestCsTransition:
         ns = range(300)
 
         def fresh(state):
-            states._cs_state.cache_clear()
+            states._state.cache_clear()
             return [cs_transition(*state, n) for n in ns]
 
         want_a, want_b = fresh(a), fresh(b)
         assert want_a == [self._per_n(*map(complex, a[:2]), a[2], n)
                           for n in ns]
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         assert [cs_transition(*a, n) for n in reversed(ns)] == want_a[::-1]
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         mixed = [(cs_transition(*a, n), cs_transition(*b, n)) for n in ns]
         assert [p for p, _ in mixed] == want_a
         assert [q for _, q in mixed] == want_b
@@ -634,14 +641,14 @@ class TestCsTransition:
     def test_cache_keyed_on_the_callers_numbers(self):
         # equal values of any numeric type hash and compare equal, so they
         # reach one cached state, which converts them once as it enters
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         lines = {cs_transition(zeta, xi, eps, 5)
                  for zeta, xi, eps in ((0, 2, 3), (0.0, 2.0, 3.0),
                                        (0j, 2 + 0j, 3.0 + 0j),
                                        (np.float64(0.0), np.complex128(2.0),
                                         np.float32(3.0)))}
         assert len(lines) == 1
-        assert states._cs_state.cache_info().currsize == 1
+        assert states._state.cache_info().currsize == 1
 
     def test_state_forms_its_prefactor_once(self, monkeypatch):
         # the state keeps ln pre at theta = 0, and each read adds its phase
@@ -650,7 +657,7 @@ class TestCsTransition:
         monkeypatch.setattr(states, "_cs_log_prefactor",
                             lambda spec: calls.append(spec) or prefactor(spec))
         zeta, xi, eps = 0.45 + 0.15j, -1.5 + 2.0j, 3.5
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         first = cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
         cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps, theta=0.8))
         for n in range(first.truncation):
@@ -668,19 +675,19 @@ class TestCsTransition:
                             lambda self, *args: built.append(args)
                             or init(self, *args))
         zeta, xi, eps = 0.3j, 1.5 - 0.5j, 2.5
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         first = [cs_transition(zeta, xi, eps, n) for n in range(9)]
         assert len(built) == 1
-        assert states._cs_state.cache_info().hits == 0
-        states._cs_state.cache_clear()
+        assert states._state.cache_info().hits == 0
+        states._state.cache_clear()
         assert [cs_transition(zeta, xi, eps, n) for n in range(9)] == first
         assert len(built) == 2
-        hits = states._cs_state.cache_info().hits
+        hits = states._state.cache_info().hits
         assert cs_transition(complex(zeta.real, zeta.imag),
                              xi + 0.0, float("2.5"), 4) == first[4]
         assert len(built) == 2
-        assert states._cs_state.cache_info().hits == hits + 1
-        assert states._cs_state.cache_info().currsize == 1
+        assert states._state.cache_info().hits == hits + 1
+        assert states._state.cache_info().currsize == 1
 
     def test_index_forms_read_their_line(self):
         # the plain-int fast path and check_index's rule read one line
@@ -695,7 +702,7 @@ class TestCsTransition:
     def test_lines_past_the_truncation(self, zeta, xi, eps):
         # the first read past the automatic truncation grows the columns
         # the search left; measured gap to the amplitudes 2.6e-16 at most
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
         n = cs_amplitudes(spec).truncation + 37
         line = cs_transition(zeta, xi, eps, n)
@@ -705,15 +712,15 @@ class TestCsTransition:
     def test_cache_is_bounded(self):
         for k in range(20):
             cs_transition(0.01 * k, 1.0, 2.5, 40)
-        assert states._cs_state.cache_info().currsize \
+        assert states._state.cache_info().currsize \
             <= states.STATE_CACHE < 20
 
     def test_nan_displacement_rejected_after_cached_call(self):
         cs_transition(0.3, 1.0, 2.5, 3)
-        size = states._cs_state.cache_info().currsize
+        size = states._state.cache_info().currsize
         with pytest.raises(DomainError, match="xi must be finite"):
             cs_transition(0.3, math.nan, 2.5, 3)
-        assert states._cs_state.cache_info().currsize == size
+        assert states._state.cache_info().currsize == size
 
     def test_shared_columns_prefix_stable(self):
         # the search, the amplitudes and the distribution read one growing
@@ -729,7 +736,7 @@ class TestCsTransition:
             spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
 
             def fresh(read):
-                states._cs_state.cache_clear()
+                states._state.cache_clear()
                 return read()
 
             def distribution():
@@ -737,7 +744,7 @@ class TestCsTransition:
 
             def window():
                 states._cs_pairs(zeta, xi, eps)
-                return len(states._cs_state(zeta, xi, eps).laguerre[0].values)
+                return len(states._state(zeta, xi, eps).laguerre[0].values)
 
             window = fresh(window)
             wide = 2 * window + 64
@@ -745,10 +752,10 @@ class TestCsTransition:
             wide_amps = fresh(
                 lambda: cs_amplitudes(spec, truncation=wide).amplitudes)
             dist = fresh(distribution)
-            states._cs_state.cache_clear()
+            states._state.cache_clear()
             assert np.array_equal(cs_amplitudes(spec).amplitudes, amps)
             assert distribution() == dist
-            states._cs_state.cache_clear()
+            states._state.cache_clear()
             assert [cs_transition(zeta, xi, eps, n)
                     for n in range(len(amps))] == dist[:len(amps)]
             assert np.array_equal(
@@ -782,7 +789,7 @@ class TestCsTransition:
         # its lines, once a mix of raises and 0.0, raise too
         zeta, eps = 0.3, 2.5
         xi = math.sqrt(3e4 * (1.0 - zeta**2))
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         searches = []
         search = states._search_pairs
         monkeypatch.setattr(states, "_search_pairs",
@@ -800,7 +807,7 @@ class TestCsTransition:
             tracemalloc.stop()
         assert retained < 0.5e6
         assert searches == []
-        assert states._cs_state.cache_info().currsize == 0
+        assert states._state.cache_info().currsize == 0
 
     @pytest.mark.parametrize("zeta, xi, eps", LONG_STATES + [
         (-0.7701509910417981 - 0.36074694507234856j,
@@ -1103,6 +1110,7 @@ def test_index_must_be_a_nonnegative_integer(call, n):
 @pytest.mark.parametrize("n, index", [
     (3, 3), (np.int64(3), 3), (3.0, 3), (True, 1),
     (-1, None), (2.5, None), (math.nan, None), (math.inf, None),
+    pytest.param("3", None, id="str"), pytest.param(b"3", None, id="bytes"),
 ])
 def test_index_verdicts(n, index):
     # the plain-int fast path gives every input the verdict of the general
@@ -1138,23 +1146,70 @@ STATE_ENTRIES = [
 def test_numeric_strings_refused_by_every_entry(call, name):
     # cs_transition('0.3', '1.0', '2.5', 3) used to return 0.0139: complex()
     # and float() parse strings, and it converted before it checked
-    states._cs_state.cache_clear()
+    states._state.cache_clear()
     numbers = dict(STATE_NUMBERS, **{name: str(STATE_NUMBERS[name])})
     with pytest.raises(DomainError, match=f"{name} must be a number"):
         call(numbers)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
-def test_svs_transition_refuses_strings_in_either_memo(monkeypatch, warm):
+def test_svs_transition_refuses_strings_in_either_memo(warm):
     # svs_transition('0.3', 2.5, 3) raised TypeError on a fresh memo and
     # returned 0.00378 right after a read of (0.3, 2.5)
-    monkeypatch.setattr(states, "_last_svs", (None,) * 5)
+    states._state.cache_clear()
     if warm:
         svs_transition(0.3, 2.5, 3)
     for zeta, eps in (("0.3", 2.5), (0.3, "2.5"), (0.3, b"2.5")):
         with pytest.raises(DomainError, match="must be a number"):
             svs_transition(zeta, eps, 3)
     assert svs_transition(0.3, 2.5, 3) == svs_transition(0.3 + 0j, 2.5, 3.0)
+
+
+@pytest.mark.parametrize("read", [
+    lambda n: svs_transition(0.3, 2.5, n),
+    lambda n: cs_transition(0.3, 1.0, 2.5, n),
+], ids=["svs_transition", "cs_transition"])
+def test_string_index_refused(read):
+    # check_index's float('3') parses, and '3' >= 0 then raised a bare
+    # TypeError (test_index_verdicts holds the rule's own str and bytes cases)
+    with pytest.raises(DomainError,
+                       match="^n must be a nonnegative integer, got '3'$"):
+        read("3")
+
+
+# one pair of objects, so that the squeezed vacuum read first leaves them,
+# with xi None, as the last read of the state table
+NO_XI_ZETA, NO_XI_EPS = 0.3, 2.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CsSpec(NO_XI_ZETA, None, NO_XI_EPS),
+    lambda: cs_transition(NO_XI_ZETA, None, NO_XI_EPS, 3),
+    lambda: mean_reflection(NO_XI_ZETA, None, NO_XI_EPS),
+], ids=["CsSpec", "cs_transition", "mean_reflection"])
+def test_coherent_entries_refuse_no_displacement(call):
+    # xi None was read as the squeezed vacuum's: CsSpec(0.3, None, 2.5)
+    # held eps = 0.0, cs_transition raised a bare math domain error and
+    # mean_reflection a failed unpacking
+    states._state.cache_clear()
+    svs_transition(NO_XI_ZETA, NO_XI_EPS, 3)
+    with pytest.raises(DomainError, match="^xi must be a number, got None$"):
+        call()
+
+
+def test_specs_are_frozen_values():
+    cs, svs = CsSpec(0.3, 1.0, 2.5), SvsSpec(0.3, 2.5, theta=0.1)
+    for spec, name in ((cs, "xi"), (cs, "theta"), (svs, "zeta")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, 0.0)
+    same = CsSpec(zeta=0.3 + 0j, xi=np.float64(1.0), epsilon=2.5, theta=0)
+    assert cs == same and hash(cs) == hash(same)
+    assert svs == SvsSpec(np.float64(0.3), 2.5, 0.1)
+    assert hash(svs) == hash(SvsSpec(np.float64(0.3), 2.5, 0.1))
+    assert cs != CsSpec(0.3, 1.0, 2.5, 0.1)
+    assert repr(cs) == "CsSpec(zeta=(0.3+0j), xi=(1+0j), epsilon=2.5, theta=0.0)"
+    assert repr(svs) == "SvsSpec(zeta=(0.3+0j), epsilon=2.5, theta=0.1)"
+    assert dataclasses.replace(cs, theta=0.1) == CsSpec(0.3, 1.0, 2.5, 0.1)
 
 
 def test_specs_hold_python_complex_and_float():
@@ -1242,5 +1297,5 @@ class TestStateBytes:
         if found != STATE_LIBRARIES:
             pytest.skip(f"state bytes pinned on {STATE_LIBRARIES}, "
                         f"found {found}")
-        states._cs_state.cache_clear()
+        states._state.cache_clear()
         assert state_digest() == STATE_SHA256
