@@ -245,9 +245,13 @@ class _LaguerreColumn:
     at zeta = 0 it degenerates to e_n = x^n / sqrt(n! (alpha+1)_n) termwise,
     so the column is continuous across the zero-squeeze point.
     Each new entry comes from the last two, so a column is computed once
-    however far it is read.  The three coefficients of a step are
-    elementwise numpy operations and the steps run on Python complex, so a
-    column grown in pieces equals (==) one grown in a single call.
+    however far it is read.  The n-only factors 2n+1+alpha, sqrt(n (n+alpha))
+    and sqrt((n+1)(n+alpha+1)) come from the level's step tables
+    (``_step_tables``), so a growing call forms only x - zeta (2n+1+alpha)
+    and zeta^2 sqrt(n (n+alpha)) on the slice it needs; the steps run on
+    Python complex.  Every factor is an elementwise numpy operation, so a
+    column grown in pieces equals (==) one grown in a single call, whatever
+    the tables held.
     """
 
     def __init__(self, alpha: float, zeta: complex, x: complex, scale=0):
@@ -261,20 +265,19 @@ class _LaguerreColumn:
         have = len(self.values)
         if length <= have:
             return self.values
-        alpha, zeta, x = self.alpha, self.zeta, self.x
+        zeta, x = self.zeta, self.x
+        lin, lower, upper = _step_tables(self.alpha, length - 1)
         out = np.empty(length, dtype=complex)
         out[:have] = self.values
         prev, last = self.values[-2:].tolist()
         # stored _STEP_CHUNK entries at a time: a list of Python complex
         # takes 40 B an entry against numpy's 16
         for start in range(have, length, _STEP_CHUNK):
-            n = np.arange(start - 1, min(start + _STEP_CHUNK, length) - 1,
-                          dtype=float)
+            n = slice(start - 1, min(start + _STEP_CHUNK, length) - 1)
             new = []
-            for a, b, d in zip(
-                    (x - zeta * (2.0 * n + 1.0 + alpha)).tolist(),
-                    (zeta * zeta * np.sqrt(n * (n + alpha))).tolist(),
-                    np.sqrt((n + 1.0) * (n + alpha + 1.0)).tolist()):
+            for a, b, d in zip((x - zeta * lin[n]).tolist(),
+                               (zeta * zeta * lower[n]).tolist(),
+                               upper[n].tolist()):
                 prev, last = last, (a * last - b * prev) / d
                 new.append(last)
             out[start:start + len(new)] = new
@@ -282,8 +285,35 @@ class _LaguerreColumn:
         return self.values
 
 
+# one slot per level, holding its tables as one tuple (rebound whole, so a
+# concurrent reader never pairs tables of two lengths); two levels, one per
+# parity, for each state the state table holds
+_step_slot = functools.lru_cache(maxsize=2 * STATE_CACHE)(
+    lambda alpha: [(np.empty(0),) * 3])
+
+
+def _step_tables(alpha: float, length: int) -> tuple:
+    """The n-only factors of level alpha's recurrence steps, 2n+1+alpha,
+    sqrt(n (n+alpha)) and sqrt((n+1)(n+alpha+1)), for n = 0 through at
+    least length - 1.  Each entry is its own elementwise numpy operation,
+    so it is the same number whatever the tables' length or the state that
+    grew them.  Short, they grow to at least twice their length (up to
+    MAX_PAIRS), so the columns of a level pay O(log N) table passes."""
+    slot = _step_slot(alpha)
+    tables = slot[0]
+    if len(tables[0]) < length:
+        n = np.arange(max(length, min(2 * len(tables[0]), MAX_PAIRS)),
+                      dtype=float)
+        slot[0] = tables = (2.0 * n + 1.0 + alpha, np.sqrt(n * (n + alpha)),
+                            np.sqrt((n + 1.0) * (n + alpha + 1.0)))
+    return tables
+
+
+@functools.lru_cache(maxsize=STATE_CACHE)
 def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
-    """Smallest pair count with geometric tail bound below SVS_TAIL_BOUND."""
+    """Smallest pair count with geometric tail bound below SVS_TAIL_BOUND,
+    kept for the last STATE_CACHE (|zeta|, eps): a coherent state's first
+    search window and its squeezed vacuum's amplitudes ask for the same."""
     q = zeta_abs * zeta_abs
     if q == 0.0:
         return 1
@@ -399,13 +429,13 @@ def _svs_coefficient_column(zeta: complex, epsilon: float,
     The even-sector amplitude kernel, missing only the common factor
     (1-|zeta|^2)^(eps/2) e^{i theta}; completeness quadratures read it
     directly because that factor cancels their radial weight exactly.
+    The terms run on Python complex into a list, converted once.
     """
-    out = np.empty(n_pairs, dtype=complex)
-    c = 1.0 + 0.0j
+    out, c = [], 1.0 + 0.0j
     for n in range(n_pairs):
-        out[n] = c
+        out.append(c)
         c *= -zeta * math.sqrt((n + epsilon) / (n + 1.0))
-    return out
+    return np.array(out, dtype=complex)
 
 
 def svs_amplitudes(spec: SvsSpec, truncation: int | None = None) -> FockVector:
@@ -429,7 +459,10 @@ def _svs_state(spec: SvsSpec) -> tuple:
 def svs_transition(zeta: complex, epsilon: float, n: int) -> float:
     """P_{2n} = (1-|zeta|^2)^eps Gamma(n+eps) |zeta|^(2n) / (n! Gamma(eps));
     a state's n-free terms are checked and formed once, in the state table."""
-    epsilon, q, base, log_gamma_eps, log_q = _state(zeta, None, epsilon)
+    last = _last_state
+    epsilon, q, base, log_gamma_eps, log_q = (
+        last[3] if zeta is last[0] and last[1] is None and epsilon is last[2]
+        else _state(zeta, None, epsilon))
     if not (type(n) is int and n >= 0):
         n = check_index(n)
     if _SABOTAGE_TRANSITION:
@@ -583,10 +616,11 @@ def _state(zeta, xi, epsilon):
     last = _last_state
     if zeta is last[0] and xi is last[1] and epsilon is last[2]:
         return last[3]
-    try:
-        state = _table(zeta, xi, epsilon)
-    except TypeError:  # unhashable; or a type the rule refuses, once more
+    try:  # only the key's hash: a type the rule refuses raises in the build
+        hash((zeta, xi, epsilon))
+    except TypeError:  # unhashable: keyed on the numbers the rule reads
         return _table(*_check_state_inputs(zeta, xi, epsilon)[:3])
+    state = _table(zeta, xi, epsilon)
     _last_state = (zeta, xi, epsilon, state)
     return state
 

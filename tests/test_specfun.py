@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, ive
 
-from parabose import bessel, coordrep
+from parabose import bessel, coordrep, states
 from parabose.bessel import log_pair
 from parabose.errors import DomainError
 from parabose.fock import AlgebraParams
@@ -117,6 +117,18 @@ def gamma_weight(n, alpha):
     return mpmath.sqrt(mpmath.factorial(n) / mpmath.rf(alpha + 1, n))
 
 
+def recurrence_column(alpha, zeta, x, length):
+    """The column's recurrence written out on Python complex: the same
+    coefficients and the same division by sqrt((n+1)(n+alpha+1))."""
+    want = [1.0, (x - zeta * (1.0 + alpha)) / math.sqrt(alpha + 1.0)]
+    for n in range(1, length - 1):
+        want.append(((x - zeta * (2.0 * n + 1.0 + alpha)) * want[n]
+                     - zeta * zeta * math.sqrt(n * (n + alpha))
+                     * want[n - 1])
+                    / math.sqrt((n + 1.0) * (n + alpha + 1.0)))
+    return want
+
+
 class TestLaguerre:
     """e_n = sqrt(n!/(alpha+1)_n) (-zeta)^n L_n^alpha(x / zeta), the
     normalized recurrence column."""
@@ -144,17 +156,41 @@ class TestLaguerre:
                            * np.exp(2j * np.pi * rng.uniform()))
             x = complex(0.5 * (rng.uniform(0.0, 8.0)
                                * np.exp(2j * np.pi * rng.uniform())) ** 2)
-            want = [1.0, (x - zeta * (1.0 + alpha)) / math.sqrt(alpha + 1.0)]
-            for n in range(1, 8999):
-                want.append(((x - zeta * (2.0 * n + 1.0 + alpha)) * want[n]
-                             - zeta * zeta * math.sqrt(n * (n + alpha))
-                             * want[n - 1])
-                            / math.sqrt((n + 1.0) * (n + alpha + 1.0)))
+            want = recurrence_column(alpha, zeta, x, 9000)
             column = _LaguerreColumn(alpha, zeta, x)
             for length in (3, 17, 18, 150, 4100, 9000):
                 column.extend(length)
             assert np.array_equal(column.values, want)
             assert want[-1] != 0.0
+
+    def test_step_tables_shared_and_evicted(self):
+        # a level's step tables, grown long by one state, serve a short
+        # column of another; evicted and rebuilt, they serve it again, and
+        # every column equals the recurrence written out
+        alpha, bound = 1.75, states._step_slot.cache_info().maxsize
+        states._step_slot.cache_clear()
+        long_column = _LaguerreColumn(alpha, 0.95j, 3.0 - 1.0j)
+        long_column.extend(5000)
+        assert np.array_equal(long_column.values,
+                              recurrence_column(alpha, 0.95j, 3.0 - 1.0j, 5000))
+        assert len(states._step_tables(alpha, 1)[0]) >= 4999
+        short = recurrence_column(alpha, -0.4 + 0.3j, 1.5 + 2.0j, 40)
+        for _ in range(2):
+            column = _LaguerreColumn(alpha, -0.4 + 0.3j, 1.5 + 2.0j)
+            for length in (3, 17, 40):
+                column.extend(length)
+            assert np.array_equal(column.values, short)
+            for other in range(bound + 1):
+                _LaguerreColumn(2.0 + other, 0.5, 1.0).extend(10)
+            assert len(states._step_tables(alpha, 1)[0]) == 1
+
+    def test_step_tables_bounded(self):
+        bound = states._step_slot.cache_info().maxsize
+        assert bound == 2 * states.STATE_CACHE
+        states._step_slot.cache_clear()
+        for level in range(3 * bound):
+            _LaguerreColumn(0.25 * level, 0.3, 1.0).extend(50)
+        assert states._step_slot.cache_info().currsize <= bound
 
     def test_frozen_oracle_value(self):
         # zeta = -1 turns M_5 into L_5^alpha(-x); explicit-coefficient sum

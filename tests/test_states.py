@@ -1177,6 +1177,25 @@ def test_string_index_refused(read):
         read("3")
 
 
+@pytest.mark.parametrize("read", [
+    lambda zeta: svs_transition(zeta, 2.5, 3),
+    lambda zeta: cs_transition(zeta, 1.0, 2.5, 3),
+], ids=["svs_transition", "cs_transition"])
+def test_refused_type_checked_once(read, monkeypatch):
+    # a type the rule refuses (np.bool_ has no unary plus) once met the rule
+    # in the table's build step and again in _state's TypeError handler
+    check = states._check_state_inputs
+    with pytest.raises(TypeError) as direct:
+        check(np.bool_(False), 1.0, 2.5)
+    calls = []
+    monkeypatch.setattr(states, "_check_state_inputs",
+                        lambda *a: calls.append(a) or check(*a))
+    states._state.cache_clear()
+    with pytest.raises(TypeError) as got:
+        read(np.bool_(False))
+    assert type(got.value) is type(direct.value) and len(calls) == 1
+
+
 # one pair of objects, so that the squeezed vacuum read first leaves them,
 # with xi None, as the last read of the state table
 NO_XI_ZETA, NO_XI_EPS = 0.3, 2.5
