@@ -7,7 +7,8 @@ after the other for each workload and pair: the parent first in odd pairs
 falls on both sides alike.  Each run is a subprocess started in its own
 checkout at ``--trace 0``; its result is the last line of its standard
 output.  Prints, as JSON, the ``pairs`` block of a ``BENCH_*.json``: the
-``runs`` of each side and their ``summary``.
+``runs`` of each side, their ``summary``, and each side's source size
+``src_lines`` (the lines of ``src/parabose/*.py``).
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workloads sweep figures \\
         --pairs 10 --seed 5 --seconds 8 > pairs.json
@@ -32,6 +33,13 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int,
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: pathlib.Path) -> int:
+    """The line count of ``src/parabose/*.py`` in ``checkout``, as
+    ``cat src/parabose/*.py | wc -l`` counts it: its newline characters."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "parabose").glob("*.py"))
 
 
 def summarize(runs: dict) -> dict:
@@ -87,7 +95,9 @@ def main() -> int:
                 print(f"{workload} pair {pair} {side}: wall_s "
                       f"{result['metrics']['wall_s']['value']:.4g}",
                       file=sys.stderr, flush=True)
-    print(json.dumps({"summary": summarize(runs), "runs": runs}, indent=1))
+    sizes = {side: src_lines(checkouts[side]) for side in SIDES}
+    print(json.dumps({"summary": summarize(runs), "src_lines": sizes,
+                      "runs": runs}, indent=1))
     return 0
 
 

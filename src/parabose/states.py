@@ -32,11 +32,12 @@ One bounded table keeps the last STATE_CACHE states of either family, each
 checked once as it enters, and a read that repeats the last one's three
 numbers (the same objects) skips even the table's hash.  A squeezed vacuum
 keeps the n-free terms of its lines.  A coherent state's truncation search,
-amplitudes and distribution all read its Laguerre columns, which grow in
-place and are never recomputed, and the distribution's lines P_0, P_1, ...
-sit in one column per state: a state costs one recurrence pass and one
-search however it is used, a line read is one lookup, and every entry is the
-same number whatever the order of the calls.
+amplitudes and distribution all read one block of its two Laguerre columns,
+which grows in place and is never recomputed, and the distribution's lines
+P_0, P_1, ... sit in one column per state: a state costs one recurrence pass
+and one search however it is used, a line read is one lookup, and every
+entry is the same number whatever the order of the calls.  Reads are safe
+from any thread; one lock serializes every state's growth.
 The columns are stored times one power of two per state, chosen from
 P_0 = |pre|^2 so that every entry stays in double range; a state reads in
 full down to P_0 ~ e^-2125 (y ~ 2100 at zeta = 0) and raises DomainError
@@ -60,6 +61,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -231,11 +233,12 @@ def _scaled_exp(t: float, shift: int, exp=math.exp) -> float:
     return math.ldexp(float(exp(t - j * _LN2)), j + shift)
 
 
-class _LaguerreColumn:
-    """2^-scale e_n, e_n = sqrt(n!/(alpha+1)_n) (-zeta)^n L_n^alpha(x / zeta),
-    x = xi^2/2, grown in place: c_{2n} = pre e_n at alpha = eps - 1,
-    c_{2n+1} = pre xi/sqrt(2 eps) e_n at alpha = eps.  The exact power of
-    two is chosen by ``_CsState``.
+def _laguerre(alpha: float, zeta: complex, x: complex, column: np.ndarray,
+              have: int = 0, scale: int = 0) -> np.ndarray:
+    """``column`` filled past its first ``have`` entries (0, or at least 2
+    entries of its own) with 2^-scale e_n, e_n = sqrt(n!/(alpha+1)_n)
+    (-zeta)^n L_n^alpha(x / zeta): one level of a coherent state's columns
+    (``_CsState.grow``), at x = xi^2/2, alpha = eps - 1 (even) and eps (odd).
 
     Recurrence e_0 = 1, e_1 = (x - zeta (1+alpha)) / sqrt(alpha+1) and
 
@@ -253,41 +256,29 @@ class _LaguerreColumn:
     column grown in pieces equals (==) one grown in a single call, whatever
     the tables held.
     """
-
-    def __init__(self, alpha: float, zeta: complex, x: complex, scale=0):
-        self.alpha, self.zeta, self.x = alpha, zeta, x
-        first = math.ldexp(1.0, -scale)
-        second = (x - zeta * (1.0 + alpha)) * first / math.sqrt(alpha + 1.0)
-        self.values = np.array([first, second], dtype=complex)
-
-    def extend(self, length: int) -> np.ndarray:
-        """The column, at least ``length`` entries long."""
-        have = len(self.values)
-        if length <= have:
-            return self.values
-        zeta, x = self.zeta, self.x
-        lin, lower, upper = _step_tables(self.alpha, length - 1)
-        out = np.empty(length, dtype=complex)
-        out[:have] = self.values
-        prev, last = self.values[-2:].tolist()
-        # stored _STEP_CHUNK entries at a time: a list of Python complex
-        # takes 40 B an entry against numpy's 16
-        for start in range(have, length, _STEP_CHUNK):
-            n = slice(start - 1, min(start + _STEP_CHUNK, length) - 1)
-            new = []
-            for a, b, d in zip((x - zeta * lin[n]).tolist(),
-                               (zeta * zeta * lower[n]).tolist(),
-                               upper[n].tolist()):
-                prev, last = last, (a * last - b * prev) / d
-                new.append(last)
-            out[start:start + len(new)] = new
-        self.values = out
-        return self.values
+    if have == 0:
+        column[0] = first = math.ldexp(1.0, -scale)
+        column[1] = (x - zeta * (1.0 + alpha)) * first / math.sqrt(alpha + 1.0)
+        have = 2
+    lin, lower, upper = _step_tables(alpha, len(column) - 1)
+    prev, last = column[have - 2:have].tolist()
+    # stored _STEP_CHUNK entries at a time: a list of Python complex takes
+    # 40 B an entry against numpy's 16
+    for start in range(have, len(column), _STEP_CHUNK):
+        n = slice(start - 1, min(start + _STEP_CHUNK, len(column)) - 1)
+        new = []
+        for a, b, d in zip((x - zeta * lin[n]).tolist(),
+                           (zeta * zeta * lower[n]).tolist(),
+                           upper[n].tolist()):
+            prev, last = last, (a * last - b * prev) / d
+            new.append(last)
+        column[start:start + len(new)] = new
+    return column
 
 
-# one slot per level, holding its tables as one tuple (rebound whole, so a
-# concurrent reader never pairs tables of two lengths); two levels, one per
-# parity, for each state the state table holds
+# one slot per level, holding its tables as one tuple, rebound whole (a read
+# from any thread never pairs tables of two lengths; they grow as a state's
+# columns do, under the growth lock); two levels per state the table holds
 _step_slot = functools.lru_cache(maxsize=2 * STATE_CACHE)(
     lambda alpha: [(np.empty(0),) * 3])
 
@@ -309,22 +300,17 @@ def _step_tables(alpha: float, length: int) -> tuple:
     return tables
 
 
-@functools.lru_cache(maxsize=STATE_CACHE)
 def _svs_pairs(zeta_abs: float, epsilon: float) -> int:
-    """Smallest pair count with geometric tail bound below SVS_TAIL_BOUND,
-    kept for the last STATE_CACHE (|zeta|, eps): a coherent state's first
-    search window and its squeezed vacuum's amplitudes ask for the same."""
+    """Smallest pair count with geometric tail bound below SVS_TAIL_BOUND."""
     q = zeta_abs * zeta_abs
     if q == 0.0:
         return 1
     term = 1.0  # P_{2n} / (1-|zeta|^2)^eps, starting at n = 0
-    n = 0
-    while n < MAX_PAIRS:
+    for n in range(MAX_PAIRS):
         ratio = q * (n + epsilon) / (n + 1.0)
         term *= ratio
-        n += 1
         if ratio < 1.0 and term / (1.0 - ratio) < SVS_TAIL_BOUND:
-            return n + 1
+            return n + 2
     raise TruncationError(
         f"no admissible truncation below {2 * MAX_PAIRS} for |zeta|={zeta_abs}"
     )
@@ -334,16 +320,17 @@ def _cs_pairs(zeta: complex, xi: complex, epsilon: float) -> int:
     """Minimal pair count with relative tail mass below CS_TAIL_BOUND; the
     search runs once per cached state, which keeps its count."""
     state = _state(zeta, xi, epsilon)
-    if state.pairs is None:
-        state.pairs = _search_pairs(state, abs(zeta), abs(xi), epsilon)
+    with _growth:  # the search grows the state's columns
+        if state.pairs is None:
+            state.pairs = _search_pairs(state, abs(zeta), abs(xi), epsilon)
     return state.pairs
 
 
 def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
                   epsilon: float) -> int:
     """The truncation search behind ``_cs_pairs``, on the pair masses
-    |2^-s e_n|^2 + |xi|^2/(2 eps) |2^-s o_n|^2 of the state's columns (the
-    amplitudes' pair masses over 4^s |pre|^2, which the scale rule of
+    |2^-s e_n|^2 + |xi|^2/(2 eps) |2^-s o_n|^2 of the state's column block
+    (the amplitudes' pair masses over 4^s |pre|^2, which the scale rule of
     ``_CsState`` keeps in double range, their sum too).
 
     Scans the true per-pair masses over a working window that keeps growing
@@ -358,11 +345,10 @@ def _search_pairs(state: _CsState, zeta_abs: float, xi_abs: float,
     guess = 16 + _svs_pairs(zeta_abs, epsilon) \
         + int(lam + 12.0 * math.sqrt(lam + 4.0) + 24.0)
     accept = max(0.95, 0.5 * (1.0 + zeta_abs**2))
-    even, odd = state.laguerre
     while True:
         guess = min(guess, MAX_PAIRS)
-        w = (np.abs(even.extend(guess)[:guess]) ** 2 + 0.5 * xi_abs ** 2
-             / epsilon * np.abs(odd.extend(guess)[:guess]) ** 2)
+        m = np.abs(state.grow(guess)[:guess]) ** 2
+        w = m[:, 0] + 0.5 * xi_abs ** 2 / epsilon * m[:, 1]
         total = float(np.sum(w))
         tip = max(float(np.max(w[-8:])), 1e-320)
         ratio = min((w[-1] / w[-9]) ** 0.125 if w[-9] > 0 else 0.0, 0.999)
@@ -508,7 +494,7 @@ def _cs_log_prefactor(spec: CsSpec) -> complex:
 
 def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     """Amplitude vector of the generalized coherent state: the prefactor
-    times the state's cached Laguerre columns.
+    times the state's cached Laguerre column block.
 
     At xi = 0 the odd sector vanishes identically and the even amplitudes
     are the squeezed-vacuum series (with the coherent-family phase); the
@@ -517,33 +503,36 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
     zeta, xi, eps = spec.zeta, spec.xi, spec.epsilon
     n_pairs, n_total = _resolve_pairs(_cs_pairs(zeta, xi, eps), truncation)
     state = _state(zeta, xi, eps)
-    even, odd = (column.extend(n_pairs)[:n_pairs] for column in state.laguerre)
+    columns = state.grow(n_pairs)[:n_pairs]
     # pre 2^s times 2^-s e_n, exactly; |pre| alone may pass double range
     log_pre = state.log_pre
     pre = cmath.rect(_scaled_exp(log_pre.real, state.scale),
                      log_pre.imag + spec.theta)
     amps = np.zeros(n_total, dtype=complex)
-    amps[0::2] = pre * even
-    amps[1::2] = pre * (xi / math.sqrt(2.0 * eps)) * odd
+    amps[0::2] = pre * columns[:, 0]
+    amps[1::2] = pre * (xi / math.sqrt(2.0 * eps)) * columns[:, 1]
     return _finalize(amps, "cs_amplitudes")
 
 
-# the least a P_n column's Laguerre column grows to: a fresh state's first
-# lines (a figure's 41, a check's dozen) take one numpy pass per parity, not
-# one per doubling from the two seed entries
+# the least the columns grow to for a line: a fresh state's first lines (a
+# figure's 41, a check's dozen) take one numpy pass per parity
 _FIRST_PASS = 32
+_growth = threading.RLock()  # re-entrant: the lines and search call grow
 
 
 class _CsState:
     """One coherent state's n-dependent columns, each grown in place and
-    never recomputed.  Per parity (alpha = eps - 1 and eps) the Laguerre
-    column 2^-s e_n (s = ``scale``), which the truncation search, the
-    amplitudes and the distribution all read; and one column ``lines`` of
-    P_0, P_1, P_2, ..., P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k
-    and k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also ``log_pre``, ln pre
+    never recomputed.  Both parities' Laguerre columns in one (N, 2) block
+    ``columns``, row n = 2^-s (e_n(eps - 1), e_n(eps)) (s = ``scale``),
+    which the truncation search, the amplitudes and the distribution all
+    read; and one column ``lines`` of P_0, P_1, P_2, ...,
+    P_{2n+parity} = |2^-s e_n|^2 k_parity, k_0 = 4^s k and
+    k_1 = |xi|^2/(2 eps) k_0, k = |pre|^2 = P_0.  Also ``log_pre``, ln pre
     at theta = 0, and the search's pair count ``pairs``, None before it
     runs.  It is built from the spec that checks the state's numbers as
     it enters the state table (``_state``), and reads them back from it.
+    ``grow`` alone extends the block and ``extend_lines`` alone appends
+    lines, each under the growth lock, after re-reading the lengths there.
 
     One scale rule, s = min(floor(-log_4 k), 1022), keeps the seed 2^-s a
     normal double and 4^s k in (1/4, 1] below the cap.  Every P_n <= 1, so
@@ -566,34 +555,43 @@ class _CsState:
                 f"coherent state at y = |xi|^2/(1-|zeta|^2) = {y:.6g} has "
                 f"ln P_0 = {log_k:.6g}, below the -2125.19 that its "
                 f"double-precision columns reach")
-        x = 0.5 * xi * xi
-        self.laguerre = (_LaguerreColumn(epsilon - 1.0, zeta, x, self.scale),
-                         _LaguerreColumn(epsilon, zeta, x, self.scale))
+        self.levels = [(alpha, zeta, 0.5 * xi * xi)
+                       for alpha in (epsilon - 1.0, epsilon)]
+        self.columns = np.empty((0, 2), dtype=complex)
         # |xi|^2/(2 eps) as a factor rather than a log: xi = 0 closes the odd
         # lines
         self.factors = (k, abs(xi) ** 2 / (2.0 * epsilon) * k)
         self.lines = array("d")
         self.pairs = None
 
+    def grow(self, length: int) -> np.ndarray:
+        """The column block, at least ``length`` (>= 2) rows long: each
+        parity's level grown on by ``_laguerre``, in a loop of its own."""
+        if length > len(self.columns):
+            with _growth:
+                have = len(self.columns)
+                if length > have:
+                    out = np.empty((length, 2), dtype=complex)
+                    out[:have] = self.columns
+                    for parity, level in enumerate(self.levels):
+                        _laguerre(*level, out[:, parity], have, self.scale)
+                    self.columns = out
+        return self.columns
+
     def extend_lines(self, n: int) -> array:
         """The column of P_0, P_1, ..., through P_n and every line the
-        Laguerre columns reach.  The two columns always grow together (here,
-        in the search and in the amplitudes); short, they first grow through
-        n // 2, to at least twice their length and to _FIRST_PASS entries,
+        Laguerre columns reach.  Short, the columns first grow through
+        n // 2, to at least twice their length and to _FIRST_PASS rows,
         but not past MAX_PAIRS (n < 2 MAX_PAIRS, ``cs_transition``), so a
         sweep over n extends them O(log n) times."""
-        even, odd = self.laguerre
-        if n // 2 >= len(even.values):
-            length = min(max(n // 2 + 1, 2 * len(even.values), _FIRST_PASS),
-                         MAX_PAIRS)
-            even.extend(length)
-            odd.extend(length)
-        start = len(self.lines) // 2
-        # row m holds (P_2m, P_2m+1), so the rows' bytes are the lines
-        p = np.abs(np.stack((even.values[start:], odd.values[start:]),
-                            axis=1)) ** 2 * self.factors
-        # probabilities may poke past 1 by round-off
-        self.lines.frombytes(np.minimum(p, 1.0).tobytes())
+        with _growth:
+            if n // 2 >= len(self.columns):
+                self.grow(min(max(n // 2 + 1, 2 * len(self.columns),
+                                  _FIRST_PASS), MAX_PAIRS))
+            # row m holds (P_2m, P_2m+1), so the rows' bytes are the lines
+            p = np.abs(self.columns[len(self.lines) // 2:]) ** 2 * self.factors
+            # probabilities may poke past 1 by round-off
+            self.lines.frombytes(np.minimum(p, 1.0).tobytes())
         return self.lines
 
 
@@ -604,8 +602,8 @@ _table = functools.lru_cache(maxsize=STATE_CACHE)(
     lambda zeta, xi, epsilon: _svs_state(SvsSpec(zeta, epsilon)) if xi is None
     else _CsState(CsSpec(zeta, xi, epsilon)))
 # the last read: the caller's three numbers (held, so that no other object
-# takes their ids) and their state, rebound as one tuple so that concurrent
-# readers never pair one state's numbers with another state
+# takes their ids) and their state, rebound as one tuple so that a read from
+# any thread never pairs one state's numbers with another state
 _last_state = _NO_STATE = (object(),) * 3 + (None,)
 
 
@@ -651,10 +649,12 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     line past that, which the column would have to reach entry by entry,
     raises DomainError before the column grows, and so does a state whose
     P_0 is below e^-2125 (``_CsState``).  Line n carries about (y + n) 1e-16
-    relative error: the prefactor's log terms are of size y, and the
-    recurrence rounds once a step.  15503 lines of 13 states up to y = 1973
-    and N = 12618 read within 4 (y + n) 1e-16 of 40-digit mpmath (at most
-    1.9e-12, at n = 12534 of a |zeta| = 0.8, y = 1111 state).
+    relative error at |zeta| <= 0.8: the prefactor's log terms are of size
+    y, and the recurrence rounds once a step.  15503 lines of 13 states
+    there, up to y = 1973 and N = 12618, read within 4 (y + n) 1e-16 of
+    40-digit mpmath (at most 1.9e-12, at n = 12534 of a |zeta| = 0.8,
+    y = 1111 state).  At deep squeeze the error grows faster with n: 12 times
+    that at |zeta| = 0.995, 57 times at 0.99955 (medians against long double).
     """
     if not (type(n) is int and n >= 0):
         n = check_index(n)

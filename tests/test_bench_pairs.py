@@ -15,8 +15,12 @@ def result(wall, rss, attempted=150, failed=0, correct=True):
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
+def script(name):
+    return runpy.run_path(str(SCRIPT), run_name="bench_pairs")[name]
+
+
 def test_summary_of_pairs():
-    summarize = runpy.run_path(str(SCRIPT), run_name="bench_pairs")["summarize"]
+    summarize = script("summarize")
     runs = {"sweep": {
         "parent": [result(w, 90.0) for w in (0.10, 0.12, 0.11, 0.13)],
         "change": [result(0.09, 91.0), result(0.125, 89.0),
@@ -38,3 +42,16 @@ def test_summary_of_pairs():
     assert summary["all_correct"] is False
     runs["sweep"]["change"][3] = result(0.12, 90.5)
     assert summarize(runs)["sweep"]["all_correct"] is True
+
+
+def test_src_lines_counts_as_wc(tmp_path):
+    # newline characters of src/parabose/*.py, as cat ... | wc -l counts
+    # them: a last line without its newline is not counted, and neither are
+    # other files or subpackages
+    package = tmp_path / "src" / "parabose"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2\nz = 3")
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (package / "sub" / "c.py").write_text("w = 4\n")
+    assert script("src_lines")(tmp_path) == 4

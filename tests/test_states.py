@@ -7,6 +7,8 @@ import inspect
 import math
 import pathlib
 import re
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -449,10 +451,9 @@ class TestCsAmplitudes:
         assert time.perf_counter() - start < 0.5
         # the pair masses |c_2n|^2 + |c_{2n+1}|^2 over |pre|^2, eight times
         # further out
-        even, odd = (column.extend(8 * n_pairs)[:8 * n_pairs]
-                     for column in states._state(
-                         complex(spec.zeta), complex(spec.xi),
-                         spec.epsilon).laguerre)
+        even, odd = states._state(
+            complex(spec.zeta), complex(spec.xi),
+            spec.epsilon).grow(8 * n_pairs)[:8 * n_pairs].T
         w = np.abs(even) ** 2 + 0.5 * abs(spec.xi) ** 2 / spec.epsilon \
             * np.abs(odd) ** 2
         assert np.sum(w[n_pairs:]) < states.CS_TAIL_BOUND * np.sum(w)
@@ -476,14 +477,15 @@ class TestCsAmplitudes:
             searches.clear()
             states._cs_pairs(zeta, xi, eps)
             state = states._state(zeta, xi, eps)
-            window = len(state.laguerre[0].values)
+            window = len(state.columns)
             for truncation in (None, 2 * window, 2 * window + 64):
                 v = cs_amplitudes(spec, truncation=truncation)
                 n_pairs = v.truncation // 2
-                assert [len(c.values) for c in state.laguerre] \
+                assert [len(c) for c in state.columns.T] \
                     == [max(n_pairs, window)] * 2
-                even, odd = (states._LaguerreColumn(
-                    alpha, zeta, 0.5 * xi * xi).extend(n_pairs)[:n_pairs]
+                even, odd = (states._laguerre(
+                    alpha, zeta, 0.5 * xi * xi,
+                    np.empty(n_pairs, dtype=complex))
                     for alpha in (eps - 1.0, eps))
                 pre = cmath.exp(states._cs_log_prefactor(spec))
                 amps = np.zeros(v.truncation, dtype=complex)
@@ -516,10 +518,10 @@ class TestCsAmplitudes:
             cs_amplitudes(spec)
             state = states._state(complex(spec.zeta), complex(spec.xi),
                                      spec.epsilon)
-            lengths = [len(column.values) for column in state.laguerre]
+            lengths = [len(column) for column in state.columns.T]
             with pytest.raises(DomainError, match="400000"):
                 cs_amplitudes(spec, truncation=2 * states.MAX_PAIRS + 2)
-            assert [len(c.values) for c in state.laguerre] == lengths
+            assert [len(c) for c in state.columns.T] == lengths
         finally:
             states._state.cache_clear()
 
@@ -546,13 +548,13 @@ class TestCsTransition:
         # cached at that size
         cs_transition(0.3, 1.0, 2.5, 40)
         state = states._state(0.3, 1.0, 2.5)
-        lengths = (len(state.lines), len(state.laguerre[0].values),
-                   len(state.laguerre[1].values))
+        lengths = (len(state.lines), len(state.columns[:, 0]),
+                   len(state.columns[:, 1]))
         for n in (4_000_000, 2 * states.MAX_PAIRS):
             with pytest.raises(DomainError, match="400000"):
                 cs_transition(0.3, 1.0, 2.5, n)
-        assert (len(state.lines), len(state.laguerre[0].values),
-                len(state.laguerre[1].values)) == lengths
+        assert (len(state.lines), len(state.columns[:, 0]),
+                len(state.columns[:, 1])) == lengths
 
     def test_lines_read_up_to_the_bound(self, monkeypatch):
         monkeypatch.setattr(states, "MAX_PAIRS", 100)
@@ -560,7 +562,7 @@ class TestCsTransition:
         try:
             assert 0.0 <= cs_transition(0.3, 1.0, 2.5, 199) < 1e-100
             state = states._state(0.3, 1.0, 2.5)
-            assert len(state.laguerre[0].values) == 100
+            assert len(state.columns[:, 0]) == 100
             with pytest.raises(DomainError, match="< 2 MAX_PAIRS = 200,"):
                 cs_transition(0.3, 1.0, 2.5, 200)
         finally:
@@ -612,8 +614,8 @@ class TestCsTransition:
         log_k = 2.0 * states._cs_log_prefactor(
             CsSpec(zeta=zeta, xi=xi, epsilon=eps)).real
         scale = min(math.floor(-0.5 * log_k / math.log(2.0)), 1022)
-        col = states._LaguerreColumn((eps - 1.0, eps)[parity], zeta,
-                                     0.5 * xi * xi, scale).extend(m + 1)
+        col = states._laguerre((eps - 1.0, eps)[parity], zeta, 0.5 * xi * xi,
+                               np.empty(m + 2, dtype=complex), 0, scale)
         k = states._scaled_exp(log_k, 2 * scale, np.exp)
         if parity:
             k = abs(xi) ** 2 / (2.0 * eps) * k
@@ -744,7 +746,7 @@ class TestCsTransition:
 
             def window():
                 states._cs_pairs(zeta, xi, eps)
-                return len(states._state(zeta, xi, eps).laguerre[0].values)
+                return len(states._state(zeta, xi, eps).columns)
 
             window = fresh(window)
             wide = 2 * window + 64
@@ -1259,6 +1261,121 @@ def test_squeeze_gap_written_once():
     assert [hit for hit in hits
             if hit[0] != "states.py" or hit[1] not in inside] == []
     assert conversions == []
+
+
+def test_state_columns_written_in_one_class():
+    # a coherent state's column block is rebound only by _CsState (its empty
+    # block, then grow) and its lines appended only by extend_lines
+    writers = {".columns =": (states._CsState.__init__, states._CsState.grow),
+               "lines.frombytes": (states._CsState.extend_lines,)}
+    hits = []
+    for path in sorted(pathlib.Path(states.__file__).parent.glob("*.py")):
+        for line in path.read_text().splitlines():
+            hits += [(path.name, text, line.strip()) for text in writers
+                     if text in line]
+    assert len(hits) == 3
+    for name, text, line in hits:
+        assert name == "states.py"
+        assert any(line in inspect.getsource(writer)
+                   for writer in writers[text])
+
+
+# one fresh coherent state read from four threads at once: unguarded, its
+# growth raised ValueError in about half of such trials, returned a wrong
+# line in some and left the cached state wrong in others
+RACE_STATE = (0.3 + 0.2j, 1.5 - 0.7j, 2.5)
+RACE_LINES = [2000 + 37 * k for k in range(4)]
+
+
+def race(read, check, trials=20):
+    """Each trial: a cleared state table, then read(i) in thread i of four
+    behind a barrier, at a short switch interval, then check(results) on the
+    four results (None where a thread raised) before the next trial; the
+    interval is restored however a check ends."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            states._state.cache_clear()
+            barrier, got = threading.Barrier(4, timeout=60.0), [None] * 4
+
+            def run(i):
+                barrier.wait()
+                got[i] = read(i)
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            check(got)
+    finally:
+        sys.setswitchinterval(interval)
+        states._state.cache_clear()
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("amplitudes", [False, True],
+                         ids=["lines", "lines_and_amplitudes"])
+def test_concurrent_first_reads_equal_one_thread(amplitudes):
+    # with amplitudes, the odd threads build amplitudes of about as many
+    # rows as the lines of the even ones need, growing the same block
+
+    def read(i):
+        if amplitudes and i % 2:
+            return cs_amplitudes(CsSpec(*RACE_STATE),
+                                 truncation=RACE_LINES[i] // 2 * 2).amplitudes
+        return cs_transition(*RACE_STATE, RACE_LINES[i])
+
+    states._state.cache_clear()
+    lines = range(RACE_LINES[-1] + 1)
+    want_lines = [cs_transition(*RACE_STATE, n) for n in lines]
+    want = [read(i) for i in range(4)]
+
+    def check(got):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # every line of the cached state the threads grew reads the same
+        # afterwards, in one thread
+        assert [cs_transition(*RACE_STATE, n) for n in lines] == want_lines
+
+    race(read, check)
+
+
+def test_every_growth_holds_the_lock(monkeypatch):
+    # the search, the amplitudes past its window and the lines each grow
+    # the block, and every level they grow runs under the growth lock
+    owned = []
+    laguerre = states._laguerre
+    monkeypatch.setattr(states, "_laguerre", lambda *args: owned.append(
+        states._growth._is_owned()) or laguerre(*args))
+    states._state.cache_clear()
+    cs_amplitudes(CsSpec(*RACE_STATE), truncation=RACE_LINES[0])
+    cs_transition(*RACE_STATE, RACE_LINES[-1])
+    states._state.cache_clear()
+    # two levels for each of the three growths at least
+    assert len(owned) >= 6 and all(owned)
+
+
+def test_search_runs_once_per_state_under_threads(monkeypatch):
+    # racing first reads may build the state twice (the table keeps one),
+    # but no state object runs its truncation search twice
+    searched = []
+    search = states._search_pairs
+    monkeypatch.setattr(states, "_search_pairs",
+                        lambda *args: searched.append(args[0])
+                        or search(*args))
+    states._state.cache_clear()
+    want = states._cs_pairs(*RACE_STATE)
+
+    def check(got):
+        assert got == [want] * 4
+
+    race(lambda i: states._cs_pairs(*RACE_STATE), check, trials=5)
+    assert len(searched) > 5
+    assert len({id(state) for state in searched}) == len(searched)
 
 
 # SHA-256 over the state layer's outputs on PIN_STATES, pinned on these numpy
