@@ -8,7 +8,10 @@ falls on both sides alike.  Each run is a subprocess started in its own
 checkout at ``--trace 0``; its result is the last line of its standard
 output.  Prints, as JSON, the ``pairs`` block of a ``BENCH_*.json``: the
 ``runs`` of each side, their ``summary``, and each side's source size
-``src_lines`` (the lines of ``src/parabose/*.py``).
+``src_lines`` (the lines of ``src/parabose/*.py``).  For each end-to-end
+metric of the repository's ``BENCHMARK.json`` (read, never written) the
+summary also says by what share the change's median is worse than the
+parent's, and whether that share is within the metric's bound.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workloads sweep figures \\
         --pairs 10 --seed 5 --seconds 8 > pairs.json
@@ -23,6 +26,7 @@ import sys
 import numpy as np
 
 SIDES = ("parent", "change")
+BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int,
@@ -42,14 +46,24 @@ def src_lines(checkout: pathlib.Path) -> int:
                for path in (checkout / "src" / "parabose").glob("*.py"))
 
 
-def summarize(runs: dict) -> dict:
+def end_to_end() -> dict:
+    """The end-to-end metrics of the repository's ``BENCHMARK.json`` by
+    name, each with its ``better`` direction and its ``bound``."""
+    return {m["name"]: m
+            for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def summarize(runs: dict, bounds: dict | None = None) -> dict:
     """Per workload and end-to-end metric: each side's median and quartiles
     (numpy percentile, linear), the pairs in which the change read lower,
     and the pair count; then the failed and attempted totals of each side
     and whether every run was correct.  ``runs`` maps a workload to
     {"parent": [result, ...], "change": [result, ...]}, pair i being the
-    i-th result of each side."""
-    summary = {}
+    i-th result of each side.  For a metric in ``bounds`` (``end_to_end``)
+    it adds ``worse_share``, the change median less the parent median over
+    the parent median, signed so that worse is positive, and
+    ``within_bound``, whether that share is at most the metric's bound."""
+    summary, bounds = {}, bounds or {}
     for workload, sides in runs.items():
         parent, change = sides["parent"], sides["change"]
         block = {}
@@ -64,6 +78,13 @@ def summarize(runs: dict) -> dict:
             entry["change_lower_pairs"] = int(
                 np.sum(values["change"] < values["parent"]))
             entry["pairs"] = len(parent)
+            if metric in bounds:
+                rule, parent_median = bounds[metric], entry["parent_median"]
+                worse = (entry["change_median"] - parent_median) / parent_median
+                if rule["better"] == "higher":
+                    worse = -worse
+                entry["worse_share"] = worse
+                entry["within_bound"] = worse <= rule["bound"]
             block[metric] = entry
         for total in ("failed", "attempted"):
             block[total] = {side: sum(r[total] for r in sides[side])
@@ -96,7 +117,8 @@ def main() -> int:
                       f"{result['metrics']['wall_s']['value']:.4g}",
                       file=sys.stderr, flush=True)
     sizes = {side: src_lines(checkouts[side]) for side in SIDES}
-    print(json.dumps({"summary": summarize(runs), "src_lines": sizes,
+    print(json.dumps({"summary": summarize(runs, end_to_end()),
+                      "src_lines": sizes,
                       "runs": runs}, indent=1))
     return 0
 

@@ -35,6 +35,7 @@ and ``probability_density`` each evaluate them once per grid.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -335,10 +336,13 @@ def hamiltonian_mapping(alpha: complex, beta: float, delta: float,
 
     with the consistency identity omega^2 = beta^2 - Re(alpha)^2.  The
     Re(beta - alpha) = 0 edge is the free particle (infinite mass, omega
-    from the identity); a negative value is rejected.
+    from the identity); a negative value is rejected, and so is a NaN or
+    infinite alpha, beta or delta.
     """
-    alpha = complex(alpha)
-    beta, delta = float(beta), float(delta)
+    alpha, beta, delta = complex(alpha), float(beta), float(delta)
+    for name, value in (("alpha", alpha), ("beta", beta), ("delta", delta)):
+        if not cmath.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     l, hbar = params.length_scale, params.hbar
     inv_mass = (l * l / hbar) * (beta - alpha.real)
     if inv_mass < 0:

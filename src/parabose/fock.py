@@ -91,10 +91,10 @@ class AlgebraParams:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if not self.length_scale > 0:
-            raise DomainError(f"length_scale must be positive, got {self.length_scale!r}")
-        if not self.hbar > 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar!r}")
+        if not 0 < self.length_scale < math.inf:
+            raise DomainError(f"length_scale must be positive and finite, got {self.length_scale!r}")
+        if not 0 < self.hbar < math.inf:
+            raise DomainError(f"hbar must be positive and finite, got {self.hbar!r}")
 
     @property
     def nu(self) -> float:

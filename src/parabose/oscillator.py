@@ -53,8 +53,10 @@ class OscillatorConfig:
     _params: AlgebraParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
+        if not 0 < self.omega0 < math.inf:
+            raise DomainError(f"omega0 must be positive and finite, got {self.omega0!r}")
+        if not cmath.isfinite(self.xi0):
+            raise DomainError(f"xi0 must be finite, got {self.xi0!r}")
         object.__setattr__(self, "_params", AlgebraParams.from_ell(
             self.ell, length_scale=self.l, hbar=self.hbar))
         check_squeeze(self.zeta0)
@@ -171,10 +173,10 @@ def calibrate_l(sigma_x0: float, zeta0: float, xi0: complex, ell: int) -> float:
 
     valid for real squeeze zeta0 (the stated assumption of the closed form).
     """
-    if not sigma_x0 > 0:
-        raise DomainError("sigma_x0 must be positive")
+    if not 0 < sigma_x0 < math.inf:
+        raise DomainError(f"sigma_x0 must be positive and finite, got {sigma_x0!r}")
     z = complex(zeta0)
-    if abs(z.imag) > 1e-12:
+    if not abs(z.imag) <= 1e-12:  # NaN fails
         raise DomainError("calibrate_l assumes a real squeeze parameter")
     z0 = z.real
     check_squeeze(z0)

@@ -36,8 +36,10 @@ amplitudes and distribution all read one block of its two Laguerre columns,
 which grows in place and is never recomputed, and the distribution's lines
 P_0, P_1, ... sit in one column per state: a state costs one recurrence pass
 and one search however it is used, a line read is one lookup, and every
-entry is the same number whatever the order of the calls.  Reads are safe
-from any thread; one lock serializes every state's growth.
+entry is the same number whatever the order of the calls.  Under threads,
+each state is built once; its rows and lines grow together under one lock,
+and so does its one search; any row or line that already exists is read
+with no lock.
 The columns are stored times one power of two per state, chosen from
 P_0 = |pre|^2 so that every entry stays in double range; a state reads in
 full down to P_0 ~ e^-2125 (y ~ 2100 at zeta = 0) and raises DomainError
@@ -376,8 +378,7 @@ def _resolve_pairs(auto_pairs: int, truncation: int | None) -> tuple[int, int]:
     2 MAX_PAIRS, checked before any amplitude is built."""
     n_auto = min(auto_pairs, MAX_PAIRS)
     if truncation is None:
-        n_pairs = n_auto
-        return n_pairs, 2 * n_pairs
+        return n_auto, 2 * n_auto
     if truncation % 2 != 0:
         raise ConfigError(f"truncation must be even, got {truncation}")
     if truncation > 2 * MAX_PAIRS:
@@ -517,7 +518,7 @@ def cs_amplitudes(spec: CsSpec, truncation: int | None = None) -> FockVector:
 # the least the columns grow to for a line: a fresh state's first lines (a
 # figure's 41, a check's dozen) take one numpy pass per parity
 _FIRST_PASS = 32
-_growth = threading.RLock()  # re-entrant: the lines and search call grow
+_growth = threading.RLock()  # re-entrant: only the search calls grow in it
 
 
 class _CsState:
@@ -531,8 +532,8 @@ class _CsState:
     at theta = 0, and the search's pair count ``pairs``, None before it
     runs.  It is built from the spec that checks the state's numbers as
     it enters the state table (``_state``), and reads them back from it.
-    ``grow`` alone extends the block and ``extend_lines`` alone appends
-    lines, each under the growth lock, after re-reading the lengths there.
+    ``grow`` alone extends the block and appends its rows' lines, in one
+    step under the growth lock, after re-reading the length there.
 
     One scale rule, s = min(floor(-log_4 k), 1022), keeps the seed 2^-s a
     normal double and 4^s k in (1/4, 1] below the cap.  Every P_n <= 1, so
@@ -558,15 +559,15 @@ class _CsState:
         self.levels = [(alpha, zeta, 0.5 * xi * xi)
                        for alpha in (epsilon - 1.0, epsilon)]
         self.columns = np.empty((0, 2), dtype=complex)
-        # |xi|^2/(2 eps) as a factor rather than a log: xi = 0 closes the odd
-        # lines
+        # |xi|^2/(2 eps) as a factor, not a log: xi = 0 closes the odd lines
         self.factors = (k, abs(xi) ** 2 / (2.0 * epsilon) * k)
         self.lines = array("d")
         self.pairs = None
 
     def grow(self, length: int) -> np.ndarray:
-        """The column block, at least ``length`` (>= 2) rows long: each
-        parity's level grown on by ``_laguerre``, in a loop of its own."""
+        """The column block, at least ``length`` (>= 2) rows long, each
+        parity grown on by ``_laguerre`` in a loop of its own; the new rows'
+        lines are appended first, so ``lines`` holds two lines a row."""
         if length > len(self.columns):
             with _growth:
                 have = len(self.columns)
@@ -575,24 +576,12 @@ class _CsState:
                     out[:have] = self.columns
                     for parity, level in enumerate(self.levels):
                         _laguerre(*level, out[:, parity], have, self.scale)
+                    # row m holds (P_2m, P_2m+1), so the rows' bytes are the
+                    # lines; probabilities may poke past 1 by round-off
+                    self.lines.frombytes(np.minimum(
+                        np.abs(out[have:]) ** 2 * self.factors, 1.0).tobytes())
                     self.columns = out
         return self.columns
-
-    def extend_lines(self, n: int) -> array:
-        """The column of P_0, P_1, ..., through P_n and every line the
-        Laguerre columns reach.  Short, the columns first grow through
-        n // 2, to at least twice their length and to _FIRST_PASS rows,
-        but not past MAX_PAIRS (n < 2 MAX_PAIRS, ``cs_transition``), so a
-        sweep over n extends them O(log n) times."""
-        with _growth:
-            if n // 2 >= len(self.columns):
-                self.grow(min(max(n // 2 + 1, 2 * len(self.columns),
-                                  _FIRST_PASS), MAX_PAIRS))
-            # row m holds (P_2m, P_2m+1), so the rows' bytes are the lines
-            p = np.abs(self.columns[len(self.lines) // 2:]) ** 2 * self.factors
-            # probabilities may poke past 1 by round-off
-            self.lines.frombytes(np.minimum(p, 1.0).tobytes())
-        return self.lines
 
 
 # keyed on the caller's own numbers, xi None for a squeezed vacuum: equal
@@ -617,8 +606,10 @@ def _state(zeta, xi, epsilon):
     try:  # only the key's hash: a type the rule refuses raises in the build
         hash((zeta, xi, epsilon))
     except TypeError:  # unhashable: keyed on the numbers the rule reads
-        return _table(*_check_state_inputs(zeta, xi, epsilon)[:3])
-    state = _table(zeta, xi, epsilon)
+        with _growth:  # built once: a racing miss finds it in the table
+            return _table(*_check_state_inputs(zeta, xi, epsilon)[:3])
+    with _growth:
+        state = _table(zeta, xi, epsilon)
     _last_state = (zeta, xi, epsilon, state)
     return state
 
@@ -637,18 +628,18 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
 
     The lines of each coherent state in the state table (the last
     STATE_CACHE states of either family) are kept in one column per
-    state: the first line read past its end fills in every line the
-    state's Laguerre columns reach, in one numpy pass over the columns its
-    amplitudes read, so a whole distribution P_0 .. P_N costs O(N) and
-    each further line is one lookup (by the caller's three numbers, and by
-    their identity when they repeat the last call's; a 0-d array reads the
-    value it holds, and xi None, the table's squeezed vacuum, raises
-    DomainError).  Each line is
-    computed entry by entry, so P_n is the same number whatever the order
-    of the calls.  Every line below n = 2 MAX_PAIRS of a state reads; a
-    line past that, which the column would have to reach entry by entry,
-    raises DomainError before the column grows, and so does a state whose
-    P_0 is below e^-2125 (``_CsState``).  Line n carries about (y + n) 1e-16
+    state, appended in one numpy pass over each stretch of rows that the
+    state's Laguerre column block (which its amplitudes read) grows by,
+    and a line read past their end grows the block; so a whole
+    distribution P_0 .. P_N costs O(N) and each further line is one lookup
+    (by the caller's three numbers, and by their identity when they repeat
+    the last call's; a 0-d array reads the value it holds, and xi None, the
+    table's squeezed vacuum, raises DomainError).  Each line is computed
+    entry by entry, so P_n is the same number whatever the order of the
+    calls.  Every line below n = 2 MAX_PAIRS of a state reads; a line past
+    that, which the column would have to reach entry by entry, raises
+    DomainError before the column grows, and so does a state whose P_0 is
+    below e^-2125 (``_CsState``).  Line n carries about (y + n) 1e-16
     relative error at |zeta| <= 0.8: the prefactor's log terms are of size
     y, and the recurrence rounds once a step.  15503 lines of 13 states
     there, up to y = 1973 and N = 12618, read within 4 (y + n) 1e-16 of
@@ -663,13 +654,15 @@ def cs_transition(zeta: complex, xi: complex, epsilon: float, n: int) -> float:
     last = _last_state
     state = (last[3] if zeta is last[0] and xi is last[1]
              and epsilon is last[2] else _state(zeta, xi, epsilon))
-    lines = state.lines
+    lines = state.lines  # one array, appended in place
     if n >= len(lines):
         if n >= 2 * MAX_PAIRS:
             raise DomainError(
                 f"P_n is computed only for n < 2 MAX_PAIRS = {2 * MAX_PAIRS},"
                 f" got n = {n}")
-        lines = state.extend_lines(n)
+        # through n // 2 and to twice the rows: a sweep grows O(log n) times
+        state.grow(min(max(n // 2 + 1, 2 * len(state.columns), _FIRST_PASS),
+                       MAX_PAIRS))
     return lines[n]
 
 

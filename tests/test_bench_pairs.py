@@ -55,3 +55,46 @@ def test_src_lines_counts_as_wc(tmp_path):
     (package / "notes.txt").write_text("one\ntwo\n")
     (package / "sub" / "c.py").write_text("w = 4\n")
     assert script("src_lines")(tmp_path) == 4
+
+
+BOUNDS = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+          "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower",
+                          "bound": 0.25}}
+
+
+def test_bounds_read_from_the_benchmark():
+    # the repository's own end-to-end metrics, each with its rule
+    bounds = script("end_to_end")()
+    assert {"wall_s", "op_p50_ms", "setup_s", "peak_rss_mb"} <= set(bounds)
+    assert all(rule["better"] in ("lower", "higher") and rule["bound"] > 0
+               for rule in bounds.values())
+
+
+def test_bound_breach_flagged():
+    # wall time 30% worse breaches its 0.25 bound; memory 10% lower passes
+    runs = {"sweep": {
+        "parent": [result(w, 100.0) for w in (0.10, 0.10, 0.10)],
+        "change": [result(w, 90.0) for w in (0.13, 0.13, 0.12)]}}
+    summary = script("summarize")(runs, BOUNDS)["sweep"]
+    assert summary["wall_s"]["worse_share"] == pytest.approx(0.3)
+    assert summary["wall_s"]["within_bound"] is False
+    assert summary["peak_rss_mb"]["worse_share"] == pytest.approx(-0.1)
+    assert summary["peak_rss_mb"]["within_bound"] is True
+
+
+def test_bound_pass_and_higher_is_better():
+    # 20% worse sits within 0.25; where higher is better, a 30% drop is
+    # worse by 0.3 and a 30% rise is better
+    runs = {"sweep": {
+        "parent": [result(w, 100.0) for w in (0.10, 0.10)],
+        "change": [result(w, 70.0) for w in (0.12, 0.12)]}}
+    summarize = script("summarize")
+    wall = summarize(runs, BOUNDS)["sweep"]["wall_s"]
+    assert wall["worse_share"] == pytest.approx(0.2) and wall["within_bound"]
+    higher = dict(BOUNDS, peak_rss_mb={"better": "higher", "bound": 0.25})
+    rss = summarize(runs, higher)["sweep"]["peak_rss_mb"]
+    assert rss["worse_share"] == pytest.approx(0.3)
+    assert rss["within_bound"] is False
+    runs["sweep"]["change"] = [result(0.1, 130.0)] * 2
+    rss = summarize(runs, higher)["sweep"]["peak_rss_mb"]
+    assert rss["worse_share"] == pytest.approx(-0.3) and rss["within_bound"]

@@ -409,6 +409,17 @@ class TestHamiltonianMapping:
             coordrep.hamiltonian_mapping(1.5, 1.0, 0.0,
                                          AlgebraParams.from_ell(0))
 
+    @pytest.mark.parametrize("name, args", [
+        ("beta", (0.0, math.nan, 0.0)),
+        ("alpha", (math.nan, 1.0, 0.0)),
+        ("alpha", (complex(0.2, math.nan), 1.0, 0.0)),
+        ("delta", (0.0, 1.0, math.nan)),
+        ("beta", (0.0, math.inf, 0.0))])
+    def test_non_finite_inputs_rejected(self, name, args):
+        # both sign gates pass NaN, which mapped to NaN mass and omega
+        with pytest.raises(DomainError, match=name):
+            coordrep.hamiltonian_mapping(*args, AlgebraParams.from_ell(0))
+
     def test_two_route_matrix_assembly(self):
         # mechanical form applied to the ladder matrices must rebuild the
         # ladder-form Hamiltonian entry for entry

@@ -58,6 +58,13 @@ class TestAlgebraParams:
             with pytest.raises(DomainError):
                 AlgebraParams(**bad)
 
+    @pytest.mark.parametrize("name", ["length_scale", "hbar"])
+    def test_infinite_scale_rejected(self, name):
+        # an infinite l or hbar would give inf/NaN moments downstream
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match=name):
+                AlgebraParams(epsilon=2.5, **{name: bad})
+
 
 class TestLadder:
     def test_canonical_first_entry(self):

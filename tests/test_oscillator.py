@@ -22,6 +22,20 @@ from parabose.states import CsSpec, cs_amplitudes, cs_transition
 CFG = OscillatorConfig(omega0=1.0, ell=1, zeta0=0.3, xi0=1.0)
 
 
+class TestOscillatorConfig:
+    def test_nan_displacement_rejected(self):
+        # it used to construct, then give NaN means and a bare ValueError
+        for xi0 in (math.nan, complex(1.0, math.nan), complex(math.inf, 0.0)):
+            with pytest.raises(DomainError, match="xi0"):
+                OscillatorConfig(omega0=1, ell=1, zeta0=0.3, xi0=xi0)
+
+    def test_infinite_frequency_rejected(self):
+        # omega0 = inf used to give period 0.0 and NaN means
+        for omega0 in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="omega0"):
+                OscillatorConfig(omega0=omega0, ell=1, zeta0=0.3, xi0=1.0)
+
+
 class TestClosedFormParameters:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
@@ -247,6 +261,14 @@ class TestCalibrateL:
             calibrate_l(1.0, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
             calibrate_l(-1.0, 0.0, 0.0, 1)
+
+    def test_nan_squeeze_parts_rejected(self):
+        # a NaN imaginary part used to pass the real-squeeze gate
+        for zeta0 in (complex(0.3, math.nan), complex(math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                calibrate_l(1.0, zeta0, 1.0, 1)
+        with pytest.raises(DomainError, match="sigma_x0"):
+            calibrate_l(math.inf, 0.3, 1.0, 1)
 
     def test_pole_toward_unit_squeeze(self):
         assert calibrate_l(1.0, 0.999, 0.0, 0) > 30.0

@@ -1265,9 +1265,9 @@ def test_squeeze_gap_written_once():
 
 def test_state_columns_written_in_one_class():
     # a coherent state's column block is rebound only by _CsState (its empty
-    # block, then grow) and its lines appended only by extend_lines
+    # block, then grow) and its lines appended only by grow, with its rows
     writers = {".columns =": (states._CsState.__init__, states._CsState.grow),
-               "lines.frombytes": (states._CsState.extend_lines,)}
+               "lines.frombytes": (states._CsState.grow,)}
     hits = []
     for path in sorted(pathlib.Path(states.__file__).parent.glob("*.py")):
         for line in path.read_text().splitlines():
@@ -1342,6 +1342,26 @@ def test_concurrent_first_reads_equal_one_thread(amplitudes):
         assert [cs_transition(*RACE_STATE, n) for n in lines] == want_lines
 
     race(read, check)
+
+
+def test_concurrent_first_reads_build_each_state_once(monkeypatch):
+    # racing first reads of a fresh state build it in one thread; the others
+    # find it in the table, and read what one thread reads alone
+    built = []
+    init = states._CsState.__init__
+    monkeypatch.setattr(states._CsState, "__init__", lambda self, spec:
+                        built.append(self) or init(self, spec))
+    states._state.cache_clear()
+    want = [cs_transition(*RACE_STATE, n) for n in RACE_LINES]
+    assert len(built) == 1
+
+    def check(got):
+        assert got == want
+        assert len(built) == 1
+        built.clear()
+
+    built.clear()
+    race(lambda i: cs_transition(*RACE_STATE, RACE_LINES[i]), check)
 
 
 def test_every_growth_holds_the_lock(monkeypatch):
