@@ -13,7 +13,10 @@ fails on the last rows; invariant checks exclude the truncation boundary.
 ``integrate_verified``: scipy's adaptive Dormand-Prince 8(5,3) (DOP853)
 certified by a rerun at a 100x tighter tolerance, the routine the parameter
 ODEs in ``dynamics`` share.  It is the independent oracle against which every
-closed-form state is checked.
+closed-form state is checked.  It steps scipy's ``DOP853`` solver itself,
+keeps the dense output of each step that covers an output time, and
+evaluates every output time of a smooth piece from those interpolants in one
+numpy pass, on the same doubles as scipy's per-step evaluation.
 
 The oracle works in the interaction picture of the diagonal of H: with
 d = diag(a'a + a a')/2, B = int beta dt and Delta = int delta dt it
@@ -30,6 +33,7 @@ lab-frame psi.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -199,6 +203,31 @@ def build_hamiltonian(
     return h
 
 
+def _dense_values(steps, counts, t: np.ndarray) -> np.ndarray:
+    """The states at the times ``t``, the first counts[0] from the DOP853
+    interpolant steps[0], the next counts[1] from steps[1], and so on: the
+    evaluation of ``Dop853DenseOutput`` element by element, so its doubles."""
+    at = np.repeat(np.arange(len(steps)), counts)
+    x = ((t - np.array([s.t_old for s in steps])[at])
+         / np.array([s.h for s in steps])[at])
+    # cast once, as numpy casts a real factor for each complex product
+    turns = (x.astype(complex), (1 - x).astype(complex))
+    # components by times, so that numpy loops run along the times, and each
+    # coefficient taken into one reused buffer, which spares page faults
+    # ("clip" skips the buffered bounds check; ``at`` is in range)
+    coeffs = np.array([s.F for s in steps]).transpose(1, 2, 0).copy()
+    y = np.zeros((coeffs.shape[1], len(at)), dtype=coeffs.dtype)
+    f = np.empty_like(y)
+    for k, c in enumerate(coeffs[::-1]):
+        np.take(c, at, axis=1, out=f, mode="clip")
+        y += f
+        y *= turns[k % 2]
+    np.take(np.array([s.y_old for s in steps]).T, at, axis=1, out=f, mode="clip")
+    y += f
+    # rows by time in C order, as the guards' reductions met them before
+    return y.T.copy()
+
+
 def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
                        times: np.ndarray, guard) -> np.ndarray:
     """Integrate y' = deriv(alpha, beta, delta, y), y0 a complex 1-d array,
@@ -211,9 +240,16 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
     computed from them.  Raises ``IntegrationError`` when a run fails or the
     two outputs differ by more than ``STEP_HALVING_TOL``; returns the tighter
     run's output.
+
+    Each smooth piece is one loop over ``DOP853.step``.  Only a step that
+    covers output times (up to and on its end) builds its dense output, three
+    more derivative calls; after the loop ``_dense_values`` evaluates every
+    output time of the piece at once from the kept interpolants' ``t_old``,
+    ``h``, ``y_old`` and ``F``, attributes outside scipy's documented API.
+    The piece's end state is its last interpolant's value at its end.
     """
     # imported here so that importing the package does not load scipy.integrate
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853
 
     calls = 0
 
@@ -239,14 +275,26 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
         y, states = np.asarray(y0, dtype=complex), []
         for start, end, piece in zip(edges[:-1], edges[1:], pieces):
             # the piece's end time carries the state into the next piece
-            t_eval = piece if piece.size and piece[-1] == end else np.append(piece, end)
-            sol = solve_ivp(rhs, (start, end), y, method="DOP853", t_eval=t_eval,
-                            rtol=rtol, atol=SOLVER_ATOL / tighten)
-            if not sol.success:
-                raise IntegrationError(f"DOP853 at rtol {rtol:g} failed: {sol.message}")
-            y = sol.y[:, -1]
-            states.append(sol.y[:, :piece.size])
-        runs.append(guard(times, np.concatenate(states, axis=1).T.copy()))
+            t_out = piece.tolist()
+            if not t_out or t_out[-1] != end:
+                t_out.append(end)
+            solver = DOP853(rhs, float(start), y, float(end), rtol=rtol,
+                            atol=SOLVER_ATOL / tighten)
+            kept, counts, i = [], [], 0
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise IntegrationError(f"DOP853 at rtol {rtol:g} failed: {message}")
+                # scipy's t_eval rule: the times up to and on the step's end
+                j = bisect.bisect_right(t_out, solver.t, i)
+                if j > i:
+                    kept.append(solver.dense_output())
+                    counts.append(j - i)
+                    i = j
+            out = _dense_values(kept, counts, np.array(t_out))
+            y = out[-1]
+            states.append(out[:piece.size])
+        runs.append(guard(times, np.concatenate(states)))
     disagreement = float(np.max(np.abs(runs[0] - runs[1])))
     if disagreement > STEP_HALVING_TOL:
         raise IntegrationError(f"rerun at rtol {SOLVER_RTOL / 100:g} disagrees by "

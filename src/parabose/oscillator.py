@@ -217,12 +217,13 @@ def asymptotic_uncertainties(
 
     Regime gates: |xi0| <= small_xi_max with |zeta0| <= 0.9, or
     y = |xi0|^2/(1-|zeta0|^2) >= large_y_min; the two thresholds default to
-    desk-scale values and may be overridden by the caller.
+    desk-scale values and may be overridden by the caller; a NaN threshold
+    fails its gate.
     """
     one = squeeze_gap(cfg.zeta0)
     x_abs = abs(cfg.xi0)
     if regime == "small":
-        if x_abs > small_xi_max or abs(cfg.zeta0) > 0.9:
+        if not (x_abs <= small_xi_max and abs(cfg.zeta0) <= 0.9):
             raise DomainError(
                 f"small-argument regime needs |xi0| <= {small_xi_max} and "
                 "|zeta0| <= 0.9"
@@ -231,7 +232,7 @@ def asymptotic_uncertainties(
         r_bar = (d - x_abs**2) / (d + x_abs**2)
     elif regime == "large":
         y = x_abs**2 / one
-        if y < large_y_min:
+        if not y >= large_y_min:
             raise DomainError(
                 f"large-argument regime needs y = |xi0|^2/(1-|zeta0|^2) >= "
                 f"{large_y_min}, got {y}"

@@ -1,7 +1,9 @@
 """Truncated basis: algebra relations, Hamiltonian assembly, evolution oracle."""
 
+import inspect
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from parabose import fock, states
+from parabose import dynamics, fock, states
 from parabose.dynamics import solve_fg, solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError, \
     TruncationError
@@ -426,10 +428,96 @@ class TestEvolution:
         assert abs(psi.norm_sq() - 1.0) <= 1e-8
 
 
+def solve_ivp_runs(deriv, y0, schedule, times):
+    """Both runs of ``integrate_verified`` as ``solve_ivp`` with ``t_eval``
+    gives them: one call per smooth piece between knots, carrying the
+    interpolated state at the piece's end into the next."""
+    def rhs(t, y):
+        return deriv(*schedule.coefficients(t), y)
+
+    cuts = [k for k in schedule.knots if times[0] < k < times[-1]]
+    edges = [times[0], *cuts, times[-1]]
+    pieces = np.split(times, np.searchsorted(times, cuts))
+    runs = []
+    for tighten in (1, 100):
+        y, states = np.asarray(y0, dtype=complex), []
+        for start, end, piece in zip(edges[:-1], edges[1:], pieces):
+            t_eval = piece if piece.size and piece[-1] == end else np.append(piece, end)
+            sol = solve_ivp(rhs, (start, end), y, method="DOP853", t_eval=t_eval,
+                            rtol=fock.SOLVER_RTOL / tighten,
+                            atol=fock.SOLVER_ATOL / tighten)
+            assert sol.success
+            y = sol.y[:, -1]
+            states.append(sol.y[:, :piece.size])
+        runs.append(np.concatenate(states, axis=1).T)
+    return runs
+
+
+@pytest.mark.parametrize("case", ["fg", "zeta_xi", "oracle", "knot", "two_points"])
+def test_outputs_equal_solve_ivp(case, monkeypatch):
+    # integrate_verified steps DOP853 itself and evaluates every output time
+    # from the kept step interpolants at once; both runs must be solve_ivp's
+    # to the last bit, on the arguments each caller passes
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        return integrate_verified(*args)
+
+    monkeypatch.setattr(dynamics, "integrate_verified", capture)
+    monkeypatch.setattr(fock, "integrate_verified", capture)
+    knots = np.linspace(0.0, 3.0, 7)
+    tabulated = tabulated_schedule(knots, 0.3 * np.cos(knots), 1.0 + 0.2 * knots,
+                                   0.1 * knots)
+    if case == "fg":
+        sched = sinusoidal_schedule(alpha_amp=0.2 + 0.1j, beta0=1.0, beta_amp=0.3)
+        solve_fg(sched, 1.0, 0.3, 0.0, t_final=2 * math.pi, dt=2 * math.pi / 4096)
+    elif case == "zeta_xi":
+        solve_zeta_xi(constant_schedule(0.3, 1.0, 0.2), 0.25, 0.5 - 0.2j,
+                      t_final=2 * math.pi)
+    elif case == "oracle":
+        psi0 = states.cs_amplitudes(states.CsSpec(zeta=0.2j, xi=0.7 - 0.3j,
+                                                  epsilon=1.5), truncation=48)
+        evolve_trajectory(psi0, sinusoidal_schedule(alpha_amp=0.25, beta0=1.0),
+                          3.0, 3.0, AlgebraParams(epsilon=1.5), n_samples=6)
+    elif case == "knot":
+        solve_zeta_xi(tabulated, 0.25, 0.5, t_final=3.0, dt=0.25)
+    else:
+        solve_zeta_xi(tabulated, 0.25, 0.5, t_final=3.0, dt=3.0)
+    (deriv, y0, sched, times, _), = calls
+    assert len(times) == {"fg": 4097, "zeta_xi": 4097, "oracle": 7, "knot": 13,
+                          "two_points": 2}[case]
+    if case == "knot":
+        assert set(knots[1:-1]) <= set(times)
+    seen = []
+    integrate_verified(deriv, y0, sched, times,
+                       lambda times, states: seen.append(states) or states)
+    want = solve_ivp_runs(deriv, y0, sched, times)
+    assert all(np.array_equal(got, ref) for got, ref in zip(seen, want))
+    # the guards reduce along rows, so their layout is kept too
+    assert [got.flags.c_contiguous for got in seen] == [True, True]
+
+
+def test_one_stepping_loop():
+    # integrate_verified is the one place that steps an ODE solver: no module
+    # calls solve_ivp, and scipy's DOP853 is imported inside it alone
+    ivp, imports = [], []
+    for path in sorted(pathlib.Path(fock.__file__).parent.glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "solve_ivp" in line:
+                ivp.append((path.name, line.strip()))
+            if re.search(r"import\b.*\bDOP853\b|integrate\.DOP853", line):
+                imports.append((path.name, line.strip()))
+    inside = inspect.getsource(fock.integrate_verified)
+    assert ivp == []
+    assert len(imports) == 1
+    assert [hit for hit in imports
+            if hit[0] != "fock.py" or hit[1] not in inside] == []
+
 @pytest.mark.parametrize("module",
                          ["parabose", "parabose.coordrep", "parabose.cli"])
 def test_package_import_leaves_scipy_integrate_unloaded(module):
-    # integrate_verified imports solve_ivp when called, and cmd_verify imports
+    # integrate_verified imports DOP853 when called, and cmd_verify imports
     # the suite, so commands that never integrate do not pay for either
     src = str(pathlib.Path(fock.__file__).resolve().parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "

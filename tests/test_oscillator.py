@@ -366,3 +366,17 @@ class TestAsymptotics:
             asymptotic_uncertainties(cfg, "large")
         with pytest.raises(DomainError):
             asymptotic_uncertainties(cfg, "medium")
+
+    def test_nan_small_threshold_rejected(self):
+        # |xi0| > nan is False: a NaN threshold let |xi0| = 1 into the
+        # small-argument form
+        cfg = OscillatorConfig(omega0=1.0, ell=1, zeta0=0.3, xi0=1.0)
+        with pytest.raises(DomainError, match="small-argument"):
+            asymptotic_uncertainties(cfg, "small", small_xi_max=math.nan)
+
+    def test_nan_large_threshold_rejected(self):
+        # y < nan is False: a NaN threshold let y = 1.1 into the
+        # large-argument form, whose Heisenberg product read -1.72
+        cfg = OscillatorConfig(omega0=1.0, ell=1, zeta0=0.3, xi0=1.0)
+        with pytest.raises(DomainError, match="large-argument"):
+            asymptotic_uncertainties(cfg, "large", large_y_min=math.nan)

@@ -1380,8 +1380,8 @@ def test_every_growth_holds_the_lock(monkeypatch):
 
 
 def test_search_runs_once_per_state_under_threads(monkeypatch):
-    # racing first reads may build the state twice (the table keeps one),
-    # but no state object runs its truncation search twice
+    # racing first reads build the state once, under the growth lock, and
+    # no state object runs its truncation search twice
     searched = []
     search = states._search_pairs
     monkeypatch.setattr(states, "_search_pairs",
