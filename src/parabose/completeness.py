@@ -79,7 +79,7 @@ def diagonal_identity_residual(epsilon: float, n: int) -> float:
     )
     full = _diagonal_quadrature(epsilon, n, NODE_COUNT)
     half = _diagonal_quadrature(epsilon, n, max(4, NODE_COUNT // 2))
-    if abs(full - half) > CONVERGENCE_TOL * max(abs(full), 1.0):
+    if not abs(full - half) <= CONVERGENCE_TOL * max(abs(full), 1.0):
         raise QuadratureError(
             f"radial quadrature not converged for eps={epsilon}, n={n} "
             f"with {NODE_COUNT} nodes"

@@ -300,13 +300,13 @@ def probability_density(spec: CsSpec, params: AlgebraParams,
     psi = even + odd
     peak = float(np.max(rho))
     residual = float(np.max(np.abs(rho - np.abs(psi) ** 2))) / peak
-    if residual > TWO_ROUTE_TOL:
+    if not residual <= TWO_ROUTE_TOL:
         raise QuadratureError(
             f"closed-form density and |psi|^2 disagree by {residual:.3e} "
             f"(> {TWO_ROUTE_TOL}) relative to the peak"
         )
     parity_norm, integral = _half_line_sums(spec, params, ell)
-    if abs(parity_norm - 1.0) > NORMALIZATION_TOL:
+    if not abs(parity_norm - 1.0) <= NORMALIZATION_TOL:
         raise QuadratureError(
             f"parity-resolved half-line norm {parity_norm:.12f} misses 1 by "
             f"more than {NORMALIZATION_TOL}"

@@ -175,7 +175,7 @@ def solve_fg(
 
     def guard(times, y):
         af, ag = np.abs(y[:, 0]), np.abs(y[:, 1])
-        crossed = np.abs(af - ag) < 1e-14 * np.maximum(af, 1.0)
+        crossed = ~(np.abs(af - ag) >= 1e-14 * np.maximum(af, 1.0))
         if crossed.any():
             raise IntegrationError(f"|f| = |g| crossing at t={times[crossed][0]}")
         return y
@@ -184,7 +184,7 @@ def solve_fg(
     f, g = traj[:, 0], traj[:, 1]
     mu_t = np.abs(f) ** 2 - np.abs(g) ** 2
     drift = float(np.max(np.abs(mu_t - mu0))) / abs(mu0)
-    if drift > MU_DRIFT_TOL:
+    if not drift <= MU_DRIFT_TOL:
         raise IntegrationError(
             f"mu drift {drift:.3e} exceeds {MU_DRIFT_TOL}"
         )
@@ -217,7 +217,7 @@ def solve_zeta_xi(
         return np.array([dzeta, dxi, ac * zeta - beta, delta])
 
     def guard(times, y):
-        blown = np.abs(y[:, 0]) >= SQUEEZE_LIMIT
+        blown = ~(np.abs(y[:, 0]) < SQUEEZE_LIMIT)
         if blown.any():
             raise IntegrationError(f"squeeze blow-up: |zeta| -> 1 at t={times[blown][0]}")
         return y

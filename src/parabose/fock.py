@@ -233,13 +233,14 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
     """Integrate y' = deriv(alpha, beta, delta, y), y0 a complex 1-d array,
     with DOP853 and a certifying rerun at 100x tighter tolerances.
 
-    Every time the solver evaluates passes ``check_positive_definite``; the
-    solver restarts at each schedule knot.  ``guard(times, states)`` checks
-    each run's states on the increasing grid ``times`` and returns the array
-    the run is certified on: the states, or the caller's output variables
-    computed from them.  Raises ``IntegrationError`` when a run fails or the
-    two outputs differ by more than ``STEP_HALVING_TOL``; returns the tighter
-    run's output.
+    Every time the solver evaluates passes ``check_positive_definite``
+    (beta > |alpha| and a finite delta); the solver restarts at each schedule
+    knot.  ``guard(times, states)`` checks each run's states on the
+    increasing grid ``times`` and returns the array the run is certified on:
+    the states, or the caller's output variables computed from them.  Raises
+    ``IntegrationError`` when a run fails or the two outputs differ by more
+    than ``STEP_HALVING_TOL`` (a NaN disagreement included); returns the
+    tighter run's output.
 
     Each smooth piece is one loop over ``DOP853.step``.  Only a step that
     covers output times (up to and on its end) builds its dense output, three
@@ -261,7 +262,7 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
                 f"derivative-call budget {DERIV_CALL_BUDGET} spent by t={t:.6g}; "
                 f"shorten the horizon")
         alpha, beta, delta = schedule.coefficients(t)
-        if not beta > abs(alpha):
+        if not (beta > abs(alpha) and abs(delta) < math.inf):
             schedule.check_positive_definite(t)
         return deriv(alpha, beta, delta, y)
 
@@ -296,7 +297,7 @@ def integrate_verified(deriv, y0, schedule: CoefficientSchedule,
             states.append(out[:piece.size])
         runs.append(guard(times, np.concatenate(states)))
     disagreement = float(np.max(np.abs(runs[0] - runs[1])))
-    if disagreement > STEP_HALVING_TOL:
+    if not disagreement <= STEP_HALVING_TOL:
         raise IntegrationError(f"rerun at rtol {SOLVER_RTOL / 100:g} disagrees by "
                                f"{disagreement:.3e} (> {STEP_HALVING_TOL})")
     return runs[1]
@@ -347,7 +348,7 @@ def _check_initial(psi0: FockVector):
             f"initial state norm^2 = {psi0.norm_sq():.12f} is not 1 within {NORM_TOL}"
         )
     tail = psi0.tail_mass()
-    if tail >= TAIL_TOL:
+    if not tail < TAIL_TOL:
         raise TruncationError(
             f"initial tail mass {tail:.3e} >= {TAIL_TOL}; enlarge the truncation"
         )
@@ -355,7 +356,7 @@ def _check_initial(psi0: FockVector):
 
 def _check_final(psi: np.ndarray):
     tail = FockVector(psi).tail_mass()
-    if tail >= LEAK_TOL:
+    if not tail < LEAK_TOL:
         raise TruncationError(
             f"evolution leaked {tail:.3e} probability into the truncation boundary"
         )
@@ -393,7 +394,7 @@ def evolve_trajectory(
         states = frame[:, :n] * np.exp(-1j * (np.outer(c + b, d) + delta[:, None]))
         drift = np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)
         j = int(np.argmax(drift))
-        if drift[j] > NORM_TOL:
+        if not drift[j] <= NORM_TOL:
             raise IntegrationError(
                 f"norm drift {drift[j]:.3e} exceeds {NORM_TOL} at t={times[j]}")
         return states

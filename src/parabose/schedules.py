@@ -2,15 +2,18 @@
 
 A schedule is one function ``coefficients(t) -> (alpha, beta, delta)`` of a
 scalar time, alpha complex, beta and delta real.  Positive definiteness of
-the Hamiltonian requires beta(t) > |alpha(t)|; each constructor checks it,
-and the solvers check it at every time they evaluate and treat a violation
-as a hard error.  Each constructor also rejects a non-finite coefficient,
-which that gate need not meet (it never reads delta), before any
-integration.
+the Hamiltonian requires beta(t) > |alpha(t)|.  Each constructor checks it
+for every t and rejects a non-finite coefficient before any integration.
+The solvers' gate, ``check_positive_definite``, reads beta > |alpha| and a
+finite delta at every time they evaluate, so a raw ``CoefficientSchedule``
+meets the same rule, and a violation is a hard error.
 
 Three families are supported: constant, sinusoidal (mean plus a sine
 modulation at a common frequency) and tabulated (piecewise-linear between
-CSV samples with header ``t,alpha_re,alpha_im,beta,delta``).
+CSV samples with header ``t,alpha_re,alpha_im,beta,delta``).  beta - |alpha|
+is concave in s = sin(omega t) and on each tabulated segment, so the
+sinusoidal rule is checked exactly at s = +-1 (s = 0 when omega = 0) and
+the tabulated one at the samples.
 """
 
 from __future__ import annotations
@@ -44,13 +47,16 @@ class CoefficientSchedule:
     knots: tuple[float, ...] = ()
 
     def check_positive_definite(self, t: float) -> None:
-        """Raise unless beta(t) > |alpha(t)| (oscillator-type Hamiltonian)."""
-        alpha, b, _ = self.coefficients(t)
+        """Raise unless beta(t) > |alpha(t)| (oscillator-type Hamiltonian)
+        and delta(t) is finite."""
+        alpha, b, delta = self.coefficients(t)
         a = abs(alpha)
         if not b > a:
             raise DomainError(
                 f"schedule violates beta > |alpha| at t={t}: beta={b}, |alpha|={a}"
             )
+        if not abs(delta) < math.inf:
+            raise DomainError(f"schedule delta must be finite, got {delta} at t={t}")
 
 
 def _check_finite(**coefficients) -> None:
@@ -95,11 +101,11 @@ def sinusoidal_schedule(
         s = math.sin(omega * t)
         return alpha0 + alpha_amp * s, beta0 + beta_amp * s, delta0
 
-    sched = CoefficientSchedule(coefficients)
-    # worst-case spot check over one modulation period
-    for t in np.linspace(0.0, 2.0 * np.pi / omega if omega else 1.0, 64).tolist():
-        sched.check_positive_definite(t)
-    return sched
+    # beta - |alpha| is concave in s = sin(omega t): smallest at s = +-1
+    for s in (-1.0, 1.0) if omega else (0.0,):
+        if not beta0 + beta_amp * s > abs(alpha0 + alpha_amp * s):
+            raise DomainError(f"schedule violates beta > |alpha| at sin(omega t)={s}")
+    return CoefficientSchedule(coefficients)
 
 
 def tabulated_schedule(

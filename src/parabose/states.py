@@ -396,7 +396,7 @@ def _finalize(amps: np.ndarray, what: str) -> FockVector:
     """The amplitudes as computed; a norm off 1 by more than NORM_WARN_TOL
     warns, and is left for the normalization checks to report."""
     residual = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-    if residual > NORM_WARN_TOL:
+    if not residual <= NORM_WARN_TOL:
         warnings.warn(
             f"{what} normalization residual {residual:.3e} exceeds "
             f"{NORM_WARN_TOL} (possible special-function regression)",

@@ -7,12 +7,15 @@ tolerance 1/2.  Checks that are out of mathematical domain for the requested
 configuration (completeness below eps = 1) report status ``excluded``.
 
 To add a row, decorate one function of a seeded generator with
-``@check(name, tolerance, note)`` and return its residual (or ``(residual,
-note)`` when the note is measured).  The decorator appends it to
-``ALL_CHECKS`` in definition order, and ``_row`` alone decides the status:
-pass when residual <= tolerance, so a NaN residual fails.  A row whose
-measurement raises a ``ParaBoseError`` is still a row: its residual is NaN
-and its note the error, and the other rows run.
+``@check(name, tolerance, note)``.  A row that measures several draws
+yields each draw's residual, and ``Check`` folds them with ``_worst``: the
+largest, 0.0 if none is larger, and NaN as soon as any draw is NaN.  A row
+with one measurement returns its residual (or ``(residual, note)`` when the
+note is measured).  The decorator appends the row to ``ALL_CHECKS`` in
+definition order, and ``_row`` alone decides the status: pass when
+residual <= tolerance, so a NaN residual fails, and so does a NaN in any
+draw.  A row whose measurement raises a ``ParaBoseError`` is still a row:
+its residual is NaN and its note the error, and the other rows run.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import signal
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -61,10 +64,22 @@ def _row(name, residual, tolerance, note) -> CheckResult:
     return CheckResult(name, float(residual), float(tolerance), status, note)
 
 
+def _worst(residuals) -> float:
+    """max(0.0, r1, r2, ...) over a row's draws, or NaN as soon as one
+    residual is NaN (``max`` alone keeps a NaN only when it comes first)."""
+    largest = 0.0
+    for residual in residuals:
+        if residual != residual:
+            return math.nan
+        largest = max(largest, residual)
+    return largest
+
+
 @dataclass(frozen=True)
 class Check:
     """One report row: its name, tolerance and static note, and the
-    function of a seeded generator that measures its residual."""
+    function of a seeded generator that measures its residual, or yields
+    one residual per draw for ``_worst`` to fold."""
 
     name: str
     tolerance: float
@@ -74,6 +89,8 @@ class Check:
     def __call__(self, rng) -> CheckResult:
         try:
             out = self.measure(rng)
+            if isinstance(out, Iterator):
+                out = _worst(out)
         except ParaBoseError as exc:
             out = math.nan, f"{type(exc).__name__}: {exc}"
         residual, note = out if isinstance(out, tuple) else (out, self.note)
@@ -95,7 +112,6 @@ def check(name: str, tolerance: float, note: str = ""):
 
 @check("algebra.wha_relations", 1e-12, "N=128, eps in {1/2,3/2,5/2}")
 def check_algebra_relations(rng):
-    worst = 0.0
     n = 128
     for eps in (0.5, 1.5, 2.5):
         params = AlgebraParams(epsilon=eps)
@@ -104,16 +120,13 @@ def check_algebra_relations(rng):
         anti_a = r @ a + a @ r
         anti_ad = r @ ad + ad @ r
         k = n - 4
-        worst = max(worst,
-                    np.max(np.abs(comm[:k, :k])),
-                    np.max(np.abs(anti_a[:k, :k])),
-                    np.max(np.abs(anti_ad[:k, :k])))
-    return worst
+        yield np.max(np.abs(comm[:k, :k]))
+        yield np.max(np.abs(anti_a[:k, :k]))
+        yield np.max(np.abs(anti_ad[:k, :k]))
 
 
 @check("algebra.trilinear", 1e-12)
 def check_trilinear(rng):
-    worst = 0.0
     n = 128
     for eps in (0.5, 1.5, 2.5):
         a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
@@ -121,22 +134,18 @@ def check_trilinear(rng):
         t1 = sym @ a - a @ sym + 2.0 * a
         t2 = sym @ ad - ad @ sym - 2.0 * ad
         k = n - 4
-        worst = max(worst, np.max(np.abs(t1[:k, :k])),
-                    np.max(np.abs(t2[:k, :k])))
-    return worst
+        yield np.max(np.abs(t1[:k, :k]))
+        yield np.max(np.abs(t2[:k, :k]))
 
 
 @check("algebra.number_operator", 1e-12)
 def check_number_operator(rng):
-    worst = 0.0
     n = 128
     for eps in (0.5, 1.5, 2.5):
         a, ad, _ = build_ladder(AlgebraParams(epsilon=eps), n)
         num = 0.5 * (a @ ad + ad @ a) - eps * np.eye(n)
         k = n - 2
-        worst = max(worst, np.max(np.abs(
-            num[:k, :k] - np.diag(np.arange(k, dtype=float)))))
-    return worst
+        yield np.max(np.abs(num[:k, :k] - np.diag(np.arange(k, dtype=float))))
 
 
 @check("algebra.hamiltonian_diagonal", 1e-12,
@@ -146,8 +155,8 @@ def check_hamiltonian_diagonal(rng):
     n = 64
     h = build_hamiltonian(params, 0.0, 2.0, 0.0, n)
     expect = 2.0 * (np.arange(n) + params.epsilon)
-    worst = float(np.max(np.abs(np.diag(h).real[: n - 2] - expect[: n - 2])))
-    return max(worst, float(np.max(np.abs(h - np.diag(np.diag(h))))))
+    yield float(np.max(np.abs(np.diag(h).real[: n - 2] - expect[: n - 2])))
+    yield float(np.max(np.abs(h - np.diag(np.diag(h)))))
 
 
 # -- dynamics ---------------------------------------------------------------
@@ -166,14 +175,12 @@ def _random_schedule(rng):
 
 @check("dynamics.mu_conservation", 1e-9, "20 random schedules")
 def check_mu_conservation(rng):
-    worst = 0.0
     for _ in range(20):
         sched = _random_schedule(rng)
         f0 = 1.0 + rng.uniform(-0.2, 0.4)
         g0 = rng.uniform(0.0, 0.6) * np.exp(2j * np.pi * rng.uniform())
         mi = solve_fg(sched, f0, g0, 0.0, t_final=2 * np.pi)
-        worst = max(worst, mi.mu_drift)
-    return worst
+        yield mi.mu_drift
 
 
 @check("dynamics.bogoliubov_commutator", 1e-10)
@@ -183,14 +190,12 @@ def check_bogoliubov_commutator(rng):
     params = AlgebraParams(epsilon=1.5)
     n = 96
     a, ad, r = build_ladder(params, n)
-    worst = 0.0
     for t in np.linspace(0.0, 2 * np.pi, 9):
         f, g = mi.at(float(t))
         a_op = f * a + g * ad + mi.phi0 * np.eye(n)
         comm = a_op @ a_op.conj().T - a_op.conj().T @ a_op
         target = mi.mu * (np.eye(n) + params.nu * r)
-        worst = max(worst, np.max(np.abs((comm - target)[:n - 2, :n - 2])))
-    return worst
+        yield np.max(np.abs((comm - target)[:n - 2, :n - 2]))
 
 
 @check("dynamics.zeta_two_route", 1e-8,
@@ -222,11 +227,9 @@ def _eigen_residual(sched):
                                     params, n_samples=64)
     mi = solve_fg(sched, 1.0, 0.3, 0.0, t_final=t_final, dt=t_final / 8192)
     z = complex(cfg.xi0)  # z = xi0 with f0 = 1
-    worst = 0.0
     for t, psi in zip(times, psis):
         a_psi = apply_A(mi, float(t), params, psi)
-        worst = max(worst, float(np.linalg.norm(a_psi - z * psi)))
-    return worst
+        yield float(np.linalg.norm(a_psi - z * psi))
 
 
 @check("dynamics.integral_of_motion_constant", 1e-6, "N=256, one period")
@@ -251,20 +254,16 @@ def _random_state_grid(rng, count):
 
 @check("states.svs_normalization", 1e-9, "100 random points")
 def check_svs_normalization(rng):
-    worst = 0.0
     for zeta, _, eps in _random_state_grid(rng, 100):
         v = states.svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps))
-        worst = max(worst, abs(v.norm_sq() - 1.0))
-    return worst
+        yield abs(v.norm_sq() - 1.0)
 
 
 @check("states.cs_normalization", 1e-9, "100 random points")
 def check_cs_normalization(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 100):
         v = states.cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
-        worst = max(worst, abs(v.norm_sq() - 1.0))
-    return worst
+        yield abs(v.norm_sq() - 1.0)
 
 
 @check("states.svs_canonical_reduction", 1e-12)
@@ -274,13 +273,11 @@ def check_svs_canonical_reduction(rng):
     r, th = 0.7, 0.9
     zeta = np.exp(1j * th) * np.tanh(r)
     v = states.svs_amplitudes(SvsSpec(zeta=zeta, epsilon=0.5))
-    worst = 0.0
     for n in range(v.truncation // 2):
         expect = (math.exp(0.5 * math.lgamma(2 * n + 1.0)
                            - math.lgamma(n + 1.0) - n * math.log(2.0))
                   * (-zeta) ** n / math.sqrt(math.cosh(r)))
-        worst = max(worst, abs(v.amplitudes[2 * n] - expect))
-    return worst
+        yield abs(v.amplitudes[2 * n] - expect)
 
 
 @check("states.cs_canonical_reduction", 1e-12)
@@ -294,38 +291,34 @@ def check_cs_canonical_reduction(rng):
         for n in range(v.truncation)
     ])
     phase = v.amplitudes[0] / canon[0]
-    worst = float(np.max(np.abs(v.amplitudes - phase * canon)))
-    return max(worst, abs(abs(phase) - 1.0))
+    yield float(np.max(np.abs(v.amplitudes - phase * canon)))
+    yield abs(abs(phase) - 1.0)
 
 
 @check("states.transition_sums", 1e-9, "both families")
 def check_transition_sums(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 8):
         n_svs = 2 * states._svs_pairs(abs(zeta), eps)
         total = sum(states.svs_transition(zeta, eps, n) for n in range(n_svs))
-        worst = max(worst, abs(total - 1.0))
+        yield abs(total - 1.0)
         v = states.cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
         total = sum(states.cs_transition(zeta, xi, eps, n)
                     for n in range(v.truncation))
-        worst = max(worst, abs(total - 1.0))
-    return worst
+        yield abs(total - 1.0)
 
 
 @check("states.transition_matches_amplitudes", 1e-10,
        "both families against their amplitude vectors")
 def check_transition_matches_amplitudes(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 6):
         v = states.cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
         for n in range(min(v.truncation, 40)):
             p = states.cs_transition(zeta, xi, eps, n)
-            worst = max(worst, abs(p - abs(v.amplitudes[n]) ** 2))
+            yield abs(p - abs(v.amplitudes[n]) ** 2)
         s = states.svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps))
         for n in range(min(s.truncation // 2, 20)):
             p = states.svs_transition(zeta, eps, n)
-            worst = max(worst, abs(p - abs(s.amplitudes[2 * n]) ** 2))
-    return worst
+            yield abs(p - abs(s.amplitudes[2 * n]) ** 2)
 
 
 @check("states.odd_gating_and_dispersion", 0.5)
@@ -346,32 +339,26 @@ def check_odd_gating_and_dispersion(rng):
 
 @check("states.svs_annihilation", 1e-8, "|| (a + zeta a') svs ||")
 def check_svs_annihilation(rng):
-    worst = 0.0
     for zeta, _, eps in _random_state_grid(rng, 5):
         spec = SvsSpec(zeta=zeta, epsilon=eps)
         n = 2 * (states._svs_pairs(abs(zeta), eps) + 64)
         v = states.svs_amplitudes(spec, truncation=n)
         a_v, ad_v = ladder_products(AlgebraParams(epsilon=eps), v.amplitudes)
-        worst = max(worst, float(np.linalg.norm(a_v + zeta * ad_v)))
-    return worst
+        yield float(np.linalg.norm(a_v + zeta * ad_v))
 
 
 @check("states.cs_eigenrelation", 1e-8, "|| (A/f - xi) cs ||")
 def check_cs_eigenrelation(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 5):
         spec = CsSpec(zeta=zeta, xi=xi, epsilon=eps)
         n = 2 * (states._cs_pairs(zeta, xi, eps) + 64)
         v = states.cs_amplitudes(spec, truncation=n)
         a_v, ad_v = ladder_products(AlgebraParams(epsilon=eps), v.amplitudes)
-        worst = max(worst, float(np.linalg.norm(
-            a_v + zeta * ad_v - xi * v.amplitudes)))
-    return worst
+        yield float(np.linalg.norm(a_v + zeta * ad_v - xi * v.amplitudes))
 
 
 @check("states.svs_overlap_series", 1e-10)
 def check_svs_overlap_series(rng):
-    worst = 0.0
     for _ in range(6):
         eps = rng.uniform(0.5, 5.0)
         z1 = rng.uniform(0, 0.8) * np.exp(2j * np.pi * rng.uniform())
@@ -382,13 +369,11 @@ def check_svs_overlap_series(rng):
                     states._svs_pairs(abs(z2), eps))
         v1 = states.svs_amplitudes(s1, truncation=n)
         v2 = states.svs_amplitudes(s2, truncation=n)
-        worst = max(worst, abs(states.svs_overlap(s1, s2) - v1.overlap(v2)))
-    return worst
+        yield abs(states.svs_overlap(s1, s2) - v1.overlap(v2))
 
 
 @check("states.cs_overlap_series", 1e-9)
 def check_cs_overlap_series(rng):
-    worst = 0.0
     for _ in range(5):
         eps = rng.uniform(0.5, 4.0)
         z1 = rng.uniform(0, 0.7) * np.exp(2j * np.pi * rng.uniform())
@@ -401,19 +386,16 @@ def check_cs_overlap_series(rng):
                     states._cs_pairs(z2, x2, eps))
         v1 = states.cs_amplitudes(s1, truncation=n)
         v2 = states.cs_amplitudes(s2, truncation=n)
-        worst = max(worst, abs(states.cs_overlap(s1, s2) - v1.overlap(v2)))
-    return worst
+        yield abs(states.cs_overlap(s1, s2) - v1.overlap(v2))
 
 
 @check("states.mean_reflection_parity_sum", 1e-10)
 def check_mean_reflection_parity_sum(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 6):
         v = states.cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
         signs = (-1.0) ** np.arange(v.truncation)
         direct = float(np.sum(signs * np.abs(v.amplitudes) ** 2))
-        worst = max(worst, abs(states.mean_reflection(zeta, xi, eps) - direct))
-    return worst
+        yield abs(states.mean_reflection(zeta, xi, eps) - direct)
 
 
 @check("states.schrodinger_property", 1e-7,
@@ -425,7 +407,6 @@ def check_schrodinger_property(rng):
     params = AlgebraParams(epsilon=eps)
     sched = sinusoidal_schedule(alpha_amp=0.2, beta0=1.0, delta0=0.3)
     t_final = 2 * np.pi
-    worst = 0.0
     for zeta0, xi0, amplitudes, spec in (
             (0.25, 0.6, states.cs_amplitudes, states.cs_spec_from_params),
             (0.3, 0.0, states.svs_amplitudes, states.svs_spec_from_params)):
@@ -436,8 +417,7 @@ def check_schrodinger_property(rng):
                                         params, n_samples=8)
         for t, psi in zip(times, psis):
             ana = amplitudes(spec(traj.at(float(t)), eps), truncation=96)
-            worst = max(worst, abs(complex(np.vdot(ana.amplitudes, psi)) - 1.0))
-    return worst
+            yield abs(complex(np.vdot(ana.amplitudes, psi)) - 1.0)
 
 
 @check("states.zero_squeeze_continuity", 1e-6, "gap scales linearly in |zeta|")
@@ -445,15 +425,13 @@ def check_zero_squeeze_continuity(rng):
     # the uniform evaluation approaches the zero-squeeze series linearly in
     # |zeta|; measured at |zeta| = 1e-7 the gap sits well under 1e-7 * scale
     eps, xi = 2.5, 0.9 + 0.4j
-    worst = 0.0
     for mag in (1e-7, 1e-8):
         zeta = mag * np.exp(0.77j)
         v = states.cs_amplitudes(CsSpec(zeta=zeta, xi=xi, epsilon=eps))
         v0 = states.cs_amplitudes(CsSpec(zeta=0.0, xi=xi, epsilon=eps),
                                   truncation=v.truncation)
         gap = float(np.max(np.abs(v.amplitudes - v0.amplitudes)))
-        worst = max(worst, gap / (mag / 1e-7))
-    return worst
+        yield gap / (mag / 1e-7)
 
 
 # -- observables ------------------------------------------------------------
@@ -486,7 +464,6 @@ def _matrix_moments(spec, params):
 @check("observables.moments_vs_matrix", 1e-8,
        "50 random points, all six fields")
 def check_moments_vs_matrix(rng):
-    worst = 0.0
     for _ in range(50):
         eps = rng.uniform(0.5, 4.5)
         zeta = rng.uniform(0, 0.7) * np.exp(2j * np.pi * rng.uniform())
@@ -497,20 +474,17 @@ def check_moments_vs_matrix(rng):
         closed = observables.cs_moments(spec, params)
         matrix = _matrix_moments(spec, params)
         for field in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp", "mean_r"):
-            worst = max(worst, abs(getattr(closed, field) - getattr(matrix, field)))
-    return worst
+            yield abs(getattr(closed, field) - getattr(matrix, field))
 
 
 @check("observables.sr_saturation", 1e-10)
 def check_sr_saturation(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 40):
         params = AlgebraParams(epsilon=eps)
         m = observables.cs_moments(CsSpec(zeta=zeta, xi=xi, epsilon=eps), params)
         _, sr = observables.uncertainty_products(zeta, m.mean_r, params)
         direct = m.var_x * m.var_p - m.cov_xp**2
-        worst = max(worst, abs(direct - sr))
-    return worst
+        yield abs(direct - sr)
 
 
 @check("observables.squeezing_monotonicity", 0.5,
@@ -529,13 +503,11 @@ def check_squeezing_monotonicity(rng):
 
 @check("observables.xi_roundtrip", 1e-12)
 def check_xi_roundtrip(rng):
-    worst = 0.0
     for zeta, xi, eps in _random_state_grid(rng, 20):
         params = AlgebraParams(epsilon=eps, length_scale=1.3)
         m = observables.cs_moments(CsSpec(zeta=zeta, xi=xi, epsilon=eps), params)
         back = observables.xi_from_means(m.mean_x, m.mean_p, zeta, params)
-        worst = max(worst, abs(back - xi))
-    return worst
+        yield abs(back - xi)
 
 
 # -- coordinate sector ------------------------------------------------------
@@ -543,19 +515,16 @@ def check_xi_roundtrip(rng):
 @check("coordrep.vacuum_normalization", 1e-10,
        "factor-2 half-line convention, l in 0..3")
 def check_vacuum_normalization(rng):
-    worst = 0.0
     from scipy.integrate import simpson
     x = np.linspace(0.0, 16.0, 20001)
     for ell in range(4):
         psi = coordrep.vacuum_wavefunction(ell, 1.0, x)
-        worst = max(worst, abs(2.0 * simpson(psi**2, x=x) - 1.0))
-    return worst
+        yield abs(2.0 * simpson(psi**2, x=x) - 1.0)
 
 
 @check("coordrep.annihilation_stencil", 1e-6)
 def check_coordinate_annihilation(rng):
     # 5-point stencil derivative of the first-order vacuum condition
-    worst = 0.0
     h = 1e-3
     x = np.linspace(0.1, 6.0, 1201)
     for ell in (0, 1, 2):
@@ -568,8 +537,7 @@ def check_coordinate_annihilation(rng):
         d = (-psi(x + 2 * h) + 8 * psi(x + h) - 8 * psi(x - h)
              + psi(x - 2 * h)) / (12 * h)
         resid = d + (x / l**2 - (2 * eps - 1) / (2 * x)) * psi(x)
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+        yield float(np.max(np.abs(resid)))
 
 
 def _density(ell, zeta, xi):
@@ -580,9 +548,9 @@ def _density(ell, zeta, xi):
 
 @check("coordrep.density_two_route", 1e-10)
 def check_density_two_route(rng):
-    return max(_density(*s).two_route_residual
-               for s in ((0, 0.45, 1j), (1, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
-                         (3, 0.45, 1j)))
+    return (_density(*s).two_route_residual
+            for s in ((0, 0.45, 1j), (1, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
+                      (3, 0.45, 1j)))
 
 
 @check("coordrep.density_normalization", 1e-8,
@@ -590,12 +558,11 @@ def check_density_two_route(rng):
 def check_density_normalization(rng):
     # parity-resolved norm is 1 for every state; the plain density integral
     # joins it on the figure family (real squeeze, imaginary displacement)
-    parity = [abs(_density(*s).parity_norm - 1.0)
-              for s in ((0, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
-                        (1, 0.3j, 0.5 - 0.5j), (3, -0.5, 0.0))]
-    plain = [abs(_density(*s).integral - 1.0)
-             for s in ((0, 0.45, 1j), (2, -0.5, 1.2j), (1, 0.6, 0.0))]
-    return max(parity + plain)
+    yield from (abs(_density(*s).parity_norm - 1.0)
+                for s in ((0, 0.45, 1j), (2, 0.2 + 0.1j, 0.8),
+                          (1, 0.3j, 0.5 - 0.5j), (3, -0.5, 0.0)))
+    yield from (abs(_density(*s).integral - 1.0)
+                for s in ((0, 0.45, 1j), (2, -0.5, 1.2j), (1, 0.6, 0.0)))
 
 
 @check("coordrep.gaussian_reduction_l0", 1e-10,
@@ -605,13 +572,11 @@ def check_gaussian_reduction(rng):
     # (delta = 0), which is where the two printed closed forms share a branch
     params = AlgebraParams.from_ell(0)
     x = np.linspace(0.01, 8.0, 400)
-    worst = 0.0
     for zeta, phi in ((0.0, 0.0), (0.3, -0.41), (0.2 - 0.4j, 0.8), (0.45, 0.0)):
         spec = CsSpec(zeta=zeta, xi=np.exp(1j * phi), epsilon=0.5, theta=phi)
         a = coordrep.cs_wavefunction(spec, params, x)
         b = coordrep.cs_wavefunction_gaussian(spec, params, x)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+        yield float(np.max(np.abs(a - b)))
 
 
 @check("coordrep.quantization_gate", 0.5)
@@ -638,28 +603,24 @@ def check_hamiltonian_mapping(rng):
               + 0.5 * hm.cross * (p_op @ x_op + x_op @ p_op)
               + hm.offset * np.eye(n))
     h_ladder = build_hamiltonian(params, alpha, beta, delta, n)
-    worst = float(np.max(np.abs(h_mech - h_ladder)))
-    return max(worst, abs(hm.omega**2 - (beta**2 - alpha.real**2)))
+    yield float(np.max(np.abs(h_mech - h_ladder)))
+    yield abs(hm.omega**2 - (beta**2 - alpha.real**2))
 
 
 # -- completeness -----------------------------------------------------------
 
 @check("completeness.weight_values", 1e-12)
 def check_weight_values(rng):
-    worst = abs(completeness.weight(2.0, 0.0) - 1.0 / math.pi)
-    return max(worst, abs(completeness.weight(3.0, 0.5)
-                          - 2.0 / (math.pi * 0.5625)))
+    yield abs(completeness.weight(2.0, 0.0) - 1.0 / math.pi)
+    yield abs(completeness.weight(3.0, 0.5) - 2.0 / (math.pi * 0.5625))
 
 
 @check("completeness.diagonal_identity", 1e-8,
        "eps in {1.5, 2.5, 5.5}, n <= 15")
 def check_diagonal_identity(rng):
-    worst = 0.0
     for eps in (1.5, 2.5, 5.5):
         for n in range(16):
-            worst = max(worst,
-                        completeness.diagonal_identity_residual(eps, n))
-    return worst
+            yield completeness.diagonal_identity_residual(eps, n)
 
 
 @check("completeness.block_identity", 1e-6, "K=8, eps=2.5")
@@ -709,12 +670,10 @@ def check_oscillator_fidelity(rng):
     times, psis = evolve_trajectory(psi0, constant_schedule(0.0, 1.0, 0.0),
                                     t_final, t_final / 8192, params,
                                     n_samples=16)
-    worst = 0.0
     for t, psi in zip(times, psis):
         ana = oscillator.cs_state(cfg, float(t), truncation=256)
         fid = abs(complex(np.vdot(ana.amplitudes, psi)))
-        worst = max(worst, 1.0 - fid)
-    return worst
+        yield 1.0 - fid
 
 
 @check("oscillator.closed_form_vs_ode", 1e-9)
@@ -724,15 +683,13 @@ def check_parameter_closed_form(rng):
     sched = constant_schedule(0.0, cfg.omega0, 0.0)
     traj = solve_zeta_xi(sched, cfg.zeta0, cfg.xi0, t_final=cfg.period,
                          epsilon=cfg.epsilon)
-    worst = 0.0
     for idx in range(0, len(traj.times), 512):
         t = float(traj.times[idx])
         p = oscillator.closed_form_parameters(cfg, t)
-        worst = max(worst, abs(traj.zeta[idx] - p.zeta),
-                    abs(traj.xi[idx] - p.xi),
-                    abs(traj.theta_svs()[idx] - p.theta_svs),
-                    abs(traj.theta_cs()[idx] - p.theta_cs))
-    return worst
+        yield abs(traj.zeta[idx] - p.zeta)
+        yield abs(traj.xi[idx] - p.xi)
+        yield abs(traj.theta_svs()[idx] - p.theta_svs)
+        yield abs(traj.theta_cs()[idx] - p.theta_cs)
 
 
 @check("oscillator.uncertainty_minima", 0.5)
@@ -784,7 +741,6 @@ def check_asymptotic_convergence(rng):
 
 @check("oscillator.calibrate_roundtrip", 1e-12)
 def check_calibrate_roundtrip(rng):
-    worst = 0.0
     for _ in range(10):
         ell = int(rng.integers(0, 4))
         zeta0 = rng.uniform(-0.7, 0.7)
@@ -794,22 +750,18 @@ def check_calibrate_roundtrip(rng):
         m = observables.cs_moments(
             CsSpec(zeta=zeta0, xi=xi0, epsilon=params.epsilon), params)
         back = oscillator.calibrate_l(m.sigma_x, zeta0, xi0, ell)
-        worst = max(worst, abs(back - l) / l)
-    return worst
+        yield abs(back - l) / l
 
 
 @check("oscillator.stationary_transition", 1e-10,
        "time-independence at t in {0, 0.7, 2.1}")
 def check_stationary_transition(rng):
     cfg = oscillator.OscillatorConfig(omega0=1.0, ell=2, zeta0=0.5, xi0=1j)
-    worst = 0.0
     for t in (0.0, 0.7, 2.1):
         p = oscillator.closed_form_parameters(cfg, t)
         for n in range(12):
-            worst = max(worst, abs(
-                oscillator.stationary_transition(cfg, n)
-                - states.cs_transition(p.zeta, p.xi, cfg.epsilon, n)))
-    return worst
+            yield abs(oscillator.stationary_transition(cfg, n)
+                      - states.cs_transition(p.zeta, p.xi, cfg.epsilon, n))
 
 
 @check("oscillator.mean_trajectory_energy", 1e-12)
@@ -819,12 +771,13 @@ def check_mean_trajectory_energy(rng):
     ts = np.linspace(0.0, cfg.period, 97)
     x, p = oscillator.mean_trajectories(cfg, ts)
     energy = 0.5 * cfg.mass * cfg.omega0**2 * x**2 + p**2 / (2.0 * cfg.mass)
-    worst = float(np.max(np.abs(energy - energy[0])))
+    yield float(np.max(np.abs(energy - energy[0])))
     # t = 0 consistency against the closed-form moments
     params = cfg.algebra_params()
     m = observables.cs_moments(
         CsSpec(zeta=cfg.zeta0, xi=cfg.xi0, epsilon=cfg.epsilon), params)
-    return max(worst, abs(x[0] - m.mean_x), abs(p[0] - m.mean_p))
+    yield abs(x[0] - m.mean_x)
+    yield abs(p[0] - m.mean_p)
 
 
 def check_configured_level(epsilon: float) -> CheckResult:
@@ -834,8 +787,8 @@ def check_configured_level(epsilon: float) -> CheckResult:
     if epsilon <= 1.0:
         return CheckResult(name, 0.0, tolerance, "excluded",
                            f"eps = {epsilon} admits no positive weight")
-    worst = max(completeness.diagonal_identity_residual(epsilon, n)
-                for n in range(8))
+    worst = _worst(completeness.diagonal_identity_residual(epsilon, n)
+                   for n in range(8))
     return _row(name, worst, tolerance, f"eps = {epsilon}")
 
 

@@ -81,6 +81,15 @@ class TestDiagonalIdentity:
             diagonal_identity_residual(2.5, -1)
 
 
+def test_nan_quadrature_fails_convergence(monkeypatch):
+    # |NaN - NaN| > tol is False: a NaN quadrature used to return a NaN
+    # residual rather than raise
+    monkeypatch.setattr(completeness, "_diagonal_quadrature",
+                        lambda epsilon, n, node_count: math.nan)
+    with pytest.raises(QuadratureError, match="not converged"):
+        diagonal_identity_residual(2.5, 3)
+
+
 class TestBlockIdentity:
     def test_block_residual(self):
         assert identity_block_residual(2.5, block=8) <= 1e-6

@@ -378,6 +378,26 @@ class TestDensity:
         with pytest.raises(QuadratureError, match="did not settle"):
             coordrep.probability_density(FIG_SPEC, FIG_PARAMS)
 
+    def test_nan_density_or_norm_fails_its_gate(self, monkeypatch):
+        # NaN > tol is False: a NaN in rho or in the parity norm used to
+        # pass both gates
+        fields = coordrep._fields
+
+        def nan_rho(*args):
+            even, odd, rho = fields(*args)
+            rho = rho.copy()
+            rho[7] = math.nan
+            return even, odd, rho
+
+        with monkeypatch.context() as m:
+            m.setattr(coordrep, "_fields", nan_rho)
+            with pytest.raises(QuadratureError, match="disagree by nan"):
+                coordrep.probability_density(FIG_SPEC, FIG_PARAMS)
+        monkeypatch.setattr(coordrep, "_half_line_sums",
+                            lambda spec, params, ell: (math.nan, 1.0))
+        with pytest.raises(QuadratureError, match="norm nan misses 1"):
+            coordrep.probability_density(FIG_SPEC, FIG_PARAMS)
+
     @pytest.mark.parametrize("evaluate", [
         coordrep.wavefunction_parity_parts, coordrep.cs_wavefunction,
         coordrep.cs_wavefunction_gaussian, coordrep.density_closed_form,

@@ -7,6 +7,7 @@ import runpy
 import numpy as np
 import pytest
 
+from parabose import dynamics
 from parabose.dynamics import _grid_index, _output_grid, apply_A, solve_fg, \
     solve_zeta_xi
 from parabose.errors import ConfigError, DomainError, IntegrationError
@@ -284,6 +285,25 @@ def test_grid_lookup_tolerates_round_off_at_long_horizons():
     grid = _output_grid(t_final, t_final / 4100)
     assert ([_grid_index(grid, t) for t in np.linspace(0.0, t_final, 101)]
             == list(range(0, 4101, 41)))
+
+
+def test_nan_states_fail_the_guards_and_the_drift(monkeypatch):
+    # NaN < bound and NaN >= bound are both False: the |f| = |g| crossing
+    # and squeeze blow-up guards and the mu drift gate used to pass NaN
+    def guarded(deriv, y0, schedule, times, guard):
+        return guard(times, np.full((len(times), len(y0)), math.nan + 0j))
+
+    def unguarded(deriv, y0, schedule, times, guard):
+        return np.full((len(times), len(y0)), math.nan + 0j)
+
+    monkeypatch.setattr(dynamics, "integrate_verified", guarded)
+    with pytest.raises(IntegrationError, match="crossing at t=0.0"):
+        solve_fg(constant_schedule(), 1.0, 0.1)
+    with pytest.raises(IntegrationError, match="blow-up.* at t=0.0"):
+        solve_zeta_xi(constant_schedule(), 0.1, 0.5)
+    monkeypatch.setattr(dynamics, "integrate_verified", unguarded)
+    with pytest.raises(IntegrationError, match="mu drift nan"):
+        solve_fg(constant_schedule(), 1.0, 0.1)
 
 
 def test_run_past_tabulated_domain_fails():

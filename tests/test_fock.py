@@ -250,6 +250,40 @@ class TestEvolution:
         with pytest.raises(DomainError, match="violates beta"):
             solve_zeta_xi(dip, 0.0, 0.5, t_final=1.0, dt=1.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_refused_at_once(self, monkeypatch, delta):
+        # a raw schedule's NaN delta used to step until the call budget ran
+        # out (minutes at the full budget), then blame the horizon
+        monkeypatch.setattr(fock, "DERIV_CALL_BUDGET", 20_000)
+        bad = CoefficientSchedule(lambda t: (0j, 1.0, delta))
+        with pytest.raises(DomainError, match="delta must be finite"):
+            solve_zeta_xi(bad, 0.2, 0.5, t_final=1.0)
+        with pytest.raises(DomainError, match="delta must be finite"):
+            evolve_final(_vacuum(16), bad, 1.0, 1.0, AlgebraParams(epsilon=0.5))
+
+    def test_nan_disagreement_fails_certification(self):
+        # NaN > STEP_HALVING_TOL is False: a NaN output used to be certified
+        with pytest.raises(IntegrationError, match="disagrees by nan"):
+            integrate_verified(lambda alpha, beta, delta, y: y, [1.0],
+                               constant_schedule(), np.linspace(0, 1, 5),
+                               lambda t, y: y * math.nan)
+
+    def test_nan_norm_drift_and_tail_fail(self, monkeypatch):
+        params = AlgebraParams(epsilon=0.5)
+
+        def nan_frame(deriv, y0, schedule, times, guard):
+            return guard(times, np.full((len(times), len(y0)), math.nan + 0j))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "integrate_verified", nan_frame)
+            with pytest.raises(IntegrationError, match="norm drift nan"):
+                evolve_final(_vacuum(16), constant_schedule(), 1.0, 1.0, params)
+        monkeypatch.setattr(FockVector, "tail_mass", lambda self: math.nan)
+        with pytest.raises(TruncationError, match="initial tail mass nan"):
+            evolve_final(_vacuum(16), constant_schedule(), 1.0, 1.0, params)
+        with pytest.raises(TruncationError, match="leaked nan"):
+            fock._check_final(np.eye(16, dtype=complex)[0])
+
     def test_leak_into_truncation_boundary_raises(self):
         # squeezing the vacuum at N = 16 carries ~0.13 of the probability
         # into the last TAIL_WIDTH levels by t = 3

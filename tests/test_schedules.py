@@ -61,6 +61,21 @@ def test_tabulated_coefficients_exact_linear_and_bounded():
             sched.coefficients(stray)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sinusoidal_positivity_checked_at_the_sine_extremes(sign):
+    # beta = 0.5 < |alpha| = 0.5001 only where sin(omega t) = sign: the 64
+    # spot points of a period once reached |sin(omega t)| = 0.99969 at most
+    with pytest.raises(DomainError, match=f"at sin\\(omega t\\)={sign}$"):
+        sinusoidal_schedule(alpha_amp=0.5001 * sign, beta0=1.0,
+                            beta_amp=-0.5 * sign, omega=1.7)
+    sinusoidal_schedule(alpha_amp=0.4999 * sign, beta0=1.0,
+                        beta_amp=-0.5 * sign, omega=1.7)
+    # omega = 0 holds sin(omega t) = 0: only alpha0 and beta0 count
+    sinusoidal_schedule(alpha_amp=5.0, beta0=1.0, beta_amp=-5.0, omega=0.0)
+    with pytest.raises(DomainError, match="at sin\\(omega t\\)=0.0$"):
+        sinusoidal_schedule(alpha0=1.0 * sign, beta0=1.0, omega=0.0)
+
+
 def test_tabulated_bad_sample_rejected_at_construction():
     t = np.linspace(0.0, 2.0, 5)
     beta = np.ones(5)
@@ -89,8 +104,8 @@ def _csv_with_nan_delta(tmp_path):
 ], ids=["constant", "sinusoidal", "tabulated", "tabulated-times", "csv"])
 def test_non_finite_coefficient_rejected_at_construction(build, message,
                                                          tmp_path):
-    # the beta > |alpha| gate never reads delta; a non-finite delta used to
-    # reach the solver, which then failed inside its step control
+    # a non-finite coefficient is refused as the schedule is built, before
+    # any solver evaluates it
     with pytest.raises(DomainError, match=message):
         build(tmp_path)
 

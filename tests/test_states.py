@@ -116,6 +116,19 @@ class TestSvsAmplitudes:
         v = svs_amplitudes(SvsSpec(zeta=zeta, epsilon=eps))
         assert abs(v.norm_sq() - 1.0) <= 1e-9
 
+    def test_nan_norm_warns(self, monkeypatch):
+        # |NaN - 1| > NORM_WARN_TOL is False: a NaN norm used to pass quietly
+        column = states._svs_coefficient_column
+
+        def planted(*args):
+            out = column(*args).copy()
+            out[1] = math.nan
+            return out
+
+        monkeypatch.setattr(states, "_svs_coefficient_column", planted)
+        with pytest.warns(RuntimeWarning, match="normalization residual nan"):
+            svs_amplitudes(SvsSpec(zeta=0.3, epsilon=2.5))
+
     def test_truncation_override_rules(self):
         spec = SvsSpec(zeta=0.3, epsilon=2.5)
         auto = svs_amplitudes(spec).truncation

@@ -1,5 +1,7 @@
 """The invariant-suite runner itself: statuses, exclusion, planted faults."""
 
+import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
@@ -12,8 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from parabose import cli, states, verify
+from parabose import cli, completeness, observables, oscillator, states, \
+    verify
 from parabose.errors import DomainError
+from parabose.fock import FockVector
 from parabose.states import set_sabotage
 
 SRC = str(pathlib.Path(verify.__file__).resolve().parents[1])
@@ -143,6 +147,106 @@ def test_nan_residual_fails(monkeypatch):
     assert verify.ALL_CHECKS == [probe]
     assert row.status == "fail" and math.isnan(row.residual)
     assert (row.name, row.tolerance, row.note) == ("probe.nan", 1.0, "static")
+
+
+# -- the fold of a row's draws ----------------------------------------------
+
+def _plant(monkeypatch, owner, name, call, spoil):
+    """Wrap owner.name so that its call-th result (from 1) passes through
+    spoil: a NaN in one draw of a row."""
+    real, calls = getattr(owner, name), itertools.count(1)
+
+    def planted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return spoil(out) if next(calls) == call else out
+
+    monkeypatch.setattr(owner, name, planted)
+
+
+def _nan_amplitude(vector):
+    amps = vector.amplitudes.copy()
+    amps[0] = math.nan
+    return FockVector(amps)
+
+
+@pytest.mark.parametrize("row,owner,name,call,spoil", [
+    # a NaN norm in the third of 100 draws read pass, residual 2.33e-15
+    ("check_svs_normalization", states, "svs_amplitudes", 3, _nan_amplitude),
+    # one line of the coherent loop, then one of the squeezed-vacuum loop
+    ("check_transition_matches_amplitudes", states, "cs_transition", 45,
+     lambda p: math.nan),
+    ("check_transition_matches_amplitudes", states, "svs_transition", 3,
+     lambda p: math.nan),
+    # one of the six fields of the second draw
+    ("check_moments_vs_matrix", observables, "cs_moments", 2,
+     lambda m: dataclasses.replace(m, var_p=math.nan)),
+    # 1 - fid of the third sample; the first call is the oracle's psi0
+    ("check_oscillator_fidelity", oscillator, "cs_state", 4, _nan_amplitude),
+], ids=["svs_normalization", "cs_transition", "svs_transition",
+        "moments_vs_matrix", "oracle_fidelity"])
+def test_nan_in_one_draw_fails_the_row(monkeypatch, row, owner, name, call,
+                                       spoil):
+    check = getattr(verify, row)
+    _plant(monkeypatch, owner, name, call, spoil)
+    result = check(np.random.default_rng(1))
+    assert result.status == "fail" and math.isnan(result.residual)
+    assert result.note == check.note
+
+
+def test_worst_is_max_from_zero_until_a_nan():
+    assert verify._worst(iter([])) == 0.0
+    assert verify._worst([-1e-16, -2.0]) == 0.0
+    draws = [3e-15, np.float64(7e-15), 0.0, 7e-15, 1e-15]
+    assert verify._worst(draws) == max(0.0, *draws) == 7e-15
+    for k in range(3):
+        nan_at_k = [1.0, 2.0, 3.0]
+        nan_at_k[k] = math.nan
+        assert math.isnan(verify._worst(nan_at_k))
+        assert math.isnan(verify._worst(np.array(nan_at_k)))
+
+
+def test_yielding_rows_fold_and_fail_on_nan(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [])
+    seen = []
+
+    @verify.check("probe.draws", 1.0, "static")
+    def draws(rng):
+        for r in (0.25, 0.75, 0.5):
+            seen.append(r)
+            yield r
+
+    @verify.check("probe.nan_draw", 1.0, "static")
+    def nan_draw(rng):
+        yield from (0.25, math.nan, 0.5)
+
+    @verify.check("probe.raises_midway", 1.0)
+    def raises_midway(rng):
+        yield 0.25
+        raise DomainError("planted draw error")
+
+    row = draws(np.random.default_rng(0))
+    assert (row.residual, row.status, row.note) == (0.75, "pass", "static")
+    assert seen == [0.25, 0.75, 0.5]
+    row = nan_draw(np.random.default_rng(0))
+    assert row.status == "fail" and math.isnan(row.residual)
+    row = raises_midway(np.random.default_rng(0))
+    assert row.status == "fail" and math.isnan(row.residual)
+    assert row.note == "DomainError: planted draw error"
+
+
+def test_configured_level_fails_on_a_nan_entry(monkeypatch):
+    residual = completeness.diagonal_identity_residual
+    monkeypatch.setattr(completeness, "diagonal_identity_residual",
+                        lambda eps, n: math.nan if n == 3 else residual(eps, n))
+    row = verify.check_configured_level(2.5)
+    assert row.status == "fail" and math.isnan(row.residual)
+
+
+def test_one_fold_for_every_row():
+    # rows yield their draws and Check folds them; a hand fold drops a NaN
+    source = pathlib.Path(verify.__file__).read_text()
+    assert "max(worst" not in source
+    assert "worst = 0.0" not in source
 
 
 def test_structure_rows_report_zero_or_one_against_half(monkeypatch):
